@@ -71,7 +71,7 @@ def _cmd_build(args) -> int:
     n_cont, n_bin = count_columns(inst, prune=args.prune == "on")
     print(f"wrote {mps_path}")
     print(f"wrote {dump_path}")
-    print(f"columns: {n_cont} continuous + {n_bin} binary, rows: {len(model.rows)}")
+    print(f"columns: {n_cont} continuous + {n_bin} binary, rows: {model.n_rows}")
     return 0
 
 

@@ -39,12 +39,26 @@ then the install binaries grouped by echelon.  Material pruning (`prune`)
 drops flow columns for materials a leg cannot carry (not producible at the
 origin or not accepted at the destination); it never changes the optimal
 objective, only the column count.
+
+Representation.  The rows are one CSR block (`RowBlock`: int64 `indptr`
+and `indices`, float64 `data`, plus `sense`/`rhs` arrays, per-row names,
+families and keys, and family offsets), built by offset arithmetic over
+whole leg and install blocks.  Its arrays are read-only.  Column names
+have one path: `VariableIndex` builds them block by block from sanitized
+ids on first use and caches them with the name -> column map, so the MPS
+writer, the solution readers and verification never rebuild them.
+`flow_column_name` and `install_column_name`, which the oracle uses for
+single columns, go through the same formatter and length check.
+`Model.rows` offers the same rows as `Row` tuples, built from the block on
+each access, for listings and per-row reference checks; no writer, reader
+or verification reads it.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterator
 
 import numpy as np
@@ -70,21 +84,12 @@ MAX_NAME_LEN = 64
 
 def flow_column_name(leg: str, t: str, p: str, origin: str, dest: str,
                      size: str | None) -> str:
-    parts = [FLOW_PREFIXES[leg], sanitize_id(t), sanitize_id(p), sanitize_id(origin),
-             sanitize_id(dest)]
-    if size is not None:
-        parts.append(sanitize_id(size))
-    name = "_".join(parts)
-    if len(name) > MAX_NAME_LEN:
-        raise NamingError(f"column name '{name}' exceeds {MAX_NAME_LEN} characters")
-    return name
+    ids = (t, p, origin, dest) if size is None else (t, p, origin, dest, size)
+    return _product_names(FLOW_PREFIXES[leg], tuple((x,) for x in ids))[0]
 
 
 def install_column_name(echelon: str, site: str, size: str) -> str:
-    name = f"b{echelon}_{sanitize_id(site)}_{sanitize_id(size)}"
-    if len(name) > MAX_NAME_LEN:
-        raise NamingError(f"column name '{name}' exceeds {MAX_NAME_LEN} characters")
-    return name
+    return _product_names(f"b{echelon}", ((site,), (size,)))[0]
 
 
 @dataclass(frozen=True)
@@ -111,6 +116,27 @@ class LegSpace:
         idx = ((t * len(self.materials) + p) * len(self.origins) + i) * len(self.dests) + j
         return self.start + idx * nc + c
 
+    def columns(self, t: int | None = None, p: int | None = None, i: int | None = None,
+                j: int | None = None, c: int | None = None) -> np.ndarray:
+        """Column numbers over the (t, p, origin, dest, size) grid in column
+        order: an axis given as a position is fixed, an axis left None spans
+        all its values."""
+        dims = (len(self.periods), len(self.materials), len(self.origins), len(self.dests),
+                len(self.sizes) or 1)
+        cols = np.zeros(1, dtype=np.int64)
+        for fixed, n in zip((t, p, i, j, c), dims):
+            axis = np.arange(n, dtype=np.int64) if fixed is None else np.array([fixed], dtype=np.int64)
+            cols = (cols[:, None] * n + axis[None, :]).ravel()
+        return self.start + cols
+
+    def names(self) -> list[str]:
+        """Column names of the block in column order, as the product of the
+        sanitized id tokens of each axis."""
+        axes = (self.periods, self.materials, self.origins, self.dests)
+        if self.sizes:
+            axes += (self.sizes,)
+        return _product_names(FLOW_PREFIXES[self.leg], axes)
+
 
 @dataclass(frozen=True)
 class InstallSpace:
@@ -126,12 +152,36 @@ class InstallSpace:
     def offset(self, site: int, size: int) -> int:
         return self.start + site * len(self.sizes) + size
 
+    def names(self) -> list[str]:
+        return _product_names(f"b{self.echelon}", (self.sites, self.sizes))
+
+
+def _product_names(prefix: str, axes: tuple[tuple[str, ...], ...]) -> list[str]:
+    """'prefix_a_b_...' for every combination of axis ids, last axis fastest;
+    each id is sanitized once, not once per name.  The one column-name
+    formatter: block names and single names both come from here."""
+    names = [prefix]
+    for ids in axes:
+        tokens = [sanitize_id(x) for x in ids]
+        names = [f"{head}_{tok}" for head in names for tok in tokens]
+    return _check_length(names, "column")
+
+
+def _check_length(names: list[str], kind: str) -> list[str]:
+    """`names` unchanged, or NamingError naming the first over MAX_NAME_LEN."""
+    if max(map(len, names), default=0) > MAX_NAME_LEN:
+        name = next(n for n in names if len(n) > MAX_NAME_LEN)
+        raise NamingError(f"{kind} name '{name}' exceeds {MAX_NAME_LEN} characters")
+    return names
+
 
 class VariableIndex:
-    """Arithmetic bijection between variable keys and column numbers.
+    """Arithmetic bijection between variable keys and column numbers, plus
+    the model's one column-naming path.
 
-    Nothing is materialized per column, so indexing stays cheap at
-    case-study scale (millions of columns).
+    Keys and offsets are pure arithmetic.  Column names are built once, on
+    first use, block by block, and cached together with the name -> column
+    map; every reader and writer shares that cache.
     """
 
     def __init__(self, inst: Instance, prune: bool) -> None:
@@ -180,6 +230,8 @@ class VariableIndex:
         self.n_binary = at - self.n_continuous
         self._leg_by_id = {s.leg: s for s in self.legs}
         self._install_by_tag = {s.echelon: s for s in self.installs}
+        self._names: tuple[str, ...] | None = None
+        self._column_of: MappingProxyType | None = None
 
     def leg(self, leg_id: str) -> LegSpace:
         return self._leg_by_id[leg_id]
@@ -220,14 +272,50 @@ class VariableIndex:
                 )
         raise AssertionError("unreachable")
 
+    @property
+    def names(self) -> tuple[str, ...]:
+        """Every column name in column order (cached, immutable)."""
+        if self._names is None:
+            self._build_names()
+        return self._names
+
+    @property
+    def column_of(self) -> MappingProxyType:
+        """Read-only name -> column map over the cached names."""
+        if self._column_of is None:
+            self._build_names()
+        return self._column_of
+
+    def _build_names(self) -> None:
+        names: list[str] = []
+        for space in self.legs + self.installs:
+            names += space.names()
+        column_of = {n: c for c, n in enumerate(names)}
+        if len(column_of) != len(names):
+            raise NamingError(
+                f"column name collision after sanitization: '{first_duplicate(names)}'"
+            )
+        self._names = tuple(names)
+        self._column_of = MappingProxyType(column_of)
+
     def column_name(self, col: int) -> str:
-        key = self.column_key(col)
-        if key[0] == "install":
-            return install_column_name(*key[1:])
-        return flow_column_name(*key[1:])
+        if not 0 <= col < self.n_columns:
+            raise IndexError(col)
+        return self.names[col]
 
     def column_names(self) -> list[str]:
-        return [self.column_name(c) for c in range(self.n_columns)]
+        """A fresh list of every column name; editing it leaves the cache intact."""
+        return list(self.names)
+
+
+def first_duplicate(names: list[str]) -> str | None:
+    """The first name that repeats an earlier one, in list order."""
+    seen: set[str] = set()
+    for n in names:
+        if n in seen:
+            return n
+        seen.add(n)
+    return None
 
 
 def index_variables(inst: Instance, prune: bool = True) -> VariableIndex:
@@ -242,6 +330,8 @@ def count_columns(inst: Instance, prune: bool = True) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Row:
+    """One constraint row as plain tuples, for listings and per-row checks."""
+
     name: str
     family: str
     key: tuple
@@ -255,6 +345,57 @@ class Row:
 
 
 @dataclass(frozen=True)
+class RowBlock:
+    """Every constraint row as one read-only CSR matrix plus per-row labels.
+
+    Row r has columns `indices[indptr[r]:indptr[r + 1]]` with coefficients
+    `data[...]` in the same slice.  Families occupy contiguous row ranges
+    in ROW_FAMILIES order: family k is rows
+    `family_offsets[k]:family_offsets[k + 1]`.
+    """
+
+    indptr: np.ndarray  # int64, n_rows + 1
+    indices: np.ndarray  # int64, one per nonzero
+    data: np.ndarray  # float64, one per nonzero
+    sense: np.ndarray  # '<U1': 'L', 'G' or 'E' per row
+    rhs: np.ndarray  # float64 per row
+    names: tuple[str, ...]
+    families: tuple[str, ...]
+    keys: tuple[tuple, ...]
+    family_offsets: tuple[int, ...]
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.names)
+
+    def family_slice(self, family: str) -> slice:
+        k = ROW_FAMILIES.index(family)
+        return slice(self.family_offsets[k], self.family_offsets[k + 1])
+
+    def activities(self, x: np.ndarray) -> np.ndarray:
+        """A @ x: one gather over the nonzeros, summed per row; 0 on empty rows."""
+        products = self.data * x[self.indices]
+        act = np.zeros(self.n_rows, dtype=np.float64)
+        starts = self.indptr[:-1]
+        nonempty = starts < self.indptr[1:]
+        if nonempty.any():
+            act[nonempty] = np.add.reduceat(products, starts[nonempty])
+        return act
+
+    def row(self, r: int) -> Row:
+        lo, hi = self.indptr[r], self.indptr[r + 1]
+        return Row(
+            name=self.names[r],
+            family=self.families[r],
+            key=self.keys[r],
+            sense=str(self.sense[r]),
+            rhs=float(self.rhs[r]),
+            cols=tuple(self.indices[lo:hi].tolist()),
+            coefs=tuple(self.data[lo:hi].tolist()),
+        )
+
+
+@dataclass(frozen=True)
 class Model:
     """Solver-independent MILP: columns, objective, rows, plus build context."""
 
@@ -263,7 +404,7 @@ class Model:
     install_cost_mode: str
     index: VariableIndex
     objective: np.ndarray
-    rows: tuple[Row, ...]
+    constraints: RowBlock
     distances: tuple[DistanceMatrix, ...]
     fingerprint: str
 
@@ -272,11 +413,23 @@ class Model:
         return self.index.n_columns
 
     @property
+    def n_rows(self) -> int:
+        return self.constraints.n_rows
+
+    @property
     def binary_columns(self) -> range:
         return range(self.index.n_continuous, self.index.n_columns)
 
     def column_names(self) -> list[str]:
         return self.index.column_names()
+
+    @property
+    def rows(self) -> tuple[Row, ...]:
+        """The rows as `Row` tuples, built from `constraints` on each access
+        and not kept, so a model never holds its matrix twice.  For listings
+        and per-row reference checks; the package's writer, readers and
+        verification use `constraints`."""
+        return tuple(self.constraints.row(r) for r in range(self.n_rows))
 
 
 def _demand_row_keys(inst: Instance, leg4_materials: tuple[str, ...]) -> Iterator[tuple[str, str, str]]:
@@ -364,49 +517,58 @@ def build_objective(inst: Instance, vindex: VariableIndex, dists: tuple[Distance
 
 
 def _row_name(prefix: str, *parts: str) -> str:
-    name = "_".join([prefix] + [sanitize_id(p) for p in parts])
-    if len(name) > MAX_NAME_LEN:
-        raise NamingError(f"row name '{name}' exceeds {MAX_NAME_LEN} characters")
-    return name
+    return _check_length(["_".join([prefix] + [sanitize_id(p) for p in parts])], "row")[0]
 
 
-def build_rows(inst: Instance, vindex: VariableIndex) -> tuple[Row, ...]:
-    """All constraint rows in canonical family order; see module docstring."""
-    rows: list[Row] = []
+def build_rows(inst: Instance, vindex: VariableIndex) -> RowBlock:
+    """All constraint rows in canonical family order as one CSR block; see
+    module docstring.  Each row's columns come from offset arithmetic over
+    whole leg and install blocks, not from one offset call per column."""
+    names: list[str] = []
+    families: list[str] = []
+    keys: list[tuple] = []
+    senses: list[str] = []
+    rhs: list[float] = []
+    row_nnz: list[int] = []
+    family_offsets = [0]
+    # nonzeros as segments of columns sharing one coefficient
+    seg_cols: list[np.ndarray] = []
+    seg_coef: list[float] = []
+
+    def emit(name: str, family: str, key: tuple, sense: str, b: float,
+             *segments: tuple[np.ndarray, float]) -> None:
+        names.append(name)
+        families.append(family)
+        keys.append(key)
+        senses.append(sense)
+        rhs.append(b)
+        for cols, coef in segments:
+            seg_cols.append(cols)
+            seg_coef.append(coef)
+        row_nnz.append(sum(len(cols) for cols, _ in segments))
+
     leg = {s.leg: s for s in vindex.legs}
     leg0, leg1, leg2, leg3, leg4 = (leg[l] for l in ("src_cf", "cf_rtf", "rtf_cpf", "cpf_dpf", "dpf_sink"))
     in_leg_of = {"cf": leg0, "rtf": leg1, "cpf": leg2, "dpf": leg3}
     out_leg_of = {"cf": leg1, "rtf": leg2, "cpf": leg3, "dpf": leg4}
+    no_cols = np.zeros(0, dtype=np.int64)
 
-    def leg_cols(space: LegSpace, t: int, p_id: str, i: int | None = None, j: int | None = None) -> list[int]:
+    def leg_cols(space: LegSpace, t: int, p_id: str, i: int | None = None,
+                 j: int | None = None) -> np.ndarray:
         """Columns of one leg for fixed (t, material) and optional origin/dest, all sizes."""
         if p_id not in space.materials:
-            return []
-        p = space.materials.index(p_id)
-        iis = range(len(space.origins)) if i is None else (i,)
-        jjs = range(len(space.dests)) if j is None else (j,)
-        ccs = range(len(space.sizes)) if space.sizes else (0,)
-        return [space.offset(t, p, ii, jj, cc) for ii in iis for jj in jjs for cc in ccs]
+            return no_cols
+        return space.columns(t, space.materials.index(p_id), i, j)
 
     # demand: inflow at a sink capped by declared demand (0 when undeclared)
-    sink_pos = {s.node.id: k for k, s in enumerate(inst.sinks)}
     for t_idx, t in enumerate(inst.periods):
         for p in inst.materials:
-            for s in inst.sinks:
+            for j_idx, s in enumerate(inst.sinks):
                 if not (p in leg4.materials or (t.id, p) in s.demand):
                     continue
-                cols = leg_cols(leg4, t_idx, p, j=sink_pos[s.node.id])
-                rows.append(
-                    Row(
-                        name=_row_name("dem", t.id, p, s.node.id),
-                        family="demand",
-                        key=(t.id, p, s.node.id),
-                        sense="L",
-                        rhs=s.demand.get((t.id, p), 0.0),
-                        cols=tuple(cols),
-                        coefs=(1.0,) * len(cols),
-                    )
-                )
+                emit(_row_name("dem", t.id, p, s.node.id), "demand", (t.id, p, s.node.id),
+                     "L", s.demand.get((t.id, p), 0.0), (leg_cols(leg4, t_idx, p, j=j_idx), 1.0))
+    family_offsets.append(len(names))
 
     # quota: collected tons of p must reach the mandated share of total supply
     for t_idx, t in enumerate(inst.periods):
@@ -414,18 +576,9 @@ def build_rows(inst: Instance, vindex: VariableIndex) -> tuple[Row, ...]:
             eta = inst.quota_at(t.id, p)
             if eta <= 0.0:
                 continue
-            cols = leg_cols(leg0, t_idx, p)
-            rows.append(
-                Row(
-                    name=_row_name("quo", t.id, p),
-                    family="quota",
-                    key=(t.id, p),
-                    sense="G",
-                    rhs=eta * inst.supply_total(t.id, p),
-                    cols=tuple(cols),
-                    coefs=(1.0,) * len(cols),
-                )
-            )
+            emit(_row_name("quo", t.id, p), "quota", (t.id, p), "G",
+                 eta * inst.supply_total(t.id, p), (leg_cols(leg0, t_idx, p), 1.0))
+    family_offsets.append(len(names))
 
     # source_cap: shipments out of a source capped by its supply
     for t_idx, t in enumerate(inst.periods):
@@ -434,18 +587,9 @@ def build_rows(inst: Instance, vindex: VariableIndex) -> tuple[Row, ...]:
                 sigma = s.supply.get((t.id, p), 0.0)
                 if not (p in leg0.materials or sigma > 0.0):
                     continue
-                cols = leg_cols(leg0, t_idx, p, i=i_idx)
-                rows.append(
-                    Row(
-                        name=_row_name("src", t.id, p, s.node.id),
-                        family="source_cap",
-                        key=(t.id, p, s.node.id),
-                        sense="L",
-                        rhs=sigma,
-                        cols=tuple(cols),
-                        coefs=(1.0,) * len(cols),
-                    )
-                )
+                emit(_row_name("src", t.id, p, s.node.id), "source_cap", (t.id, p, s.node.id),
+                     "L", sigma, (leg_cols(leg0, t_idx, p, i=i_idx), 1.0))
+    family_offsets.append(len(names))
 
     # flow_balance: yield * admissible inflow == outflow, per output material
     for tag in ECHELON_TAGS:
@@ -456,27 +600,12 @@ def build_rows(inst: Instance, vindex: VariableIndex) -> tuple[Row, ...]:
             for p_out in spec.outputs:
                 gamma = spec.yields[p_out]
                 for j_idx, site in enumerate(spec.sites):
-                    cols: list[int] = []
-                    coefs: list[float] = []
-                    if gamma != 0.0:
-                        for p_in in admissible_in:
-                            cc = leg_cols(lin, t_idx, p_in, j=j_idx)
-                            cols.extend(cc)
-                            coefs.extend([gamma] * len(cc))
-                    out_cols = leg_cols(lout, t_idx, p_out, i=j_idx)
-                    cols.extend(out_cols)
-                    coefs.extend([-1.0] * len(out_cols))
-                    rows.append(
-                        Row(
-                            name=_row_name(f"bal{tag}", t.id, p_out, site.id),
-                            family="flow_balance",
-                            key=(tag, t.id, p_out, site.id),
-                            sense="E",
-                            rhs=0.0,
-                            cols=tuple(cols),
-                            coefs=tuple(coefs),
-                        )
-                    )
+                    inflow = [(leg_cols(lin, t_idx, p_in, j=j_idx), gamma)
+                              for p_in in admissible_in] if gamma != 0.0 else []
+                    emit(_row_name(f"bal{tag}", t.id, p_out, site.id), "flow_balance",
+                         (tag, t.id, p_out, site.id), "E", 0.0,
+                         *inflow, (leg_cols(lout, t_idx, p_out, i=j_idx), -1.0))
+    family_offsets.append(len(names))
 
     # facility_cap: inflow booked at size c at a site, against capacity * install
     for tag in ECHELON_TAGS:
@@ -486,46 +615,37 @@ def build_rows(inst: Instance, vindex: VariableIndex) -> tuple[Row, ...]:
         for t_idx, t in enumerate(inst.periods):
             for j_idx, site in enumerate(spec.sites):
                 for c_idx, opt in enumerate(spec.size_options):
-                    cols = []
-                    for p_idx in range(len(lin.materials)):
-                        cols.extend(
-                            lin.offset(t_idx, p_idx, i, j_idx, c_idx)
-                            for i in range(len(lin.origins))
-                        )
-                    coefs = [1.0] * len(cols)
-                    cols.append(ispace.offset(j_idx, c_idx))
-                    coefs.append(-opt.max_capacity_tons)
-                    rows.append(
-                        Row(
-                            name=_row_name(f"cap{tag}", t.id, site.id, opt.id),
-                            family="facility_cap",
-                            key=(tag, t.id, site.id, opt.id),
-                            sense="L",
-                            rhs=0.0,
-                            cols=tuple(cols),
-                            coefs=tuple(coefs),
-                        )
-                    )
+                    emit(_row_name(f"cap{tag}", t.id, site.id, opt.id), "facility_cap",
+                         (tag, t.id, site.id, opt.id), "L", 0.0,
+                         (lin.columns(t_idx, None, None, j_idx, c_idx), 1.0),
+                         (np.array([ispace.offset(j_idx, c_idx)], dtype=np.int64),
+                          -opt.max_capacity_tons))
+    family_offsets.append(len(names))
 
     # one_size: at most one size option installed per site
     for tag in ECHELON_TAGS:
         spec = inst.echelon(tag)
         ispace = vindex.install(tag)
+        n_sizes = len(spec.size_options)
         for j_idx, site in enumerate(spec.sites):
-            cols = tuple(ispace.offset(j_idx, c) for c in range(len(spec.size_options)))
-            rows.append(
-                Row(
-                    name=_row_name(f"one{tag}", site.id),
-                    family="one_size",
-                    key=(tag, site.id),
-                    sense="L",
-                    rhs=1.0,
-                    cols=cols,
-                    coefs=(1.0,) * len(cols),
-                )
-            )
+            emit(_row_name(f"one{tag}", site.id), "one_size", (tag, site.id), "L", 1.0,
+                 (ispace.offset(j_idx, 0) + np.arange(n_sizes, dtype=np.int64), 1.0))
+    family_offsets.append(len(names))
 
-    return tuple(rows)
+    block = RowBlock(
+        indptr=np.concatenate(([0], np.cumsum(row_nnz, dtype=np.int64))),
+        indices=np.concatenate(seg_cols) if seg_cols else no_cols,
+        data=np.repeat(np.array(seg_coef, dtype=np.float64), [len(c) for c in seg_cols]),
+        sense=np.array(senses, dtype="<U1"),
+        rhs=np.array(rhs, dtype=np.float64),
+        names=tuple(names),
+        families=tuple(families),
+        keys=tuple(keys),
+        family_offsets=tuple(family_offsets),
+    )
+    for arr in (block.indptr, block.indices, block.data, block.sense, block.rhs):
+        arr.flags.writeable = False
+    return block
 
 
 def build_milp(inst: Instance, prune: bool = True,
@@ -534,9 +654,9 @@ def build_milp(inst: Instance, prune: bool = True,
     vindex = index_variables(inst, prune)
     dists = build_leg_matrices(inst)
     objective = build_objective(inst, vindex, dists, install_cost_mode)
-    rows = build_rows(inst, vindex)
+    constraints = build_rows(inst, vindex)
     counts = count_rows(inst, prune)
-    assert len(rows) == counts["total"], "row generation disagrees with closed-form count"
+    assert constraints.n_rows == counts["total"], "row generation disagrees with closed-form count"
     fingerprint = hashlib.sha256(serialize_instance(inst).encode()).hexdigest()
     return Model(
         instance=inst,
@@ -544,7 +664,7 @@ def build_milp(inst: Instance, prune: bool = True,
         install_cost_mode=install_cost_mode,
         index=vindex,
         objective=objective,
-        rows=rows,
+        constraints=constraints,
         distances=dists,
         fingerprint=fingerprint,
     )
@@ -558,7 +678,7 @@ def dump_model(model: Model) -> str:
         f"model fingerprint={model.fingerprint} prune={'on' if model.prune else 'off'} "
         f"install_cost_mode={model.install_cost_mode}",
         f"columns={model.n_columns} continuous={model.index.n_continuous} "
-        f"binary={model.index.n_binary} rows={len(model.rows)}",
+        f"binary={model.index.n_binary} rows={model.n_rows}",
         "objective " + " ".join(
             f"{names[c]}:{float(model.objective[c])!r}"
             for c in range(model.n_columns)

@@ -19,14 +19,15 @@ Solution file format (UTF-8, one item per line, ``#`` starts a comment):
     bcf_f1_c1 1
 
 Unlisted columns default to 0.  Unknown names, duplicate assignments and
-unparsable numbers are hard errors: a silently misread solution is worse
-than no solution.  ``=status=`` and ``=bound=`` are extensions of the plain
-``name value`` contract; adapters for common solvers live in
-``docs/solver_adapters.md``.
+unparsable or non-finite numbers are hard errors: a silently misread
+solution is worse than no solution.  ``=status=`` and ``=bound=`` are
+extensions of the plain ``name value`` contract; adapters for common
+solvers live in ``docs/solver_adapters.md``.
 """
 
 from __future__ import annotations
 
+import math
 import shlex
 import subprocess
 import tempfile
@@ -37,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NamingError, SolutionError, SolverRunError
-from .model import Model, Row
+from .model import ROW_FAMILIES, Model, first_duplicate
 
 SOLUTION_STATUSES = ("optimal", "feasible", "infeasible", "unbounded", "unknown")
 
@@ -74,67 +75,78 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+_MPS_CHUNK = 1 << 16  # COLUMNS entries formatted per batch
+
+
 def write_mps(model: Model, name: str = "") -> str:
     """Free-format MPS text for the model.
 
     Sections NAME, ROWS, COLUMNS, RHS, BOUNDS, ENDATA; binaries sit inside a
     single INTORG/INTEND marker block and get BV bound lines.  Output is a
     pure function of the model, byte for byte.
+
+    COLUMNS walks a stable column-sorted permutation of the CSR entries
+    with the objective in front, so each column lists COST first and then
+    its rows in emission order; a column with no entry at all is written
+    as `COST 0` so that readers still see it.
     """
-    names = model.column_names()
-    if len(set(names)) != len(names):
-        seen: set[str] = set()
-        for n in names:
-            if n in seen:
-                raise NamingError(f"column name collision after sanitization: '{n}'")
-            seen.add(n)
-    row_names = [r.name for r in model.rows]
-    if len(set(row_names)) != len(row_names):
-        seen = set()
-        for n in row_names:
-            if n in seen:
-                raise NamingError(f"row name collision after sanitization: '{n}'")
-            seen.add(n)
+    names = model.index.names
+    block = model.constraints
+    duplicate = first_duplicate(block.names)
+    if duplicate is not None:
+        raise NamingError(f"row name collision after sanitization: '{duplicate}'")
 
-    # transpose rows into per-column entry lists, objective first
-    entries: list[list[tuple[str, float]]] = [[] for _ in range(model.n_columns)]
-    for c in range(model.n_columns):
-        if model.objective[c] != 0.0:
-            entries[c].append(("COST", float(model.objective[c])))
-    for row in model.rows:
-        for c, v in zip(row.cols, row.coefs):
-            if v != 0.0:
-                entries[c].append((row.name, v))
+    row_of = np.repeat(np.arange(block.n_rows, dtype=np.int64), np.diff(block.indptr))
+    keep = block.data != 0.0
+    obj_cols = np.flatnonzero(model.objective != 0.0)
+    entries_per_col = np.bincount(block.indices[keep], minlength=model.n_columns)
+    entries_per_col[obj_cols] += 1
+    empty_cols = np.flatnonzero(entries_per_col == 0)
+    # each distinct coefficient is formatted once; the extra last text is
+    # the `0` of empty columns
+    values, value_ids = np.unique(
+        np.concatenate((model.objective[obj_cols], block.data[keep])), return_inverse=True)
+    value_text = [_fmt(v) for v in values.tolist()] + ["0"]
+    # entry k: column, row (-1 is COST), index into value_text
+    cols = np.concatenate((obj_cols, empty_cols, block.indices[keep]))
+    rows = np.concatenate((np.full(len(obj_cols) + len(empty_cols), -1, dtype=np.int64),
+                           row_of[keep]))
+    texts = np.concatenate((value_ids[:len(obj_cols)],
+                            np.full(len(empty_cols), len(values), dtype=np.int64),
+                            value_ids[len(obj_cols):]))
+    order = np.argsort(cols, kind="stable")
+    cols, rows, texts = cols[order], rows[order], texts[order]
+    row_text = list(block.names) + ["COST"]  # row -1 is the objective
 
-    out: list[str] = []
-    out.append(f"NAME {name or 'UPCYCLENET'}")
-    out.append("ROWS")
-    out.append(" N COST")
-    for row in model.rows:
-        out.append(f" {row.sense} {row.name}")
+    def joined_lines(lo: int, hi: int) -> list[str]:
+        """COLUMNS lines of sorted entries lo:hi, joined a chunk at a time so
+        that the per-line strings never all exist at once: one list of all
+        1.45 M lines at the default shape raises peak RSS by about 180 MB."""
+        chunks = []
+        for start in range(lo, hi, _MPS_CHUNK):
+            stop = min(start + _MPS_CHUNK, hi)
+            chunks.append("\n".join([
+                f" {names[c]} {row_text[r]} {value_text[v]}"
+                for c, r, v in zip(cols[start:stop].tolist(), rows[start:stop].tolist(),
+                                   texts[start:stop].tolist())
+            ]))
+        return chunks
+
+    split = int(np.searchsorted(cols, model.index.n_continuous))
+    out: list[str] = [f"NAME {name or 'UPCYCLENET'}", "ROWS", " N COST"]
+    out += [f" {sense} {row}" for sense, row in zip(block.sense.tolist(), block.names)]
     out.append("COLUMNS")
-    first_binary = model.index.n_continuous
-    for c in range(model.n_columns):
-        if c == first_binary:
-            out.append(" MARKER 'MARKER' 'INTORG'")
-        col = names[c]
-        if not entries[c]:
-            # a column must appear at least once to exist for the reader
-            out.append(f" {col} COST 0")
-            continue
-        for row_name, v in entries[c]:
-            out.append(f" {col} {row_name} {_fmt(v)}")
+    out += joined_lines(0, split)
     if model.index.n_binary:
+        out.append(" MARKER 'MARKER' 'INTORG'")
+        out += joined_lines(split, len(cols))
         out.append(" MARKER 'MARKER' 'INTEND'")
     out.append("RHS")
-    for row in model.rows:
-        if row.rhs != 0.0:
-            out.append(f" RHS {row.name} {_fmt(row.rhs)}")
+    out += [f" RHS {row} {_fmt(b)}" for row, b in zip(block.names, block.rhs.tolist()) if b != 0.0]
     out.append("BOUNDS")
-    for c in range(first_binary, model.n_columns):
-        out.append(f" BV BND {names[c]}")
-    out.append("ENDATA")
-    return "\n".join(out) + "\n"
+    out += [f" BV BND {names[c]}" for c in model.binary_columns]
+    out += ["ENDATA", ""]
+    return "\n".join(out)
 
 
 def write_lp_listing(model: Model) -> str:
@@ -167,8 +179,11 @@ def write_lp_listing(model: Model) -> str:
 
 
 def parse_solution(text: str, model: Model, source: str = "external") -> Solution:
-    """Parse a neutral solution file against the model's column names."""
-    known = set(model.column_names())
+    """Parse a neutral solution file against the model's column names.
+
+    Values, `=obj=` and `=bound=` must be finite numbers.
+    """
+    known = model.index.column_of
     values: dict[str, float] = {}
     declared_obj: float | None = None
     declared_status: str | None = None
@@ -185,9 +200,12 @@ def parse_solution(text: str, model: Model, source: str = "external") -> Solutio
 
         def number(what: str) -> float:
             try:
-                return float(val)
+                x = float(val)
             except ValueError:
                 raise SolutionError(f"line {lineno}: unparsable {what} {val!r}") from None
+            if not math.isfinite(x):
+                raise SolutionError(f"line {lineno}: non-finite {what} {val!r}")
+            return x
 
         if key == "=obj=":
             if declared_obj is not None:
@@ -244,24 +262,25 @@ def format_solution(sol: Solution) -> str:
 
 def solution_vector(sol: Solution, model: Model) -> np.ndarray:
     """Dense column-ordered value vector; unknown names are a hard error."""
-    name_to_col = {n: c for c, n in enumerate(model.column_names())}
+    cols = np.fromiter((_column(model, name) for name in sol.values), dtype=np.int64,
+                       count=len(sol.values))
     x = np.zeros(model.n_columns, dtype=np.float64)
-    for name, v in sol.values.items():
-        try:
-            x[name_to_col[name]] = v
-        except KeyError:
-            raise SolutionError(f"solution names column {name!r} not in model") from None
+    x[cols] = np.fromiter(sol.values.values(), dtype=np.float64, count=len(sol.values))
     return x
 
 
+def _column(model: Model, name: str) -> int:
+    try:
+        return model.index.column_of[name]
+    except KeyError:
+        raise SolutionError(f"solution names column {name!r} not in model") from None
+
+
 def recompute_objective(values: dict[str, float], model: Model) -> float:
-    name_to_col = {n: c for c, n in enumerate(model.column_names())}
+    objective = model.objective
     total = 0.0
     for name, v in values.items():
-        try:
-            total += float(model.objective[name_to_col[name]]) * v
-        except KeyError:
-            raise SolutionError(f"solution names column {name!r} not in model") from None
+        total += float(objective[_column(model, name)]) * v
     return total
 
 
@@ -302,14 +321,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _row_violation(row: Row, activity: float) -> float:
-    if row.sense == "L":
-        return max(0.0, activity - row.rhs)
-    if row.sense == "G":
-        return max(0.0, row.rhs - activity)
-    return abs(activity - row.rhs)
-
-
 INTEGRALITY_TOL = 1e-6
 
 
@@ -317,29 +328,38 @@ def verify_solution(sol: Solution, model: Model, tol: float = 1e-6) -> Verificat
     """Recheck every row, sign bound and binary against the raw model data.
 
     PASS means all row activities land within `tol` (absolute) of their
-    sense, every binary is within 1e-6 of 0 or 1, and no flow is below
-    -tol.  The report never raises on violations; it carries them.
+    sense, every binary is within 1e-6 of 0 or 1, no flow is below -tol and
+    every value is finite.  A row whose activity is not finite counts as
+    infinitely violated.  The first row in emission order wins a tie for
+    the worst violation.  The report never raises on violations; it
+    carries them.
     """
     x = solution_vector(sol, model)
-    violations = {fam: 0 for fam in
-                  ("demand", "quota", "source_cap", "flow_balance", "facility_cap", "one_size")}
+    block = model.constraints
+    activity = block.activities(x)
+    violation = np.where(block.sense == "E", np.abs(activity - block.rhs),
+                         np.maximum(0.0, np.where(block.sense == "L", activity - block.rhs,
+                                                  block.rhs - activity)))
+    violation[~np.isfinite(activity)] = np.inf
+    over = violation > tol
+    violations = {fam: int(np.count_nonzero(over[block.family_slice(fam)])) for fam in ROW_FAMILIES}
     worst = 0.0
     worst_row: str | None = None
-    for row in model.rows:
-        v = _row_violation(row, row.activity(x))
-        if v > tol:
-            violations[row.family] += 1
-        if v > worst:
-            worst, worst_row = v, row.name
-    n_int = 0
-    worst_int = 0.0
-    for c in model.binary_columns:
-        d = min(abs(x[c]), abs(x[c] - 1.0))
-        if d > INTEGRALITY_TOL:
-            n_int += 1
-        worst_int = max(worst_int, d)
+    if block.n_rows:
+        k = int(np.argmax(violation))
+        if violation[k] > 0.0:
+            worst, worst_row = float(violation[k]), block.names[k]
+    binaries = x[model.index.n_continuous:]
+    distance = np.minimum(np.abs(binaries), np.abs(binaries - 1.0))
+    distance[np.isnan(distance)] = np.inf
+    n_int = int(np.count_nonzero(distance > INTEGRALITY_TOL))
+    worst_int = float(distance.max()) if len(distance) else 0.0
     neg = int(np.sum(x[: model.index.n_continuous] < -tol))
     messages = []
+    nonfinite = np.flatnonzero(~np.isfinite(x))
+    if len(nonfinite):
+        messages.append(f"{len(nonfinite)} non-finite solution values, first at "
+                        f"{model.index.names[nonfinite[0]]}")
     recomputed = float(model.objective @ x)
     if sol.objective_reported != 0.0 or recomputed != 0.0:
         denom = max(1.0, abs(recomputed))
@@ -348,7 +368,7 @@ def verify_solution(sol: Solution, model: Model, tol: float = 1e-6) -> Verificat
                 f"reported objective {sol.objective_reported!r} differs from "
                 f"recomputed {recomputed!r}"
             )
-    passed = worst <= tol and n_int == 0 and neg == 0
+    passed = worst <= tol and n_int == 0 and neg == 0 and len(nonfinite) == 0
     return VerificationReport(
         passed=passed,
         tol=tol,

@@ -14,6 +14,7 @@ Usage: python3 scipy_milp_adapter.py MPS_PATH SOL_PATH [TIME_LIMIT] [MIP_REL_GAP
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -183,7 +184,10 @@ def write_solution_file(path: str, data: MpsData, res) -> None:
         lines.append(f"=obj= {res.fun!r}")
     lines.append(f"=status= {status}")
     bound = getattr(res, "mip_dual_bound", None)
-    if bound is not None and res.x is not None:
+    # a solver with an incumbent but no finite bound yet (HiGHS reports -inf
+    # on an early time limit) leaves the line out: solution files carry
+    # finite numbers only
+    if bound is not None and math.isfinite(bound) and res.x is not None:
         lines.append(f"=bound= {bound!r}")
     if res.x is not None:
         for j, col in enumerate(data.column_order):

@@ -14,7 +14,9 @@ from upcyclenet.model import (
     count_columns,
     count_rows,
     dump_model,
+    flow_column_name,
     index_variables,
+    install_column_name,
 )
 from upcyclenet.scenario import single_chain_instance
 
@@ -247,6 +249,21 @@ def test_column_key_offset_bijection():
         vindex.column_key(vindex.n_columns)
 
 
+def test_single_column_names_match_the_cached_block_names():
+    # the oracle names its values one column at a time; those names must be
+    # the model's own, or its solutions stop parsing against the model
+    doc = random_shape_doc(np.random.default_rng(7))
+    vindex = index_variables(parse_instance(json.dumps(doc)), prune=True)
+    for col, name in enumerate(vindex.names):
+        key = vindex.column_key(col)
+        single = flow_column_name(*key[1:]) if key[0] == "flow" else install_column_name(*key[1:])
+        assert single == name
+    assert flow_column_name("dpf_sink", "t 1", "p.x", "a", "b", None) == "xdpfsnk_t-1_p-x_a_b"
+    assert install_column_name("cf", "site 1", "s.1") == "bcf_site-1_s-1"
+    with pytest.raises(NamingError, match="exceeds 64"):
+        install_column_name("cf", "x" * 70, "s1")
+
+
 def test_flow_columns_precede_installs_in_chain_order():
     inst = parse_doc(minimal_doc())
     names = index_variables(inst, prune=False).column_names()
@@ -422,6 +439,32 @@ def test_long_identifier_overflows_name_limit():
     inst = parse_doc(doc)
     with pytest.raises(NamingError):
         build_milp(inst, prune=True)
+
+
+GOLDEN_HAND_DUMP = """\
+model fingerprint=657a8d47d7a4662c3574dc8c76eb649b5b3698e4075707b641b906806ee4e672 prune=on install_cost_mode=annualized_times_horizon
+columns=9 continuous=5 binary=4 rows=15
+objective xsrccf_t1_w_src1_cf1_s1:3.0 xcfrtf_t1_w_cf1_rtf1_s1:3.0 xrtfcpf_t1_w_rtf1_cpf1_s1:3.0 xcpfdpf_t1_w_cpf1_dpf1_s1:3.0 xdpfsnk_t1_w_dpf1_snk1:1.9999999999999991 bcf_cf1_s1:100.0 brtf_rtf1_s1:100.0 bcpf_cpf1_s1:100.0 bdpf_dpf1_s1:100.0
+dem_t1_w_snk1 [demand('t1', 'w', 'snk1')] <= 10.0 :: xdpfsnk_t1_w_dpf1_snk1:1.0
+quo_t1_w [quota('t1', 'w')] >= 10.0 :: xsrccf_t1_w_src1_cf1_s1:1.0
+src_t1_w_src1 [source_cap('t1', 'w', 'src1')] <= 10.0 :: xsrccf_t1_w_src1_cf1_s1:1.0
+balcf_t1_w_cf1 [flow_balance('cf', 't1', 'w', 'cf1')] == 0.0 :: xsrccf_t1_w_src1_cf1_s1:1.0 xcfrtf_t1_w_cf1_rtf1_s1:-1.0
+balrtf_t1_w_rtf1 [flow_balance('rtf', 't1', 'w', 'rtf1')] == 0.0 :: xcfrtf_t1_w_cf1_rtf1_s1:1.0 xrtfcpf_t1_w_rtf1_cpf1_s1:-1.0
+balcpf_t1_w_cpf1 [flow_balance('cpf', 't1', 'w', 'cpf1')] == 0.0 :: xrtfcpf_t1_w_rtf1_cpf1_s1:1.0 xcpfdpf_t1_w_cpf1_dpf1_s1:-1.0
+baldpf_t1_w_dpf1 [flow_balance('dpf', 't1', 'w', 'dpf1')] == 0.0 :: xcpfdpf_t1_w_cpf1_dpf1_s1:1.0 xdpfsnk_t1_w_dpf1_snk1:-1.0
+capcf_t1_cf1_s1 [facility_cap('cf', 't1', 'cf1', 's1')] <= 0.0 :: xsrccf_t1_w_src1_cf1_s1:1.0 bcf_cf1_s1:-15.0
+caprtf_t1_rtf1_s1 [facility_cap('rtf', 't1', 'rtf1', 's1')] <= 0.0 :: xcfrtf_t1_w_cf1_rtf1_s1:1.0 brtf_rtf1_s1:-15.0
+capcpf_t1_cpf1_s1 [facility_cap('cpf', 't1', 'cpf1', 's1')] <= 0.0 :: xrtfcpf_t1_w_rtf1_cpf1_s1:1.0 bcpf_cpf1_s1:-15.0
+capdpf_t1_dpf1_s1 [facility_cap('dpf', 't1', 'dpf1', 's1')] <= 0.0 :: xcpfdpf_t1_w_cpf1_dpf1_s1:1.0 bdpf_dpf1_s1:-15.0
+onecf_cf1 [one_size('cf', 'cf1')] <= 1.0 :: bcf_cf1_s1:1.0
+onertf_rtf1 [one_size('rtf', 'rtf1')] <= 1.0 :: brtf_rtf1_s1:1.0
+onecpf_cpf1 [one_size('cpf', 'cpf1')] <= 1.0 :: bcpf_cpf1_s1:1.0
+onedpf_dpf1 [one_size('dpf', 'dpf1')] <= 1.0 :: bdpf_dpf1_s1:1.0
+"""
+
+
+def test_dump_model_matches_golden_text():
+    assert dump_model(build_milp(single_chain_instance())) == GOLDEN_HAND_DUMP
 
 
 def test_dump_model_mentions_every_row_family():

@@ -1,15 +1,16 @@
+import hashlib
 import json
 import textwrap
 
 import numpy as np
 import pytest
 
-from scipy_milp_adapter import read_free_mps
+from scipy_milp_adapter import read_free_mps, write_solution_file
 from test_instance import minimal_doc, parse_doc
 from test_milp_core import random_shape_doc
 from upcyclenet.errors import NamingError, SolutionError, SolverRunError
 from upcyclenet.instance import parse_instance
-from upcyclenet.model import build_milp
+from upcyclenet.model import ROW_FAMILIES, build_milp
 from upcyclenet.model_io import (
     Solution,
     compute_gap,
@@ -22,6 +23,7 @@ from upcyclenet.model_io import (
     write_lp_listing,
     write_mps,
 )
+from upcyclenet.oracle import solve_exact
 from upcyclenet.scenario import single_chain_instance
 
 GOLDEN_HAND_MPS = """\
@@ -177,6 +179,42 @@ def test_independent_reader_recovers_model_exactly(seed, prune):
     assert [col for _, col, _ in data.bounds] == [names[c] for c in model.binary_columns]
 
 
+# sha256 of write_mps(build_milp(random_shape_doc(default_rng(seed)), prune));
+# a changed digest is a changed file format
+GOLDEN_MPS_SHA256 = {
+    (3, True): "8b475c86d80a5cf5204239e6edc898d3cc419cdc4cf7581c7a94927b5ae497e5",
+    (3, False): "ce080037ff755031736bf18235ab78270121231f58392cf84703b62bdb6c5c79",
+    (4, True): "806c4393c8b27980edb028de9c2cc90504fa6abbaf9b38d9668e26eb5d08f5df",
+    (4, False): "1f0fc02b4c440e3e8129df4d3c0ae72f61c37d1345f58dd385eeb7552a413a64",
+    (5, True): "772710daabeef93fa3d8c9a850fb27af1f95fa020922c448bbb5080bf80bbc76",
+    (5, False): "2c7c777d0d85264711b01a4cba64a8417a425e507c4e94b438f467cd92b641db",
+}
+
+
+@pytest.mark.parametrize("seed, prune", sorted(GOLDEN_MPS_SHA256))
+def test_mps_bytes_match_golden_digest(seed, prune):
+    inst = parse_instance(json.dumps(random_shape_doc(np.random.default_rng(seed))))
+    text = write_mps(build_milp(inst, prune=prune))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_MPS_SHA256[(seed, prune)]
+
+
+def test_column_name_cache_survives_caller_edits(hand_model):
+    names = hand_model.column_names()
+    before = list(names)
+    assert names == before and isinstance(names, list)
+    names[0] = "bogus"
+    names.append("extra")
+    assert hand_model.column_names() == before
+    assert hand_model.index.column_names() is not hand_model.index.column_names()
+    assert hand_model.index.names == tuple(before)
+    with pytest.raises(TypeError):
+        hand_model.index.column_of["bogus"] = 0
+    assert hand_model.index.column_of[before[0]] == 0
+    assert write_mps(hand_model) == GOLDEN_HAND_MPS
+    with pytest.raises(ValueError):
+        hand_model.constraints.data[0] = 2.0
+
+
 def test_column_name_collision_aborts_write():
     import dataclasses
 
@@ -250,6 +288,13 @@ def test_parse_solution_empty_file_is_unknown(hand_model):
         ("=obj= 1\n=obj= 2\n", "duplicate =obj="),
         ("=status= great\n", "unknown status"),
         ("=magic= 1\n", "unknown directive"),
+        ("bcf_cf1_s1 nan\n", "non-finite value"),
+        ("bcf_cf1_s1 inf\n", "non-finite value"),
+        ("xsrccf_t1_w_src1_cf1_s1 -Infinity\n", "non-finite value"),
+        ("=obj= nan\n", "non-finite objective"),
+        ("=obj= -inf\n", "non-finite objective"),
+        ("=bound= NaN\n", "non-finite bound"),
+        ("=bound= inf\n", "non-finite bound"),
     ],
 )
 def test_parse_solution_rejects_malformed_input(hand_model, text, fragment):
@@ -336,6 +381,88 @@ def test_verify_quota_shortfall_detected(hand_model):
     assert report.violations_by_family["quota"] == 1
 
 
+def test_verify_fails_on_non_finite_values(hand_model):
+    nan_flows = {name: float("nan") for name in hand_model.column_names()
+                 if name.startswith("x")}
+    for values in (nan_flows, {**hand_solution(hand_model).values, "bcf_cf1_s1": float("inf")},
+                   {"xdpfsnk_t1_w_dpf1_snk1": float("-inf")}):
+        sol = Solution(values=values, objective_reported=540.0, status="optimal")
+        report = verify_solution(sol, hand_model)
+        assert not report.passed
+        assert report.worst_violation == float("inf")
+        assert any("non-finite" in m for m in report.messages)
+        assert "FAIL" in report.summary()
+
+
+def reference_verification(model, x, tol):
+    """Per-row loop over `Row.activity`: violations by family, worst row."""
+    by_family = {f: 0 for f in ROW_FAMILIES}
+    worst, worst_row = 0.0, None
+    for row in model.rows:
+        a = row.activity(x)
+        if row.sense == "L":
+            v = max(0.0, a - row.rhs)
+        elif row.sense == "G":
+            v = max(0.0, row.rhs - a)
+        else:
+            v = abs(a - row.rhs)
+        if v > tol:
+            by_family[row.family] += 1
+        if v > worst:
+            worst, worst_row = v, row.name
+    return by_family, worst, worst_row
+
+
+def assert_verify_matches_reference(model, x):
+    """Rows are summed in another order than the reference's, so activities
+    may differ in the last bits; worst violations agree to 1e-12 relative."""
+    sol = Solution(values=dict(zip(model.column_names(), x.tolist())), objective_reported=0.0)
+    report = verify_solution(sol, model)
+    by_family, worst, worst_row = reference_verification(model, x, report.tol)
+    assert report.violations_by_family == by_family
+    assert report.worst_violation == pytest.approx(worst, rel=1e-12, abs=0.0)
+    assert report.worst_row == worst_row
+
+
+def test_vectorised_verify_matches_per_row_reference(tiny_suite):
+    rng = np.random.default_rng(2026)
+    empty_rows = 0
+    for seed in range(3, 13):
+        inst = parse_instance(json.dumps(random_shape_doc(np.random.default_rng(seed))))
+        for prune in (True, False):
+            model = build_milp(inst, prune=prune)
+            empty_rows += sum(1 for row in model.rows if not row.cols)
+            for _ in range(3):
+                x = rng.uniform(0.0, 40.0, model.n_columns) * (rng.random(model.n_columns) < 0.6)
+                x[model.index.n_continuous:] = rng.integers(0, 2, model.index.n_binary)
+                assert_verify_matches_reference(model, x)
+    assert empty_rows > 0
+    # optimal solutions perturbed by about the tolerance, so rows land on
+    # both sides of it
+    for inst in tiny_suite[:6]:
+        model = build_milp(inst)
+        sol, _ = solve_exact(inst)
+        x = solution_vector(sol, model)
+        for _ in range(3):
+            noise = rng.uniform(-3e-6, 3e-6, model.n_columns) * (x != 0.0)
+            assert_verify_matches_reference(model, x + noise)
+
+
+def test_verify_worst_row_ties_and_clean_solutions(hand_model):
+    # every binary at 2 breaks the four one_size rows by exactly 1.0 each
+    values = {**hand_solution(hand_model).values,
+              **{name: 2.0 for name in hand_model.column_names() if name.startswith("b")}}
+    sol = Solution(values=values, objective_reported=0.0)
+    report = verify_solution(sol, hand_model)
+    assert report.violations_by_family["one_size"] == 4
+    assert report.worst_violation == 1.0
+    assert report.worst_row == "onecf_cf1"  # the first of four equal violations
+    assert reference_verification(hand_model, solution_vector(sol, hand_model), report.tol) == (
+        report.violations_by_family, report.worst_violation, report.worst_row)
+    clean = verify_solution(hand_solution(hand_model), hand_model)
+    assert clean.worst_row is None and clean.worst_violation == 0.0
+
+
 def test_objective_mismatch_is_message_not_failure(hand_model):
     sol = hand_solution(hand_model)
     sol.objective_reported = 1.0
@@ -415,6 +542,38 @@ def test_timeout_with_incumbent_is_feasible(hand_model, tmp_path):
     sol = run_external_solver(hand_model, cmd, time_limit=0.6)
     assert sol.status == "feasible"
     assert sol.values == {"bcf_cf1_s1": 1.0}
+
+
+def test_incumbent_without_bound_stays_feasible(hand_model, tmp_path):
+    cmd = write_script(
+        tmp_path,
+        """
+        open(sys.argv[2], "w").write("=status= feasible\\n=obj= 540.0\\nbcf_cf1_s1 1.0\\n")
+        """,
+    )
+    sol = run_external_solver(hand_model, cmd)
+    assert sol.status == "feasible"
+    assert sol.values == {"bcf_cf1_s1": 1.0}
+    assert sol.bound is None and sol.gap is None
+
+
+@pytest.mark.parametrize("bound", [float("-inf"), float("inf"), float("nan")])
+def test_reference_adapter_omits_non_finite_bound(hand_model, tmp_path, bound):
+    # HiGHS reports a dual bound of -inf when a time limit hits after the
+    # first incumbent but before any bound; the incumbent must survive
+    class Result:
+        status = 1
+        x = np.zeros(hand_model.n_columns)
+        fun = 0.0
+        mip_dual_bound = bound
+
+    data = read_free_mps(write_mps(hand_model))
+    path = tmp_path / "out.sol"
+    write_solution_file(str(path), data, Result())
+    text = path.read_text()
+    assert "=bound=" not in text
+    sol = parse_solution(text, hand_model)
+    assert sol.status == "feasible" and sol.bound is None
 
 
 def test_unparsable_solver_output_is_unknown_with_diagnostics(hand_model, tmp_path):
