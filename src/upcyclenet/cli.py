@@ -68,10 +68,10 @@ def _cmd_build(args) -> int:
     dump_path = out / "model.dump.txt"
     mps_path.write_text(write_mps(model))
     dump_path.write_text(dump_model(model))
-    n_cont, n_bin = count_columns(inst, prune=args.prune == "on")
     print(f"wrote {mps_path}")
     print(f"wrote {dump_path}")
-    print(f"columns: {n_cont} continuous + {n_bin} binary, rows: {model.n_rows}")
+    print(f"columns: {model.index.n_continuous} continuous + {model.index.n_binary} binary, "
+          f"rows: {model.n_rows}")
     return 0
 
 

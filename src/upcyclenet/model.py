@@ -44,21 +44,21 @@ Representation.  The rows are one CSR block (`RowBlock`: int64 `indptr`
 and `indices`, float64 `data`, plus `sense`/`rhs` arrays, per-row names,
 families and keys, and family offsets), built by offset arithmetic over
 whole leg and install blocks.  Its arrays are read-only.  Column names
-have one path: `VariableIndex` builds them block by block from sanitized
-ids on first use and caches them with the name -> column map, so the MPS
-writer, the solution readers and verification never rebuild them.
+have one path, `VariableIndex`: it builds them block by block from
+sanitized ids on first use and caches them for the writers, and
+`VariableIndex.column` inverts the formatter arithmetically (prefix, then
+one token -> position map per axis), so no name -> column map is kept.
 `flow_column_name` and `install_column_name`, which the oracle uses for
 single columns, go through the same formatter and length check.
 `Model.rows` offers the same rows as `Row` tuples, built from the block on
-each access, for listings and per-row reference checks; no writer, reader
-or verification reads it.
+each access, for the listing and per-row reference checks; no writer,
+reader or verification reads it.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Iterator
 
 import numpy as np
@@ -107,6 +107,16 @@ class LegSpace:
     start: int
 
     @property
+    def prefix(self) -> str:
+        return FLOW_PREFIXES[self.leg]
+
+    @property
+    def axes(self) -> tuple[tuple[str, ...], ...]:
+        """Id axes in column order, last fastest; no size axis on the sink leg."""
+        axes = (self.periods, self.materials, self.origins, self.dests)
+        return axes + (self.sizes,) if self.sizes else axes
+
+    @property
     def count(self) -> int:
         n = len(self.periods) * len(self.materials) * len(self.origins) * len(self.dests)
         return n * len(self.sizes) if self.sizes else n
@@ -129,14 +139,6 @@ class LegSpace:
             cols = (cols[:, None] * n + axis[None, :]).ravel()
         return self.start + cols
 
-    def names(self) -> list[str]:
-        """Column names of the block in column order, as the product of the
-        sanitized id tokens of each axis."""
-        axes = (self.periods, self.materials, self.origins, self.dests)
-        if self.sizes:
-            axes += (self.sizes,)
-        return _product_names(FLOW_PREFIXES[self.leg], axes)
-
 
 @dataclass(frozen=True)
 class InstallSpace:
@@ -146,14 +148,19 @@ class InstallSpace:
     start: int
 
     @property
+    def prefix(self) -> str:
+        return f"b{self.echelon}"
+
+    @property
+    def axes(self) -> tuple[tuple[str, ...], ...]:
+        return (self.sites, self.sizes)
+
+    @property
     def count(self) -> int:
         return len(self.sites) * len(self.sizes)
 
     def offset(self, site: int, size: int) -> int:
         return self.start + site * len(self.sizes) + size
-
-    def names(self) -> list[str]:
-        return _product_names(f"b{self.echelon}", (self.sites, self.sizes))
 
 
 def _product_names(prefix: str, axes: tuple[tuple[str, ...], ...]) -> list[str]:
@@ -180,8 +187,9 @@ class VariableIndex:
     the model's one column-naming path.
 
     Keys and offsets are pure arithmetic.  Column names are built once, on
-    first use, block by block, and cached together with the name -> column
-    map; every reader and writer shares that cache.
+    first use, block by block, and cached for the writers; `column` maps a
+    name back to its column by the same arithmetic, through one
+    {sanitized id: position} map per axis, so no per-column map exists.
     """
 
     def __init__(self, inst: Instance, prune: bool) -> None:
@@ -230,8 +238,11 @@ class VariableIndex:
         self.n_binary = at - self.n_continuous
         self._leg_by_id = {s.leg: s for s in self.legs}
         self._install_by_tag = {s.echelon: s for s in self.installs}
+        self._axes_by_prefix = {
+            space.prefix: (space.start, tuple(_token_positions(ids) for ids in space.axes))
+            for space in self.legs + self.installs
+        }
         self._names: tuple[str, ...] | None = None
-        self._column_of: MappingProxyType | None = None
 
     def leg(self, leg_id: str) -> LegSpace:
         return self._leg_by_id[leg_id]
@@ -272,40 +283,55 @@ class VariableIndex:
                 )
         raise AssertionError("unreachable")
 
+    def column(self, name: str) -> int | None:
+        """The column called `name`, or None if no column has that name.
+
+        Inverts the formatter: the prefix picks the block, each token's
+        position on its axis is a digit, and the digits combine in the
+        mixed radix of the axis lengths, as in `offset`.  Exact because
+        sanitized ids contain no '_'.
+        """
+        prefix, *tokens = name.split("_")
+        block = self._axes_by_prefix.get(prefix)
+        if block is None:
+            return None
+        start, axes = block
+        if len(tokens) != len(axes):
+            return None
+        off = 0
+        for token, positions in zip(tokens, axes):
+            k = positions.get(token)
+            if k is None:
+                return None
+            off = off * len(positions) + k
+        return start + off
+
     @property
     def names(self) -> tuple[str, ...]:
         """Every column name in column order (cached, immutable)."""
         if self._names is None:
-            self._build_names()
+            names: list[str] = []
+            for space in self.legs + self.installs:
+                names += _product_names(space.prefix, space.axes)
+            self._names = tuple(names)
         return self._names
-
-    @property
-    def column_of(self) -> MappingProxyType:
-        """Read-only name -> column map over the cached names."""
-        if self._column_of is None:
-            self._build_names()
-        return self._column_of
-
-    def _build_names(self) -> None:
-        names: list[str] = []
-        for space in self.legs + self.installs:
-            names += space.names()
-        column_of = {n: c for c, n in enumerate(names)}
-        if len(column_of) != len(names):
-            raise NamingError(
-                f"column name collision after sanitization: '{first_duplicate(names)}'"
-            )
-        self._names = tuple(names)
-        self._column_of = MappingProxyType(column_of)
 
     def column_name(self, col: int) -> str:
         if not 0 <= col < self.n_columns:
             raise IndexError(col)
         return self.names[col]
 
-    def column_names(self) -> list[str]:
-        """A fresh list of every column name; editing it leaves the cache intact."""
-        return list(self.names)
+
+def _token_positions(ids: tuple[str, ...]) -> dict[str, int]:
+    """{sanitized id: position} along one axis.  Two ids with one token
+    would give two columns one name, so that is a NamingError."""
+    positions: dict[str, int] = {}
+    for k, raw in enumerate(ids):
+        token = sanitize_id(raw)
+        if positions.setdefault(token, k) != k:
+            raise NamingError(f"column name collision after sanitization: ids "
+                              f"'{ids[positions[token]]}' and '{raw}' both become '{token}'")
+    return positions
 
 
 def first_duplicate(names: list[str]) -> str | None:
@@ -419,9 +445,6 @@ class Model:
     @property
     def binary_columns(self) -> range:
         return range(self.index.n_continuous, self.index.n_columns)
-
-    def column_names(self) -> list[str]:
-        return self.index.column_names()
 
     @property
     def rows(self) -> tuple[Row, ...]:
@@ -672,7 +695,7 @@ def build_milp(inst: Instance, prune: bool = True,
 
 def dump_model(model: Model) -> str:
     """Human-auditable row listing: key, sense, rhs, then name:coefficient pairs."""
-    names = model.column_names()
+    names = model.index.names
     sense_txt = {"L": "<=", "G": ">=", "E": "=="}
     lines = [
         f"model fingerprint={model.fingerprint} prune={'on' if model.prune else 'off'} "

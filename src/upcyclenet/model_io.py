@@ -3,7 +3,7 @@
 Three jobs live here:
 
 * writing the canonical model as free-format MPS (the bit-exact interchange
-  artifact) plus an LP-style listing for human eyes,
+  artifact; `model.dump_model` is the listing for human eyes),
 * parsing and verifying solution files in a neutral ``name value`` line
   format,
 * driving an external MPS-capable solver as a subprocess through a command
@@ -149,31 +149,6 @@ def write_mps(model: Model, name: str = "") -> str:
     return "\n".join(out)
 
 
-def write_lp_listing(model: Model) -> str:
-    """LP-style listing for humans; not a solver interchange format."""
-    names = model.column_names()
-    sense_txt = {"L": "<=", "G": ">=", "E": "="}
-
-    def term(coef: float, col: int) -> str:
-        sign = "- " if coef < 0 else "+ "
-        return f"{sign}{_fmt(abs(coef))} {names[col]}"
-
-    lines = ["Minimize", " COST:"]
-    obj_terms = [term(float(model.objective[c]), c) for c in range(model.n_columns)
-                 if model.objective[c] != 0.0]
-    for i in range(0, len(obj_terms), 4):
-        lines.append("  " + " ".join(obj_terms[i : i + 4]))
-    lines.append("Subject To")
-    for row in model.rows:
-        terms = " ".join(term(v, c) for c, v in zip(row.cols, row.coefs) if v != 0.0)
-        lines.append(f" {row.name}: {terms} {sense_txt[row.sense]} {_fmt(row.rhs)}")
-    lines.append("Binary")
-    for c in model.binary_columns:
-        lines.append(f" {names[c]}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # solution parsing and formatting
 
@@ -183,7 +158,6 @@ def parse_solution(text: str, model: Model, source: str = "external") -> Solutio
 
     Values, `=obj=` and `=bound=` must be finite numbers.
     """
-    known = model.index.column_of
     values: dict[str, float] = {}
     declared_obj: float | None = None
     declared_status: str | None = None
@@ -224,7 +198,7 @@ def parse_solution(text: str, model: Model, source: str = "external") -> Solutio
         elif key.startswith("="):
             raise SolutionError(f"line {lineno}: unknown directive {key!r}")
         else:
-            if key not in known:
+            if model.index.column(key) is None:
                 raise SolutionError(f"line {lineno}: unknown column name {key!r}")
             if key in values:
                 raise SolutionError(f"line {lineno}: duplicate assignment to {key!r}")
@@ -270,10 +244,10 @@ def solution_vector(sol: Solution, model: Model) -> np.ndarray:
 
 
 def _column(model: Model, name: str) -> int:
-    try:
-        return model.index.column_of[name]
-    except KeyError:
-        raise SolutionError(f"solution names column {name!r} not in model") from None
+    col = model.index.column(name)
+    if col is None:
+        raise SolutionError(f"solution names column {name!r} not in model")
+    return col
 
 
 def recompute_objective(values: dict[str, float], model: Model) -> float:
@@ -453,8 +427,9 @@ def _refine_onto_active_set(sol: Solution, model: Model) -> Solution:
     bound, restricted to the positive flows.  A minimum-norm least-squares
     correction over a dense matrix of those rows and columns only is
     applied repeatedly; each pass counts only the violated side of an
-    inequality row as residual and clips the flows at 0, and the passes
-    stop when the largest residual no longer drops.
+    inequality row as residual, solves over the equality rows and the rows
+    with a nonzero residual, and clips the flows at 0, and the passes stop
+    when the largest residual no longer drops.
 
     The refined values replace the solver's only if the worst violation of
     any row, flow sign or binary value strictly drops and the refined
@@ -502,16 +477,18 @@ def _refine_onto_active_set(sol: Solution, model: Model) -> Solution:
         if size == 0.0 or size >= best:
             break
         best = size
-        values = np.maximum(values + _least_squares(a, residual), 0.0)
+        # a met inequality row would hold its activity still and resist the
+        # correction, so only equalities and violated rows constrain it
+        target = (sense == "E") | (residual != 0.0)
+        values = np.maximum(values + _least_squares(a[target], residual[target]), 0.0)
     x[free] = values
 
     before, before_at = _worst_residual(model, x0)
     after, after_at = _worst_residual(model, x)
-    column_of = model.index.column_of
     objective = float(model.objective @ x)
     refined = replace(
         sol,
-        values={name: float(x[column_of[name]]) for name in sol.values},
+        values={name: float(x[_column(model, name)]) for name in sol.values},
         objective_reported=objective,
         gap=compute_gap(objective, sol.bound) if sol.bound is not None else None,
     )

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 from .errors import ReportError
 from .geo import node_distance_km
-from .instance import ECHELON_TAGS, LEGS, Instance, Node, sanitize_id
-from .model import FLOW_PREFIXES, Model
+from .instance import ECHELON_TAGS, LEGS, Instance, Node
+from .model import Model, VariableIndex
 from .model_io import Solution
 
 _OPEN_THRESHOLD = 0.5
@@ -46,71 +46,26 @@ class DecodedInstall:
     value: float
 
 
-class _NameDecoder:
-    """Maps solution column names back to instance identifiers.
-
-    Sanitized ids are injective per id set (the parser enforces it), so the
-    reverse maps are exact.
-    """
-
-    def __init__(self, inst: Instance) -> None:
-        self.inst = inst
-        self.prefix_to_leg = {v: k for k, v in FLOW_PREFIXES.items()}
-        self.periods = {sanitize_id(t.id): t.id for t in inst.periods}
-        self.materials = {sanitize_id(p): p for p in inst.materials}
-        self.nodes: dict[str, dict[str, str]] = {}
-        for role in ("sources", "sinks") + ECHELON_TAGS:
-            self.nodes[role] = {sanitize_id(n.id): n.id for n in inst.role_nodes(role)}
-        self.sizes = {
-            tag: {sanitize_id(o.id): o.id for o in inst.echelon(tag).size_options}
-            for tag in ECHELON_TAGS
-        }
-        self.leg_roles = {leg: (o, d) for leg, o, d in LEGS}
-
-    def _lookup(self, table: dict[str, str], token: str, what: str, name: str) -> str:
-        try:
-            return table[token]
-        except KeyError:
-            raise ReportError(f"solution column '{name}': unknown {what} '{token}'") from None
-
-    def decode(self, name: str, value: float) -> DecodedFlow | DecodedInstall:
-        tokens = name.split("_")
-        head = tokens[0]
-        if head in self.prefix_to_leg:
-            leg = self.prefix_to_leg[head]
-            origin_role, dest_role = self.leg_roles[leg]
-            want = 5 if dest_role == "sinks" else 6
-            if len(tokens) != want:
-                raise ReportError(f"solution column '{name}': malformed flow name")
-            period = self._lookup(self.periods, tokens[1], "period", name)
-            material = self._lookup(self.materials, tokens[2], "material", name)
-            origin = self._lookup(self.nodes[origin_role], tokens[3], "origin", name)
-            dest = self._lookup(self.nodes[dest_role], tokens[4], "destination", name)
-            size = None
-            if want == 6:
-                size = self._lookup(self.sizes[dest_role], tokens[5], "size option", name)
-            return DecodedFlow(leg, period, material, origin, dest, size, value)
-        if head.startswith("b") and head[1:] in ECHELON_TAGS and len(tokens) == 3:
-            tag = head[1:]
-            site = self._lookup(self.nodes[tag], tokens[1], "site", name)
-            size = self._lookup(self.sizes[tag], tokens[2], "size option", name)
-            return DecodedInstall(tag, site, size, value)
-        raise ReportError(f"solution column '{name}' does not match any naming scheme")
-
-
 def decode_solution(sol: Solution, inst: Instance) -> tuple[list[DecodedFlow], list[DecodedInstall]]:
-    """Nonzero solution entries as structured flows and installs."""
-    decoder = _NameDecoder(inst)
+    """Nonzero solution entries as structured flows and installs.
+
+    Names resolve through the unpruned column index, so a flow on a material
+    that pruning drops from its leg still decodes.
+    """
+    index = VariableIndex(inst, prune=False)
     flows: list[DecodedFlow] = []
     installs: list[DecodedInstall] = []
     for name, value in sol.values.items():
         if value == 0.0:
             continue
-        decoded = decoder.decode(name, value)
-        if isinstance(decoded, DecodedFlow):
-            flows.append(decoded)
+        col = index.column(name)
+        if col is None:
+            raise ReportError(f"solution column '{name}' does not match any naming scheme")
+        kind, *key = index.column_key(col)
+        if kind == "flow":
+            flows.append(DecodedFlow(*key, value))
         else:
-            installs.append(decoded)
+            installs.append(DecodedInstall(*key, value))
     return flows, installs
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from test_instance import minimal_doc, parse_doc
 from upcyclenet.errors import ModelError, NamingError
 from upcyclenet.geo import haversine_km
-from upcyclenet.instance import parse_instance
+from upcyclenet.instance import Node, parse_instance
 from upcyclenet.model import (
     ROW_FAMILIES,
     build_milp,
@@ -209,10 +210,10 @@ def test_single_chain_shape_forces_five_plus_four():
 
 def test_pruning_removes_unacceptable_source_columns():
     inst = parse_doc(minimal_doc())
-    names = index_variables(inst, prune=True).column_names()
+    names = index_variables(inst, prune=True).names
     src_cols = [n for n in names if n.startswith("xsrccf_")]
     assert src_cols == ["xsrccf_t1_w_src1_cf1_s1"]
-    names_off = index_variables(inst, prune=False).column_names()
+    names_off = index_variables(inst, prune=False).names
     src_cols_off = [n for n in names_off if n.startswith("xsrccf_")]
     assert "xsrccf_t1_g_src1_cf1_s1" in src_cols_off
 
@@ -226,7 +227,7 @@ def test_column_key_offset_bijection():
     doc = random_shape_doc(rng)
     inst = parse_instance(json.dumps(doc))
     vindex = index_variables(inst, prune=True)
-    names = vindex.column_names()
+    names = vindex.names
     assert len(set(names)) == vindex.n_columns
     for col in range(vindex.n_columns):
         key = vindex.column_key(col)
@@ -248,6 +249,35 @@ def test_column_key_offset_bijection():
     with pytest.raises(IndexError):
         vindex.column_key(vindex.n_columns)
 
+    # `column` inverts the name formatter on every column
+    for seed in (3, 4, 5):
+        inst = parse_instance(json.dumps(random_shape_doc(np.random.default_rng(seed))))
+        for prune in (True, False):
+            vindex = index_variables(inst, prune=prune)
+            assert [vindex.column(name) for name in vindex.names] == list(range(vindex.n_columns))
+
+    inst = parse_doc(minimal_doc())
+    pruned, unpruned = index_variables(inst, prune=True), index_variables(inst, prune=False)
+    assert pruned.column("xsrccf_t1_w_src1_cf1_s1") == 0
+    assert pruned.column("xdpfsnk_t1_g_dpf1_snk1") is not None
+    for name in ("xsrccf_t1_w_src1_cf1",  # too few tokens
+                 "xsrccf_t1_w_src1_cf1_s1_s1",  # too many tokens
+                 "zz_t1_w_src1_cf1_s1", "bxx_cf1_s1", "",  # unknown prefix
+                 "xdpfsnk_t1_g_dpf1_snk1_s1",  # the sink leg has no size axis
+                 "xsrccf_t1_w_src1_cf1_s1_", "bcf_cf1_s1_",  # trailing '_'
+                 "xsrccf_t1_w_src1_cf9_s1",  # unknown id
+                 "xsrccf_t1_g_src1_cf1_s1"):  # 'g' is pruned from the source leg
+        assert pruned.column(name) is None, name
+    col = unpruned.column("xsrccf_t1_g_src1_cf1_s1")
+    assert unpruned.names[col] == "xsrccf_t1_g_src1_cf1_s1"
+
+    # two ids with one sanitized token would give two columns one name; the
+    # parser rejects such documents, so forge the instance
+    sites = (Node("cf.1", 0.1, 0.0), Node("cf 1", 0.2, 0.0))
+    forged = dataclasses.replace(inst, cf=dataclasses.replace(inst.cf, sites=sites))
+    with pytest.raises(NamingError, match="'cf.1' and 'cf 1' both become 'cf-1'"):
+        index_variables(forged, prune=True)
+
 
 def test_single_column_names_match_the_cached_block_names():
     # the oracle names its values one column at a time; those names must be
@@ -266,7 +296,7 @@ def test_single_column_names_match_the_cached_block_names():
 
 def test_flow_columns_precede_installs_in_chain_order():
     inst = parse_doc(minimal_doc())
-    names = index_variables(inst, prune=False).column_names()
+    names = index_variables(inst, prune=False).names
     prefixes = []
     for n in names:
         head = n.split("_")[0]
@@ -293,7 +323,7 @@ def test_empty_chain_role_rejected():
 def test_hand_instance_objective_coefficients():
     inst = single_chain_instance()
     model = build_milp(inst)
-    names = model.index.column_names()
+    names = model.index.names
     coef = dict(zip(names, model.objective.tolist()))
     # per ton: 1.0 operating + 2 * 10 km * 0.1 transport = 3.0 on facility legs
     for name in ("xsrccf_t1_w_src1_cf1_s1", "xcfrtf_t1_w_cf1_rtf1_s1",
@@ -395,7 +425,7 @@ def test_balance_row_applies_yield_to_inbound():
     model = build_milp(inst, prune=True)
     row = next(r for r in model.rows if r.name == "balrtf_t1_g_rtf1")
     assert row.sense == "E" and row.rhs == 0.0
-    names = model.index.column_names()
+    names = model.index.names
     coefs = {names[c]: v for c, v in zip(row.cols, row.coefs)}
     assert coefs["xcfrtf_t1_w_cf1_rtf1_s1"] == pytest.approx(0.5)
     assert coefs["xrtfcpf_t1_g_rtf1_cpf1_s1"] == -1.0
@@ -406,7 +436,7 @@ def test_zero_yield_coefficients_are_skipped():
     doc["echelons"]["rtf"]["yields"] = {"g": 0.0}
     model = build_milp(parse_doc(doc), prune=True)
     row = next(r for r in model.rows if r.name == "balrtf_t1_g_rtf1")
-    names = model.index.column_names()
+    names = model.index.names
     coefs = {names[c]: v for c, v in zip(row.cols, row.coefs)}
     # only the outbound -1 remains; the 0-yield inbound is not stored
     assert all(v == -1.0 for v in coefs.values())
@@ -417,7 +447,7 @@ def test_facility_cap_links_inflow_to_chosen_size():
     inst = single_chain_instance()
     model = build_milp(inst)
     row = next(r for r in model.rows if r.name == "capcf_t1_cf1_s1")
-    names = model.index.column_names()
+    names = model.index.names
     coefs = {names[c]: v for c, v in zip(row.cols, row.coefs)}
     assert coefs == {"xsrccf_t1_w_src1_cf1_s1": 1.0, "bcf_cf1_s1": -15.0}
     assert row.sense == "L" and row.rhs == 0.0

@@ -14,6 +14,7 @@ from upcyclenet.model import ROW_FAMILIES, build_milp
 from upcyclenet.model_io import (
     Solution,
     _least_squares,
+    _worst_residual,
     compute_gap,
     format_solution,
     parse_solution,
@@ -21,7 +22,6 @@ from upcyclenet.model_io import (
     run_external_solver,
     solution_vector,
     verify_solution,
-    write_lp_listing,
     write_mps,
 )
 from upcyclenet.oracle import solve_exact
@@ -149,7 +149,7 @@ def test_independent_reader_recovers_model_exactly(seed, prune):
     model = build_milp(inst, prune=prune)
     data = read_free_mps(write_mps(model))
 
-    names = model.column_names()
+    names = list(model.index.names)
     assert data.column_order == names
     assert data.integer_columns == {names[c] for c in model.binary_columns}
     assert data.objective_row == "COST"
@@ -200,20 +200,19 @@ def test_mps_bytes_match_golden_digest(seed, prune):
 
 
 def test_column_name_cache_survives_caller_edits(hand_model):
-    names = hand_model.column_names()
-    before = list(names)
-    assert names == before and isinstance(names, list)
-    names[0] = "bogus"
-    names.append("extra")
-    assert hand_model.column_names() == before
-    assert hand_model.index.column_names() is not hand_model.index.column_names()
-    assert hand_model.index.names == tuple(before)
-    with pytest.raises(TypeError):
-        hand_model.index.column_of["bogus"] = 0
-    assert hand_model.index.column_of[before[0]] == 0
+    names = hand_model.index.names
+    assert isinstance(names, tuple) and hand_model.index.names is names
     assert write_mps(hand_model) == GOLDEN_HAND_MPS
     with pytest.raises(ValueError):
         hand_model.constraints.data[0] = 2.0
+
+
+def test_package_exports_resolve():
+    import upcyclenet
+
+    assert len(set(upcyclenet.__all__)) == len(upcyclenet.__all__)
+    for name in upcyclenet.__all__:
+        assert getattr(upcyclenet, name) is not None, name
 
 
 def test_column_name_collision_aborts_write():
@@ -231,15 +230,6 @@ def test_column_name_collision_aborts_write():
     forged = dataclasses.replace(inst, cf=forged_cf)
     with pytest.raises(NamingError, match="collision"):
         write_mps(build_milp(forged))
-
-
-def test_lp_listing_smoke(hand_model):
-    text = write_lp_listing(hand_model)
-    assert text.startswith("Minimize")
-    assert "Subject To" in text
-    assert "Binary" in text
-    assert " bcf_cf1_s1" in text
-    assert text.endswith("End\n")
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +373,7 @@ def test_verify_quota_shortfall_detected(hand_model):
 
 
 def test_verify_fails_on_non_finite_values(hand_model):
-    nan_flows = {name: float("nan") for name in hand_model.column_names()
+    nan_flows = {name: float("nan") for name in hand_model.index.names
                  if name.startswith("x")}
     for values in (nan_flows, {**hand_solution(hand_model).values, "bcf_cf1_s1": float("inf")},
                    {"xdpfsnk_t1_w_dpf1_snk1": float("-inf")}):
@@ -417,7 +407,7 @@ def reference_verification(model, x, tol):
 def assert_verify_matches_reference(model, x):
     """Rows are summed in another order than the reference's, so activities
     may differ in the last bits; worst violations agree to 1e-12 relative."""
-    sol = Solution(values=dict(zip(model.column_names(), x.tolist())), objective_reported=0.0)
+    sol = Solution(values=dict(zip(model.index.names, x.tolist())), objective_reported=0.0)
     report = verify_solution(sol, model)
     by_family, worst, worst_row = reference_verification(model, x, report.tol)
     assert report.violations_by_family == by_family
@@ -452,7 +442,7 @@ def test_vectorised_verify_matches_per_row_reference(tiny_suite):
 def test_verify_worst_row_ties_and_clean_solutions(hand_model):
     # every binary at 2 breaks the four one_size rows by exactly 1.0 each
     values = {**hand_solution(hand_model).values,
-              **{name: 2.0 for name in hand_model.column_names() if name.startswith("b")}}
+              **{name: 2.0 for name in hand_model.index.names if name.startswith("b")}}
     sol = Solution(values=values, objective_reported=0.0)
     report = verify_solution(sol, hand_model)
     assert report.violations_by_family["one_size"] == 4
@@ -653,6 +643,9 @@ def test_refinement_restores_balance_of_a_nudged_outflow(hand_model, tmp_path):
     assert abs(sol.objective_reported - 540.0) <= 1e-9 * 540.0
     assert sol.gap == compute_gap(sol.objective_reported, 540.0)
     assert verify_solution(sol, hand_model).passed
+    # the nudge leaves the demand row slack by 5e-7, inside the active set;
+    # a met row must not hold the correction back
+    assert _worst_residual(hand_model, solution_vector(sol, hand_model))[0] <= 1e-12
     assert "refinement: worst residual 5.000e-07 at baldpf_t1_w_dpf1 before" in sol.diagnostics
     assert "refined values kept" in sol.diagnostics
 

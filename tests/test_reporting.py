@@ -3,9 +3,9 @@ import json
 import pytest
 
 from test_instance import minimal_doc, parse_doc
-from upcyclenet.errors import ReportError
+from upcyclenet.errors import ReportError, SolutionError
 from upcyclenet.model import build_milp
-from upcyclenet.model_io import Solution
+from upcyclenet.model_io import Solution, parse_solution
 from upcyclenet.oracle import solve_exact
 from upcyclenet.reporting import (
     breakdown_costs,
@@ -57,6 +57,19 @@ def test_decode_rejects_foreign_names(hand_case):
     bad = Solution(values={"zz_t1": 1.0}, objective_reported=0.0)
     with pytest.raises(ReportError, match="naming scheme"):
         decode_solution(bad, inst)
+
+
+def test_decode_reads_materials_that_pruning_drops():
+    # 'g' is not accepted at the collection facility, so the pruned model
+    # has no column for it on the source leg; the reports still read it
+    inst = parse_doc(minimal_doc())
+    name = "xsrccf_t1_g_src1_cf1_s1"
+    flows, installs = decode_solution(Solution(values={name: 2.0}, objective_reported=0.0), inst)
+    assert [(f.leg, f.period, f.material, f.origin, f.dest, f.size, f.tons) for f in flows] == [
+        ("src_cf", "t1", "g", "src1", "cf1", "s1", 2.0)]
+    assert installs == []
+    with pytest.raises(SolutionError, match="unknown column name"):
+        parse_solution(f"{name} 2.0\n", build_milp(inst, prune=True))
 
 
 # ---------------------------------------------------------------------------
