@@ -14,10 +14,27 @@ through the equivalence tests.
 Enumeration order is lexicographic over the flat site tuple (echelons in
 chain order, sites in declaration order; 0 means closed, k means the k-th
 size option), and ties in objective are resolved toward the earliest, i.e.
-lexicographically smallest, configuration.  An optional sound pruning rule
-skips configurations whose open capacity cannot carry the quota-mandated
-tonnage; it never changes the reported optimum (tested by running with the
-rule switched off).
+lexicographically smallest, configuration.
+
+Two exact pruning rules skip configurations without solving their LP, and
+neither changes the reported optimum, configuration or flows:
+
+* the capacity screen (optional, `OracleLimits.capacity_pruning`) drops a
+  configuration whose open capacity cannot carry the quota-mandated
+  tonnage;
+* the bound prune (always on) solves one LP per instance before the loop,
+  with every site open at its widest size.  Any configuration's feasible
+  flows, padded with zeros, are feasible there: closed-site rows involve
+  only closed-site columns, capacity rows only get looser, and per-ton
+  costs do not depend on size.  So that LP's flow cost bounds every
+  configuration's flow cost from below, and once an incumbent exists a
+  configuration is skipped when its install cost plus the bound exceeds
+  the incumbent by more than `tie_tol`, i.e. when it could never replace
+  the incumbent (Land & Doig, Econometrica 1960).  If the widest LP is
+  infeasible, so is every configuration, and none is solved.
+
+Both count towards `pruned`, so `pruned + infeasible + solved ==
+enumerated` holds; `bound_pruned` is the bound prune's share.
 """
 
 from __future__ import annotations
@@ -66,7 +83,8 @@ class OracleCertificate:
     """Proof-by-exhaustion bookkeeping for one solve_exact run."""
 
     enumerated: int
-    pruned: int
+    pruned: int  # capacity screen and bound prune together
+    bound_pruned: int
     infeasible: int
     solved: int
     best_objective: float | None
@@ -77,7 +95,8 @@ class OracleCertificate:
         best = "none" if self.best_objective is None else repr(self.best_objective)
         return (
             f"configurations enumerated={self.enumerated} pruned={self.pruned} "
-            f"infeasible={self.infeasible} solved={self.solved}\n"
+            f"bound_pruned={self.bound_pruned} infeasible={self.infeasible} "
+            f"solved={self.solved}\n"
             f"best objective={best} configuration={self.best_configuration}\n"
             f"wall time {self.wall_time_s:.3f}s"
         )
@@ -139,42 +158,53 @@ def describe_configuration(inst: Instance, config: Configuration) -> dict[str, d
 
 
 class _CapacityScreen:
-    """Precomputed data behind config_capacity_feasible, reused per run."""
+    """Per-slot capacity and install-cost tables, reused per run: one pass
+    over a configuration gives the capacity screen and the install cost."""
 
-    def __init__(self, inst: Instance) -> None:
+    def __init__(self, inst: Instance, install_multiplier: float = 1.0) -> None:
         factors = chain_inflow_factors(inst)
         # per echelon: the largest tonnage the quota forces through it
-        self.forced: dict[str, float] = {tag: 0.0 for tag in ECHELON_TAGS}
+        forced = {tag: 0.0 for tag in ECHELON_TAGS}
         for t in inst.periods:
             mandated_all, mandated_collectable = quota_mandated_tons(inst, t.id)
             for tag in ECHELON_TAGS:
                 base = mandated_all if tag == "cf" else mandated_collectable
-                self.forced[tag] = max(self.forced[tag], factors[tag] * base)
-        self.slots = site_slots(inst)
-        self.theta: list[tuple[str, tuple[float, ...]]] = []
-        for tag, j, _ in self.slots:
+                forced[tag] = max(forced[tag], factors[tag] * base)
+        self.forced = tuple(forced[tag] for tag in ECHELON_TAGS)
+        # per slot: (echelon position, capacity per size, install cost per size)
+        self.tables: list[tuple[int, tuple[float, ...], tuple[float, ...]]] = []
+        widest = []
+        for e, tag in enumerate(ECHELON_TAGS):
             opts = inst.echelon(tag).size_options
-            self.theta.append((tag, tuple(o.max_capacity_tons for o in opts)))
+            caps = tuple(o.max_capacity_tons for o in opts)
+            costs = tuple(o.install_cost_annual * install_multiplier for o in opts)
+            for _ in inst.echelon(tag).sites:
+                self.tables.append((e, caps, costs))
+                widest.append(1 + caps.index(max(caps)))
+        # every site open at the size with the largest capacity, first on a tie
+        self.widest: Configuration = tuple(widest)
 
-    def ok(self, config: Configuration) -> bool:
-        open_capacity = {tag: 0.0 for tag in ECHELON_TAGS}
-        for choice, (tag, caps) in zip(config, self.theta):
+    def scan(self, config: Configuration) -> tuple[bool, float]:
+        """(open capacity covers the forced tonnage, install cost)."""
+        open_capacity = [0.0] * len(ECHELON_TAGS)
+        install = 0.0
+        for choice, (e, caps, costs) in zip(config, self.tables):
             if choice:
-                open_capacity[tag] += caps[choice - 1]
-        for tag in ECHELON_TAGS:
-            forced = self.forced[tag]
-            if forced > open_capacity[tag] + 1e-9 * max(1.0, forced):
-                return False
-        return True
+                open_capacity[e] += caps[choice - 1]
+                install += costs[choice - 1]
+        fits = all(forced <= cap + 1e-9 * max(1.0, forced)
+                   for forced, cap in zip(self.forced, open_capacity))
+        return fits, install
 
 
 def config_capacity_feasible(inst: Instance, config: Configuration) -> bool:
     """Necessary condition: open capacity per echelon covers the tonnage the
     quota provably forces through it.  False means the configuration cannot
     be feasible; True promises nothing."""
-    if len(config) != len(site_slots(inst)):
-        raise OracleError(f"configuration length {len(config)} != {len(site_slots(inst))} sites")
-    return _CapacityScreen(inst).ok(config)
+    screen = _CapacityScreen(inst)
+    if len(config) != len(screen.tables):
+        raise OracleError(f"configuration length {len(config)} != {len(screen.tables)} sites")
+    return screen.scan(config)[0]
 
 
 @dataclass
@@ -194,7 +224,8 @@ class _LpFactory:
         dists = {d.leg: d for d in build_leg_matrices(inst)}
         self.leg_mats = {leg: inst.leg_materials(leg, prune) for leg, _, _ in LEGS}
         horizon = inst.horizon_years()
-        self.install_multiplier = horizon if install_cost_mode == "annualized_times_horizon" else 1.0
+        install_multiplier = horizon if install_cost_mode == "annualized_times_horizon" else 1.0
+        self.screen = _CapacityScreen(inst, install_multiplier)
         dt = np.array([t.duration_years for t in inst.periods], dtype=np.float64)
         self.cost: dict[str, np.ndarray] = {}
         for leg, _, dest_role in LEGS:
@@ -323,11 +354,7 @@ class _LpFactory:
                     if entries:
                         rows.append(("L", theta, entries))
 
-        install_cost = 0.0
-        for tag in ECHELON_TAGS:
-            spec = inst.echelon(tag)
-            for _, c in choices[tag]:
-                install_cost += spec.size_options[c].install_cost_annual * self.install_multiplier
+        install_cost = self.screen.scan(config)[1]
 
         n = len(cols)
         m = len(rows)
@@ -398,32 +425,65 @@ def _install_values(inst: Instance, config: Configuration) -> dict[str, float]:
     return values
 
 
+def flow_cost_bound(inst: Instance, prune: bool = True,
+                    install_cost_mode: str = "annualized_times_horizon",
+                    limits: OracleLimits | None = None) -> float | None:
+    """Flow cost (objective minus install cost) of the widest configuration,
+    every site open at its largest size: a lower bound on every
+    configuration's flow cost.  None when even that LP is infeasible."""
+    return _flow_cost_bound(_LpFactory(inst, prune, install_cost_mode),
+                            limits or OracleLimits(), None)
+
+
+def _flow_cost_bound(factory: _LpFactory, limits: OracleLimits,
+                     permute_seed: int | None) -> float | None:
+    widest = factory.screen.widest
+    result = factory.solve(widest, limits, permute_seed)
+    if result.status == "infeasible":
+        return None
+    return result.objective - factory.screen.scan(widest)[1]
+
+
 def solve_exact(inst: Instance, limits: OracleLimits | None = None, prune: bool = True,
                 install_cost_mode: str = "annualized_times_horizon",
                 permute_seed: int | None = None,
                 progress: Callable[[int, int], None] | None = None,
                 ) -> tuple[Solution, OracleCertificate]:
     """Global optimum by exhaustion.  Any simplex abort poisons the whole
-    run; it is never converted into an infeasibility claim.
+    run, the bound LP's included; it is never converted into an
+    infeasibility claim.
 
     `progress`, if given, is called every 512 configurations with
     (configurations examined, total count).
     """
     limits = limits or OracleLimits()
     t0 = time.monotonic()
+    configurations = enumerate_configurations(inst, limits)
     factory = _LpFactory(inst, prune, install_cost_mode)
-    screen = _CapacityScreen(inst)
+    screen = factory.screen
+    flow_bound = _flow_cost_bound(factory, limits, permute_seed)
     total = count_configurations(inst)
-    enumerated = pruned = infeasible = solved = 0
+    enumerated = pruned = bound_pruned = infeasible = solved = 0
     best_obj: float | None = None
     best_config: Configuration | None = None
     best_flows: dict[str, float] = {}
-    for config in enumerate_configurations(inst, limits):
+    for config in configurations:
         enumerated += 1
         if progress is not None and enumerated % 512 == 0:
             progress(enumerated, total)
-        if limits.capacity_pruning and not screen.ok(config):
+        fits, install = screen.scan(config)
+        if limits.capacity_pruning and not fits:
             pruned += 1
+            continue
+        if flow_bound is None:
+            infeasible += 1
+            continue
+        # the margin sits on the incumbent's side, so a pruned configuration
+        # could not have replaced the incumbent under the rule below
+        if best_obj is not None and (
+                install + flow_bound > best_obj + limits.tie_tol * max(1.0, abs(best_obj))):
+            pruned += 1
+            bound_pruned += 1
             continue
         result = factory.solve(config, limits, permute_seed)
         if result.status == "infeasible":
@@ -438,6 +498,7 @@ def solve_exact(inst: Instance, limits: OracleLimits | None = None, prune: bool 
     cert = OracleCertificate(
         enumerated=enumerated,
         pruned=pruned,
+        bound_pruned=bound_pruned,
         infeasible=infeasible,
         solved=solved,
         best_objective=best_obj,

@@ -74,7 +74,7 @@ def solve_lp(
 
     n_ext = n + n_slack
     tableau = np.hstack([ext, np.eye(m)])
-    basis = list(range(n_ext, n_ext + m))
+    basis = np.arange(n_ext, n_ext + m, dtype=np.intp)
 
     state = _State(tableau, rhs, basis, max_iterations, degenerate_limit)
 
@@ -104,11 +104,13 @@ def solve_lp(
 
 
 class _State:
-    def __init__(self, tableau: np.ndarray, rhs: np.ndarray, basis: list[int],
+    def __init__(self, tableau: np.ndarray, rhs: np.ndarray, basis: np.ndarray,
                  max_iterations: int, degenerate_limit: int) -> None:
         self.tableau = tableau
         self.rhs = rhs
         self.basis = basis
+        self.in_basis = np.zeros(tableau.shape[1], dtype=bool)
+        self.in_basis[basis] = True
         self.max_iterations = max_iterations
         self.degenerate_limit = degenerate_limit
         self.iterations = 0
@@ -124,16 +126,16 @@ def _run(state: _State, cost: np.ndarray, allowed: int) -> str:
             raise SimplexIterationError(
                 f"simplex exceeded {state.max_iterations} iterations"
             )
-        basic = set(state.basis)
         reduced = cost - cost[state.basis] @ tableau
-        candidates = np.flatnonzero(reduced[:allowed] < -_REDCOST_TOL)
-        candidates = [j for j in candidates if j not in basic]
-        if not candidates:
+        candidates = np.flatnonzero(
+            (reduced[:allowed] < -_REDCOST_TOL) & ~state.in_basis[:allowed])
+        if candidates.size == 0:
             return "optimal"
         if state.bland:
             enter = candidates[0]
         else:
-            enter = min(candidates, key=lambda j: (reduced[j], j))
+            # argmin takes the first of equal minima: the least index wins ties
+            enter = candidates[np.argmin(reduced[candidates])]
         col = tableau[:, enter]
         eligible = np.flatnonzero(col > _PIVOT_TOL)
         if eligible.size == 0:
@@ -142,7 +144,7 @@ def _run(state: _State, cost: np.ndarray, allowed: int) -> str:
         best = ratios.min()
         # leaving tie-break by least basis index resists cycling on its own
         ties = eligible[ratios <= best]
-        leave_row = min(ties, key=lambda i: state.basis[i])
+        leave_row = ties[np.argmin(state.basis[ties])]
         _pivot(state, leave_row, enter)
         if best <= _DEGENERATE_STEP:
             state.degenerate_run += 1
@@ -160,9 +162,11 @@ def _pivot(state: _State, row: int, col: int) -> None:
     rhs[row] /= pivot
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
+    tableau -= factors[:, None] * tableau[row]
     rhs -= factors * rhs[row]
     rhs[np.abs(rhs) < 1e-11] = 0.0
+    state.in_basis[state.basis[row]] = False
+    state.in_basis[col] = True
     state.basis[row] = col
 
 

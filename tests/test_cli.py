@@ -115,7 +115,9 @@ def test_solve_oracle_writes_solution(tmp_path, hand_file, capsys):
     assert "=status= optimal" in text
     captured = capsys.readouterr()
     assert "status: optimal, objective: 540.0" in captured.out
+    assert "bound_pruned" not in captured.out
     assert "enumerated=16" in captured.err
+    assert "bound_pruned=0" in captured.err
 
 
 def test_solve_respects_config_budget(tmp_path, hand_file, capsys):

@@ -3,20 +3,25 @@ import json
 import numpy as np
 import pytest
 
+from test_acceptance import _decentralization_instance
 from test_instance import minimal_doc, parse_doc
+from test_milp_core import random_shape_doc
+from upcyclenet import oracle
 from upcyclenet.errors import OracleError, SimplexIterationError
-from upcyclenet.instance import parse_instance
+from upcyclenet.instance import parse_instance, serialize_instance
+from upcyclenet.model import install_column_name
 from upcyclenet.oracle import (
     OracleLimits,
     config_capacity_feasible,
     count_configurations,
     describe_configuration,
     enumerate_configurations,
+    flow_cost_bound,
     site_slots,
     solve_exact,
     solve_flow_lp,
 )
-from upcyclenet.scenario import single_chain_instance
+from upcyclenet.scenario import _colocated_instance, make_tiny_suite, single_chain_instance
 from upcyclenet.simplex import solve_lp
 
 scipy_opt = pytest.importorskip("scipy.optimize")
@@ -232,8 +237,6 @@ def test_solve_exact_hand_instance_exact_540():
 
 
 def test_solve_exact_infeasible_instance():
-    from upcyclenet.instance import serialize_instance
-
     doc = json.loads(serialize_instance(single_chain_instance()))
     doc["echelons"]["cf"]["size_options"][0]["max_capacity_tons"] = 5.0
     sol, cert = solve_exact(parse_instance(json.dumps(doc)))
@@ -282,8 +285,6 @@ def test_cost_scaling_scales_objective_and_keeps_argmin():
 
 
 def test_tie_break_keeps_first_configuration():
-    from upcyclenet.scenario import _colocated_instance
-
     inst = _colocated_instance()
     sol, cert = solve_exact(inst)
     assert sol.status == "optimal"
@@ -372,3 +373,106 @@ def test_decentralized_collection_emerges_with_expensive_raw_transport():
     open_cpf = [s for s, size in desc["cpf"].items() if size is not None]
     assert len(open_cf) == 2
     assert len(open_cpf) == 1
+
+
+# ---------------------------------------------------------------------------
+# bound prune, checked against plain enumeration
+
+
+def brute_force(inst, prune, permute_seed, tie_tol=OracleLimits().tie_tol):
+    """Every configuration through solve_flow_lp, keeping the
+    lexicographically first minimum under the oracle's tie rule."""
+    best = None
+    for config in enumerate_configurations(inst):
+        res = solve_flow_lp(inst, config, prune=prune, permute_seed=permute_seed)
+        if res.status != "optimal":
+            continue
+        if best is None or res.objective < best[0] - tie_tol * max(1.0, abs(best[0])):
+            best = (res.objective, config, res.flows)
+    return best
+
+
+def install_cost(inst, config):
+    cost = 0.0
+    for tag, sites in describe_configuration(inst, config).items():
+        options = {o.id: o for o in inst.echelon(tag).size_options}
+        cost += sum(options[size].install_cost_annual for size in sites.values() if size)
+    return cost * inst.horizon_years()
+
+
+@pytest.fixture(scope="module")
+def bound_pruning_members():
+    """Tiny-suite members where the bound prunes, up to 250 configurations."""
+    return [
+        inst for inst in make_tiny_suite(2026)
+        if count_configurations(inst) <= 250 and solve_exact(inst)[1].bound_pruned > 0
+    ]
+
+
+@pytest.mark.parametrize("prune, capacity_pruning, permute_seed", [
+    (True, True, None), (False, True, None), (True, False, None), (True, True, 1),
+])
+def test_solve_exact_matches_brute_force(bound_pruning_members, prune, capacity_pruning,
+                                         permute_seed):
+    assert len(bound_pruning_members) >= 8
+    cases = [single_chain_instance(), _colocated_instance(), _decentralization_instance()]
+    limits = OracleLimits(capacity_pruning=capacity_pruning)
+    for inst in cases + bound_pruning_members:
+        sol, cert = solve_exact(inst, limits, prune=prune, permute_seed=permute_seed)
+        ref_obj, ref_config, ref_flows = brute_force(inst, prune, permute_seed)
+        assert sol.status == "optimal"
+        assert cert.best_objective == pytest.approx(ref_obj, rel=1e-9)
+        assert cert.best_configuration == ref_config
+        installs = {
+            install_column_name(tag, site, size)
+            for tag, sites in describe_configuration(inst, ref_config).items()
+            for site, size in sites.items() if size
+        }
+        assert sol.values.keys() == set(ref_flows) | installs
+        assert cert.pruned + cert.infeasible + cert.solved == cert.enumerated
+        assert 0 <= cert.bound_pruned <= cert.pruned
+
+
+def test_flow_cost_bound_is_below_every_configuration():
+    checked = 0
+    for seed in range(400, 460):
+        inst = parse_instance(json.dumps(random_shape_doc(np.random.default_rng(seed))))
+        if count_configurations(inst) > 400:
+            continue
+        checked += 1
+        bound = flow_cost_bound(inst)
+        for config in enumerate_configurations(inst):
+            res = solve_flow_lp(inst, config)
+            if bound is None:
+                assert res.status == "infeasible"
+            elif res.status == "optimal":
+                flow_cost = res.objective - install_cost(inst, config)
+                assert bound <= flow_cost + 1e-9 * max(1.0, abs(flow_cost))
+        sol, cert = solve_exact(inst)
+        assert cert.pruned + cert.infeasible + cert.solved == cert.enumerated
+        assert 0 <= cert.bound_pruned <= cert.pruned
+    assert checked >= 5
+
+
+def test_infeasible_widest_lp_proves_infeasibility_with_one_solve(monkeypatch):
+    # the quota forces 10 t through the chain, but no sink takes the product:
+    # the capacity screen passes configurations that no flow can satisfy
+    doc = json.loads(serialize_instance(single_chain_instance()))
+    for sink in doc["sinks"]:
+        sink["demand"] = {t: {p: 0.0 for p in d} for t, d in sink["demand"].items()}
+    inst = parse_instance(json.dumps(doc))
+    calls = []
+    real_solve_lp = oracle.solve_lp
+
+    def counting_solve_lp(*args, **kwargs):
+        calls.append(1)
+        return real_solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "solve_lp", counting_solve_lp)
+    sol, cert = solve_exact(inst)
+    assert sol.status == "infeasible"
+    assert cert.solved == 0
+    assert cert.enumerated > cert.pruned
+    assert cert.infeasible == cert.enumerated - cert.pruned
+    assert cert.bound_pruned == 0
+    assert len(calls) == 1
