@@ -553,6 +553,19 @@ def quota_mandated_tons(inst: Instance, period: str) -> tuple[float, float]:
     return mandated_all, mandated_collectable
 
 
+def forced_inflow_tons(inst: Instance) -> dict[str, dict[str, float]]:
+    """Per period and echelon, the tons the quota provably forces into it:
+    the CF takes every mandated ton, each later echelon the collectable
+    tons times its chain inflow factor."""
+    factors = chain_inflow_factors(inst)
+    forced = {}
+    for t in inst.periods:
+        mandated_all, mandated_collectable = quota_mandated_tons(inst, t.id)
+        forced[t.id] = {tag: factors[tag] * (mandated_all if tag == "cf" else mandated_collectable)
+                        for tag in ECHELON_TAGS}
+    return forced
+
+
 def validate_instance(inst: Instance) -> list[Finding]:
     """Aggregate feasibility screen; pure, returns ERROR/WARNING findings.
 
@@ -561,7 +574,7 @@ def validate_instance(inst: Instance) -> list[Finding]:
     findings flag suspicious data that is still solvable.
     """
     findings: list[Finding] = []
-    factors = chain_inflow_factors(inst)
+    forced_by_period = forced_inflow_tons(inst)
 
     used: set[str] = set()
     for _, spec in inst.echelons():
@@ -613,13 +626,12 @@ def validate_instance(inst: Instance) -> list[Finding]:
                     )
                 )
 
-        mandated_all, mandated_collectable = quota_mandated_tons(inst, t.id)
-        if mandated_all <= 0.0:
+        forced = forced_by_period[t.id]
+        if forced["cf"] <= 0.0:
             continue
 
         for tag, spec in inst.echelons():
-            base = mandated_all if tag == "cf" else mandated_collectable
-            forced_in = factors[tag] * base
+            forced_in = forced[tag]
             agg_cap = sum(max(o.max_capacity_tons for o in spec.size_options) for s in spec.sites)
             if forced_in > agg_cap + tol:
                 findings.append(
@@ -632,9 +644,8 @@ def validate_instance(inst: Instance) -> list[Finding]:
                 )
 
         # everything leaving the DPF must fit inside sink demand, material by material
-        forced_dpf_in = factors["dpf"] * mandated_collectable
         for p in inst.dpf.outputs:
-            forced_out = inst.dpf.yields[p] * forced_dpf_in
+            forced_out = inst.dpf.yields[p] * forced["dpf"]
             cap = inst.demand_total(t.id, p)
             if forced_out > cap + tol:
                 findings.append(

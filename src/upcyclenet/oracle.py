@@ -11,6 +11,14 @@ rather than reusing the canonical model builder, so the two routes check
 each other: a bug would have to appear in both, in matching form, to slip
 through the equivalence tests.
 
+It assembles one LP per instance, the all-open LP: every site open, its
+capacity rows at the widest size.  Each configuration's LP is a
+restriction of it: the columns whose origin and destination are both open,
+the rows that still have an entry (quota rows always stay), and the
+capacity rows at the chosen sizes.  The rows it drops hold at zero flow,
+and its capacity rows are only tighter, so its feasible flows, padded with
+zeros, are feasible in the all-open LP at the same per-ton costs.
+
 Enumeration order is lexicographic over the flat site tuple (echelons in
 chain order, sites in declaration order; 0 means closed, k means the k-th
 size option), and ties in objective are resolved toward the earliest, i.e.
@@ -22,16 +30,13 @@ neither changes the reported optimum, configuration or flows:
 * the capacity screen (optional, `OracleLimits.capacity_pruning`) drops a
   configuration whose open capacity cannot carry the quota-mandated
   tonnage;
-* the bound prune (always on) solves one LP per instance before the loop,
-  with every site open at its widest size.  Any configuration's feasible
-  flows, padded with zeros, are feasible there: closed-site rows involve
-  only closed-site columns, capacity rows only get looser, and per-ton
-  costs do not depend on size.  So that LP's flow cost bounds every
-  configuration's flow cost from below, and once an incumbent exists a
-  configuration is skipped when its install cost plus the bound exceeds
-  the incumbent by more than `tie_tol`, i.e. when it could never replace
-  the incumbent (Land & Doig, Econometrica 1960).  If the widest LP is
-  infeasible, so is every configuration, and none is solved.
+* the bound prune (always on) solves the all-open LP before the loop.  Its
+  flow cost bounds every configuration's flow cost from below, so once an
+  incumbent exists a configuration is skipped when its install cost plus
+  the bound exceeds the incumbent by more than `tie_tol`, i.e. when it
+  could never replace the incumbent (Land & Doig, Econometrica 1960).  If
+  the all-open LP is infeasible, so is every configuration, and none is
+  solved.
 
 Both count towards `pruned`, so `pruned + infeasible + solved ==
 enumerated` holds; `bound_pruned` is the bound prune's share.
@@ -49,23 +54,15 @@ import numpy as np
 
 from .errors import ModelError, OracleError
 from .geo import build_leg_matrices
-from .instance import (
-    ECHELON_TAGS,
-    LEGS,
-    Instance,
-    chain_inflow_factors,
-    quota_mandated_tons,
-)
+from .instance import ECHELON_TAGS, LEGS, Instance, forced_inflow_tons
 from .model import flow_column_name, install_column_name
 from .model_io import Solution
-from .simplex import solve_lp
+from .simplex import LpResult, solve_lp
 
 Configuration = tuple[int, ...]
 
 _LEG_INTO = {"cf": "src_cf", "rtf": "cf_rtf", "cpf": "rtf_cpf", "dpf": "cpf_dpf"}
 _LEG_OUT_OF = {"cf": "cf_rtf", "rtf": "rtf_cpf", "cpf": "cpf_dpf", "dpf": "dpf_sink"}
-_IN_ROLE = {"cf": "sources", "rtf": "cf", "cpf": "rtf", "dpf": "cpf"}
-_OUT_ROLE = {"cf": "rtf", "rtf": "cpf", "cpf": "dpf", "dpf": "sinks"}
 
 
 @dataclass(frozen=True)
@@ -162,15 +159,9 @@ class _CapacityScreen:
     over a configuration gives the capacity screen and the install cost."""
 
     def __init__(self, inst: Instance, install_multiplier: float = 1.0) -> None:
-        factors = chain_inflow_factors(inst)
         # per echelon: the largest tonnage the quota forces through it
-        forced = {tag: 0.0 for tag in ECHELON_TAGS}
-        for t in inst.periods:
-            mandated_all, mandated_collectable = quota_mandated_tons(inst, t.id)
-            for tag in ECHELON_TAGS:
-                base = mandated_all if tag == "cf" else mandated_collectable
-                forced[tag] = max(forced[tag], factors[tag] * base)
-        self.forced = tuple(forced[tag] for tag in ECHELON_TAGS)
+        per_period = forced_inflow_tons(inst).values()
+        self.forced = tuple(max([0.0] + [f[tag] for f in per_period]) for tag in ECHELON_TAGS)
         # per slot: (echelon position, capacity per size, install cost per size)
         self.tables: list[tuple[int, tuple[float, ...], tuple[float, ...]]] = []
         widest = []
@@ -216,19 +207,22 @@ class FlowLpResult:
 
 
 class _LpFactory:
-    """Per-instance precomputation shared across all configuration LPs."""
+    """The instance's all-open flow LP, and its restriction to each
+    configuration as the module docstring describes."""
 
     def __init__(self, inst: Instance, prune: bool, install_cost_mode: str) -> None:
         self.inst = inst
-        self.prune = prune
-        dists = {d.leg: d for d in build_leg_matrices(inst)}
         self.leg_mats = {leg: inst.leg_materials(leg, prune) for leg, _, _ in LEGS}
         horizon = inst.horizon_years()
         install_multiplier = horizon if install_cost_mode == "annualized_times_horizon" else 1.0
         self.screen = _CapacityScreen(inst, install_multiplier)
         dt = np.array([t.duration_years for t in inst.periods], dtype=np.float64)
-        self.cost: dict[str, np.ndarray] = {}
-        for leg, _, dest_role in LEGS:
+        # columns in leg chain order, (t, p, origin, dest) lexicographic;
+        # ids[leg][t, p, i, j] is the column of that flow
+        self.ids: dict[str, np.ndarray] = {}
+        costs = []
+        n = 0
+        for (leg, _, dest_role), dist in zip(LEGS, build_leg_matrices(inst)):
             mats = self.leg_mats[leg]
             for p in mats:
                 if p not in inst.transport_cost:
@@ -236,174 +230,144 @@ class _LpFactory:
                         f"material '{p}' rides leg '{leg}' but has no transport_cost entry"
                     )
             rate = np.array([inst.transport_cost[p] for p in mats], dtype=np.float64)
-            km = dists[leg].km
+            km = dist.km
             op = inst.echelon(dest_role).op_cost_per_ton if dest_role in ECHELON_TAGS else 0.0
             # (T, P, O, D) per-ton coefficient
-            self.cost[leg] = dt[:, None, None, None] * (
+            cost = dt[:, None, None, None] * (
                 op + 2.0 * km[None, None, :, :] * rate[None, :, None, None]
             )
+            self.ids[leg] = n + np.arange(cost.size).reshape(cost.shape)
+            n += cost.size
+            costs.append(cost.ravel())
+        self.obj = np.concatenate(costs)
 
-    def solve(self, config: Configuration, limits: OracleLimits,
-              permute_seed: int | None = None) -> FlowLpResult:
-        inst = self.inst
-        choices = config_choices(inst, config)
-        open_sites = {tag: [j for j, _ in choices[tag]] for tag in ECHELON_TAGS}
-        chosen_size = {tag: dict(choices[tag]) for tag in ECHELON_TAGS}
+        rows: list[np.ndarray] = []
+        self.senses: list[str] = []
+        rhs: list[float] = []
 
-        role_members: dict[str, list[int]] = {
-            "sources": list(range(len(inst.sources))),
-            "sinks": list(range(len(inst.sinks))),
-        }
-        for tag in ECHELON_TAGS:
-            role_members[tag] = open_sites[tag]
+        def add_row(sense: str, value: float, *entries: tuple[np.ndarray, float]) -> int:
+            row = np.zeros(n, dtype=np.float64)
+            for cols, coef in entries:
+                row[cols] = coef
+            rows.append(row)
+            self.senses.append(sense)
+            rhs.append(value)
+            return len(rows) - 1
 
-        # columns in leg chain order, (t, p, origin, dest) lexicographic
-        cols: list[tuple[str, int, str, int, int]] = []
-        col_id: dict[tuple[str, int, str, int, int], int] = {}
-        obj: list[float] = []
-        for leg, origin_role, dest_role in LEGS:
-            mats = self.leg_mats[leg]
-            cost = self.cost[leg]
-            for t_idx in range(len(inst.periods)):
-                for p_idx, p in enumerate(mats):
-                    for i in role_members[origin_role]:
-                        for j in role_members[dest_role]:
-                            key = (leg, t_idx, p, i, j)
-                            col_id[key] = len(cols)
-                            cols.append(key)
-                            obj.append(float(cost[t_idx, p_idx, i, j]))
-
-        rows: list[tuple[str, float, list[tuple[int, float]]]] = []  # (sense, rhs, entries)
+        ids = self.ids
+        mat_pos = {leg: {p: k for k, p in enumerate(mats)} for leg, mats in self.leg_mats.items()}
 
         # demand: inflow at a sink capped by its declared demand (0 if absent)
         for t_pos, t in enumerate(inst.periods):
-            for p in self.leg_mats["dpf_sink"]:
+            for p_pos, p in enumerate(self.leg_mats["dpf_sink"]):
                 for n_pos, sink in enumerate(inst.sinks):
-                    entries = [
-                        (col_id[("dpf_sink", t_pos, p, m, n_pos)], 1.0)
-                        for m in role_members["dpf"]
-                    ]
-                    if entries:
-                        rows.append(("L", sink.demand.get((t.id, p), 0.0), entries))
+                    add_row("L", sink.demand.get((t.id, p), 0.0),
+                            (ids["dpf_sink"][t_pos, p_pos, :, n_pos], 1.0))
 
         # quota: collected tons reach the mandated share even if no CF is open
+        quota_rows = []
         for t_pos, t in enumerate(inst.periods):
             for p in inst.materials:
                 eta = inst.quota_at(t.id, p)
                 if eta <= 0.0:
                     continue
                 entries = []
-                if p in set(self.leg_mats["src_cf"]):
-                    entries = [
-                        (col_id[("src_cf", t_pos, p, i, j)], 1.0)
-                        for i in role_members["sources"]
-                        for j in role_members["cf"]
-                    ]
-                rows.append(("G", eta * inst.supply_total(t.id, p), entries))
+                if p in mat_pos["src_cf"]:
+                    entries.append((ids["src_cf"][t_pos, mat_pos["src_cf"][p]], 1.0))
+                quota_rows.append(add_row("G", eta * inst.supply_total(t.id, p), *entries))
 
         # source_cap: shipments out of a source limited by its supply
         for t_pos, t in enumerate(inst.periods):
-            for p in self.leg_mats["src_cf"]:
+            for p_pos, p in enumerate(self.leg_mats["src_cf"]):
                 for i_pos, src in enumerate(inst.sources):
-                    entries = [
-                        (col_id[("src_cf", t_pos, p, i_pos, j)], 1.0)
-                        for j in role_members["cf"]
-                    ]
-                    if entries:
-                        rows.append(("L", src.supply.get((t.id, p), 0.0), entries))
+                    add_row("L", src.supply.get((t.id, p), 0.0),
+                            (ids["src_cf"][t_pos, p_pos, i_pos, :], 1.0))
 
-        # flow_balance at open facilities: yield * admissible inflow == outflow
+        # flow_balance at every site: yield * admissible inflow == outflow
         for tag in ECHELON_TAGS:
             spec = inst.echelon(tag)
             lin, lout = _LEG_INTO[tag], _LEG_OUT_OF[tag]
-            in_role, out_role = _IN_ROLE[tag], _OUT_ROLE[tag]
-            admissible = [p for p in self.leg_mats[lin] if p in spec.inputs]
-            out_mats = set(self.leg_mats[lout])
+            admissible = [k for k, p in enumerate(self.leg_mats[lin]) if p in spec.inputs]
             for t_pos in range(len(inst.periods)):
                 for p_out in spec.outputs:
                     gamma = spec.yields[p_out]
-                    for j in role_members[tag]:
+                    for j in range(len(spec.sites)):
                         entries = []
                         if gamma != 0.0:
-                            for p_in in admissible:
-                                entries.extend(
-                                    (col_id[(lin, t_pos, p_in, i, j)], gamma)
-                                    for i in role_members[in_role]
-                                )
-                        if p_out in out_mats:
-                            entries.extend(
-                                (col_id[(lout, t_pos, p_out, j, k)], -1.0)
-                                for k in role_members[out_role]
-                            )
-                        if entries:
-                            rows.append(("E", 0.0, entries))
+                            entries.append((ids[lin][t_pos, admissible, :, j], gamma))
+                        if p_out in mat_pos[lout]:
+                            entries.append((ids[lout][t_pos, mat_pos[lout][p_out], j, :], -1.0))
+                        add_row("E", 0.0, *entries)
 
-        # facility_cap at the chosen size: total inflow within capacity
+        # facility_cap at the widest size: total inflow within capacity;
+        # cap_rows[tag][t, j] is the row of site j in period t
+        self.cap_rows: dict[str, np.ndarray] = {}
         for tag in ECHELON_TAGS:
             spec = inst.echelon(tag)
-            lin = _LEG_INTO[tag]
-            in_role = _IN_ROLE[tag]
-            for t_pos in range(len(inst.periods)):
-                for j in role_members[tag]:
-                    theta = spec.size_options[chosen_size[tag][j]].max_capacity_tons
-                    entries = [
-                        (col_id[(lin, t_pos, p, i, j)], 1.0)
-                        for p in self.leg_mats[lin]
-                        for i in role_members[in_role]
-                    ]
-                    if entries:
-                        rows.append(("L", theta, entries))
+            widest = max(o.max_capacity_tons for o in spec.size_options)
+            self.cap_rows[tag] = np.array([
+                [add_row("L", widest, (ids[_LEG_INTO[tag]][t_pos, :, :, j], 1.0))
+                 for j in range(len(spec.sites))]
+                for t_pos in range(len(inst.periods))
+            ], dtype=np.intp)
 
-        install_cost = self.screen.scan(config)[1]
+        self.a = np.array(rows, dtype=np.float64).reshape(len(rows), n)
+        self.rhs = np.array(rhs, dtype=np.float64)
+        self.quota = np.zeros(len(rows), dtype=bool)
+        self.quota[quota_rows] = True
 
-        n = len(cols)
-        m = len(rows)
-        a = np.zeros((m, n), dtype=np.float64)
-        b = np.zeros(m, dtype=np.float64)
-        senses = []
-        for r, (sense, rhs, entries) in enumerate(rows):
-            senses.append(sense)
-            b[r] = rhs
-            for c, v in entries:
-                a[r, c] += v
-        obj_vec = np.array(obj, dtype=np.float64)
-
-        if permute_seed is not None and n > 1:
-            perm = np.random.default_rng(permute_seed).permutation(n)
-            inv = np.argsort(perm)
-            result = solve_lp(obj_vec[perm], a[:, perm], senses, b,
-                              max_iterations=limits.max_iterations,
-                              degenerate_limit=limits.degenerate_limit,
-                              phase1_tol=limits.phase1_tol)
-            x = result.x[inv] if result.x is not None else None
-        else:
-            result = solve_lp(obj_vec, a, senses, b,
-                              max_iterations=limits.max_iterations,
-                              degenerate_limit=limits.degenerate_limit,
-                              phase1_tol=limits.phase1_tol)
-            x = result.x
-
+    def solve(self, config: Configuration, limits: OracleLimits,
+              permute_seed: int | None = None) -> LpResult:
+        """Solve the configuration's restriction of the all-open LP.  `x` is
+        padded with zeros to the all-open columns, and the objective
+        includes the configuration's installation cost."""
+        inst = self.inst
+        is_open = {role: np.ones(len(inst.role_nodes(role)), dtype=bool)
+                   for role in ("sources", "sinks")}
+        rhs = self.rhs.copy()
+        for tag, pairs in config_choices(inst, config).items():
+            options = inst.echelon(tag).size_options
+            is_open[tag] = np.zeros(len(inst.echelon(tag).sites), dtype=bool)
+            for j, c in pairs:
+                is_open[tag][j] = True
+                rhs[self.cap_rows[tag][:, j]] = options[c].max_capacity_tons
+        cols = np.concatenate([self.ids[leg][:, :, is_open[o]][..., is_open[d]].ravel()
+                               for leg, o, d in LEGS])
+        rows = np.flatnonzero(self.quota | (self.a[:, cols] != 0.0).any(axis=1))
+        order = cols
+        if permute_seed is not None:
+            order = cols[np.random.default_rng(permute_seed).permutation(cols.size)]
+        result = solve_lp(self.obj[order], self.a[np.ix_(rows, order)],
+                          [self.senses[r] for r in rows], rhs[rows],
+                          max_iterations=limits.max_iterations,
+                          degenerate_limit=limits.degenerate_limit,
+                          phase1_tol=limits.phase1_tol)
         if result.status == "infeasible":
-            return FlowLpResult("infeasible", 0.0, {}, result.iterations)
+            return LpResult("infeasible", 0.0, None, result.iterations)
         if result.status == "unbounded":
             raise OracleError("flow subproblem unbounded; objective data must be nonnegative")
+        x = np.zeros(self.obj.size, dtype=np.float64)
+        x[order] = result.x
+        objective = float(self.obj[cols] @ x[cols]) + self.screen.scan(config)[1]
+        return LpResult("optimal", objective, x, result.iterations)
 
+    def flows(self, config: Configuration, x: np.ndarray) -> dict[str, float]:
+        """Column name -> tons for the nonzero entries of a padded `x`."""
+        inst = self.inst
+        chosen = {tag: dict(pairs) for tag, pairs in config_choices(inst, config).items()}
         flows: dict[str, float] = {}
-        for key, v in zip(cols, x):
-            if v == 0.0:
-                continue
-            leg, t_pos, p, i, j = key
-            origin_role, dest_role = next((o, d) for lg, o, d in LEGS if lg == leg)
-            origin_id = inst.role_nodes(origin_role)[i].id
-            dest_id = inst.role_nodes(dest_role)[j].id
-            size_id = None
-            if dest_role in ECHELON_TAGS:
-                spec = inst.echelon(dest_role)
-                size_id = spec.size_options[chosen_size[dest_role][j]].id
-            name = flow_column_name(leg, inst.periods[t_pos].id, p, origin_id, dest_id, size_id)
-            flows[name] = float(v)
-        return FlowLpResult("optimal", float(obj_vec @ x) + install_cost, flows,
-                            result.iterations)
+        for leg, origin_role, dest_role in LEGS:
+            block = x[self.ids[leg]]
+            mats = self.leg_mats[leg]
+            origins, dests = inst.role_nodes(origin_role), inst.role_nodes(dest_role)
+            for t_pos, p_pos, i, j in zip(*np.nonzero(block)):
+                size_id = None
+                if dest_role in ECHELON_TAGS:
+                    size_id = inst.echelon(dest_role).size_options[chosen[dest_role][j]].id
+                name = flow_column_name(leg, inst.periods[t_pos].id, mats[p_pos],
+                                        origins[i].id, dests[j].id, size_id)
+                flows[name] = float(block[t_pos, p_pos, i, j])
+        return flows
 
 
 def solve_flow_lp(inst: Instance, config: Configuration, prune: bool = True,
@@ -412,8 +376,10 @@ def solve_flow_lp(inst: Instance, config: Configuration, prune: bool = True,
                   permute_seed: int | None = None) -> FlowLpResult:
     """Solve the flow LP for one fixed configuration; objective includes the
     configuration's installation cost."""
-    limits = limits or OracleLimits()
-    return _LpFactory(inst, prune, install_cost_mode).solve(config, limits, permute_seed)
+    factory = _LpFactory(inst, prune, install_cost_mode)
+    result = factory.solve(config, limits or OracleLimits(), permute_seed)
+    flows = {} if result.x is None else factory.flows(config, result.x)
+    return FlowLpResult(result.status, result.objective, flows, result.iterations)
 
 
 def _install_values(inst: Instance, config: Configuration) -> dict[str, float]:
@@ -466,7 +432,7 @@ def solve_exact(inst: Instance, limits: OracleLimits | None = None, prune: bool 
     enumerated = pruned = bound_pruned = infeasible = solved = 0
     best_obj: float | None = None
     best_config: Configuration | None = None
-    best_flows: dict[str, float] = {}
+    best_x: np.ndarray | None = None
     for config in configurations:
         enumerated += 1
         if progress is not None and enumerated % 512 == 0:
@@ -493,7 +459,7 @@ def solve_exact(inst: Instance, limits: OracleLimits | None = None, prune: bool 
         if best_obj is None or result.objective < best_obj - limits.tie_tol * max(1.0, abs(best_obj)):
             best_obj = result.objective
             best_config = config
-            best_flows = result.flows
+            best_x = result.x
     wall = time.monotonic() - t0
     cert = OracleCertificate(
         enumerated=enumerated,
@@ -508,7 +474,7 @@ def solve_exact(inst: Instance, limits: OracleLimits | None = None, prune: bool 
     if best_obj is None:
         sol = Solution(values={}, objective_reported=0.0, status="infeasible", source="oracle")
         return sol, cert
-    values = dict(best_flows)
+    values = factory.flows(best_config, best_x)
     values.update(_install_values(inst, best_config))
     sol = Solution(
         values=values,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import ReportError
 from .geo import node_distance_km
-from .instance import ECHELON_TAGS, LEGS, Instance, Node
+from .instance import ECHELON_TAGS, LEGS, Instance, Node, SizeOption
 from .model import Model, VariableIndex
 from .model_io import Solution
 
@@ -67,6 +67,25 @@ def decode_solution(sol: Solution, inst: Instance) -> tuple[list[DecodedFlow], l
         else:
             installs.append(DecodedInstall(*key, value))
     return flows, installs
+
+
+def _open_sites(installs: list[DecodedInstall], inst: Instance) -> list[tuple[str, str, SizeOption]]:
+    """(echelon, site, chosen size option) per open site, echelons in chain
+    order and sites in declaration order; two chosen sizes at one site are
+    an error."""
+    chosen: dict[tuple[str, str], SizeOption] = {}
+    for b in installs:
+        if b.value >= _OPEN_THRESHOLD:
+            if (b.echelon, b.site) in chosen:
+                raise ReportError(f"site {b.site} has two chosen sizes in the solution")
+            options = inst.echelon(b.echelon).size_options
+            chosen[(b.echelon, b.site)] = next(o for o in options if o.id == b.size)
+    return [
+        (tag, site.id, chosen[(tag, site.id)])
+        for tag in ECHELON_TAGS
+        for site in inst.echelon(tag).sites
+        if (tag, site.id) in chosen
+    ]
 
 
 def _fmt6(x: float) -> str:
@@ -122,11 +141,7 @@ def breakdown_costs(sol: Solution, model: Model, inst: Instance) -> CostBreakdow
     horizon = inst.horizon_years()
     multiplier = horizon if model.install_cost_mode == "annualized_times_horizon" else 1.0
     installation = 0.0
-    for b in installs:
-        if b.value < _OPEN_THRESHOLD:
-            continue
-        spec = inst.echelon(b.echelon)
-        option = next(o for o in spec.size_options if o.id == b.size)
+    for _, _, option in _open_sites(installs, inst):
         installation += option.install_cost_annual * multiplier
 
     operating: dict[tuple[str, str], float] = {}
@@ -243,20 +258,11 @@ def export_flows(sol: Solution, inst: Instance) -> FlowTable:
         if tons > _ZERO_FLOW
     )
 
-    annotations = []
-    for tag in ECHELON_TAGS:
-        spec = inst.echelon(tag)
-        site_pos = {n.id: k for k, n in enumerate(spec.sites)}
-        chosen = sorted(
-            (b for b in installs if b.echelon == tag and b.value >= _OPEN_THRESHOLD),
-            key=lambda b: site_pos[b.site],
-        )
-        for b in chosen:
-            option = next(o for o in spec.size_options if o.id == b.size)
-            annotations.append(
-                FacilityAnnotation(tag, b.site, b.size, option.max_capacity_tons)
-            )
-    return FlowTable(rows=rows, facilities=tuple(annotations))
+    annotations = tuple(
+        FacilityAnnotation(tag, site, option.id, option.max_capacity_tons)
+        for tag, site, option in _open_sites(installs, inst)
+    )
+    return FlowTable(rows=rows, facilities=annotations)
 
 
 # ---------------------------------------------------------------------------
@@ -309,13 +315,7 @@ class LayoutExport:
 def export_layout(sol: Solution, inst: Instance) -> LayoutExport:
     """Every network node with its open/size decision where one exists."""
     _, installs = decode_solution(sol, inst)
-    chosen: dict[tuple[str, str], str] = {}
-    for b in installs:
-        if b.value >= _OPEN_THRESHOLD:
-            key = (b.echelon, b.site)
-            if key in chosen:
-                raise ReportError(f"site {b.site} has two chosen sizes in the solution")
-            chosen[key] = b.size
+    chosen = {(tag, site): option.id for tag, site, option in _open_sites(installs, inst)}
     sites: list[SiteLayout] = []
     for n in inst.role_nodes("sources"):
         sites.append(SiteLayout("source", n.id, n.lat, n.lon, None, None))
@@ -359,30 +359,22 @@ def compute_utilization(sol: Solution, inst: Instance) -> list[UtilizationRow]:
             key = (dest_role, f.dest, f.period)
             inflow[key] = inflow.get(key, 0.0) + f.tons
     rows: list[UtilizationRow] = []
-    for tag in ECHELON_TAGS:
-        spec = inst.echelon(tag)
-        site_pos = {n.id: k for k, n in enumerate(spec.sites)}
-        chosen = sorted(
-            (b for b in installs if b.echelon == tag and b.value >= _OPEN_THRESHOLD),
-            key=lambda b: site_pos[b.site],
-        )
-        for b in chosen:
-            option = next(o for o in spec.size_options if o.id == b.size)
-            for t in inst.periods:
-                tons = inflow.get((tag, b.site, t.id), 0.0)
-                cap = option.max_capacity_tons
-                rows.append(
-                    UtilizationRow(
-                        echelon=tag,
-                        site=b.site,
-                        size=b.size,
-                        period=t.id,
-                        inflow_tons=tons,
-                        capacity_tons=cap,
-                        utilization=tons / cap if cap > 0.0 else 0.0,
-                        annual_capacity_tons=cap / t.duration_years,
-                    )
+    for tag, site, option in _open_sites(installs, inst):
+        for t in inst.periods:
+            tons = inflow.get((tag, site, t.id), 0.0)
+            cap = option.max_capacity_tons
+            rows.append(
+                UtilizationRow(
+                    echelon=tag,
+                    site=site,
+                    size=option.id,
+                    period=t.id,
+                    inflow_tons=tons,
+                    capacity_tons=cap,
+                    utilization=tons / cap if cap > 0.0 else 0.0,
+                    annual_capacity_tons=cap / t.duration_years,
                 )
+            )
     return rows
 
 

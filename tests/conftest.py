@@ -8,8 +8,10 @@ conservation acceptance checks both read from it.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -100,26 +102,33 @@ def tiny_suite() -> list[Instance]:
 def suite_run(tiny_suite) -> SuiteRun:
     started = time.perf_counter()
     cmd = adapter_template() if have_scipy_milp() else None
+    models = [build_milp(inst, prune=True) for inst in tiny_suite]
     records = []
-    for inst in tiny_suite:
-        model = build_milp(inst, prune=True)
-        sol_on, cert_on = solve_exact(inst, prune=True)
-        sol_off, _ = solve_exact(inst, prune=False)
-        sol_perm, cert_perm = solve_exact(inst, prune=True, permute_seed=1)
-        sol_scaled, cert_scaled = solve_exact(scale_costs(inst, COST_SCALE), prune=True)
-        external = run_external_solver(model, cmd, time_limit=120.0) if cmd else None
-        records.append(
-            SuiteRecord(
-                inst=inst,
-                model=model,
-                sol_on=sol_on,
-                cert_on=cert_on,
-                sol_off=sol_off,
-                sol_perm=sol_perm,
-                cert_perm=cert_perm,
-                sol_scaled=sol_scaled,
-                cert_scaled=cert_scaled,
-                external=external,
+    # each external solve waits on its own child process, so the solves
+    # overlap with each other and with the oracle passes below
+    with ThreadPoolExecutor(max_workers=min(2, os.cpu_count() or 1)) as pool:
+        externals = [
+            pool.submit(run_external_solver, model, cmd, time_limit=120.0) if cmd else None
+            for model in models
+        ]
+        for inst, model, pending in zip(tiny_suite, models, externals):
+            sol_on, cert_on = solve_exact(inst, prune=True)
+            sol_off, _ = solve_exact(inst, prune=False)
+            sol_perm, cert_perm = solve_exact(inst, prune=True, permute_seed=1)
+            sol_scaled, cert_scaled = solve_exact(scale_costs(inst, COST_SCALE), prune=True)
+            external = pending.result() if pending else None
+            records.append(
+                SuiteRecord(
+                    inst=inst,
+                    model=model,
+                    sol_on=sol_on,
+                    cert_on=cert_on,
+                    sol_off=sol_off,
+                    sol_perm=sol_perm,
+                    cert_perm=cert_perm,
+                    sol_scaled=sol_scaled,
+                    cert_scaled=cert_scaled,
+                    external=external,
+                )
             )
-        )
     return SuiteRun(records=records, wall_seconds=time.perf_counter() - started)

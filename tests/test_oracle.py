@@ -476,3 +476,25 @@ def test_infeasible_widest_lp_proves_infeasibility_with_one_solve(monkeypatch):
     assert cert.infeasible == cert.enumerated - cert.pruned
     assert cert.bound_pruned == 0
     assert len(calls) == 1
+
+
+def test_tiny_suite_lp_sequence_is_golden(monkeypatch):
+    """The tiny suite's LP count, pivot total and certificate totals are
+    pinned, so a change to how the configuration LPs are assembled cannot
+    silently change which LPs run or how the simplex walks them."""
+    pivots = []
+    real_solve_lp = oracle.solve_lp
+
+    def counting_solve_lp(*args, **kwargs):
+        result = real_solve_lp(*args, **kwargs)
+        pivots.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(oracle, "solve_lp", counting_solve_lp)
+    certs = [solve_exact(inst)[1] for inst in make_tiny_suite(2026)]
+    assert len(pivots) == 287
+    assert sum(pivots) == 7_649
+    assert sum(c.enumerated for c in certs) == 19_497
+    assert sum(c.pruned for c in certs) == 19_265
+    assert sum(c.infeasible for c in certs) == 0
+    assert sum(c.solved for c in certs) == 232

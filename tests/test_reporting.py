@@ -264,7 +264,13 @@ def test_layout_geojson_is_valid(hand_case):
     assert cf["properties"]["open"] is True
 
 
-def test_layout_rejects_double_size_claims(hand_case):
+@pytest.mark.parametrize("report", [
+    lambda sol, inst: breakdown_costs(sol, build_milp(inst), inst),
+    export_flows,
+    export_layout,
+    compute_utilization,
+], ids=["breakdown_costs", "export_flows", "export_layout", "compute_utilization"])
+def test_layout_rejects_double_size_claims(hand_case, report):
     from upcyclenet.instance import parse_instance, serialize_instance
 
     inst, _, _ = hand_case
@@ -273,9 +279,10 @@ def test_layout_rejects_double_size_claims(hand_case):
         {"id": "s2", "max_capacity_tons": 30.0, "install_cost_annual": 150.0}
     )
     inst2 = parse_instance(json.dumps(doc))
+    # the objective does not reconcile either: the size check must come first
     sol = Solution(values={"bcf_cf1_s1": 1.0, "bcf_cf1_s2": 1.0}, objective_reported=0.0)
     with pytest.raises(ReportError, match="two chosen sizes"):
-        export_layout(sol, inst2)
+        report(sol, inst2)
 
 
 # ---------------------------------------------------------------------------
