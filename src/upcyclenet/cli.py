@@ -24,11 +24,11 @@ from .instance import (
 )
 from .model import build_milp, count_columns, dump_model
 from .model_io import (
+    _write_mps_file,
     format_solution,
     parse_solution,
     run_external_solver,
     verify_solution,
-    write_mps,
 )
 from .oracle import OracleLimits, solve_exact
 from .reporting import (
@@ -66,7 +66,7 @@ def _cmd_build(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     mps_path = out / "model.mps"
     dump_path = out / "model.dump.txt"
-    mps_path.write_text(write_mps(model))
+    _write_mps_file(model, mps_path)
     dump_path.write_text(dump_model(model))
     print(f"wrote {mps_path}")
     print(f"wrote {dump_path}")

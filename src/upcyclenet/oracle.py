@@ -319,8 +319,8 @@ class _LpFactory:
     def solve(self, config: Configuration, limits: OracleLimits,
               permute_seed: int | None = None) -> LpResult:
         """Solve the configuration's restriction of the all-open LP.  `x` is
-        padded with zeros to the all-open columns, and the objective
-        includes the configuration's installation cost."""
+        padded with zeros to the all-open columns, and the objective is the
+        flow cost only; callers add the installation cost."""
         inst = self.inst
         is_open = {role: np.ones(len(inst.role_nodes(role)), dtype=bool)
                    for role in ("sources", "sinks")}
@@ -348,8 +348,7 @@ class _LpFactory:
             raise OracleError("flow subproblem unbounded; objective data must be nonnegative")
         x = np.zeros(self.obj.size, dtype=np.float64)
         x[order] = result.x
-        objective = float(self.obj[cols] @ x[cols]) + self.screen.scan(config)[1]
-        return LpResult("optimal", objective, x, result.iterations)
+        return LpResult("optimal", float(self.obj[cols] @ x[cols]), x, result.iterations)
 
     def flows(self, config: Configuration, x: np.ndarray) -> dict[str, float]:
         """Column name -> tons for the nonzero entries of a padded `x`."""
@@ -378,8 +377,10 @@ def solve_flow_lp(inst: Instance, config: Configuration, prune: bool = True,
     configuration's installation cost."""
     factory = _LpFactory(inst, prune, install_cost_mode)
     result = factory.solve(config, limits or OracleLimits(), permute_seed)
-    flows = {} if result.x is None else factory.flows(config, result.x)
-    return FlowLpResult(result.status, result.objective, flows, result.iterations)
+    if result.x is None:
+        return FlowLpResult(result.status, result.objective, {}, result.iterations)
+    return FlowLpResult(result.status, result.objective + factory.screen.scan(config)[1],
+                        factory.flows(config, result.x), result.iterations)
 
 
 def _install_values(inst: Instance, config: Configuration) -> dict[str, float]:
@@ -403,11 +404,8 @@ def flow_cost_bound(inst: Instance, prune: bool = True,
 
 def _flow_cost_bound(factory: _LpFactory, limits: OracleLimits,
                      permute_seed: int | None) -> float | None:
-    widest = factory.screen.widest
-    result = factory.solve(widest, limits, permute_seed)
-    if result.status == "infeasible":
-        return None
-    return result.objective - factory.screen.scan(widest)[1]
+    result = factory.solve(factory.screen.widest, limits, permute_seed)
+    return None if result.status == "infeasible" else result.objective
 
 
 def solve_exact(inst: Instance, limits: OracleLimits | None = None, prune: bool = True,
@@ -456,8 +454,9 @@ def solve_exact(inst: Instance, limits: OracleLimits | None = None, prune: bool 
             infeasible += 1
             continue
         solved += 1
-        if best_obj is None or result.objective < best_obj - limits.tie_tol * max(1.0, abs(best_obj)):
-            best_obj = result.objective
+        objective = result.objective + install
+        if best_obj is None or objective < best_obj - limits.tie_tol * max(1.0, abs(best_obj)):
+            best_obj = objective
             best_config = config
             best_x = result.x
     wall = time.monotonic() - t0

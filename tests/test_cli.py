@@ -3,8 +3,9 @@ import json
 import pytest
 
 from conftest import adapter_template, have_scipy_milp
-from upcyclenet import cli
-from upcyclenet.instance import serialize_instance
+from upcyclenet import cli, model_io
+from upcyclenet.instance import parse_instance, serialize_instance
+from upcyclenet.model import build_milp
 from upcyclenet.scenario import make_tiny_suite, single_chain_instance
 
 
@@ -99,6 +100,13 @@ def test_build_writes_model_and_dump(tmp_path, hand_file, capsys):
     out2 = tmp_path / "m2"
     assert cli.main(["build", "--instance", str(hand_file), "--out", str(out2)]) == 0
     assert (out / "model.mps").read_bytes() == (out2 / "model.mps").read_bytes()
+
+
+def test_build_streams_the_bytes_of_write_mps(monkeypatch, tmp_path, hand_file):
+    monkeypatch.setattr(model_io, "_MPS_CHUNK", 2)  # the file is written in many batches
+    assert cli.main(["build", "--instance", str(hand_file), "--out", str(tmp_path)]) == 0
+    model = build_milp(parse_instance(hand_file.read_text()))
+    assert (tmp_path / "model.mps").read_bytes() == model_io.write_mps(model).encode()
 
 
 # ---------------------------------------------------------------------------

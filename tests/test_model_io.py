@@ -8,6 +8,7 @@ import pytest
 from scipy_milp_adapter import read_free_mps, write_solution_file
 from test_instance import minimal_doc, parse_doc
 from test_milp_core import random_shape_doc
+from upcyclenet import model_io
 from upcyclenet.errors import NamingError, SolutionError, SolverRunError
 from upcyclenet.instance import parse_instance, serialize_instance
 from upcyclenet.model import ROW_FAMILIES, build_milp
@@ -230,6 +231,52 @@ def test_column_name_collision_aborts_write():
     forged = dataclasses.replace(inst, cf=forged_cf)
     with pytest.raises(NamingError, match="collision"):
         write_mps(build_milp(forged))
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_mps_bytes_do_not_depend_on_batch_size(monkeypatch, hand_model, chunk):
+    monkeypatch.setattr(model_io, "_MPS_CHUNK", chunk)
+    assert write_mps(hand_model) == GOLDEN_HAND_MPS
+    for (seed, prune), digest in GOLDEN_MPS_SHA256.items():
+        inst = parse_instance(json.dumps(random_shape_doc(np.random.default_rng(seed))))
+        text = write_mps(build_milp(inst, prune=prune))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (seed, prune)
+
+
+def test_column_without_entries_is_written_as_cost_zero(hand_model):
+    import dataclasses
+
+    col = hand_model.index.column("bcf_cf1_s1")
+    objective = hand_model.objective.copy()
+    objective[col] = 0.0
+    block = hand_model.constraints
+    data = np.where(block.indices == col, 0.0, block.data)
+    model = dataclasses.replace(hand_model, objective=objective,
+                                constraints=dataclasses.replace(block, data=data))
+    golden = GOLDEN_HAND_MPS.splitlines(keepends=True)
+    first = golden.index(" bcf_cf1_s1 COST 100.0\n")
+    assert golden[first + 1:first + 3] == [" bcf_cf1_s1 capcf_t1_cf1_s1 -15.0\n",
+                                           " bcf_cf1_s1 onecf_cf1 1.0\n"]
+    golden[first:first + 3] = [" bcf_cf1_s1 COST 0\n"]
+    assert write_mps(model) == "".join(golden)
+
+
+def test_duplicate_row_names_abort_before_any_output(hand_model, tmp_path):
+    import dataclasses
+
+    block = hand_model.constraints
+    names = (block.names[0],) + block.names[:-1]
+    model = dataclasses.replace(hand_model,
+                                constraints=dataclasses.replace(block, names=names))
+    batches = model_io._mps_batches(model)
+    with pytest.raises(NamingError, match=f"row name collision.*'{block.names[0]}'"):
+        next(batches)
+    with pytest.raises(NamingError, match="row name collision"):
+        write_mps(model)
+    path = tmp_path / "model.mps"
+    with pytest.raises(NamingError, match="row name collision"):
+        model_io._write_mps_file(model, path)
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -717,3 +764,16 @@ def test_refinement_leaves_an_exact_solution_untouched(hand_model, tmp_path):
     assert sol.gap == 0.0
     assert "refinement: worst residual 0.000e+00 before" in sol.diagnostics
     assert "solver's values kept" in sol.diagnostics
+
+
+def test_solver_reads_the_bytes_of_write_mps(monkeypatch, tmp_path):
+    monkeypatch.setattr(model_io, "_MPS_CHUNK", 7)  # the file is written in many batches
+    inst = parse_instance(json.dumps(random_shape_doc(np.random.default_rng(3))))
+    model = build_milp(inst)
+    copy = tmp_path / "copy.mps"
+    cmd = write_script(tmp_path, f"""
+        import shutil
+        shutil.copyfile(sys.argv[1], {str(copy)!r})
+        """)
+    assert run_external_solver(model, cmd).status == "unknown"
+    assert copy.read_bytes() == write_mps(model).encode()
