@@ -194,10 +194,12 @@ def _as_string(value: Any, where: str) -> str:
     return value
 
 
-def _parse_node(obj: Any, where: str) -> Node:
+def _parse_node(obj: Any, where: str, role_fields: tuple[str, ...] = ()) -> Node:
+    """A node's id and coordinates.  Any other field is an error unless
+    `role_fields` names it: 'supply' on a source, 'demand' on a sink."""
     if not isinstance(obj, dict):
         raise InstanceError(f"{where}: expected an object")
-    _reject_unknown(obj, {"id", "lat", "lon", "supply", "demand"}, where)
+    _reject_unknown(obj, {"id", "lat", "lon", *role_fields}, where)
     node_id = _as_string(_require(obj, "id", where), f"{where}.id")
     lat = _as_number(_require(obj, "lat", where), f"{where}.lat")
     lon = _as_number(_require(obj, "lon", where), f"{where}.lon")
@@ -372,7 +374,7 @@ def parse_instance(text: str) -> Instance:
         out = []
         for i, o in enumerate(raw):
             w = f"{key}[{i}]"
-            node = _parse_node(o, w)
+            node = _parse_node(o, w, (tp_key,))
             tp = _parse_tp_map(o.get(tp_key), periods, materials, f"{w}.{tp_key}")
             out.append((node, tp))
         _check_unique_ids([n.id for n, _ in out], key[:-1])

@@ -40,24 +40,28 @@ drops flow columns for materials a leg cannot carry (not producible at the
 origin or not accepted at the destination); it never changes the optimal
 objective, only the column count.
 
-Representation.  The rows are one CSR block (`RowBlock`: int64 `indptr`
-and `indices`, float64 `data`, plus `sense`/`rhs` arrays, per-row names,
-families and keys, and family offsets), built by offset arithmetic over
-whole leg and install blocks.  Its arrays are read-only.  Column names
-have one path, `VariableIndex`: it builds them block by block from
-sanitized ids on first use and caches them for the writers, and
-`VariableIndex.column` inverts the formatter arithmetically (prefix, then
-one token -> position map per axis), so no name -> column map is kept.
-`flow_column_name` and `install_column_name`, which the oracle uses for
-single columns, go through the same formatter and length check.
-`Model.rows` offers the same rows as `Row` tuples, built from the block on
-each access, for the listing and per-row reference checks; no writer,
-reader or verification reads it.
+Representation.  Columns have one layout: each leg (`LegSpace`) and each
+echelon's installs (`InstallSpace`) is a `_Block`, the product of its id
+axes in mixed radix, last axis fastest, and `VariableIndex` lays the nine
+blocks end to end.  `_Block` alone turns positions into columns and
+columns back into ids.  Names have one path: `VariableIndex` builds them
+block by block from sanitized ids on first use and caches them, and
+`column` inverts the formatter (prefix -> block, token -> position per
+axis -> `offset`), so no name -> column map is kept.  `flow_column_name`
+and `install_column_name`, which the oracle uses for single columns, go
+through the same formatter.  The rows are one read-only CSR block
+(`RowBlock`: `indptr`, `indices`, `data`, `sense`/`rhs` arrays, per-row
+names, families and keys, family offsets), built from whole column ranges
+of the blocks.  `Model.rows` offers the same rows as `Row` tuples, built
+from the block on each access, for the listing and per-row reference
+checks; no writer, reader or verification reads it.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -92,75 +96,78 @@ def install_column_name(echelon: str, site: str, size: str) -> str:
     return _product_names(f"b{echelon}", ((site,), (size,)))[0]
 
 
-@dataclass(frozen=True)
-class LegSpace:
-    """Index block for one leg's flow columns; `sizes` is empty on the sink leg."""
+class _Block:
+    """One column per combination of axis ids, last axis fastest, numbered
+    from `start`: the model's only mixed-radix arithmetic."""
 
-    leg: str
-    origin_role: str
-    dest_role: str
-    periods: tuple[str, ...]
-    materials: tuple[str, ...]
-    origins: tuple[str, ...]
-    dests: tuple[str, ...]
-    sizes: tuple[str, ...]
-    start: int
+    def __init__(self, prefix: str, axes: tuple[tuple[str, ...], ...], start: int) -> None:
+        self.prefix = prefix
+        self.axes = axes
+        self.start = start
+        self.shape = tuple(len(ids) for ids in axes)
+        self.count = math.prod(self.shape)
 
-    @property
-    def prefix(self) -> str:
-        return FLOW_PREFIXES[self.leg]
+    def offset(self, *positions: int) -> int:
+        """The column at one position per axis.  Positions past the last
+        axis are ignored, so the sink leg takes the same (t, p, i, j, c)
+        as the other legs and drops c."""
+        off = 0
+        for n, k in zip(self.shape, positions):
+            off = off * n + k
+        return self.start + off
 
-    @property
-    def axes(self) -> tuple[tuple[str, ...], ...]:
-        """Id axes in column order, last fastest; no size axis on the sink leg."""
-        axes = (self.periods, self.materials, self.origins, self.dests)
-        return axes + (self.sizes,) if self.sizes else axes
-
-    @property
-    def count(self) -> int:
-        n = len(self.periods) * len(self.materials) * len(self.origins) * len(self.dests)
-        return n * len(self.sizes) if self.sizes else n
-
-    def offset(self, t: int, p: int, i: int, j: int, c: int = 0) -> int:
-        nc = len(self.sizes) if self.sizes else 1
-        idx = ((t * len(self.materials) + p) * len(self.origins) + i) * len(self.dests) + j
-        return self.start + idx * nc + c
-
-    def columns(self, t: int | None = None, p: int | None = None, i: int | None = None,
-                j: int | None = None, c: int | None = None) -> np.ndarray:
-        """Column numbers over the (t, p, origin, dest, size) grid in column
-        order: an axis given as a position is fixed, an axis left None spans
-        all its values."""
-        dims = (len(self.periods), len(self.materials), len(self.origins), len(self.dests),
-                len(self.sizes) or 1)
+    def columns(self, *fixed: int | None) -> np.ndarray:
+        """Column numbers in column order over the grid where an axis given
+        a position is fixed and an axis left None, or not given, spans all
+        its values; positions past the last axis are ignored."""
         cols = np.zeros(1, dtype=np.int64)
-        for fixed, n in zip((t, p, i, j, c), dims):
-            axis = np.arange(n, dtype=np.int64) if fixed is None else np.array([fixed], dtype=np.int64)
-            cols = (cols[:, None] * n + axis[None, :]).ravel()
+        for n, k in zip(self.shape, fixed + (None,) * len(self.shape)):
+            digits = np.arange(n, dtype=np.int64) if k is None else np.array([k], dtype=np.int64)
+            cols = (cols[:, None] * n + digits[None, :]).ravel()
         return self.start + cols
 
+    def ids(self, col: int) -> tuple[str, ...]:
+        """The axis ids of column `col`, which must lie in this block."""
+        off = col - self.start
+        ids = []
+        for axis in reversed(self.axes):
+            off, k = divmod(off, len(axis))
+            ids.append(axis[k])
+        return tuple(reversed(ids))
 
-@dataclass(frozen=True)
-class InstallSpace:
-    echelon: str
-    sites: tuple[str, ...]
-    sizes: tuple[str, ...]
-    start: int
 
-    @property
-    def prefix(self) -> str:
-        return f"b{self.echelon}"
+class LegSpace(_Block):
+    """One leg's flow columns x[t, p, origin, dest, size]; the sink leg has
+    no size axis and `sizes == ()`."""
 
-    @property
-    def axes(self) -> tuple[tuple[str, ...], ...]:
-        return (self.sites, self.sizes)
+    def __init__(self, leg: str, origin_role: str, dest_role: str,
+                 axes: tuple[tuple[str, ...], ...], start: int) -> None:
+        super().__init__(FLOW_PREFIXES[leg], axes, start)
+        self.leg = leg
+        self.origin_role = origin_role
+        self.dest_role = dest_role
+        self.periods, self.materials, self.origins, self.dests = axes[:4]
+        self.sizes = axes[4] if len(axes) > 4 else ()
 
-    @property
-    def count(self) -> int:
-        return len(self.sites) * len(self.sizes)
+    def key(self, col: int) -> tuple:
+        """('flow', leg, t, p, origin, dest, size-or-None)."""
+        ids = self.ids(col)
+        if not self.sizes:
+            ids += (None,)
+        return ("flow", self.leg) + ids
 
-    def offset(self, site: int, size: int) -> int:
-        return self.start + site * len(self.sizes) + size
+
+class InstallSpace(_Block):
+    """One echelon's install binaries b[site, size]."""
+
+    def __init__(self, echelon: str, axes: tuple[tuple[str, ...], ...], start: int) -> None:
+        super().__init__(f"b{echelon}", axes, start)
+        self.echelon = echelon
+        self.sites, self.sizes = axes
+
+    def key(self, col: int) -> tuple:
+        """('install', echelon, site, size)."""
+        return ("install", self.echelon) + self.ids(col)
 
 
 def _product_names(prefix: str, axes: tuple[tuple[str, ...], ...]) -> list[str]:
@@ -184,13 +191,10 @@ def _check_length(names: list[str], kind: str) -> list[str]:
 
 class VariableIndex:
     """Arithmetic bijection between variable keys and column numbers, plus
-    the model's one column-naming path.
-
-    Keys and offsets are pure arithmetic.  Column names are built once, on
-    first use, block by block, and cached for the writers; `column` maps a
-    name back to its column by the same arithmetic, through one
-    {sanitized id: position} map per axis, so no per-column map exists.
-    """
+    the model's one column-naming path: the five leg blocks in chain order,
+    then the four install blocks, end to end.  Names are built on first use
+    and cached; `column` inverts them through one {sanitized id: position}
+    map per axis, so no per-column map exists."""
 
     def __init__(self, inst: Instance, prune: bool) -> None:
         for role in ("sources",) + ECHELON_TAGS + ("sinks",):
@@ -199,48 +203,33 @@ class VariableIndex:
         self.instance = inst
         self.prune = prune
         periods = tuple(t.id for t in inst.periods)
-        legs = []
+        blocks: list[_Block] = []
         at = 0
         for leg, origin_role, dest_role in LEGS:
-            origins = tuple(n.id for n in inst.role_nodes(origin_role))
-            dests = tuple(n.id for n in inst.role_nodes(dest_role))
-            sizes: tuple[str, ...] = ()
+            axes = (periods, inst.leg_materials(leg, prune),
+                    tuple(n.id for n in inst.role_nodes(origin_role)),
+                    tuple(n.id for n in inst.role_nodes(dest_role)))
             if dest_role in ECHELON_TAGS:
-                sizes = tuple(o.id for o in inst.echelon(dest_role).size_options)
-            space = LegSpace(
-                leg=leg,
-                origin_role=origin_role,
-                dest_role=dest_role,
-                periods=periods,
-                materials=inst.leg_materials(leg, prune),
-                origins=origins,
-                dests=dests,
-                sizes=sizes,
-                start=at,
-            )
-            legs.append(space)
-            at += space.count
-        self.legs: tuple[LegSpace, ...] = tuple(legs)
+                axes += (tuple(o.id for o in inst.echelon(dest_role).size_options),)
+            blocks.append(LegSpace(leg, origin_role, dest_role, axes, at))
+            at += blocks[-1].count
         self.n_continuous = at
-        installs = []
         for tag in ECHELON_TAGS:
             spec = inst.echelon(tag)
-            space = InstallSpace(
-                echelon=tag,
-                sites=tuple(n.id for n in spec.sites),
-                sizes=tuple(o.id for o in spec.size_options),
-                start=at,
-            )
-            installs.append(space)
-            at += space.count
-        self.installs: tuple[InstallSpace, ...] = tuple(installs)
+            axes = (tuple(n.id for n in spec.sites), tuple(o.id for o in spec.size_options))
+            blocks.append(InstallSpace(tag, axes, at))
+            at += blocks[-1].count
         self.n_columns = at
         self.n_binary = at - self.n_continuous
+        self._blocks = tuple(blocks)
+        self.legs: tuple[LegSpace, ...] = self._blocks[:len(LEGS)]
+        self.installs: tuple[InstallSpace, ...] = self._blocks[len(LEGS):]
+        self._starts = [block.start for block in self._blocks]
         self._leg_by_id = {s.leg: s for s in self.legs}
         self._install_by_tag = {s.echelon: s for s in self.installs}
-        self._axes_by_prefix = {
-            space.prefix: (space.start, tuple(_token_positions(ids) for ids in space.axes))
-            for space in self.legs + self.installs
+        self._by_prefix = {
+            block.prefix: (block, tuple(_token_positions(ids) for ids in block.axes))
+            for block in self._blocks
         }
         self._names: tuple[str, ...] | None = None
 
@@ -254,65 +243,37 @@ class VariableIndex:
         """('flow', leg, t, p, origin, dest, size-or-None) or ('install', echelon, site, size)."""
         if not 0 <= col < self.n_columns:
             raise IndexError(col)
-        if col >= self.n_continuous:
-            for space in self.installs:
-                if col < space.start + space.count:
-                    off = col - space.start
-                    site, size = divmod(off, len(space.sizes))
-                    return ("install", space.echelon, space.sites[site], space.sizes[size])
-            raise AssertionError("unreachable")
-        for space in self.legs:
-            if col < space.start + space.count:
-                off = col - space.start
-                if space.sizes:
-                    off, c = divmod(off, len(space.sizes))
-                    size = space.sizes[c]
-                else:
-                    size = None
-                off, j = divmod(off, len(space.dests))
-                off, i = divmod(off, len(space.origins))
-                t, p = divmod(off, len(space.materials))
-                return (
-                    "flow",
-                    space.leg,
-                    space.periods[t],
-                    space.materials[p],
-                    space.origins[i],
-                    space.dests[j],
-                    size,
-                )
-        raise AssertionError("unreachable")
+        # the last block starting at or before `col`: an empty block starts
+        # where the next one does, so it is never the one found
+        return self._blocks[bisect.bisect_right(self._starts, col) - 1].key(col)
 
     def column(self, name: str) -> int | None:
         """The column called `name`, or None if no column has that name.
 
-        Inverts the formatter: the prefix picks the block, each token's
-        position on its axis is a digit, and the digits combine in the
-        mixed radix of the axis lengths, as in `offset`.  Exact because
+        Inverts the formatter: the prefix picks the block, and each token's
+        position on its axis goes to the block's `offset`.  Exact because
         sanitized ids contain no '_'.
         """
         prefix, *tokens = name.split("_")
-        block = self._axes_by_prefix.get(prefix)
-        if block is None:
+        entry = self._by_prefix.get(prefix)
+        if entry is None:
             return None
-        start, axes = block
+        block, axes = entry
         if len(tokens) != len(axes):
             return None
-        off = 0
-        for token, positions in zip(tokens, axes):
-            k = positions.get(token)
-            if k is None:
-                return None
-            off = off * len(positions) + k
-        return start + off
+        try:
+            positions = [axis[token] for token, axis in zip(tokens, axes)]
+        except KeyError:
+            return None
+        return block.offset(*positions)
 
     @property
     def names(self) -> tuple[str, ...]:
         """Every column name in column order (cached, immutable)."""
         if self._names is None:
             names: list[str] = []
-            for space in self.legs + self.installs:
-                names += _product_names(space.prefix, space.axes)
+            for block in self._blocks:
+                names += _product_names(block.prefix, block.axes)
             self._names = tuple(names)
         return self._names
 
@@ -522,20 +483,15 @@ def build_objective(inst: Instance, vindex: VariableIndex, dists: tuple[Distance
         per_ton = dt[:, None, None, None] * (
             op + 2.0 * km[None, None, :, :] * rate[None, :, None, None]
         )
-        if space.sizes:
-            per_ton = np.repeat(per_ton.reshape(-1), len(space.sizes))
-        else:
-            per_ton = per_ton.reshape(-1)
-        obj[space.start : space.start + space.count] = per_ton
-    horizon = inst.horizon_years()
+        # one per-ton cost for every size option of the destination
+        n_sizes = len(space.sizes) or 1
+        obj[space.start : space.start + space.count] = np.repeat(per_ton.ravel(), n_sizes)
     for space in vindex.installs:
-        spec = inst.echelon(space.echelon)
-        for s in range(len(space.sites)):
-            for c, opt in enumerate(spec.size_options):
-                cost = opt.install_cost_annual
-                if install_cost_mode == "annualized_times_horizon":
-                    cost *= horizon
-                obj[space.offset(s, c)] = cost
+        options = inst.echelon(space.echelon).size_options
+        cost = np.array([opt.install_cost_annual for opt in options], dtype=np.float64)
+        if install_cost_mode == "annualized_times_horizon":
+            cost *= inst.horizon_years()
+        obj[space.start : space.start + space.count] = np.tile(cost, len(space.sites))
     return obj
 
 
@@ -570,8 +526,7 @@ def build_rows(inst: Instance, vindex: VariableIndex) -> RowBlock:
             seg_coef.append(coef)
         row_nnz.append(sum(len(cols) for cols, _ in segments))
 
-    leg = {s.leg: s for s in vindex.legs}
-    leg0, leg1, leg2, leg3, leg4 = (leg[l] for l in ("src_cf", "cf_rtf", "rtf_cpf", "cpf_dpf", "dpf_sink"))
+    leg0, leg1, leg2, leg3, leg4 = vindex.legs
     in_leg_of = {"cf": leg0, "rtf": leg1, "cpf": leg2, "dpf": leg3}
     out_leg_of = {"cf": leg1, "rtf": leg2, "cpf": leg3, "dpf": leg4}
     no_cols = np.zeros(0, dtype=np.int64)
@@ -649,10 +604,9 @@ def build_rows(inst: Instance, vindex: VariableIndex) -> RowBlock:
     for tag in ECHELON_TAGS:
         spec = inst.echelon(tag)
         ispace = vindex.install(tag)
-        n_sizes = len(spec.size_options)
         for j_idx, site in enumerate(spec.sites):
             emit(_row_name(f"one{tag}", site.id), "one_size", (tag, site.id), "L", 1.0,
-                 (ispace.offset(j_idx, 0) + np.arange(n_sizes, dtype=np.int64), 1.0))
+                 (ispace.columns(j_idx), 1.0))
     family_offsets.append(len(names))
 
     block = RowBlock(

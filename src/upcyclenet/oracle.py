@@ -69,8 +69,6 @@ _LEG_OUT_OF = {"cf": "cf_rtf", "rtf": "rtf_cpf", "cpf": "cpf_dpf", "dpf": "dpf_s
 class OracleLimits:
     max_configs: int = 2**20
     max_iterations: int = 50_000
-    degenerate_limit: int = 1_000
-    phase1_tol: float = 1e-7
     capacity_pruning: bool = True
     tie_tol: float = 1e-9
 
@@ -339,9 +337,7 @@ class _LpFactory:
             order = cols[np.random.default_rng(permute_seed).permutation(cols.size)]
         result = solve_lp(self.obj[order], self.a[np.ix_(rows, order)],
                           [self.senses[r] for r in rows], rhs[rows],
-                          max_iterations=limits.max_iterations,
-                          degenerate_limit=limits.degenerate_limit,
-                          phase1_tol=limits.phase1_tol)
+                          max_iterations=limits.max_iterations)
         if result.status == "infeasible":
             return LpResult("infeasible", 0.0, None, result.iterations)
         if result.status == "unbounded":

@@ -33,7 +33,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InstanceError
-from .instance import ECHELON_TAGS, Instance, parse_instance, serialize_instance
+from .instance import (
+    ECHELON_TAGS,
+    Instance,
+    _as_number,
+    _reject_unknown,
+    _require,
+    parse_instance,
+    serialize_instance,
+)
 
 GERMANY_BBOX = (47.27, 55.06, 5.87, 15.04)  # lat min, lat max, lon min, lon max
 
@@ -127,39 +135,25 @@ class GenSpec:
 
     @staticmethod
     def from_json(text: str, seed: int | None = None) -> "GenSpec":
+        """A spec from a JSON object of field overrides; every field's type
+        and shape is checked, and a bad one is an InstanceError naming it."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InstanceError(f"generator spec is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise InstanceError("generator spec root must be an object")
-        plain = {
-            "seed", "n_sources", "n_cf", "n_rtf", "n_cpf", "n_dpf", "n_sinks",
-            "n_periods", "period_years", "quota_level", "demand_margin",
-        }
         kwargs: dict = {}
         for key, value in doc.items():
-            if key in plain:
-                kwargs[key] = value
-            elif key == "supply_variation_pct":
-                kwargs[key] = (float(value[0]), float(value[1]))
-            elif key == "supply_range_tons":
-                kwargs[key] = (float(value[0]), float(value[1]))
-            elif key == "bbox":
-                kwargs[key] = tuple(float(v) for v in value)
+            where = f"generator spec: {key}"
+            if key in _SPEC_INTEGERS:
+                kwargs[key] = _spec_integer(value, where)
+            elif key in _SPEC_NUMBERS:
+                kwargs[key] = _as_number(value, where)
+            elif key in _SPEC_ARRAYS:
+                kwargs[key] = _spec_numbers(value, _SPEC_ARRAYS[key], where)
             elif key == "ladders":
-                ladders = dict(DEFAULT_LADDERS)
-                for tag, lad in value.items():
-                    if tag not in ECHELON_TAGS:
-                        raise InstanceError(f"generator spec: unknown echelon '{tag}'")
-                    ladders[tag] = SizeLadder(
-                        count=int(lad["count"]),
-                        base_capacity=float(lad["base_capacity"]),
-                        growth_ratio=float(lad["growth_ratio"]),
-                        base_cost=float(lad["base_cost"]),
-                        exponent=float(lad["exponent"]),
-                    )
-                kwargs["ladders"] = ladders
+                kwargs[key] = _spec_ladders(value, where)
             else:
                 raise InstanceError(f"generator spec: unknown field '{key}'")
         if seed is not None:
@@ -167,6 +161,45 @@ class GenSpec:
         spec = GenSpec(**kwargs)
         spec.validate()
         return spec
+
+
+_SPEC_INTEGERS = ("seed", "n_sources", "n_cf", "n_rtf", "n_cpf", "n_dpf", "n_sinks", "n_periods")
+_SPEC_NUMBERS = ("period_years", "quota_level", "demand_margin")
+_SPEC_ARRAYS = {"supply_variation_pct": 2, "supply_range_tons": 2, "bbox": 4}  # field: length
+_LADDER_FIELDS = ("count", "base_capacity", "growth_ratio", "base_cost", "exponent")
+
+
+def _spec_integer(value: object, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InstanceError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _spec_numbers(value: object, length: int, where: str) -> tuple[float, ...]:
+    if not isinstance(value, list) or len(value) != length:
+        raise InstanceError(f"{where}: expected an array of {length} numbers, got {value!r}")
+    return tuple(_as_number(v, f"{where}[{k}]") for k, v in enumerate(value))
+
+
+def _spec_ladders(value: object, where: str) -> dict[str, SizeLadder]:
+    """The default ladders with the given echelons' ladders replaced; a
+    given ladder sets all five fields."""
+    if not isinstance(value, dict):
+        raise InstanceError(f"{where}: expected an object keyed by echelon")
+    ladders = dict(DEFAULT_LADDERS)
+    for tag, lad in value.items():
+        if tag not in ECHELON_TAGS:
+            raise InstanceError(f"generator spec: unknown echelon '{tag}'")
+        at = f"{where}.{tag}"
+        if not isinstance(lad, dict):
+            raise InstanceError(f"{at}: expected an object")
+        _reject_unknown(lad, set(_LADDER_FIELDS), at)
+        fields = {f: _require(lad, f, at) for f in _LADDER_FIELDS}
+        ladders[tag] = SizeLadder(
+            count=_spec_integer(fields.pop("count"), f"{at}.count"),
+            **{f: _as_number(v, f"{at}.{f}") for f, v in fields.items()},
+        )
+    return ladders
 
 
 class _Rand:

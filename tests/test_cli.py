@@ -3,6 +3,7 @@ import json
 import pytest
 
 from conftest import adapter_template, have_scipy_milp
+from test_scenario import BAD_SPECS
 from upcyclenet import cli, model_io
 from upcyclenet.instance import parse_instance, serialize_instance
 from upcyclenet.model import build_milp
@@ -248,6 +249,18 @@ def test_gen_is_deterministic_per_seed(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes() != c.read_bytes()
     assert "binary variables unpruned" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("doc, message", BAD_SPECS)
+def test_gen_reports_bad_spec_fields_without_a_traceback(tmp_path, capsys, doc, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    rc = cli.main(["gen", "--out", str(tmp_path / "x.json"), "--spec", str(spec)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: generator spec: ") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_gen_rejects_bad_spec(tmp_path, capsys):

@@ -107,6 +107,25 @@ def test_parse_rejects_bad_documents(mutate, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "role, field, where",
+    [
+        ("sinks", "supply", "sinks[0]"),
+        ("sources", "demand", "sources[0]"),
+        ("cf", "supply", "echelons.cf.sites[0]"),
+        ("dpf", "demand", "echelons.dpf.sites[0]"),
+    ],
+)
+def test_parse_rejects_role_fields_on_the_wrong_node(role, field, where):
+    # a misplaced supply or demand used to parse and then vanish
+    doc = minimal_doc()
+    node = doc[role][0] if role in ("sources", "sinks") else doc["echelons"][role]["sites"][0]
+    node[field] = {"t1": {"w": 5.0}}
+    with pytest.raises(InstanceError) as err:
+        parse_doc(doc)
+    assert str(err.value) == f"{where}: unknown field '{field}'"
+
+
 def test_parse_rejects_duplicate_and_colliding_ids():
     doc = minimal_doc()
     doc["sources"].append(dict(doc["sources"][0]))

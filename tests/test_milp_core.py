@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from scipy_milp_adapter import read_free_mps
 from test_instance import minimal_doc, parse_doc
 from upcyclenet.errors import ModelError, NamingError
 from upcyclenet.geo import haversine_km
-from upcyclenet.instance import Node, parse_instance
+from upcyclenet.instance import Node, parse_instance, serialize_instance
 from upcyclenet.model import (
     ROW_FAMILIES,
     build_milp,
@@ -19,6 +20,7 @@ from upcyclenet.model import (
     index_variables,
     install_column_name,
 )
+from upcyclenet.model_io import write_mps
 from upcyclenet.scenario import single_chain_instance
 
 ECH = ("cf", "rtf", "cpf", "dpf")
@@ -292,6 +294,30 @@ def test_single_column_names_match_the_cached_block_names():
     assert install_column_name("cf", "site 1", "s.1") == "bcf_site-1_s-1"
     with pytest.raises(NamingError, match="exceeds 64"):
         install_column_name("cf", "x" * 70, "s1")
+
+
+def test_empty_leg_block_at_the_bisect_boundary():
+    # a second material 'g' that only the CF makes and the RTF does not
+    # accept: with pruning on, cf_rtf has no columns and starts where
+    # rtf_cpf starts, so a column lookup by block start must skip it
+    doc = json.loads(serialize_instance(single_chain_instance()))
+    doc["materials"].append("g")
+    doc["transport_cost"]["g"] = 0.1
+    doc["echelons"]["cf"].update(outputs=["g"], yields={"g": 1.0})
+    inst = parse_instance(json.dumps(doc))
+    for prune, counts in ((True, [1, 0, 1, 1, 1]), (False, [2, 2, 2, 2, 2])):
+        model = build_milp(inst, prune=prune)
+        vindex = model.index
+        assert [space.count for space in vindex.legs] == counts
+        names = vindex.names
+        assert [vindex.column(name) for name in names] == list(range(vindex.n_columns))
+        keys = [vindex.column_key(col) for col in range(vindex.n_columns)]
+        assert len(set(keys)) == len(keys)
+        for key, name in zip(keys, names):
+            assert key[1] != "cf_rtf" or not prune
+            single = flow_column_name(*key[1:]) if key[0] == "flow" else install_column_name(*key[1:])
+            assert single == name
+        assert read_free_mps(write_mps(model)).column_order == list(names)
 
 
 def test_flow_columns_precede_installs_in_chain_order():

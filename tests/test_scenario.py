@@ -66,6 +66,38 @@ def test_genspec_from_json_rejects_unknown_fields():
         GenSpec.from_json('{"mystery": 1}')
 
 
+# spec documents that once escaped from_json as raw Python exceptions,
+# with the field each error must name
+BAD_SPECS = [
+    ({"ladders": {"cf": {}}}, "ladders.cf: missing required field 'count'"),
+    ({"n_sources": "abc"}, "n_sources: expected an integer"),
+    ({"n_sources": 2.5}, "n_sources: expected an integer"),
+    ({"bbox": [1, 2]}, "bbox: expected an array of 4 numbers"),
+    ({"supply_range_tons": 5}, "supply_range_tons: expected an array of 2 numbers"),
+    ({"ladders": []}, "ladders: expected an object"),
+]
+
+
+@pytest.mark.parametrize("doc, message", BAD_SPECS)
+def test_genspec_from_json_rejects_bad_field_types(doc, message):
+    with pytest.raises(InstanceError) as err:
+        GenSpec.from_json(json.dumps(doc))
+    assert message in str(err.value)
+
+
+def test_genspec_from_json_counts_are_integers_not_bools():
+    for field in ("n_cf", "n_periods", "seed"):
+        with pytest.raises(InstanceError, match=field):
+            GenSpec.from_json(json.dumps({field: True}))
+    ladder = {"count": 2.0, "base_capacity": 10, "growth_ratio": 2, "base_cost": 1, "exponent": 0.7}
+    with pytest.raises(InstanceError, match="ladders.rtf.count"):
+        GenSpec.from_json(json.dumps({"ladders": {"rtf": ladder}}))
+    ladder["count"] = 2
+    spec = GenSpec.from_json(json.dumps({"ladders": {"rtf": ladder}}))
+    assert spec.ladders["rtf"] == SizeLadder(2, 10.0, 2.0, 1.0, 0.7)
+    assert spec.ladders["cf"] == DEFAULT_LADDERS["cf"]
+
+
 def test_genspec_rejects_bad_values():
     with pytest.raises(InstanceError):
         GenSpec(n_sources=0).validate()
