@@ -39,8 +39,6 @@ LEGS = (
     ("cpf_dpf", "cpf", "dpf"),
     ("dpf_sink", "dpf", "sinks"),
 )
-LEG_IDS = tuple(leg[0] for leg in LEGS)
-
 _SANITIZE_RE = re.compile(r"[^A-Za-z0-9-]")
 
 

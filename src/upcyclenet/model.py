@@ -37,8 +37,12 @@ Column order is deterministic: the five legs in chain order, each
 lexicographic by (t, p, origin, dest, c) in instance declaration order,
 then the install binaries grouped by echelon.  Material pruning (`prune`)
 drops flow columns for materials a leg cannot carry (not producible at the
-origin or not accepted at the destination); it never changes the optimal
-objective, only the column count.
+origin or not accepted at the destination).  It does not change the
+optimal objective, only the column count, except on an instance that
+`validate_instance` warns about with `quota-uncollectable` or
+`orphan-output`: there the unpruned model lets the material vanish at a
+facility that does not accept it, so it can be feasible where the pruned
+model is infeasible.
 
 Representation.  Columns have one layout: each leg (`LegSpace`) and each
 echelon's installs (`InstallSpace`) is a `_Block`, the product of its id
@@ -116,15 +120,10 @@ class _Block:
             off = off * n + k
         return self.start + off
 
-    def columns(self, *fixed: int | None) -> np.ndarray:
-        """Column numbers in column order over the grid where an axis given
-        a position is fixed and an axis left None, or not given, spans all
-        its values; positions past the last axis are ignored."""
-        cols = np.zeros(1, dtype=np.int64)
-        for n, k in zip(self.shape, fixed + (None,) * len(self.shape)):
-            digits = np.arange(n, dtype=np.int64) if k is None else np.array([k], dtype=np.int64)
-            cols = (cols[:, None] * n + digits[None, :]).ravel()
-        return self.start + cols
+    def grid(self) -> np.ndarray:
+        """Every column number, shaped like the block: the column at one
+        position per axis is `grid()[positions]`."""
+        return self.start + np.arange(self.count, dtype=np.int64).reshape(self.shape)
 
     def ids(self, col: int) -> tuple[str, ...]:
         """The axis ids of column `col`, which must lie in this block."""
@@ -200,8 +199,6 @@ class VariableIndex:
         for role in ("sources",) + ECHELON_TAGS + ("sinks",):
             if not inst.role_nodes(role):
                 raise ModelError(f"echelon chain position '{role}' has no nodes")
-        self.instance = inst
-        self.prune = prune
         periods = tuple(t.id for t in inst.periods)
         blocks: list[_Block] = []
         at = 0
@@ -501,8 +498,8 @@ def _row_name(prefix: str, *parts: str) -> str:
 
 def build_rows(inst: Instance, vindex: VariableIndex) -> RowBlock:
     """All constraint rows in canonical family order as one CSR block; see
-    module docstring.  Each row's columns come from offset arithmetic over
-    whole leg and install blocks, not from one offset call per column."""
+    module docstring.  Each row's columns are a slice of its block's column
+    grid, not one offset call per column."""
     names: list[str] = []
     families: list[str] = []
     keys: list[tuple] = []
@@ -530,13 +527,16 @@ def build_rows(inst: Instance, vindex: VariableIndex) -> RowBlock:
     in_leg_of = {"cf": leg0, "rtf": leg1, "cpf": leg2, "dpf": leg3}
     out_leg_of = {"cf": leg1, "rtf": leg2, "cpf": leg3, "dpf": leg4}
     no_cols = np.zeros(0, dtype=np.int64)
+    # local to this build: kept on the blocks, the grids would hold about
+    # 3 MB in every default-shape model
+    grid = {block: block.grid() for block in vindex.legs + vindex.installs}
 
-    def leg_cols(space: LegSpace, t: int, p_id: str, i: int | None = None,
-                 j: int | None = None) -> np.ndarray:
+    def leg_cols(space: LegSpace, t: int, p_id: str, i: int | slice = slice(None),
+                 j: int | slice = slice(None)) -> np.ndarray:
         """Columns of one leg for fixed (t, material) and optional origin/dest, all sizes."""
         if p_id not in space.materials:
             return no_cols
-        return space.columns(t, space.materials.index(p_id), i, j)
+        return grid[space][t, space.materials.index(p_id), i, j].ravel()
 
     # demand: inflow at a sink capped by declared demand (0 when undeclared)
     for t_idx, t in enumerate(inst.periods):
@@ -595,9 +595,8 @@ def build_rows(inst: Instance, vindex: VariableIndex) -> RowBlock:
                 for c_idx, opt in enumerate(spec.size_options):
                     emit(_row_name(f"cap{tag}", t.id, site.id, opt.id), "facility_cap",
                          (tag, t.id, site.id, opt.id), "L", 0.0,
-                         (lin.columns(t_idx, None, None, j_idx, c_idx), 1.0),
-                         (np.array([ispace.offset(j_idx, c_idx)], dtype=np.int64),
-                          -opt.max_capacity_tons))
+                         (grid[lin][t_idx, :, :, j_idx, c_idx].ravel(), 1.0),
+                         (grid[ispace][j_idx, c_idx:c_idx + 1], -opt.max_capacity_tons))
     family_offsets.append(len(names))
 
     # one_size: at most one size option installed per site
@@ -606,7 +605,7 @@ def build_rows(inst: Instance, vindex: VariableIndex) -> RowBlock:
         ispace = vindex.install(tag)
         for j_idx, site in enumerate(spec.sites):
             emit(_row_name(f"one{tag}", site.id), "one_size", (tag, site.id), "L", 1.0,
-                 (ispace.columns(j_idx), 1.0))
+                 (grid[ispace][j_idx], 1.0))
     family_offsets.append(len(names))
 
     block = RowBlock(

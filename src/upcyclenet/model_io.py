@@ -98,8 +98,8 @@ def _value_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[new], ids
 
 
-def _mps_batches(model: Model, name: str = "") -> Iterator[bytes]:
-    """`write_mps(model, name)` encoded as UTF-8, in consecutive batches:
+def _mps_batches(model: Model) -> Iterator[bytes]:
+    """`write_mps(model)` encoded as UTF-8, in consecutive batches:
     the sections before COLUMNS, each batch of up to `_MPS_CHUNK` COLUMNS
     lines, each marker line and the sections after COLUMNS.  The row names
     are checked before the first batch is made."""
@@ -108,7 +108,7 @@ def _mps_batches(model: Model, name: str = "") -> Iterator[bytes]:
     duplicate = first_duplicate(block.names)
     if duplicate is not None:
         raise NamingError(f"row name collision after sanitization: '{duplicate}'")
-    head = [f"NAME {name or 'UPCYCLENET'}", "ROWS", " N COST"]
+    head = ["NAME UPCYCLENET", "ROWS", " N COST"]
     head += [f" {sense} {row}" for sense, row in zip(block.sense.tolist(), block.names)]
     head.append("COLUMNS\n")
     yield "\n".join(head).encode()
@@ -164,7 +164,7 @@ def _mps_batches(model: Model, name: str = "") -> Iterator[bytes]:
     yield "\n".join(tail).encode()
 
 
-def write_mps(model: Model, name: str = "") -> str:
+def write_mps(model: Model) -> str:
     """Free-format MPS text for the model.
 
     Sections NAME, ROWS, COLUMNS, RHS, BOUNDS, ENDATA; binaries sit inside a
@@ -187,7 +187,7 @@ def write_mps(model: Model, name: str = "") -> str:
     by `_`, and the `repr` of a float is ASCII (digits, `.`, `-`, `+`, `e`,
     `inf`, `nan`).
     """
-    return "".join(batch.decode() for batch in _mps_batches(model, name))
+    return "".join(batch.decode() for batch in _mps_batches(model))
 
 
 def _write_mps_file(model: Model, path: Path) -> None:

@@ -27,13 +27,12 @@ lexicographically smallest, configuration.
 Two exact pruning rules skip configurations without solving their LP, and
 neither changes the reported optimum, configuration or flows:
 
-* the capacity screen (optional, `OracleLimits.capacity_pruning`) drops a
-  configuration whose open capacity cannot carry the quota-mandated
-  tonnage;
+* the capacity screen drops a configuration whose open capacity cannot
+  carry the quota-mandated tonnage;
 * the bound prune (always on) solves the all-open LP before the loop.  Its
   flow cost bounds every configuration's flow cost from below, so once an
   incumbent exists a configuration is skipped when its install cost plus
-  the bound exceeds the incumbent by more than `tie_tol`, i.e. when it
+  the bound exceeds the incumbent by more than `TIE_TOL`, i.e. when it
   could never replace the incumbent (Land & Doig, Econometrica 1960).  If
   the all-open LP is infeasible, so is every configuration, and none is
   solved.
@@ -47,8 +46,9 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,6 +61,10 @@ from .simplex import LpResult, solve_lp
 
 Configuration = tuple[int, ...]
 
+# relative: a configuration replaces the incumbent only if cheaper by more
+# than this, so ties go to the lexicographically smallest
+TIE_TOL = 1e-9
+
 _LEG_INTO = {"cf": "src_cf", "rtf": "cf_rtf", "cpf": "rtf_cpf", "dpf": "cpf_dpf"}
 _LEG_OUT_OF = {"cf": "cf_rtf", "rtf": "rtf_cpf", "cpf": "cpf_dpf", "dpf": "dpf_sink"}
 
@@ -69,8 +73,6 @@ _LEG_OUT_OF = {"cf": "cf_rtf", "rtf": "rtf_cpf", "cpf": "cpf_dpf", "dpf": "dpf_s
 class OracleLimits:
     max_configs: int = 2**20
     max_iterations: int = 50_000
-    capacity_pruning: bool = True
-    tie_tol: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -97,103 +99,115 @@ class OracleCertificate:
         )
 
 
+class _Slot(NamedTuple):
+    """One site's entry in a configuration: 0 closed, k its k-th size option."""
+
+    tag: str
+    echelon: int  # position of `tag` in ECHELON_TAGS
+    site: int  # position among the echelon's sites
+    site_id: str
+    sizes: tuple[str, ...]  # size option ids
+    caps: tuple[float, ...]  # capacity per size option
+    costs: tuple[float, ...]  # install cost per size option, for the horizon
+
+
+class _SlotTable:
+    """The instance's site slots in configuration order, the forced tonnage
+    per echelon, and `widest`; the only code that turns a configuration
+    into open sites."""
+
+    def __init__(self, inst: Instance,
+                 install_cost_mode: str = "annualized_times_horizon") -> None:
+        multiplier = inst.horizon_years() if install_cost_mode == "annualized_times_horizon" else 1.0
+        slots = []
+        for e, tag in enumerate(ECHELON_TAGS):
+            spec = inst.echelon(tag)
+            caps = tuple(o.max_capacity_tons for o in spec.size_options)
+            costs = tuple(o.install_cost_annual * multiplier for o in spec.size_options)
+            sizes = tuple(o.id for o in spec.size_options)
+            slots += [_Slot(tag, e, j, site.id, sizes, caps, costs)
+                      for j, site in enumerate(spec.sites)]
+        self.slots = tuple(slots)
+        self.count = math.prod(len(s.sizes) + 1 for s in slots)
+        # every site open at the size with the largest capacity, first on a tie
+        self.widest: Configuration = tuple(1 + s.caps.index(max(s.caps)) for s in slots)
+        # per echelon: the largest tonnage the quota forces through it
+        per_period = forced_inflow_tons(inst).values()
+        self.forced = tuple(max([0.0] + [f[tag] for f in per_period]) for tag in ECHELON_TAGS)
+
+    def configurations(self, max_configs: int) -> Iterator[Configuration]:
+        """Every configuration, lexicographic; refuses more than `max_configs`."""
+        if self.count > max_configs:
+            raise OracleError(
+                f"{self.count} configurations exceed the enumeration limit {max_configs}"
+            )
+        return itertools.product(*(range(len(s.sizes) + 1) for s in self.slots))
+
+    def open_sites(self, config: Configuration) -> list[tuple[_Slot, int]]:
+        """(slot, size position) for each open site, in slot order."""
+        if len(config) != len(self.slots):
+            raise OracleError(f"configuration length {len(config)} != {len(self.slots)} sites")
+        opened = []
+        for choice, slot in zip(config, self.slots):
+            if not 0 <= choice <= len(slot.sizes):
+                raise OracleError(f"size choice {choice} out of range at {slot.tag} site {slot.site}")
+            if choice:
+                opened.append((slot, choice - 1))
+        return opened
+
+    def scan(self, config: Configuration) -> tuple[bool, float]:
+        """(open capacity covers the forced tonnage, install cost) of a
+        configuration from `configurations`, unchecked: the oracle's
+        capacity screen, run on every configuration it enumerates."""
+        open_capacity = [0.0] * len(ECHELON_TAGS)
+        install = 0.0
+        for choice, slot in zip(config, self.slots):
+            if choice:
+                open_capacity[slot.echelon] += slot.caps[choice - 1]
+                install += slot.costs[choice - 1]
+        fits = all(forced <= cap + 1e-9 * max(1.0, forced)
+                   for forced, cap in zip(self.forced, open_capacity))
+        return fits, install
+
+    def install_values(self, config: Configuration) -> dict[str, float]:
+        """Install column name -> 1.0 for each open site."""
+        return {install_column_name(slot.tag, slot.site_id, slot.sizes[c]): 1.0
+                for slot, c in self.open_sites(config)}
+
+
 def site_slots(inst: Instance) -> tuple[tuple[str, int, int], ...]:
     """Flat (echelon, site position, size count) in configuration order."""
-    slots = []
-    for tag in ECHELON_TAGS:
-        spec = inst.echelon(tag)
-        for j in range(len(spec.sites)):
-            slots.append((tag, j, len(spec.size_options)))
-    return tuple(slots)
+    return tuple((s.tag, s.site, len(s.sizes)) for s in _SlotTable(inst).slots)
 
 
 def count_configurations(inst: Instance) -> int:
-    return math.prod(n + 1 for _, _, n in site_slots(inst))
+    return _SlotTable(inst).count
 
 
 def enumerate_configurations(inst: Instance, limits: OracleLimits | None = None):
     """Complete lexicographic stream of all configurations; refuses when the
     product of per-site choices exceeds the configured ceiling."""
-    limits = limits or OracleLimits()
-    total = count_configurations(inst)
-    if total > limits.max_configs:
-        raise OracleError(
-            f"{total} configurations exceed the enumeration limit {limits.max_configs}"
-        )
-    ranges = [range(n + 1) for _, _, n in site_slots(inst)]
-    return itertools.product(*ranges)
-
-
-def config_choices(inst: Instance, config: Configuration) -> dict[str, list[tuple[int, int]]]:
-    """Open sites per echelon as (site position, size position) pairs."""
-    slots = site_slots(inst)
-    if len(config) != len(slots):
-        raise OracleError(f"configuration length {len(config)} != {len(slots)} sites")
-    out: dict[str, list[tuple[int, int]]] = {tag: [] for tag in ECHELON_TAGS}
-    for choice, (tag, j, n_sizes) in zip(config, slots):
-        if not 0 <= choice <= n_sizes:
-            raise OracleError(f"size choice {choice} out of range at {tag} site {j}")
-        if choice:
-            out[tag].append((j, choice - 1))
-    return out
+    return _SlotTable(inst).configurations((limits or OracleLimits()).max_configs)
 
 
 def describe_configuration(inst: Instance, config: Configuration) -> dict[str, dict[str, str | None]]:
     """Human view: echelon -> site id -> chosen size id or None when closed."""
-    choices = config_choices(inst, config)
-    desc: dict[str, dict[str, str | None]] = {}
-    for tag in ECHELON_TAGS:
-        spec = inst.echelon(tag)
-        chosen = dict(choices[tag])
-        desc[tag] = {
-            site.id: (spec.size_options[chosen[j]].id if j in chosen else None)
-            for j, site in enumerate(spec.sites)
-        }
+    table = _SlotTable(inst)
+    desc: dict[str, dict[str, str | None]] = {tag: {} for tag in ECHELON_TAGS}
+    for slot in table.slots:
+        desc[slot.tag][slot.site_id] = None
+    for slot, c in table.open_sites(config):
+        desc[slot.tag][slot.site_id] = slot.sizes[c]
     return desc
-
-
-class _CapacityScreen:
-    """Per-slot capacity and install-cost tables, reused per run: one pass
-    over a configuration gives the capacity screen and the install cost."""
-
-    def __init__(self, inst: Instance, install_multiplier: float = 1.0) -> None:
-        # per echelon: the largest tonnage the quota forces through it
-        per_period = forced_inflow_tons(inst).values()
-        self.forced = tuple(max([0.0] + [f[tag] for f in per_period]) for tag in ECHELON_TAGS)
-        # per slot: (echelon position, capacity per size, install cost per size)
-        self.tables: list[tuple[int, tuple[float, ...], tuple[float, ...]]] = []
-        widest = []
-        for e, tag in enumerate(ECHELON_TAGS):
-            opts = inst.echelon(tag).size_options
-            caps = tuple(o.max_capacity_tons for o in opts)
-            costs = tuple(o.install_cost_annual * install_multiplier for o in opts)
-            for _ in inst.echelon(tag).sites:
-                self.tables.append((e, caps, costs))
-                widest.append(1 + caps.index(max(caps)))
-        # every site open at the size with the largest capacity, first on a tie
-        self.widest: Configuration = tuple(widest)
-
-    def scan(self, config: Configuration) -> tuple[bool, float]:
-        """(open capacity covers the forced tonnage, install cost)."""
-        open_capacity = [0.0] * len(ECHELON_TAGS)
-        install = 0.0
-        for choice, (e, caps, costs) in zip(config, self.tables):
-            if choice:
-                open_capacity[e] += caps[choice - 1]
-                install += costs[choice - 1]
-        fits = all(forced <= cap + 1e-9 * max(1.0, forced)
-                   for forced, cap in zip(self.forced, open_capacity))
-        return fits, install
 
 
 def config_capacity_feasible(inst: Instance, config: Configuration) -> bool:
     """Necessary condition: open capacity per echelon covers the tonnage the
     quota provably forces through it.  False means the configuration cannot
     be feasible; True promises nothing."""
-    screen = _CapacityScreen(inst)
-    if len(config) != len(screen.tables):
-        raise OracleError(f"configuration length {len(config)} != {len(screen.tables)} sites")
-    return screen.scan(config)[0]
+    table = _SlotTable(inst)
+    table.open_sites(config)  # rejects a malformed configuration
+    return table.scan(config)[0]
 
 
 @dataclass
@@ -208,12 +222,10 @@ class _LpFactory:
     """The instance's all-open flow LP, and its restriction to each
     configuration as the module docstring describes."""
 
-    def __init__(self, inst: Instance, prune: bool, install_cost_mode: str) -> None:
+    def __init__(self, inst: Instance, prune: bool, slots: _SlotTable) -> None:
         self.inst = inst
+        self.slots = slots
         self.leg_mats = {leg: inst.leg_materials(leg, prune) for leg, _, _ in LEGS}
-        horizon = inst.horizon_years()
-        install_multiplier = horizon if install_cost_mode == "annualized_times_horizon" else 1.0
-        self.screen = _CapacityScreen(inst, install_multiplier)
         dt = np.array([t.duration_years for t in inst.periods], dtype=np.float64)
         # columns in leg chain order, (t, p, origin, dest) lexicographic;
         # ids[leg][t, p, i, j] is the column of that flow
@@ -319,16 +331,14 @@ class _LpFactory:
         """Solve the configuration's restriction of the all-open LP.  `x` is
         padded with zeros to the all-open columns, and the objective is the
         flow cost only; callers add the installation cost."""
-        inst = self.inst
-        is_open = {role: np.ones(len(inst.role_nodes(role)), dtype=bool)
+        is_open = {role: np.ones(len(self.inst.role_nodes(role)), dtype=bool)
                    for role in ("sources", "sinks")}
+        is_open.update((tag, np.zeros(len(self.inst.echelon(tag).sites), dtype=bool))
+                       for tag in ECHELON_TAGS)
         rhs = self.rhs.copy()
-        for tag, pairs in config_choices(inst, config).items():
-            options = inst.echelon(tag).size_options
-            is_open[tag] = np.zeros(len(inst.echelon(tag).sites), dtype=bool)
-            for j, c in pairs:
-                is_open[tag][j] = True
-                rhs[self.cap_rows[tag][:, j]] = options[c].max_capacity_tons
+        for slot, c in self.slots.open_sites(config):
+            is_open[slot.tag][slot.site] = True
+            rhs[self.cap_rows[slot.tag][:, slot.site]] = slot.caps[c]
         cols = np.concatenate([self.ids[leg][:, :, is_open[o]][..., is_open[d]].ravel()
                                for leg, o, d in LEGS])
         rows = np.flatnonzero(self.quota | (self.a[:, cols] != 0.0).any(axis=1))
@@ -349,20 +359,25 @@ class _LpFactory:
     def flows(self, config: Configuration, x: np.ndarray) -> dict[str, float]:
         """Column name -> tons for the nonzero entries of a padded `x`."""
         inst = self.inst
-        chosen = {tag: dict(pairs) for tag, pairs in config_choices(inst, config).items()}
+        size_ids = {(slot.tag, slot.site): slot.sizes[c]
+                    for slot, c in self.slots.open_sites(config)}
         flows: dict[str, float] = {}
         for leg, origin_role, dest_role in LEGS:
             block = x[self.ids[leg]]
             mats = self.leg_mats[leg]
             origins, dests = inst.role_nodes(origin_role), inst.role_nodes(dest_role)
             for t_pos, p_pos, i, j in zip(*np.nonzero(block)):
-                size_id = None
-                if dest_role in ECHELON_TAGS:
-                    size_id = inst.echelon(dest_role).size_options[chosen[dest_role][j]].id
+                size_id = size_ids[dest_role, j] if dest_role in ECHELON_TAGS else None
                 name = flow_column_name(leg, inst.periods[t_pos].id, mats[p_pos],
                                         origins[i].id, dests[j].id, size_id)
                 flows[name] = float(block[t_pos, p_pos, i, j])
         return flows
+
+    def flow_bound(self, limits: OracleLimits, permute_seed: int | None = None) -> float | None:
+        """Flow cost of `slots.widest`, None when its LP is infeasible; see
+        `flow_cost_bound`."""
+        result = self.solve(self.slots.widest, limits, permute_seed)
+        return None if result.status == "infeasible" else result.objective
 
 
 def solve_flow_lp(inst: Instance, config: Configuration, prune: bool = True,
@@ -371,21 +386,13 @@ def solve_flow_lp(inst: Instance, config: Configuration, prune: bool = True,
                   permute_seed: int | None = None) -> FlowLpResult:
     """Solve the flow LP for one fixed configuration; objective includes the
     configuration's installation cost."""
-    factory = _LpFactory(inst, prune, install_cost_mode)
+    slots = _SlotTable(inst, install_cost_mode)
+    factory = _LpFactory(inst, prune, slots)
     result = factory.solve(config, limits or OracleLimits(), permute_seed)
     if result.x is None:
         return FlowLpResult(result.status, result.objective, {}, result.iterations)
-    return FlowLpResult(result.status, result.objective + factory.screen.scan(config)[1],
+    return FlowLpResult(result.status, result.objective + slots.scan(config)[1],
                         factory.flows(config, result.x), result.iterations)
-
-
-def _install_values(inst: Instance, config: Configuration) -> dict[str, float]:
-    values: dict[str, float] = {}
-    for tag, pairs in config_choices(inst, config).items():
-        spec = inst.echelon(tag)
-        for j, c in pairs:
-            values[install_column_name(tag, spec.sites[j].id, spec.size_options[c].id)] = 1.0
-    return values
 
 
 def flow_cost_bound(inst: Instance, prune: bool = True,
@@ -394,14 +401,8 @@ def flow_cost_bound(inst: Instance, prune: bool = True,
     """Flow cost (objective minus install cost) of the widest configuration,
     every site open at its largest size: a lower bound on every
     configuration's flow cost.  None when even that LP is infeasible."""
-    return _flow_cost_bound(_LpFactory(inst, prune, install_cost_mode),
-                            limits or OracleLimits(), None)
-
-
-def _flow_cost_bound(factory: _LpFactory, limits: OracleLimits,
-                     permute_seed: int | None) -> float | None:
-    result = factory.solve(factory.screen.widest, limits, permute_seed)
-    return None if result.status == "infeasible" else result.objective
+    factory = _LpFactory(inst, prune, _SlotTable(inst, install_cost_mode))
+    return factory.flow_bound(limits or OracleLimits())
 
 
 def solve_exact(inst: Instance, limits: OracleLimits | None = None, prune: bool = True,
@@ -418,11 +419,11 @@ def solve_exact(inst: Instance, limits: OracleLimits | None = None, prune: bool 
     """
     limits = limits or OracleLimits()
     t0 = time.monotonic()
-    configurations = enumerate_configurations(inst, limits)
-    factory = _LpFactory(inst, prune, install_cost_mode)
-    screen = factory.screen
-    flow_bound = _flow_cost_bound(factory, limits, permute_seed)
-    total = count_configurations(inst)
+    slots = _SlotTable(inst, install_cost_mode)
+    # refuse before the all-open LP is assembled
+    configurations = slots.configurations(limits.max_configs)
+    factory = _LpFactory(inst, prune, slots)
+    flow_bound = factory.flow_bound(limits, permute_seed)
     enumerated = pruned = bound_pruned = infeasible = solved = 0
     best_obj: float | None = None
     best_config: Configuration | None = None
@@ -430,9 +431,9 @@ def solve_exact(inst: Instance, limits: OracleLimits | None = None, prune: bool 
     for config in configurations:
         enumerated += 1
         if progress is not None and enumerated % 512 == 0:
-            progress(enumerated, total)
-        fits, install = screen.scan(config)
-        if limits.capacity_pruning and not fits:
+            progress(enumerated, slots.count)
+        fits, install = slots.scan(config)
+        if not fits:
             pruned += 1
             continue
         if flow_bound is None:
@@ -441,7 +442,7 @@ def solve_exact(inst: Instance, limits: OracleLimits | None = None, prune: bool 
         # the margin sits on the incumbent's side, so a pruned configuration
         # could not have replaced the incumbent under the rule below
         if best_obj is not None and (
-                install + flow_bound > best_obj + limits.tie_tol * max(1.0, abs(best_obj))):
+                install + flow_bound > best_obj + TIE_TOL * max(1.0, abs(best_obj))):
             pruned += 1
             bound_pruned += 1
             continue
@@ -451,7 +452,7 @@ def solve_exact(inst: Instance, limits: OracleLimits | None = None, prune: bool 
             continue
         solved += 1
         objective = result.objective + install
-        if best_obj is None or objective < best_obj - limits.tie_tol * max(1.0, abs(best_obj)):
+        if best_obj is None or objective < best_obj - TIE_TOL * max(1.0, abs(best_obj)):
             best_obj = objective
             best_config = config
             best_x = result.x
@@ -470,7 +471,7 @@ def solve_exact(inst: Instance, limits: OracleLimits | None = None, prune: bool 
         sol = Solution(values={}, objective_reported=0.0, status="infeasible", source="oracle")
         return sol, cert
     values = factory.flows(best_config, best_x)
-    values.update(_install_values(inst, best_config))
+    values.update(slots.install_values(best_config))
     sol = Solution(
         values=values,
         objective_reported=best_obj,

@@ -5,9 +5,9 @@ flows with mixed-sense rows.  Subproblems are small (hundreds of columns),
 so this favors a plain dense tableau and robustness over sparse cleverness:
 
 * phase 1 minimizes artificial variables on every row; a residual above
-  ``phase1_tol`` means infeasible,
+  ``_PHASE1_TOL`` means infeasible,
 * phase 2 runs Dantzig's most-negative-reduced-cost rule and switches to
-  Bland's anti-cycling rule after ``degenerate_limit`` consecutive
+  Bland's anti-cycling rule after ``_DEGENERATE_LIMIT`` consecutive
   degenerate pivots,
 * reduced costs are recomputed from the cost vector each iteration instead
   of carrying an objective row, trading a constant factor for immunity to
@@ -27,6 +27,8 @@ from .errors import SimplexIterationError
 _PIVOT_TOL = 1e-10
 _REDCOST_TOL = 1e-9
 _DEGENERATE_STEP = 1e-12
+_DEGENERATE_LIMIT = 1_000
+_PHASE1_TOL = 1e-7
 
 
 @dataclass
@@ -43,8 +45,6 @@ def solve_lp(
     senses: list[str],
     b: np.ndarray,
     max_iterations: int = 50_000,
-    degenerate_limit: int = 1_000,
-    phase1_tol: float = 1e-7,
 ) -> LpResult:
     """Minimize c @ x subject to a @ x (<=|>=|==) b, x >= 0.
 
@@ -76,7 +76,7 @@ def solve_lp(
     tableau = np.hstack([ext, np.eye(m)])
     basis = np.arange(n_ext, n_ext + m, dtype=np.intp)
 
-    state = _State(tableau, rhs, basis, max_iterations, degenerate_limit)
+    state = _State(tableau, rhs, basis, max_iterations)
 
     # phase 1: drive the artificials to zero
     cost1 = np.zeros(n_ext + m, dtype=np.float64)
@@ -85,7 +85,7 @@ def solve_lp(
     if status == "unbounded":
         raise AssertionError("phase-1 objective is bounded below by 0")
     phase1_value = float(cost1[state.basis] @ state.rhs)
-    if phase1_value > phase1_tol:
+    if phase1_value > _PHASE1_TOL:
         return LpResult("infeasible", phase1_value, None, state.iterations)
     _evict_artificials(state, n_ext)
 
@@ -105,14 +105,13 @@ def solve_lp(
 
 class _State:
     def __init__(self, tableau: np.ndarray, rhs: np.ndarray, basis: np.ndarray,
-                 max_iterations: int, degenerate_limit: int) -> None:
+                 max_iterations: int) -> None:
         self.tableau = tableau
         self.rhs = rhs
         self.basis = basis
         self.in_basis = np.zeros(tableau.shape[1], dtype=bool)
         self.in_basis[basis] = True
         self.max_iterations = max_iterations
-        self.degenerate_limit = degenerate_limit
         self.iterations = 0
         self.degenerate_run = 0
         self.bland = False
@@ -148,7 +147,7 @@ def _run(state: _State, cost: np.ndarray, allowed: int) -> str:
         _pivot(state, leave_row, enter)
         if best <= _DEGENERATE_STEP:
             state.degenerate_run += 1
-            if state.degenerate_run >= state.degenerate_limit:
+            if state.degenerate_run >= _DEGENERATE_LIMIT:
                 state.bland = True
         else:
             state.degenerate_run = 0

@@ -138,10 +138,6 @@ def test_mps_is_deterministic_across_fresh_builds():
     assert a == b
 
 
-def test_mps_custom_name(hand_model):
-    assert write_mps(hand_model, name="CASE7").startswith("NAME CASE7\n")
-
-
 @pytest.mark.parametrize("seed", [3, 4, 5])
 @pytest.mark.parametrize("prune", [True, False])
 def test_independent_reader_recovers_model_exactly(seed, prune):

@@ -3,13 +3,15 @@ import json
 import numpy as np
 import pytest
 
+from scipy_milp_adapter import read_free_mps, solve_mps
 from test_acceptance import _decentralization_instance
 from test_instance import minimal_doc, parse_doc
 from test_milp_core import random_shape_doc
 from upcyclenet import oracle
 from upcyclenet.errors import OracleError, SimplexIterationError
-from upcyclenet.instance import parse_instance, serialize_instance
-from upcyclenet.model import install_column_name
+from upcyclenet.instance import parse_instance, serialize_instance, validate_instance
+from upcyclenet.model import build_milp, install_column_name
+from upcyclenet.model_io import verify_solution, write_mps
 from upcyclenet.oracle import (
     OracleLimits,
     config_capacity_feasible,
@@ -246,20 +248,38 @@ def test_solve_exact_infeasible_instance():
     assert cert.solved == 0  # every configuration dies at the capacity screen
 
 
-def test_capacity_pruning_changes_counts_not_result():
-    inst = single_chain_instance()
-    sol_a, cert_a = solve_exact(inst, OracleLimits(capacity_pruning=True))
-    sol_b, cert_b = solve_exact(inst, OracleLimits(capacity_pruning=False))
-    assert cert_a.pruned > 0 and cert_b.pruned == 0
-    assert sol_a.objective_reported == pytest.approx(sol_b.objective_reported, abs=1e-9)
-    assert cert_a.best_configuration == cert_b.best_configuration
-
-
 def test_material_pruning_modes_agree_on_hand_instance():
     inst = single_chain_instance()
     a, _ = solve_exact(inst, prune=True)
     b, _ = solve_exact(inst, prune=False)
     assert a.objective_reported == pytest.approx(b.objective_reported, abs=1e-9)
+
+
+@pytest.mark.parametrize("code, unpruned_objective", [
+    ("quota-uncollectable", 546.0), ("orphan-output", 260.0),
+])
+def test_material_pruning_changes_the_optimum_on_warned_instances(code, unpruned_objective):
+    # a second material 'g': the source supplies 4 t of it under a 0.5
+    # quota that the CF does not accept, or the CF makes it and the RTF
+    # does not accept it.  Unpruned, 'g' may vanish at that facility.
+    doc = json.loads(serialize_instance(single_chain_instance()))
+    doc["materials"] = ["w", "g"]
+    doc["transport_cost"]["g"] = 0.1
+    if code == "quota-uncollectable":
+        doc["sources"][0]["supply"]["t1"]["g"] = 4.0
+        doc["quota"]["t1"]["g"] = 0.5
+    else:
+        doc["echelons"]["cf"]["outputs"] = ["g"]
+        doc["echelons"]["cf"]["yields"] = {"g": 1.0}
+    inst = parse_instance(json.dumps(doc))
+    assert code in {f.code for f in validate_instance(inst)}
+    pruned, _ = solve_exact(inst, prune=True)
+    assert pruned.status == "infeasible"
+    assert solve_mps(read_free_mps(write_mps(build_milp(inst, prune=True)))).status == 2
+    unpruned, _ = solve_exact(inst, prune=False)
+    assert unpruned.status == "optimal"
+    assert unpruned.objective_reported == pytest.approx(unpruned_objective, abs=1e-9)
+    assert verify_solution(unpruned, build_milp(inst, prune=False)).passed
 
 
 def test_column_permutation_does_not_change_the_winner():
@@ -379,7 +399,7 @@ def test_decentralized_collection_emerges_with_expensive_raw_transport():
 # bound prune, checked against plain enumeration
 
 
-def brute_force(inst, prune, permute_seed, tie_tol=OracleLimits().tie_tol):
+def brute_force(inst, prune, permute_seed, tie_tol=oracle.TIE_TOL):
     """Every configuration through solve_flow_lp, keeping the
     lexicographically first minimum under the oracle's tie rule."""
     best = None
@@ -409,16 +429,15 @@ def bound_pruning_members():
     ]
 
 
-@pytest.mark.parametrize("prune, capacity_pruning, permute_seed", [
-    (True, True, None), (False, True, None), (True, False, None), (True, True, 1),
-])
-def test_solve_exact_matches_brute_force(bound_pruning_members, prune, capacity_pruning,
-                                         permute_seed):
+# the ids keep a middle field that once switched the capacity screen,
+# which is always on now, so each case's history stays under one name
+@pytest.mark.parametrize("prune, permute_seed", [(True, None), (False, None), (True, 1)],
+                         ids=["True-True-None", "False-True-None", "True-True-1"])
+def test_solve_exact_matches_brute_force(bound_pruning_members, prune, permute_seed):
     assert len(bound_pruning_members) >= 8
     cases = [single_chain_instance(), _colocated_instance(), _decentralization_instance()]
-    limits = OracleLimits(capacity_pruning=capacity_pruning)
     for inst in cases + bound_pruning_members:
-        sol, cert = solve_exact(inst, limits, prune=prune, permute_seed=permute_seed)
+        sol, cert = solve_exact(inst, prune=prune, permute_seed=permute_seed)
         ref_obj, ref_config, ref_flows = brute_force(inst, prune, permute_seed)
         assert sol.status == "optimal"
         assert cert.best_objective == pytest.approx(ref_obj, rel=1e-9)
