@@ -15,11 +15,9 @@ Objective (minimized, one number for the whole horizon)
     + sum_t dt_t * 2 * (distance * per-ton-km rate on every leg, the factor
       2 paying the empty return trip)
 
-Installation cost enters once for the horizon, not per period.  By default
-(`install_cost_mode="annualized_times_horizon"`) the annualized figure is
-scaled by the horizon length in years, so a one-year horizon charges it
-exactly once; `install_cost_mode="once"` charges the raw figure regardless
-of horizon length.
+Installation cost enters once for the horizon, not per period: the
+annualized figure times the horizon length in years, so a one-year horizon
+charges it exactly once.
 
 Constraint rows, in emission order:
     demand        per (t, p, sink): inflow <= demand capacity (a ceiling,
@@ -55,8 +53,8 @@ axis -> `offset`), so no name -> column map is kept.  `flow_column_name`
 and `install_column_name`, which the oracle uses for single columns, go
 through the same formatter.  The rows are one read-only CSR block
 (`RowBlock`: `indptr`, `indices`, `data`, `sense`/`rhs` arrays, per-row
-names, families and keys, family offsets), built from whole column ranges
-of the blocks.  `Model.rows` offers the same rows as `Row` tuples, built
+names and keys, family offsets), built from whole column ranges of the
+blocks.  `Model.rows` offers the same rows as `Row` tuples, built
 from the block on each access, for the listing and per-row reference
 checks; no writer, reader or verification reads it.
 """
@@ -84,8 +82,6 @@ FLOW_PREFIXES = {
 }
 
 ROW_FAMILIES = ("demand", "quota", "source_cap", "flow_balance", "facility_cap", "one_size")
-
-INSTALL_COST_MODES = ("annualized_times_horizon", "once")
 
 MAX_NAME_LEN = 64
 
@@ -302,10 +298,6 @@ def first_duplicate(names: list[str]) -> str | None:
     return None
 
 
-def index_variables(inst: Instance, prune: bool = True) -> VariableIndex:
-    return VariableIndex(inst, prune)
-
-
 def count_columns(inst: Instance, prune: bool = True) -> tuple[int, int]:
     """(continuous, binary) column counts without building anything heavy."""
     vindex = VariableIndex(inst, prune)
@@ -344,7 +336,6 @@ class RowBlock:
     sense: np.ndarray  # '<U1': 'L', 'G' or 'E' per row
     rhs: np.ndarray  # float64 per row
     names: tuple[str, ...]
-    families: tuple[str, ...]
     keys: tuple[tuple, ...]
     family_offsets: tuple[int, ...]
 
@@ -370,7 +361,9 @@ class RowBlock:
         lo, hi = self.indptr[r], self.indptr[r + 1]
         return Row(
             name=self.names[r],
-            family=self.families[r],
+            # the last family starting at or before r: an empty family
+            # starts where the next one does, so it is never the one found
+            family=ROW_FAMILIES[bisect.bisect_right(self.family_offsets, r) - 1],
             key=self.keys[r],
             sense=str(self.sense[r]),
             rhs=float(self.rhs[r]),
@@ -383,13 +376,10 @@ class RowBlock:
 class Model:
     """Solver-independent MILP: columns, objective, rows, plus build context."""
 
-    instance: Instance
     prune: bool
-    install_cost_mode: str
     index: VariableIndex
     objective: np.ndarray
     constraints: RowBlock
-    distances: tuple[DistanceMatrix, ...]
     fingerprint: str
 
     @property
@@ -452,16 +442,14 @@ def count_rows(inst: Instance, prune: bool = True) -> dict[str, int]:
     return counts
 
 
-def build_objective(inst: Instance, vindex: VariableIndex, dists: tuple[DistanceMatrix, ...],
-                    install_cost_mode: str = "annualized_times_horizon") -> np.ndarray:
+def build_objective(inst: Instance, vindex: VariableIndex,
+                    dists: tuple[DistanceMatrix, ...]) -> np.ndarray:
     """Objective coefficient vector over the full column space.
 
     Flow columns into a facility cost dt_t * op_cost + 2 * dt_t * D * rate;
     sink-leg columns carry transport only.  Install columns cost the
-    installation figure once for the horizon.
+    annualized installation figure times the horizon in years.
     """
-    if install_cost_mode not in INSTALL_COST_MODES:
-        raise ModelError(f"unknown install_cost_mode '{install_cost_mode}'")
     obj = np.zeros(vindex.n_columns, dtype=np.float64)
     dt = np.array([t.duration_years for t in inst.periods], dtype=np.float64)
     dist_by_leg = {d.leg: d for d in dists}
@@ -486,8 +474,7 @@ def build_objective(inst: Instance, vindex: VariableIndex, dists: tuple[Distance
     for space in vindex.installs:
         options = inst.echelon(space.echelon).size_options
         cost = np.array([opt.install_cost_annual for opt in options], dtype=np.float64)
-        if install_cost_mode == "annualized_times_horizon":
-            cost *= inst.horizon_years()
+        cost *= inst.horizon_years()
         obj[space.start : space.start + space.count] = np.tile(cost, len(space.sites))
     return obj
 
@@ -501,7 +488,6 @@ def build_rows(inst: Instance, vindex: VariableIndex) -> RowBlock:
     module docstring.  Each row's columns are a slice of its block's column
     grid, not one offset call per column."""
     names: list[str] = []
-    families: list[str] = []
     keys: list[tuple] = []
     senses: list[str] = []
     rhs: list[float] = []
@@ -511,10 +497,9 @@ def build_rows(inst: Instance, vindex: VariableIndex) -> RowBlock:
     seg_cols: list[np.ndarray] = []
     seg_coef: list[float] = []
 
-    def emit(name: str, family: str, key: tuple, sense: str, b: float,
+    def emit(name: str, key: tuple, sense: str, b: float,
              *segments: tuple[np.ndarray, float]) -> None:
         names.append(name)
-        families.append(family)
         keys.append(key)
         senses.append(sense)
         rhs.append(b)
@@ -544,7 +529,7 @@ def build_rows(inst: Instance, vindex: VariableIndex) -> RowBlock:
             for j_idx, s in enumerate(inst.sinks):
                 if not (p in leg4.materials or (t.id, p) in s.demand):
                     continue
-                emit(_row_name("dem", t.id, p, s.node.id), "demand", (t.id, p, s.node.id),
+                emit(_row_name("dem", t.id, p, s.node.id), (t.id, p, s.node.id),
                      "L", s.demand.get((t.id, p), 0.0), (leg_cols(leg4, t_idx, p, j=j_idx), 1.0))
     family_offsets.append(len(names))
 
@@ -554,7 +539,7 @@ def build_rows(inst: Instance, vindex: VariableIndex) -> RowBlock:
             eta = inst.quota_at(t.id, p)
             if eta <= 0.0:
                 continue
-            emit(_row_name("quo", t.id, p), "quota", (t.id, p), "G",
+            emit(_row_name("quo", t.id, p), (t.id, p), "G",
                  eta * inst.supply_total(t.id, p), (leg_cols(leg0, t_idx, p), 1.0))
     family_offsets.append(len(names))
 
@@ -565,7 +550,7 @@ def build_rows(inst: Instance, vindex: VariableIndex) -> RowBlock:
                 sigma = s.supply.get((t.id, p), 0.0)
                 if not (p in leg0.materials or sigma > 0.0):
                     continue
-                emit(_row_name("src", t.id, p, s.node.id), "source_cap", (t.id, p, s.node.id),
+                emit(_row_name("src", t.id, p, s.node.id), (t.id, p, s.node.id),
                      "L", sigma, (leg_cols(leg0, t_idx, p, i=i_idx), 1.0))
     family_offsets.append(len(names))
 
@@ -580,7 +565,7 @@ def build_rows(inst: Instance, vindex: VariableIndex) -> RowBlock:
                 for j_idx, site in enumerate(spec.sites):
                     inflow = [(leg_cols(lin, t_idx, p_in, j=j_idx), gamma)
                               for p_in in admissible_in] if gamma != 0.0 else []
-                    emit(_row_name(f"bal{tag}", t.id, p_out, site.id), "flow_balance",
+                    emit(_row_name(f"bal{tag}", t.id, p_out, site.id),
                          (tag, t.id, p_out, site.id), "E", 0.0,
                          *inflow, (leg_cols(lout, t_idx, p_out, i=j_idx), -1.0))
     family_offsets.append(len(names))
@@ -593,7 +578,7 @@ def build_rows(inst: Instance, vindex: VariableIndex) -> RowBlock:
         for t_idx, t in enumerate(inst.periods):
             for j_idx, site in enumerate(spec.sites):
                 for c_idx, opt in enumerate(spec.size_options):
-                    emit(_row_name(f"cap{tag}", t.id, site.id, opt.id), "facility_cap",
+                    emit(_row_name(f"cap{tag}", t.id, site.id, opt.id),
                          (tag, t.id, site.id, opt.id), "L", 0.0,
                          (grid[lin][t_idx, :, :, j_idx, c_idx].ravel(), 1.0),
                          (grid[ispace][j_idx, c_idx:c_idx + 1], -opt.max_capacity_tons))
@@ -604,7 +589,7 @@ def build_rows(inst: Instance, vindex: VariableIndex) -> RowBlock:
         spec = inst.echelon(tag)
         ispace = vindex.install(tag)
         for j_idx, site in enumerate(spec.sites):
-            emit(_row_name(f"one{tag}", site.id), "one_size", (tag, site.id), "L", 1.0,
+            emit(_row_name(f"one{tag}", site.id), (tag, site.id), "L", 1.0,
                  (grid[ispace][j_idx], 1.0))
     family_offsets.append(len(names))
 
@@ -615,7 +600,6 @@ def build_rows(inst: Instance, vindex: VariableIndex) -> RowBlock:
         sense=np.array(senses, dtype="<U1"),
         rhs=np.array(rhs, dtype=np.float64),
         names=tuple(names),
-        families=tuple(families),
         keys=tuple(keys),
         family_offsets=tuple(family_offsets),
     )
@@ -624,24 +608,19 @@ def build_rows(inst: Instance, vindex: VariableIndex) -> RowBlock:
     return block
 
 
-def build_milp(inst: Instance, prune: bool = True,
-               install_cost_mode: str = "annualized_times_horizon") -> Model:
+def build_milp(inst: Instance, prune: bool = True) -> Model:
     """Assemble the complete model; deterministic for identical inputs."""
-    vindex = index_variables(inst, prune)
-    dists = build_leg_matrices(inst)
-    objective = build_objective(inst, vindex, dists, install_cost_mode)
+    vindex = VariableIndex(inst, prune)
+    objective = build_objective(inst, vindex, build_leg_matrices(inst))
     constraints = build_rows(inst, vindex)
     counts = count_rows(inst, prune)
     assert constraints.n_rows == counts["total"], "row generation disagrees with closed-form count"
     fingerprint = hashlib.sha256(serialize_instance(inst).encode()).hexdigest()
     return Model(
-        instance=inst,
         prune=prune,
-        install_cost_mode=install_cost_mode,
         index=vindex,
         objective=objective,
         constraints=constraints,
-        distances=dists,
         fingerprint=fingerprint,
     )
 
@@ -652,7 +631,7 @@ def dump_model(model: Model) -> str:
     sense_txt = {"L": "<=", "G": ">=", "E": "=="}
     lines = [
         f"model fingerprint={model.fingerprint} prune={'on' if model.prune else 'off'} "
-        f"install_cost_mode={model.install_cost_mode}",
+        "install_cost_mode=annualized_times_horizon",
         f"columns={model.n_columns} continuous={model.index.n_continuous} "
         f"binary={model.index.n_binary} rows={model.n_rows}",
         "objective " + " ".join(

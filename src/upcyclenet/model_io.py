@@ -203,11 +203,16 @@ def _write_mps_file(model: Model, path: Path) -> None:
 # solution parsing and formatting
 
 
-def parse_solution(text: str, model: Model, source: str = "external") -> Solution:
+def parse_solution(text: str, model: Model) -> Solution:
     """Parse a neutral solution file against the model's column names.
 
     Values, `=obj=` and `=bound=` must be finite numbers.
     """
+    return _parse_solution(text, model)[0]
+
+
+def _parse_solution(text: str, model: Model) -> tuple[Solution, bool]:
+    """`parse_solution`'s result, and whether the file declared `=status=`."""
     values: dict[str, float] = {}
     declared_obj: float | None = None
     declared_status: str | None = None
@@ -263,14 +268,9 @@ def parse_solution(text: str, model: Model, source: str = "external") -> Solutio
 
     objective = declared_obj if declared_obj is not None else recompute_objective(values, model)
     gap = compute_gap(objective, declared_bound) if declared_bound is not None else None
-    return Solution(
-        values=values,
-        objective_reported=objective,
-        status=status,
-        source=source,
-        bound=declared_bound,
-        gap=gap,
-    )
+    sol = Solution(values=values, objective_reported=objective, status=status,
+                   bound=declared_bound, gap=gap)
+    return sol, declared_status is not None
 
 
 def format_solution(sol: Solution) -> str:
@@ -607,16 +607,12 @@ def run_external_solver(model: Model, solver_cmd: str,
         if not sol_path.exists():
             return Solution(values={}, objective_reported=0.0, status="unknown",
                             source="external", diagnostics=diag)
-        text = sol_path.read_text()
         try:
-            sol = parse_solution(text, model, source="external")
+            sol, declared = _parse_solution(sol_path.read_text(), model)
         except SolutionError as exc:
             return Solution(values={}, objective_reported=0.0, status="unknown",
                             source="external", diagnostics=f"{diag}\nparse error: {exc}")
         sol.diagnostics = diag
-        declared = any(
-            line.split("#", 1)[0].split()[:1] == ["=status="] for line in text.splitlines()
-        )
         if not declared:
             if timed_out:
                 sol.status = "feasible"

@@ -116,14 +116,13 @@ class _SlotTable:
     per echelon, and `widest`; the only code that turns a configuration
     into open sites."""
 
-    def __init__(self, inst: Instance,
-                 install_cost_mode: str = "annualized_times_horizon") -> None:
-        multiplier = inst.horizon_years() if install_cost_mode == "annualized_times_horizon" else 1.0
+    def __init__(self, inst: Instance) -> None:
+        horizon = inst.horizon_years()
         slots = []
         for e, tag in enumerate(ECHELON_TAGS):
             spec = inst.echelon(tag)
             caps = tuple(o.max_capacity_tons for o in spec.size_options)
-            costs = tuple(o.install_cost_annual * multiplier for o in spec.size_options)
+            costs = tuple(o.install_cost_annual * horizon for o in spec.size_options)
             sizes = tuple(o.id for o in spec.size_options)
             slots += [_Slot(tag, e, j, site.id, sizes, caps, costs)
                       for j, site in enumerate(spec.sites)]
@@ -381,12 +380,11 @@ class _LpFactory:
 
 
 def solve_flow_lp(inst: Instance, config: Configuration, prune: bool = True,
-                  install_cost_mode: str = "annualized_times_horizon",
                   limits: OracleLimits | None = None,
                   permute_seed: int | None = None) -> FlowLpResult:
     """Solve the flow LP for one fixed configuration; objective includes the
     configuration's installation cost."""
-    slots = _SlotTable(inst, install_cost_mode)
+    slots = _SlotTable(inst)
     factory = _LpFactory(inst, prune, slots)
     result = factory.solve(config, limits or OracleLimits(), permute_seed)
     if result.x is None:
@@ -396,17 +394,15 @@ def solve_flow_lp(inst: Instance, config: Configuration, prune: bool = True,
 
 
 def flow_cost_bound(inst: Instance, prune: bool = True,
-                    install_cost_mode: str = "annualized_times_horizon",
                     limits: OracleLimits | None = None) -> float | None:
     """Flow cost (objective minus install cost) of the widest configuration,
     every site open at its largest size: a lower bound on every
     configuration's flow cost.  None when even that LP is infeasible."""
-    factory = _LpFactory(inst, prune, _SlotTable(inst, install_cost_mode))
+    factory = _LpFactory(inst, prune, _SlotTable(inst))
     return factory.flow_bound(limits or OracleLimits())
 
 
 def solve_exact(inst: Instance, limits: OracleLimits | None = None, prune: bool = True,
-                install_cost_mode: str = "annualized_times_horizon",
                 permute_seed: int | None = None,
                 progress: Callable[[int, int], None] | None = None,
                 ) -> tuple[Solution, OracleCertificate]:
@@ -419,7 +415,7 @@ def solve_exact(inst: Instance, limits: OracleLimits | None = None, prune: bool 
     """
     limits = limits or OracleLimits()
     t0 = time.monotonic()
-    slots = _SlotTable(inst, install_cost_mode)
+    slots = _SlotTable(inst)
     # refuse before the all-open LP is assembled
     configurations = slots.configurations(limits.max_configs)
     factory = _LpFactory(inst, prune, slots)

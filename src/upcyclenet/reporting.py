@@ -129,7 +129,8 @@ class CostBreakdown:
 def breakdown_costs(sol: Solution, model: Model, inst: Instance) -> CostBreakdown:
     """Recompute cost components from flows and parameters, then insist they
     sum to the reported objective (1e-9 relative for oracle solutions, 1e-6
-    for external ones)."""
+    for external ones).  Everything comes from `sol` and `inst`; `model` is
+    not read and stays for the callers that pass it."""
     flows, installs = decode_solution(sol, inst)
     duration = {t.id: t.duration_years for t in inst.periods}
     node_of: dict[str, dict[str, Node]] = {
@@ -139,10 +140,9 @@ def breakdown_costs(sol: Solution, model: Model, inst: Instance) -> CostBreakdow
     leg_roles = {leg: (o, d) for leg, o, d in LEGS}
 
     horizon = inst.horizon_years()
-    multiplier = horizon if model.install_cost_mode == "annualized_times_horizon" else 1.0
     installation = 0.0
     for _, _, option in _open_sites(installs, inst):
-        installation += option.install_cost_annual * multiplier
+        installation += option.install_cost_annual * horizon
 
     operating: dict[tuple[str, str], float] = {}
     transport: dict[tuple[str, str], float] = {}

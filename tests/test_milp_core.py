@@ -12,16 +12,16 @@ from upcyclenet.geo import haversine_km
 from upcyclenet.instance import Node, parse_instance, serialize_instance
 from upcyclenet.model import (
     ROW_FAMILIES,
+    VariableIndex,
     build_milp,
     count_columns,
     count_rows,
     dump_model,
     flow_column_name,
-    index_variables,
     install_column_name,
 )
 from upcyclenet.model_io import write_mps
-from upcyclenet.scenario import single_chain_instance
+from upcyclenet.scenario import _eta_zero_instance, single_chain_instance
 
 ECH = ("cf", "rtf", "cpf", "dpf")
 LEG_ENDPOINTS = (
@@ -212,10 +212,10 @@ def test_single_chain_shape_forces_five_plus_four():
 
 def test_pruning_removes_unacceptable_source_columns():
     inst = parse_doc(minimal_doc())
-    names = index_variables(inst, prune=True).names
+    names = VariableIndex(inst, prune=True).names
     src_cols = [n for n in names if n.startswith("xsrccf_")]
     assert src_cols == ["xsrccf_t1_w_src1_cf1_s1"]
-    names_off = index_variables(inst, prune=False).names
+    names_off = VariableIndex(inst, prune=False).names
     src_cols_off = [n for n in names_off if n.startswith("xsrccf_")]
     assert "xsrccf_t1_g_src1_cf1_s1" in src_cols_off
 
@@ -228,7 +228,7 @@ def test_column_key_offset_bijection():
     rng = np.random.default_rng(7)
     doc = random_shape_doc(rng)
     inst = parse_instance(json.dumps(doc))
-    vindex = index_variables(inst, prune=True)
+    vindex = VariableIndex(inst, prune=True)
     names = vindex.names
     assert len(set(names)) == vindex.n_columns
     for col in range(vindex.n_columns):
@@ -255,11 +255,11 @@ def test_column_key_offset_bijection():
     for seed in (3, 4, 5):
         inst = parse_instance(json.dumps(random_shape_doc(np.random.default_rng(seed))))
         for prune in (True, False):
-            vindex = index_variables(inst, prune=prune)
+            vindex = VariableIndex(inst, prune=prune)
             assert [vindex.column(name) for name in vindex.names] == list(range(vindex.n_columns))
 
     inst = parse_doc(minimal_doc())
-    pruned, unpruned = index_variables(inst, prune=True), index_variables(inst, prune=False)
+    pruned, unpruned = VariableIndex(inst, prune=True), VariableIndex(inst, prune=False)
     assert pruned.column("xsrccf_t1_w_src1_cf1_s1") == 0
     assert pruned.column("xdpfsnk_t1_g_dpf1_snk1") is not None
     for name in ("xsrccf_t1_w_src1_cf1",  # too few tokens
@@ -278,14 +278,14 @@ def test_column_key_offset_bijection():
     sites = (Node("cf.1", 0.1, 0.0), Node("cf 1", 0.2, 0.0))
     forged = dataclasses.replace(inst, cf=dataclasses.replace(inst.cf, sites=sites))
     with pytest.raises(NamingError, match="'cf.1' and 'cf 1' both become 'cf-1'"):
-        index_variables(forged, prune=True)
+        VariableIndex(forged, prune=True)
 
 
 def test_single_column_names_match_the_cached_block_names():
     # the oracle names its values one column at a time; those names must be
     # the model's own, or its solutions stop parsing against the model
     doc = random_shape_doc(np.random.default_rng(7))
-    vindex = index_variables(parse_instance(json.dumps(doc)), prune=True)
+    vindex = VariableIndex(parse_instance(json.dumps(doc)), prune=True)
     for col, name in enumerate(vindex.names):
         key = vindex.column_key(col)
         single = flow_column_name(*key[1:]) if key[0] == "flow" else install_column_name(*key[1:])
@@ -322,7 +322,7 @@ def test_empty_leg_block_at_the_bisect_boundary():
 
 def test_flow_columns_precede_installs_in_chain_order():
     inst = parse_doc(minimal_doc())
-    names = index_variables(inst, prune=False).names
+    names = VariableIndex(inst, prune=False).names
     prefixes = []
     for n in names:
         head = n.split("_")[0]
@@ -339,7 +339,7 @@ def test_empty_chain_role_rejected():
     doc["echelons"]["rtf"]["sites"] = []
     inst = parse_doc(doc)
     with pytest.raises(ModelError, match="rtf"):
-        index_variables(inst, prune=True)
+        VariableIndex(inst, prune=True)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +393,7 @@ def test_objective_dual_route_on_random_instance():
         assert model.objective[col] == pytest.approx(want, rel=1e-12)
 
 
-def test_install_cost_mode_once():
+def test_install_cost_is_annual_times_horizon():
     doc = minimal_doc(periods=[
         {"id": "t1", "duration_years": 2.0},
         {"id": "t2", "duration_years": 3.0},
@@ -402,13 +402,9 @@ def test_install_cost_mode_once():
     doc["sinks"][0]["demand"]["t2"] = {"g": 50.0}
     doc["quota"]["t2"] = {"w": 0.5}
     inst = parse_doc(doc)
-    horizon_model = build_milp(inst, install_cost_mode="annualized_times_horizon")
-    once_model = build_milp(inst, install_cost_mode="once")
-    b0 = horizon_model.index.n_continuous
-    assert horizon_model.objective[b0] == pytest.approx(10.0 * 5.0)
-    assert once_model.objective[b0] == pytest.approx(10.0)
-    with pytest.raises(ModelError):
-        build_milp(inst, install_cost_mode="sometimes")
+    model = build_milp(inst)
+    b0 = model.index.n_continuous
+    assert model.objective[b0] == pytest.approx(10.0 * 5.0)
 
 
 def test_missing_transport_cost_is_an_error_only_when_material_flows():
@@ -529,6 +525,14 @@ def test_dump_model_mentions_every_row_family():
                      "facility_cap", "one_size"):
         assert fragment in text
     assert "np.float64" not in text
+
+
+@pytest.mark.parametrize("make", [single_chain_instance, _eta_zero_instance])
+def test_row_family_is_the_family_slice_holding_it(make):
+    block = build_milp(make()).constraints
+    for family in ROW_FAMILIES:
+        rows = range(block.n_rows)[block.family_slice(family)]
+        assert all(block.row(r).family == family for r in rows)
 
 
 def test_model_fingerprint_tracks_instance_identity():

@@ -283,7 +283,7 @@ def test_parse_solution_full_roundtrip(hand_model):
     sol = hand_solution(hand_model)
     sol.bound = 540.0
     text = format_solution(sol)
-    back = parse_solution(text, hand_model, source="oracle")
+    back = parse_solution(text, hand_model)
     assert back.values == sol.values
     assert back.objective_reported == sol.objective_reported
     assert back.status == "optimal"
@@ -537,6 +537,19 @@ def test_solver_nonzero_exit_without_status_is_unknown(hand_model, tmp_path):
         tmp_path,
         """
         open(sys.argv[2], "w").write("bcf_cf1_s1 1.0\\n")
+        sys.exit(3)
+        """,
+    )
+    sol = run_external_solver(hand_model, cmd)
+    assert sol.status == "unknown"
+    assert sol.values == {"bcf_cf1_s1": 1.0}
+
+
+def test_solver_status_in_a_comment_is_not_declared(hand_model, tmp_path):
+    cmd = write_script(
+        tmp_path,
+        """
+        open(sys.argv[2], "w").write("# =status= optimal\\nbcf_cf1_s1 1.0\\n")
         sys.exit(3)
         """,
     )

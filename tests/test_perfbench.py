@@ -3,8 +3,10 @@
 `perfbench/workloads.py` reads package attributes that no other test
 touches: `index.legs[*].sizes/dest_role/start/count`,
 `index.installs[*].offset/sites/echelon`, `model.rows` and
-`index.column_name`.  One set-up, pass and check of two small workloads
-makes a rename of any of them fail here, not first in the benchmark.
+`index.column_name`; the external workload alone goes through
+`run_external_solver` and the HiGHS adapter child.  One set-up, pass and
+check of each workload at a small size makes a rename of any of them fail
+here, not first in the benchmark.
 """
 
 import importlib.util
@@ -28,6 +30,7 @@ def workloads():
 @pytest.mark.parametrize("name, kwargs", [
     ("ModelFull", {"fraction": 0.05}),
     ("OracleTiny", {"size": 5}),
+    ("External", {"fraction": 0.02}),
 ])
 def test_benchmark_workload_runs_clean(workloads, name, kwargs):
     workload = getattr(workloads, name)(**kwargs)

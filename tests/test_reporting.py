@@ -129,7 +129,7 @@ def test_breakdown_csv_shape(hand_case):
     assert "transport,t1,src_cf,20.000000" in lines
 
 
-def test_breakdown_respects_install_cost_mode():
+def test_breakdown_installation_matches_oracle_horizon():
     doc = minimal_doc(periods=[
         {"id": "t1", "duration_years": 2.0},
         {"id": "t2", "duration_years": 3.0},
@@ -138,13 +138,10 @@ def test_breakdown_respects_install_cost_mode():
     doc["sinks"][0]["demand"]["t2"] = {"g": 50.0}
     doc["quota"]["t2"] = {"w": 0.5}
     inst = parse_doc(doc)
-    for mode in ("annualized_times_horizon", "once"):
-        model = build_milp(inst, install_cost_mode=mode)
-        sol, _ = solve_exact(inst, install_cost_mode=mode)
-        bd = breakdown_costs(sol, model, inst)
-        factor = 5.0 if mode == "annualized_times_horizon" else 1.0
-        # all four echelons open one 10-cost size each
-        assert bd.installation == pytest.approx(4 * 10.0 * factor, abs=1e-9)
+    sol, _ = solve_exact(inst)
+    bd = breakdown_costs(sol, build_milp(inst), inst)
+    # all four echelons open one 10-cost size each, over a 5-year horizon
+    assert bd.installation == pytest.approx(4 * 10.0 * 5.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
