@@ -46,15 +46,19 @@ Representation.  Columns have one layout: each leg (`LegSpace`) and each
 echelon's installs (`InstallSpace`) is a `_Block`, the product of its id
 axes in mixed radix, last axis fastest, and `VariableIndex` lays the nine
 blocks end to end.  `_Block` alone turns positions into columns and
-columns back into ids.  Names have one path: `VariableIndex` builds them
-block by block from sanitized ids on first use and caches them, and
-`column` inverts the formatter (prefix -> block, token -> position per
-axis -> `offset`), so no name -> column map is kept.  `flow_column_name`
-and `install_column_name`, which the oracle uses for single columns, go
-through the same formatter.  The rows are one read-only CSR block
-(`RowBlock`: `indptr`, `indices`, `data`, `sense`/`rhs` arrays, per-row
-names and keys, family offsets), built from whole column ranges of the
-blocks.  `Model.rows` offers the same rows as `Row` tuples, built
+columns back into ids.  Names have one format, `prefix_token_token...` of
+sanitized ids, checked against MAX_NAME_LEN.  The MPS writer reads them
+as one NUL-padded byte table (`VariableIndex.name_table`), broadcast
+block by block from the prefix and one token table per axis, so it makes
+no string per column.  `column_name`, `flow_column_name` and
+`install_column_name` format single names from ids; the oracle names its
+values that way.  `names`, every name as a cached tuple of strings, is
+decoded from the table for the listing and the tests only.  `column`
+inverts the format (prefix -> block, token -> position per axis ->
+`offset`), so no name -> column map is kept.  The rows are one read-only
+CSR block (`RowBlock`: `indptr`, `indices`, `data`, `sense`/`rhs` arrays,
+per-row names and keys, family offsets), built from whole column ranges
+of the blocks.  `Model.rows` offers the same rows as `Row` tuples, built
 from the block on each access, for the listing and per-row reference
 checks; no writer, reader or verification reads it.
 """
@@ -89,11 +93,20 @@ MAX_NAME_LEN = 64
 def flow_column_name(leg: str, t: str, p: str, origin: str, dest: str,
                      size: str | None) -> str:
     ids = (t, p, origin, dest) if size is None else (t, p, origin, dest, size)
-    return _product_names(FLOW_PREFIXES[leg], tuple((x,) for x in ids))[0]
+    return _name("column", FLOW_PREFIXES[leg], ids)
 
 
 def install_column_name(echelon: str, site: str, size: str) -> str:
-    return _product_names(f"b{echelon}", ((site,), (size,)))[0]
+    return _name("column", f"b{echelon}", (site, size))
+
+
+def _name(kind: str, prefix: str, ids: tuple[str, ...]) -> str:
+    """'prefix_a_b_...' from sanitized ids: the one format of a single column
+    or row name, NamingError if it is longer than MAX_NAME_LEN."""
+    name = "_".join((prefix,) + tuple(sanitize_id(x) for x in ids))
+    if len(name) > MAX_NAME_LEN:
+        raise NamingError(f"{kind} name '{name}' exceeds {MAX_NAME_LEN} characters")
+    return name
 
 
 class _Block:
@@ -165,31 +178,19 @@ class InstallSpace(_Block):
         return ("install", self.echelon) + self.ids(col)
 
 
-def _product_names(prefix: str, axes: tuple[tuple[str, ...], ...]) -> list[str]:
-    """'prefix_a_b_...' for every combination of axis ids, last axis fastest;
-    each id is sanitized once, not once per name.  The one column-name
-    formatter: block names and single names both come from here."""
-    names = [prefix]
-    for ids in axes:
-        tokens = [sanitize_id(x) for x in ids]
-        names = [f"{head}_{tok}" for head in names for tok in tokens]
-    return _check_length(names, "column")
-
-
-def _check_length(names: list[str], kind: str) -> list[str]:
-    """`names` unchanged, or NamingError naming the first over MAX_NAME_LEN."""
-    if max(map(len, names), default=0) > MAX_NAME_LEN:
-        name = next(n for n in names if len(n) > MAX_NAME_LEN)
-        raise NamingError(f"{kind} name '{name}' exceeds {MAX_NAME_LEN} characters")
-    return names
+def _token_table(ids: tuple[str, ...]) -> np.ndarray:
+    """'_' + sanitized id per id as a NUL-padded uint8 (len(ids), width) table."""
+    tokens = np.array([b"_" + sanitize_id(x).encode() for x in ids], dtype=np.bytes_)
+    return tokens.view(np.uint8).reshape(len(ids), tokens.itemsize)
 
 
 class VariableIndex:
     """Arithmetic bijection between variable keys and column numbers, plus
     the model's one column-naming path: the five leg blocks in chain order,
-    then the four install blocks, end to end.  Names are built on first use
-    and cached; `column` inverts them through one {sanitized id: position}
-    map per axis, so no per-column map exists."""
+    then the four install blocks, end to end.  `name_table` gives every
+    name as bytes, `column_name` one name and `names` the cached tuple;
+    `column` inverts a name through one {sanitized id: position} map per
+    axis, so no per-column map exists."""
 
     def __init__(self, inst: Instance, prune: bool) -> None:
         for role in ("sources",) + ECHELON_TAGS + ("sinks",):
@@ -232,13 +233,16 @@ class VariableIndex:
     def install(self, tag: str) -> InstallSpace:
         return self._install_by_tag[tag]
 
-    def column_key(self, col: int) -> tuple:
-        """('flow', leg, t, p, origin, dest, size-or-None) or ('install', echelon, site, size)."""
+    def _block_of(self, col: int) -> _Block:
         if not 0 <= col < self.n_columns:
             raise IndexError(col)
         # the last block starting at or before `col`: an empty block starts
         # where the next one does, so it is never the one found
-        return self._blocks[bisect.bisect_right(self._starts, col) - 1].key(col)
+        return self._blocks[bisect.bisect_right(self._starts, col) - 1]
+
+    def column_key(self, col: int) -> tuple:
+        """('flow', leg, t, p, origin, dest, size-or-None) or ('install', echelon, site, size)."""
+        return self._block_of(col).key(col)
 
     def column(self, name: str) -> int | None:
         """The column called `name`, or None if no column has that name.
@@ -260,20 +264,61 @@ class VariableIndex:
             return None
         return block.offset(*positions)
 
+    def column_name(self, col: int) -> str:
+        """The name of column `col`, formatted on its own from its ids."""
+        block = self._block_of(col)
+        return _name("column", block.prefix, block.ids(col))
+
+    def name_table(self) -> np.ndarray:
+        """Every column name in column order as one uint8 (n_columns, width)
+        table, NUL-padded: the nonzero bytes of row c are `column_name(c)`.
+
+        Each block's rows are its prefix and one `_token_table` per axis,
+        broadcast over the block's shape side by side, so a name may hold
+        NULs between its tokens as well as after them.  A block's longest
+        name joins the longest token of every axis, so the length check is
+        arithmetic; NamingError names the first over-long column in column
+        order.  Not cached: the writer drops it after each file.
+        """
+        blocks = [(block, [_token_table(ids) for ids in block.axes])
+                  for block in self._blocks if block.count]
+        width = 0
+        for block, tokens in blocks:
+            longest = len(block.prefix) + sum(tok.shape[1] for tok in tokens)
+            if longest > MAX_NAME_LEN:
+                # some name in this block is over-long, none before it is:
+                # column_name raises on the first of them
+                for col in range(block.start, block.start + block.count):
+                    self.column_name(col)
+            width = max(width, longest)
+        table = np.zeros((self.n_columns, width), dtype=np.uint8)
+        for block, tokens in blocks:
+            rows = table[block.start:block.start + block.count].reshape(block.shape + (width,))
+            at = len(block.prefix)
+            rows[..., :at] = np.frombuffer(block.prefix.encode(), dtype=np.uint8)
+            for axis, tok in enumerate(tokens):
+                rows[..., at:at + tok.shape[1]] = _along(block, axis, tok)
+                at += tok.shape[1]
+        return table
+
     @property
     def names(self) -> tuple[str, ...]:
-        """Every column name in column order (cached, immutable)."""
+        """Every column name in column order (cached, immutable), for
+        listings and tests; the MPS writer reads `name_table` instead."""
         if self._names is None:
-            names: list[str] = []
-            for block in self._blocks:
-                names += _product_names(block.prefix, block.axes)
-            self._names = tuple(names)
+            table = self.name_table()
+            lines = np.concatenate(
+                (table, np.full((len(table), 1), ord("\n"), dtype=np.uint8)), axis=1)
+            self._names = tuple(lines[lines != 0].tobytes().decode().split("\n")[:-1])
         return self._names
 
-    def column_name(self, col: int) -> str:
-        if not 0 <= col < self.n_columns:
-            raise IndexError(col)
-        return self.names[col]
+
+def _along(block: _Block, axis: int, tokens: np.ndarray) -> np.ndarray:
+    """A (len(ids), width) token table of one axis, shaped to broadcast over
+    the block's shape along that axis."""
+    shape = [1] * len(block.shape) + [tokens.shape[1]]
+    shape[axis] = len(tokens)
+    return tokens.reshape(shape)
 
 
 def _token_positions(ids: tuple[str, ...]) -> dict[str, int]:
@@ -480,7 +525,7 @@ def build_objective(inst: Instance, vindex: VariableIndex,
 
 
 def _row_name(prefix: str, *parts: str) -> str:
-    return _check_length(["_".join([prefix] + [sanitize_id(p) for p in parts])], "row")[0]
+    return _name("row", prefix, parts)
 
 
 def build_rows(inst: Instance, vindex: VariableIndex) -> RowBlock:

@@ -4,7 +4,9 @@ Three jobs live here:
 
 * writing the canonical model as free-format MPS (the bit-exact interchange
   artifact; `model.dump_model` is the listing for human eyes); the writer
-  makes the text in batches of encoded lines, so `upcyclenet build` and
+  makes the text in batches of encoded lines from byte tables of the
+  column names, row names and coefficients through one record buffer,
+  with no string per column or per line, so `upcyclenet build` and
   `run_external_solver` stream them straight into the file and never hold
   the whole text,
 * parsing and verifying solution files in a neutral ``name value`` line
@@ -83,27 +85,40 @@ _MPS_CHUNK = 1 << 16  # COLUMNS lines assembled per batch
 
 
 def _value_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct values ascending, int32 index of each value among them):
-    one argsort, a mark where the sorted values change and its cumulative
-    sum scattered back."""
-    # the stable kind (timsort) follows the runs in the coefficients' row
-    # order; at the default shape it is 5x faster than the default kind
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    new = np.empty(len(ordered), dtype=bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    """(distinct values ascending, int32 index of each value among them).
+
+    Each run of equal neighbours is sorted once, by its first value: the
+    coefficients come in runs (a row's +1 entries, a flow's per-ton cost
+    over its sizes), so at the default shape 1.8M values make 60k runs.
+    One argsort of those, a mark where the sorted values change and its
+    cumulative sum scattered back give each run's index, repeated over the
+    run.
+    """
+    starts = np.flatnonzero(_changes(values))
+    heads = values[starts]
+    order = np.argsort(heads, kind="stable")
+    ordered = heads[order]
+    new = _changes(ordered)
     ids = np.empty(len(ordered), dtype=np.int32)
     ids[order] = np.cumsum(new, dtype=np.int32) - 1
-    return ordered[new], ids
+    return ordered[new], np.repeat(ids, np.diff(starts, append=len(values)))
 
 
-def _mps_batches(model: Model) -> Iterator[bytes]:
-    """`write_mps(model)` encoded as UTF-8, in consecutive batches:
-    the sections before COLUMNS, each batch of up to `_MPS_CHUNK` COLUMNS
-    lines, each marker line and the sections after COLUMNS.  The row names
-    are checked before the first batch is made."""
-    names = model.index.names
+def _changes(values: np.ndarray) -> np.ndarray:
+    """True where a value differs from the one before it, and at the first."""
+    new = np.empty(len(values), dtype=bool)
+    new[:1] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    return new
+
+
+def _mps_batches(model: Model) -> Iterator[bytes | np.ndarray]:
+    """`write_mps(model)` encoded as UTF-8, in consecutive batches, each
+    `bytes` or a 1-D uint8 array: the sections before COLUMNS, each batch
+    of up to `_MPS_CHUNK` COLUMNS lines, each marker line and the sections
+    after COLUMNS.  Column and row names are checked before the first
+    batch is made."""
+    names = model.index.name_table()
     block = model.constraints
     duplicate = first_duplicate(block.names)
     if duplicate is not None:
@@ -133,21 +148,31 @@ def _mps_batches(model: Model) -> Iterator[bytes]:
     order = np.argsort(cols, kind="stable")
     entries = (cols[order], rows[order], texts[order])
     del cols, rows, texts, order
-    # NUL-padded byte tables, one token per item; a line is a space, then
-    # its column's, row's and value's tokens side by side
-    tables = (np.array(names, dtype=np.bytes_),
-              np.array([f" {row} " for row in block.names] + [" COST "], dtype=np.bytes_),
-              np.array([f"{_fmt(v)}\n" for v in values.tolist()] + ["0\n"], dtype=np.bytes_))
-    chunk = _MPS_CHUNK
-    space = np.full((chunk, 1), ord(" "), dtype=np.uint8)
+    # NUL-padded byte tables, one token per item, each viewed as one
+    # fixed-width void item per token; a line is a space, then its column's,
+    # row's and value's tokens side by side in one record
+    tables = [_records(names),
+              _records(np.array([f" {row} " for row in block.names] + [" COST "],
+                                dtype=np.bytes_)),
+              _records(np.array([f"{_fmt(v)}\n" for v in values.tolist()] + ["0\n"],
+                                dtype=np.bytes_))]
+    fields = ("name", "row", "value")
+    record = np.dtype([("space", np.uint8)] + [(f, t.dtype) for f, t in zip(fields, tables)])
+    # no more records than entries: setting the spaces touches every page
+    chunk = max(1, min(_MPS_CHUNK, len(entries[0])))
+    buffer = np.empty(chunk, dtype=record)
+    buffer["space"] = ord(" ")
+    data = buffer.view(np.uint8)
 
-    def column_lines(lo: int, hi: int) -> Iterator[bytes]:
+    def column_lines(lo: int, hi: int) -> Iterator[np.ndarray]:
         for start in range(lo, hi, chunk):
-            stop = min(start + chunk, hi)
-            lines = np.concatenate([space[:stop - start]] + [
-                table[ids[start:stop]].view(np.uint8).reshape(stop - start, table.itemsize)
-                for table, ids in zip(tables, entries)], axis=1)
-            yield lines[lines != 0].tobytes()
+            n = min(start + chunk, hi) - start
+            # every id is in range; mode="raise" would gather into a
+            # temporary first and then copy it into `out`
+            for field, table, ids in zip(fields, tables, entries):
+                np.take(table, ids[start:start + n], out=buffer[field][:n], mode="clip")
+            lines = data[:n * record.itemsize]
+            yield lines[lines != 0]
 
     split = int(np.searchsorted(entries[0], model.index.n_continuous))
     yield from column_lines(0, split)
@@ -155,13 +180,25 @@ def _mps_batches(model: Model) -> Iterator[bytes]:
         yield b" MARKER 'MARKER' 'INTORG'\n"
         yield from column_lines(split, len(entries[0]))
         yield b" MARKER 'MARKER' 'INTEND'\n"
-    del entries, tables
+    del entries, tables, buffer, data
     tail = ["RHS"]
     tail += [f" RHS {row} {_fmt(b)}" for row, b in zip(block.names, block.rhs.tolist()) if b != 0.0]
-    tail.append("BOUNDS")
-    tail += [f" BV BND {names[c]}" for c in model.binary_columns]
-    tail.append("ENDATA\n")
+    tail.append("BOUNDS\n")
     yield "\n".join(tail).encode()
+    # the install rows of the name table, each between ` BV BND ` and a newline
+    bounds = np.zeros((model.index.n_binary, 8 + names.shape[1] + 1), dtype=np.uint8)
+    bounds[:, :8] = np.frombuffer(b" BV BND ", dtype=np.uint8)
+    bounds[:, 8:-1] = names[model.index.n_continuous:]
+    bounds[:, -1] = ord("\n")
+    yield bounds[bounds != 0]
+    yield b"ENDATA\n"
+
+
+def _records(table: np.ndarray) -> np.ndarray:
+    """A NUL-padded table (an `S` array or a 2-D uint8 array) as one void
+    item of its width per row."""
+    rows = table.view(np.uint8).reshape(len(table), -1)
+    return rows.view(f"V{rows.shape[1]}").reshape(len(table))
 
 
 def write_mps(model: Model) -> str:
@@ -177,23 +214,31 @@ def write_mps(model: Model) -> str:
     as `COST 0` so that readers still see it.
 
     COLUMNS is assembled `_MPS_CHUNK` lines at a time without a per-line
-    string.  Three NUL-padded byte tables hold one token each: every
-    column name, every ` row ` (plus ` COST `) and every distinct
-    coefficient as `repr(float)` plus a newline (plus `0` for empty
-    columns).  A batch gathers each line's three tokens side by side behind
-    a leading space and drops the padding with one `!= 0` mask; the bytes
-    left are the batch's lines.  That is exact because no token holds a NUL
-    and all are ASCII: names are `sanitize_id` tokens ([A-Za-z0-9-]) joined
-    by `_`, and the `repr` of a float is ASCII (digits, `.`, `-`, `+`, `e`,
-    `inf`, `nan`).
+    or per-column string.  Three NUL-padded byte tables hold one token
+    each: every column name (`VariableIndex.name_table`, broadcast block by
+    block from per-axis token tables), every ` row ` (plus ` COST `) and
+    every distinct coefficient as `repr(float)` plus a newline (plus `0`
+    for empty columns).  One record buffer, a space and one fixed-width
+    field per table, is allocated per write; a batch fills each field with
+    one `np.take` of its table's tokens and drops every NUL with one `!= 0`
+    mask over the buffer's bytes.  The bytes left are the batch's lines.
+    That is exact because no token holds a NUL and all are ASCII: names
+    are `sanitize_id` tokens ([A-Za-z0-9-]) joined by `_`, and the `repr`
+    of a float is ASCII (digits, `.`, `-`, `+`, `e`, `inf`, `nan`).  The
+    BV lines take the install rows of the name table the same way.  The
+    batches are appended to one buffer as they come and decoded once.
     """
-    return "".join(batch.decode() for batch in _mps_batches(model))
+    text = bytearray()
+    for batch in _mps_batches(model):
+        # a memoryview: `bytearray += array` would be numpy's elementwise add
+        text += memoryview(batch)
+    return str(text, "utf-8")
 
 
 def _write_mps_file(model: Model, path: Path) -> None:
     """`write_mps(model).encode()` written to `path` a batch at a time."""
     batches = _mps_batches(model)
-    head = next(batches)  # row names are checked before the file exists
+    head = next(batches)  # names are checked before the file exists
     with open(path, "wb") as f:
         f.write(head)
         f.writelines(batches)
@@ -388,7 +433,7 @@ def verify_solution(sol: Solution, model: Model, tol: float = 1e-6) -> Verificat
     nonfinite = np.flatnonzero(~np.isfinite(x))
     if len(nonfinite):
         messages.append(f"{len(nonfinite)} non-finite solution values, first at "
-                        f"{model.index.names[nonfinite[0]]}")
+                        f"{model.index.column_name(int(nonfinite[0]))}")
     recomputed = float(model.objective @ x)
     if sol.objective_reported != 0.0 or recomputed != 0.0:
         denom = max(1.0, abs(recomputed))
@@ -460,7 +505,7 @@ def _worst_residual(model: Model, x: np.ndarray) -> tuple[float, str | None]:
     k = int(np.argmax(violation))
     n_rows = model.n_rows
     return float(violation[k]), (model.constraints.names[k] if k < n_rows
-                                 else model.index.names[k - n_rows])
+                                 else model.index.column_name(k - n_rows))
 
 
 def _refine_onto_active_set(sol: Solution, model: Model) -> Solution:

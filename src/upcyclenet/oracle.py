@@ -384,12 +384,18 @@ def solve_flow_lp(inst: Instance, config: Configuration, prune: bool = True,
                   permute_seed: int | None = None) -> FlowLpResult:
     """Solve the flow LP for one fixed configuration; objective includes the
     configuration's installation cost."""
-    slots = _SlotTable(inst)
-    factory = _LpFactory(inst, prune, slots)
-    result = factory.solve(config, limits or OracleLimits(), permute_seed)
+    return _solve_flow_lp(_LpFactory(inst, prune, _SlotTable(inst)), config,
+                          limits or OracleLimits(), permute_seed)
+
+
+def _solve_flow_lp(factory: _LpFactory, config: Configuration, limits: OracleLimits,
+                   permute_seed: int | None = None) -> FlowLpResult:
+    """`solve_flow_lp` on an assembled factory, which a caller solving many
+    configurations of one instance builds once."""
+    result = factory.solve(config, limits, permute_seed)
     if result.x is None:
         return FlowLpResult(result.status, result.objective, {}, result.iterations)
-    return FlowLpResult(result.status, result.objective + slots.scan(config)[1],
+    return FlowLpResult(result.status, result.objective + factory.slots.scan(config)[1],
                         factory.flows(config, result.x), result.iterations)
 
 

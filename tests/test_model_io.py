@@ -229,6 +229,74 @@ def test_column_name_collision_aborts_write():
         write_mps(build_milp(forged))
 
 
+def test_over_long_column_name_aborts_write(hand_model, tmp_path):
+    import dataclasses
+
+    from upcyclenet.instance import Node
+    from upcyclenet.model import VariableIndex
+
+    # a 70-character site id makes over-long row names too, so build_milp
+    # would refuse it; swap in an index over a forged instance of the same
+    # shape to reach the writer's own guard
+    inst = single_chain_instance()
+    long_id = "r" * 70
+    site = inst.rtf.sites[0]
+    forged = dataclasses.replace(inst, rtf=dataclasses.replace(
+        inst.rtf, sites=(Node(long_id, site.lat, site.lon),) + inst.rtf.sites[1:]))
+    model = dataclasses.replace(hand_model, index=VariableIndex(forged, hand_model.prune))
+    # the first of its columns in column order: brtf_... and xrtfcpf_... come later
+    name = f"xcfrtf_t1_w_cf1_{long_id}_s1"
+    assert len(name) > 64
+    message = f"column name '{name}' exceeds 64 characters"
+    with pytest.raises(NamingError) as excinfo:
+        write_mps(model)
+    assert str(excinfo.value) == message
+    path = tmp_path / "model.mps"
+    with pytest.raises(NamingError) as excinfo:
+        model_io._write_mps_file(model, path)
+    assert str(excinfo.value) == message
+    assert not path.exists()
+
+
+def test_writer_never_builds_the_names_tuple(monkeypatch, hand_model, tmp_path):
+    from upcyclenet.model import VariableIndex
+
+    def refuse(self):
+        raise AssertionError("the MPS writer read VariableIndex.names")
+
+    monkeypatch.setattr(VariableIndex, "names", property(refuse))
+    assert write_mps(hand_model) == GOLDEN_HAND_MPS
+    path = tmp_path / "model.mps"
+    model_io._write_mps_file(hand_model, path)
+    assert path.read_text() == GOLDEN_HAND_MPS
+    for (seed, prune), digest in GOLDEN_MPS_SHA256.items():
+        inst = parse_instance(json.dumps(random_shape_doc(np.random.default_rng(seed))))
+        text = write_mps(build_milp(inst, prune=prune))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (seed, prune)
+    # the two diagnostics that name one column do not build it either
+    values = {**hand_solution(hand_model).values, "bcf_cf1_s1": float("inf")}
+    report = verify_solution(Solution(values=values, objective_reported=540.0), hand_model)
+    assert any(m.endswith("first at bcf_cf1_s1") for m in report.messages)
+    model = two_sink_model(20.0)
+    values = dict(hand_solution(model).values,
+                  xdpfsnk_t1_w_dpf1_snk1=10.0 + 3e-7, xdpfsnk_t1_w_dpf1_snk2=-3e-7)
+    x = solution_vector(Solution(values=values, objective_reported=0.0), model)
+    assert _worst_residual(model, x) == (3e-7, "xdpfsnk_t1_w_dpf1_snk2")
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+@pytest.mark.parametrize("prune", [True, False])
+def test_column_name_and_name_table_match_names(seed, prune):
+    from upcyclenet.model import VariableIndex
+
+    inst = parse_instance(json.dumps(random_shape_doc(np.random.default_rng(seed))))
+    index = VariableIndex(inst, prune)
+    names = index.names
+    assert [index.column_name(c) for c in range(index.n_columns)] == list(names)
+    table = index.name_table()
+    assert [bytes(row[row != 0]).decode() for row in table] == list(names)
+
+
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_mps_bytes_do_not_depend_on_batch_size(monkeypatch, hand_model, chunk):
     monkeypatch.setattr(model_io, "_MPS_CHUNK", chunk)

@@ -400,16 +400,22 @@ def test_decentralized_collection_emerges_with_expensive_raw_transport():
 
 
 def brute_force(inst, prune, permute_seed, tie_tol=oracle.TIE_TOL):
-    """Every configuration through solve_flow_lp, keeping the
-    lexicographically first minimum under the oracle's tie rule."""
+    """Every configuration through solve_flow_lp's body on one factory,
+    keeping the lexicographically first minimum under the oracle's tie rule."""
+    factory = all_open_factory(inst, prune)
     best = None
     for config in enumerate_configurations(inst):
-        res = solve_flow_lp(inst, config, prune=prune, permute_seed=permute_seed)
+        res = oracle._solve_flow_lp(factory, config, OracleLimits(), permute_seed)
         if res.status != "optimal":
             continue
         if best is None or res.objective < best[0] - tie_tol * max(1.0, abs(best[0])):
             best = (res.objective, config, res.flows)
     return best
+
+
+def all_open_factory(inst, prune=True):
+    """The all-open LP that solve_flow_lp assembles on each call, built once."""
+    return oracle._LpFactory(inst, prune, oracle._SlotTable(inst))
 
 
 def install_cost(inst, config):
@@ -460,8 +466,9 @@ def test_flow_cost_bound_is_below_every_configuration():
             continue
         checked += 1
         bound = flow_cost_bound(inst)
+        factory = all_open_factory(inst)
         for config in enumerate_configurations(inst):
-            res = solve_flow_lp(inst, config)
+            res = oracle._solve_flow_lp(factory, config, OracleLimits())
             if bound is None:
                 assert res.status == "infeasible"
             elif res.status == "optimal":
