@@ -11,6 +11,7 @@ carries only results.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from .model_io import (
     run_external_solver,
     verify_solution,
 )
-from .oracle import OracleLimits, solve_exact
+from .oracle import MAX_CONFIGS, solve_exact
 from .reporting import (
     breakdown_costs,
     compute_utilization,
@@ -98,8 +99,8 @@ def _cmd_solve(args) -> int:
         def progress(done: int, total: int) -> None:
             print(f"oracle: {done}/{total} configurations", file=sys.stderr)
 
-        limits = OracleLimits(max_configs=args.max_configs)
-        sol, cert = solve_exact(inst, limits=limits, prune=prune, progress=progress)
+        sol, cert = solve_exact(inst, max_configs=args.max_configs, prune=prune,
+                                progress=progress)
         print(cert.summary(), file=sys.stderr)
     else:
         model = build_milp(inst, prune=prune)
@@ -178,6 +179,27 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _positive_seconds(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number of seconds above 0, got {text}")
+    return value
+
+
+def _config_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
+    return value
+
+
 def _add_instance(p) -> None:
     p.add_argument("--instance", required=True, help="instance JSON file")
 
@@ -213,9 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exhaustive built-in solver (small instances only)")
     engine.add_argument("--solver-cmd", metavar="TEMPLATE",
                         help="external solver command with {mps} and {sol} placeholders")
-    p.add_argument("--time-limit", type=float, default=None,
+    p.add_argument("--time-limit", type=_positive_seconds, default=None,
                    help="seconds before the external solver is cut off")
-    p.add_argument("--max-configs", type=int, default=OracleLimits().max_configs,
+    p.add_argument("--max-configs", type=_config_count, default=MAX_CONFIGS,
                    help="oracle refuses instances with more configurations than this")
     p.add_argument("--override-validation", action="store_true",
                    help="solve even when validation reports errors")
@@ -225,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance(p)
     p.add_argument("--solution", required=True, help="solution file")
     _add_prune(p)
-    p.add_argument("--tol", type=float, default=1e-6, help="row violation tolerance")
+    p.add_argument("--tol", type=_tolerance, default=1e-6, help="row violation tolerance")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("report", help="write cost, flow, layout and utilization tables")
@@ -233,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solution", required=True, help="solution file")
     p.add_argument("--out", required=True, help="output directory")
     _add_prune(p)
-    p.add_argument("--tol", type=float, default=1e-6, help="verification tolerance")
+    p.add_argument("--tol", type=_tolerance, default=1e-6, help="verification tolerance")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("gen", help="generate a synthetic instance")

@@ -5,8 +5,7 @@ formula on a sphere of radius 6371.0088 km, optionally stretched by a
 road-circuity factor.  Distances feed transport cost only; they are never
 read from the instance document.  One dense matrix is built per leg of the
 chain (sources->CF, CF->RTF, RTF->CPF, CPF->DPF, DPF->sinks); `build_milp`,
-`solve_exact`, `solve_flow_lp` and `flow_cost_bound` each build them once
-per call.
+`solve_exact` and `solve_flow_lp` each build them once per call.
 """
 
 from __future__ import annotations

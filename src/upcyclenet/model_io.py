@@ -408,8 +408,11 @@ def verify_solution(sol: Solution, model: Model, tol: float = 1e-6) -> Verificat
     every value is finite.  A row whose activity is not finite counts as
     infinitely violated.  The first row in emission order wins a tie for
     the worst violation.  The report never raises on violations; it
-    carries them.
+    carries them.  A `tol` that is not finite or is below 0 raises
+    `ValueError`.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     x = solution_vector(sol, model)
     block = model.constraints
     activity = block.activities(x)
@@ -620,9 +623,14 @@ def run_external_solver(model: Model, solver_cmd: str,
     follow the refined values.  A solution that fails verification comes
     back exactly as parsed.  `Solution.diagnostics` ends with the worst
     residual before and after refinement whenever it ran.
+
+    A `time_limit` that is not finite or not above 0 raises
+    `SolverRunError` before anything is written or run.
     """
     if "{mps}" not in solver_cmd or "{sol}" not in solver_cmd:
         raise SolverRunError("solver command template must use both {mps} and {sol}")
+    if time_limit is not None and not (math.isfinite(time_limit) and time_limit > 0.0):
+        raise SolverRunError(f"time_limit must be finite and above 0 seconds, got {time_limit}")
     tokens = shlex.split(solver_cmd)
     with tempfile.TemporaryDirectory(prefix="upcyclenet-") as tmp:
         mps_path = Path(tmp) / "model.mps"

@@ -64,15 +64,11 @@ Configuration = tuple[int, ...]
 # relative: a configuration replaces the incumbent only if cheaper by more
 # than this, so ties go to the lexicographically smallest
 TIE_TOL = 1e-9
+# default enumeration limit: larger instances are refused, not solved
+MAX_CONFIGS = 2**20
 
 _LEG_INTO = {"cf": "src_cf", "rtf": "cf_rtf", "cpf": "rtf_cpf", "dpf": "cpf_dpf"}
 _LEG_OUT_OF = {"cf": "cf_rtf", "rtf": "rtf_cpf", "cpf": "cpf_dpf", "dpf": "dpf_sink"}
-
-
-@dataclass(frozen=True)
-class OracleLimits:
-    max_configs: int = 2**20
-    max_iterations: int = 50_000
 
 
 @dataclass(frozen=True)
@@ -174,19 +170,14 @@ class _SlotTable:
                 for slot, c in self.open_sites(config)}
 
 
-def site_slots(inst: Instance) -> tuple[tuple[str, int, int], ...]:
-    """Flat (echelon, site position, size count) in configuration order."""
-    return tuple((s.tag, s.site, len(s.sizes)) for s in _SlotTable(inst).slots)
-
-
 def count_configurations(inst: Instance) -> int:
     return _SlotTable(inst).count
 
 
-def enumerate_configurations(inst: Instance, limits: OracleLimits | None = None):
+def enumerate_configurations(inst: Instance, max_configs: int = MAX_CONFIGS):
     """Complete lexicographic stream of all configurations; refuses when the
-    product of per-site choices exceeds the configured ceiling."""
-    return _SlotTable(inst).configurations((limits or OracleLimits()).max_configs)
+    product of per-site choices exceeds `max_configs`."""
+    return _SlotTable(inst).configurations(max_configs)
 
 
 def describe_configuration(inst: Instance, config: Configuration) -> dict[str, dict[str, str | None]]:
@@ -198,15 +189,6 @@ def describe_configuration(inst: Instance, config: Configuration) -> dict[str, d
     for slot, c in table.open_sites(config):
         desc[slot.tag][slot.site_id] = slot.sizes[c]
     return desc
-
-
-def config_capacity_feasible(inst: Instance, config: Configuration) -> bool:
-    """Necessary condition: open capacity per echelon covers the tonnage the
-    quota provably forces through it.  False means the configuration cannot
-    be feasible; True promises nothing."""
-    table = _SlotTable(inst)
-    table.open_sites(config)  # rejects a malformed configuration
-    return table.scan(config)[0]
 
 
 @dataclass
@@ -325,8 +307,7 @@ class _LpFactory:
         self.quota = np.zeros(len(rows), dtype=bool)
         self.quota[quota_rows] = True
 
-    def solve(self, config: Configuration, limits: OracleLimits,
-              permute_seed: int | None = None) -> LpResult:
+    def solve(self, config: Configuration, permute_seed: int | None = None) -> LpResult:
         """Solve the configuration's restriction of the all-open LP.  `x` is
         padded with zeros to the all-open columns, and the objective is the
         flow cost only; callers add the installation cost."""
@@ -345,8 +326,7 @@ class _LpFactory:
         if permute_seed is not None:
             order = cols[np.random.default_rng(permute_seed).permutation(cols.size)]
         result = solve_lp(self.obj[order], self.a[np.ix_(rows, order)],
-                          [self.senses[r] for r in rows], rhs[rows],
-                          max_iterations=limits.max_iterations)
+                          [self.senses[r] for r in rows], rhs[rows])
         if result.status == "infeasible":
             return LpResult("infeasible", 0.0, None, result.iterations)
         if result.status == "unbounded":
@@ -372,43 +352,33 @@ class _LpFactory:
                 flows[name] = float(block[t_pos, p_pos, i, j])
         return flows
 
-    def flow_bound(self, limits: OracleLimits, permute_seed: int | None = None) -> float | None:
-        """Flow cost of `slots.widest`, None when its LP is infeasible; see
-        `flow_cost_bound`."""
-        result = self.solve(self.slots.widest, limits, permute_seed)
+    def flow_bound(self, permute_seed: int | None = None) -> float | None:
+        """Flow cost (objective minus install cost) of `slots.widest`, every
+        site open at its largest size: a lower bound on every
+        configuration's flow cost.  None when even that LP is infeasible."""
+        result = self.solve(self.slots.widest, permute_seed)
         return None if result.status == "infeasible" else result.objective
 
 
 def solve_flow_lp(inst: Instance, config: Configuration, prune: bool = True,
-                  limits: OracleLimits | None = None,
                   permute_seed: int | None = None) -> FlowLpResult:
     """Solve the flow LP for one fixed configuration; objective includes the
     configuration's installation cost."""
-    return _solve_flow_lp(_LpFactory(inst, prune, _SlotTable(inst)), config,
-                          limits or OracleLimits(), permute_seed)
+    return _solve_flow_lp(_LpFactory(inst, prune, _SlotTable(inst)), config, permute_seed)
 
 
-def _solve_flow_lp(factory: _LpFactory, config: Configuration, limits: OracleLimits,
+def _solve_flow_lp(factory: _LpFactory, config: Configuration,
                    permute_seed: int | None = None) -> FlowLpResult:
     """`solve_flow_lp` on an assembled factory, which a caller solving many
     configurations of one instance builds once."""
-    result = factory.solve(config, limits, permute_seed)
+    result = factory.solve(config, permute_seed)
     if result.x is None:
         return FlowLpResult(result.status, result.objective, {}, result.iterations)
     return FlowLpResult(result.status, result.objective + factory.slots.scan(config)[1],
                         factory.flows(config, result.x), result.iterations)
 
 
-def flow_cost_bound(inst: Instance, prune: bool = True,
-                    limits: OracleLimits | None = None) -> float | None:
-    """Flow cost (objective minus install cost) of the widest configuration,
-    every site open at its largest size: a lower bound on every
-    configuration's flow cost.  None when even that LP is infeasible."""
-    factory = _LpFactory(inst, prune, _SlotTable(inst))
-    return factory.flow_bound(limits or OracleLimits())
-
-
-def solve_exact(inst: Instance, limits: OracleLimits | None = None, prune: bool = True,
+def solve_exact(inst: Instance, max_configs: int = MAX_CONFIGS, prune: bool = True,
                 permute_seed: int | None = None,
                 progress: Callable[[int, int], None] | None = None,
                 ) -> tuple[Solution, OracleCertificate]:
@@ -416,16 +386,17 @@ def solve_exact(inst: Instance, limits: OracleLimits | None = None, prune: bool 
     run, the bound LP's included; it is never converted into an
     infeasibility claim.
 
-    `progress`, if given, is called every 512 configurations with
-    (configurations examined, total count).
+    An instance with more than `max_configs` configurations is refused
+    with `OracleError` before any LP is assembled or solved.  `progress`,
+    if given, is called every 512 configurations with (configurations
+    examined, total count).
     """
-    limits = limits or OracleLimits()
     t0 = time.monotonic()
     slots = _SlotTable(inst)
     # refuse before the all-open LP is assembled
-    configurations = slots.configurations(limits.max_configs)
+    configurations = slots.configurations(max_configs)
     factory = _LpFactory(inst, prune, slots)
-    flow_bound = factory.flow_bound(limits, permute_seed)
+    flow_bound = factory.flow_bound(permute_seed)
     enumerated = pruned = bound_pruned = infeasible = solved = 0
     best_obj: float | None = None
     best_config: Configuration | None = None
@@ -448,7 +419,7 @@ def solve_exact(inst: Instance, limits: OracleLimits | None = None, prune: bool 
             pruned += 1
             bound_pruned += 1
             continue
-        result = factory.solve(config, limits, permute_seed)
+        result = factory.solve(config, permute_seed)
         if result.status == "infeasible":
             infeasible += 1
             continue

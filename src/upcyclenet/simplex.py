@@ -12,8 +12,8 @@ so this favors a plain dense tableau and robustness over sparse cleverness:
 * reduced costs are recomputed from the cost vector each iteration instead
   of carrying an objective row, trading a constant factor for immunity to
   accumulated drift,
-* exceeding ``max_iterations`` raises; a stuck LP must poison the oracle
-  run, never masquerade as infeasible.
+* exceeding ``_MAX_ITERATIONS`` pivots in one solve raises; a stuck LP
+  must poison the oracle run, never masquerade as infeasible.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ _REDCOST_TOL = 1e-9
 _DEGENERATE_STEP = 1e-12
 _DEGENERATE_LIMIT = 1_000
 _PHASE1_TOL = 1e-7
+_MAX_ITERATIONS = 50_000
 
 
 @dataclass
@@ -44,7 +45,6 @@ def solve_lp(
     a: np.ndarray,
     senses: list[str],
     b: np.ndarray,
-    max_iterations: int = 50_000,
 ) -> LpResult:
     """Minimize c @ x subject to a @ x (<=|>=|==) b, x >= 0.
 
@@ -76,7 +76,7 @@ def solve_lp(
     tableau = np.hstack([ext, np.eye(m)])
     basis = np.arange(n_ext, n_ext + m, dtype=np.intp)
 
-    state = _State(tableau, rhs, basis, max_iterations)
+    state = _State(tableau, rhs, basis)
 
     # phase 1: drive the artificials to zero
     cost1 = np.zeros(n_ext + m, dtype=np.float64)
@@ -104,14 +104,12 @@ def solve_lp(
 
 
 class _State:
-    def __init__(self, tableau: np.ndarray, rhs: np.ndarray, basis: np.ndarray,
-                 max_iterations: int) -> None:
+    def __init__(self, tableau: np.ndarray, rhs: np.ndarray, basis: np.ndarray) -> None:
         self.tableau = tableau
         self.rhs = rhs
         self.basis = basis
         self.in_basis = np.zeros(tableau.shape[1], dtype=bool)
         self.in_basis[basis] = True
-        self.max_iterations = max_iterations
         self.iterations = 0
         self.degenerate_run = 0
         self.bland = False
@@ -121,10 +119,8 @@ def _run(state: _State, cost: np.ndarray, allowed: int) -> str:
     """Pivot until optimal or unbounded; columns >= `allowed` may not enter."""
     tableau, rhs = state.tableau, state.rhs
     while True:
-        if state.iterations >= state.max_iterations:
-            raise SimplexIterationError(
-                f"simplex exceeded {state.max_iterations} iterations"
-            )
+        if state.iterations >= _MAX_ITERATIONS:
+            raise SimplexIterationError(f"simplex exceeded {_MAX_ITERATIONS} iterations")
         reduced = cost - cost[state.basis] @ tableau
         candidates = np.flatnonzero(
             (reduced[:allowed] < -_REDCOST_TOL) & ~state.in_basis[:allowed])

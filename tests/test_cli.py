@@ -53,6 +53,18 @@ def test_unknown_flag_is_a_usage_error(hand_file):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--time-limit", "-1"), ("--time-limit", "0"), ("--time-limit", "inf"),
+    ("--time-limit", "nan"), ("--max-configs", "0"), ("--max-configs", "-3"),
+])
+def test_solve_rejects_out_of_range_numeric_flags(tmp_path, hand_file, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--instance", str(hand_file), "--out", str(tmp_path),
+                  "--solver-cmd", "no-such-solver-zz {mps} {sol}", flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_missing_file_is_an_operational_error(tmp_path, capsys):
     rc = cli.main(["validate", "--instance", str(tmp_path / "nope.json")])
     assert rc == 1
@@ -197,6 +209,21 @@ def test_verify_flags_tampered_solution(solved_dir, hand_file, capsys):
     )
     assert rc == 1
     assert "verification FAIL" in capsys.readouterr().out
+
+
+def test_verify_and_report_reject_a_tolerance_that_passes_anything(
+        tmp_path, solved_dir, hand_file, capsys):
+    sol_path = solved_dir / "solution.sol"
+    sol_path.write_text(sol_path.read_text().replace("bcf_cf1_s1 1.0", "bcf_cf1_s1 0.0"))
+    out = tmp_path / "tables"
+    for tol in ("inf", "nan", "-0.5"):
+        for command in (["verify"], ["report", "--out", str(out)]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*command, "--instance", str(hand_file),
+                          "--solution", str(sol_path), "--tol", tol])
+            assert exc.value.code == 2
+            assert "--tol" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

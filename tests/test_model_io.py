@@ -496,6 +496,14 @@ def test_verify_fails_on_non_finite_values(hand_model):
         assert "FAIL" in report.summary()
 
 
+def test_verify_rejects_a_tolerance_that_passes_anything(hand_model):
+    sol = hand_solution(hand_model)
+    sol.values["xsrccf_t1_w_src1_cf1_s1"] = -5.0
+    for tol in (float("inf"), float("nan"), -1e-6):
+        with pytest.raises(ValueError, match="tol"):
+            verify_solution(sol, hand_model, tol=tol)
+
+
 def reference_verification(model, x, tol):
     """Per-row loop over `Row.activity`: violations by family, worst row."""
     by_family = {f: 0 for f in ROW_FAMILIES}
@@ -591,6 +599,13 @@ def test_template_must_mention_both_paths(hand_model):
 def test_missing_binary_raises(hand_model):
     with pytest.raises(SolverRunError, match="spawn"):
         run_external_solver(hand_model, "no-such-solver-zz {mps} {sol}")
+
+
+def test_time_limit_must_be_finite_and_positive(hand_model, tmp_path):
+    cmd = write_script(tmp_path, "sys.exit(0)\n")
+    for limit in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(SolverRunError, match="time_limit"):
+            run_external_solver(hand_model, cmd, time_limit=limit)
 
 
 def test_solver_writing_nothing_is_unknown(hand_model, tmp_path):

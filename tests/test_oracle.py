@@ -7,19 +7,15 @@ from scipy_milp_adapter import read_free_mps, solve_mps
 from test_acceptance import _decentralization_instance
 from test_instance import minimal_doc, parse_doc
 from test_milp_core import random_shape_doc
-from upcyclenet import oracle
+from upcyclenet import oracle, simplex
 from upcyclenet.errors import OracleError, SimplexIterationError
 from upcyclenet.instance import parse_instance, serialize_instance, validate_instance
 from upcyclenet.model import build_milp, install_column_name
 from upcyclenet.model_io import verify_solution, write_mps
 from upcyclenet.oracle import (
-    OracleLimits,
-    config_capacity_feasible,
     count_configurations,
     describe_configuration,
     enumerate_configurations,
-    flow_cost_bound,
-    site_slots,
     solve_exact,
     solve_flow_lp,
 )
@@ -118,14 +114,14 @@ def test_simplex_survives_beale_cycling_example():
     assert res.objective == pytest.approx(ref.fun, abs=1e-9)
 
 
-def test_simplex_iteration_cap_raises():
+def test_simplex_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(simplex, "_MAX_ITERATIONS", 0)
     with pytest.raises(SimplexIterationError):
         solve_lp(
             np.array([-1.0, -1.0]),
             np.array([[1.0, 1.0]]),
             ["L"],
             np.array([4.0]),
-            max_iterations=0,
         )
 
 
@@ -163,8 +159,8 @@ def test_simplex_agrees_with_scipy_on_random_lps(seed):
 
 def test_site_slots_and_count_on_hand_instance():
     inst = single_chain_instance()
-    slots = site_slots(inst)
-    assert [(tag, n) for tag, _, n in slots] == [("cf", 1), ("rtf", 1), ("cpf", 1), ("dpf", 1)]
+    slots = oracle._SlotTable(inst).slots
+    assert [(s.tag, len(s.sizes)) for s in slots] == [("cf", 1), ("rtf", 1), ("cpf", 1), ("dpf", 1)]
     assert count_configurations(inst) == 16
 
 
@@ -180,9 +176,22 @@ def test_enumeration_is_lexicographic_and_complete():
 def test_enumeration_refuses_over_limit():
     inst = single_chain_instance()
     with pytest.raises(OracleError, match="16"):
-        enumerate_configurations(inst, OracleLimits(max_configs=8))
+        enumerate_configurations(inst, max_configs=8)
     with pytest.raises(OracleError):
-        solve_exact(inst, OracleLimits(max_configs=8))
+        solve_exact(inst, max_configs=8)
+
+
+def test_refusal_comes_before_any_lp_work(monkeypatch):
+    solved = []
+
+    def no_factory(*args, **kwargs):
+        raise AssertionError("the all-open LP was assembled before the refusal")
+
+    monkeypatch.setattr(oracle, "_LpFactory", no_factory)
+    monkeypatch.setattr(oracle, "solve_lp", lambda *args, **kwargs: solved.append(1))
+    with pytest.raises(OracleError, match="16"):
+        solve_exact(single_chain_instance(), max_configs=8)
+    assert solved == []
 
 
 def test_describe_configuration_names_sizes():
@@ -194,10 +203,11 @@ def test_describe_configuration_names_sizes():
 
 def test_capacity_screen_hand_cases():
     inst = single_chain_instance()
-    assert not config_capacity_feasible(inst, (0, 0, 0, 0))  # quota needs 10 t collected
-    assert config_capacity_feasible(inst, (1, 1, 1, 1))
+    table = oracle._SlotTable(inst)
+    assert not table.scan((0, 0, 0, 0))[0]  # quota needs 10 t collected
+    assert table.scan((1, 1, 1, 1))[0]
     with pytest.raises(OracleError):
-        config_capacity_feasible(inst, (1, 1, 1))
+        table.open_sites((1, 1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +342,11 @@ def test_progress_callback_reports_totals():
     assert [done for done, _ in seen] == sorted(done for done, _ in seen)
 
 
-def test_iteration_poisoning_propagates():
+def test_iteration_poisoning_propagates(monkeypatch):
     inst = single_chain_instance()
+    monkeypatch.setattr(simplex, "_MAX_ITERATIONS", 1)
     with pytest.raises(SimplexIterationError):
-        solve_exact(inst, OracleLimits(max_iterations=1))
+        solve_exact(inst)
 
 
 def test_decentralized_collection_emerges_with_expensive_raw_transport():
@@ -405,7 +416,7 @@ def brute_force(inst, prune, permute_seed, tie_tol=oracle.TIE_TOL):
     factory = all_open_factory(inst, prune)
     best = None
     for config in enumerate_configurations(inst):
-        res = oracle._solve_flow_lp(factory, config, OracleLimits(), permute_seed)
+        res = oracle._solve_flow_lp(factory, config, permute_seed)
         if res.status != "optimal":
             continue
         if best is None or res.objective < best[0] - tie_tol * max(1.0, abs(best[0])):
@@ -465,10 +476,10 @@ def test_flow_cost_bound_is_below_every_configuration():
         if count_configurations(inst) > 400:
             continue
         checked += 1
-        bound = flow_cost_bound(inst)
         factory = all_open_factory(inst)
+        bound = factory.flow_bound()
         for config in enumerate_configurations(inst):
-            res = oracle._solve_flow_lp(factory, config, OracleLimits())
+            res = oracle._solve_flow_lp(factory, config)
             if bound is None:
                 assert res.status == "infeasible"
             elif res.status == "optimal":
