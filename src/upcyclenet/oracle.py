@@ -39,6 +39,18 @@ neither changes the reported optimum, configuration or flows:
 
 Both count towards `pruned`, so `pruned + infeasible + solved ==
 enumerated` holds; `bound_pruned` is the bound prune's share.
+
+The walk screens configurations in numpy blocks rather than one at a
+time.  A block is one choice for each leading slot followed by every
+choice of the trailing slots, at most `_BLOCK` configurations, so memory
+stays bounded whatever `max_configs` allows.  Each block's per-echelon
+open capacities and install costs are summed slot by slot in slot order,
+the same floats a one-at-a-time scan gives.  Within a block the walk jumps
+from one screen-passing configuration the bound prune keeps to the next,
+and every screen-passing one it jumps over is bound-pruned.  The bound
+threshold moves only when the incumbent does, so the walk solves the same
+LPs in the same order as a one-at-a-time loop and every certificate count
+is the same.
 """
 
 from __future__ import annotations
@@ -66,6 +78,8 @@ Configuration = tuple[int, ...]
 TIE_TOL = 1e-9
 # default enumeration limit: larger instances are refused, not solved
 MAX_CONFIGS = 2**20
+# most configurations screened in one numpy block; bounds the walk's memory
+_BLOCK = 1 << 14
 
 _LEG_INTO = {"cf": "src_cf", "rtf": "cf_rtf", "cpf": "rtf_cpf", "dpf": "cpf_dpf"}
 _LEG_OUT_OF = {"cf": "cf_rtf", "rtf": "rtf_cpf", "cpf": "cpf_dpf", "dpf": "dpf_sink"}
@@ -107,6 +121,25 @@ class _Slot(NamedTuple):
     costs: tuple[float, ...]  # install cost per size option, for the horizon
 
 
+class _Block(NamedTuple):
+    """The configurations `prefix` followed by each choice of the trailing
+    slots, lexicographic, with `_SlotTable.scan`'s two values for each."""
+
+    prefix: Configuration
+    shape: tuple[int, ...]  # choices per trailing slot
+    fits: np.ndarray  # open capacity covers the forced tonnage
+    install: np.ndarray  # install cost
+
+    def configuration(self, k: int) -> Configuration:
+        return self.prefix + tuple(int(d) for d in np.unravel_index(k, self.shape))
+
+
+def _covers(capacity, forced):
+    """The capacity screen's rule: open capacity carries the forced tonnage,
+    elementwise over scalars or arrays."""
+    return forced <= capacity + 1e-9 * np.maximum(1.0, forced)
+
+
 class _SlotTable:
     """The instance's site slots in configuration order, the forced tonnage
     per echelon, and `widest`; the only code that turns a configuration
@@ -128,15 +161,58 @@ class _SlotTable:
         self.widest: Configuration = tuple(1 + s.caps.index(max(s.caps)) for s in slots)
         # per echelon: the largest tonnage the quota forces through it
         per_period = forced_inflow_tons(inst).values()
-        self.forced = tuple(max([0.0] + [f[tag] for f in per_period]) for tag in ECHELON_TAGS)
+        self.forced = np.array([max([0.0] + [f[tag] for f in per_period])
+                                for tag in ECHELON_TAGS])
+        # per slot, what each choice adds: rows are the echelons' open
+        # capacity, then the install cost; column 0 (closed) adds nothing
+        self._adds = []
+        for slot in slots:
+            add = np.zeros((len(ECHELON_TAGS) + 1, len(slot.sizes) + 1))
+            add[slot.echelon, 1:] = slot.caps
+            add[-1, 1:] = slot.costs
+            self._adds.append(add)
 
-    def configurations(self, max_configs: int) -> Iterator[Configuration]:
-        """Every configuration, lexicographic; refuses more than `max_configs`."""
+    def _refuse_over(self, max_configs: int) -> None:
         if self.count > max_configs:
             raise OracleError(
                 f"{self.count} configurations exceed the enumeration limit {max_configs}"
             )
+
+    def configurations(self, max_configs: int) -> Iterator[Configuration]:
+        """Every configuration, lexicographic; refuses more than `max_configs`."""
+        self._refuse_over(max_configs)
         return itertools.product(*(range(len(s.sizes) + 1) for s in self.slots))
+
+    def blocks(self, max_configs: int) -> Iterator[_Block]:
+        """Every configuration, lexicographic, in blocks of at most `_BLOCK`
+        over the trailing slots; refuses more than `max_configs` when
+        called, before the first block."""
+        self._refuse_over(max_configs)
+        radices = [len(s.sizes) + 1 for s in self.slots]
+        split = len(radices)
+        while split and math.prod(radices[split - 1:]) <= _BLOCK:
+            split -= 1
+        shape = tuple(radices[split:])
+
+        def walk():
+            for prefix in itertools.product(*(range(r) for r in radices[:split])):
+                sums = self._sums(prefix, len(shape))
+                fits = _covers(sums[:-1], self.forced[:, None]).all(axis=0)
+                yield _Block(prefix, shape, fits, sums[-1])
+
+        return walk()
+
+    def _sums(self, head: Configuration, tail: int = 0) -> np.ndarray:
+        """Open capacity per echelon and install cost (rows) of each
+        configuration that starts with `head` and then runs through every
+        choice of the next `tail` slots, lexicographic (columns).  The sums
+        run slot by slot in slot order, so a configuration's floats do not
+        depend on how it was split into blocks."""
+        sums = np.zeros((len(self.forced) + 1, 1))
+        chosen = [add[:, c:c + 1] for add, c in zip(self._adds, head)]
+        for add in chosen + self._adds[len(head):len(head) + tail]:
+            sums = (sums[:, :, None] + add[:, None, :]).reshape(len(sums), -1)
+        return sums
 
     def open_sites(self, config: Configuration) -> list[tuple[_Slot, int]]:
         """(slot, size position) for each open site, in slot order."""
@@ -151,18 +227,11 @@ class _SlotTable:
         return opened
 
     def scan(self, config: Configuration) -> tuple[bool, float]:
-        """(open capacity covers the forced tonnage, install cost) of a
-        configuration from `configurations`, unchecked: the oracle's
-        capacity screen, run on every configuration it enumerates."""
-        open_capacity = [0.0] * len(ECHELON_TAGS)
-        install = 0.0
-        for choice, slot in zip(config, self.slots):
-            if choice:
-                open_capacity[slot.echelon] += slot.caps[choice - 1]
-                install += slot.costs[choice - 1]
-        fits = all(forced <= cap + 1e-9 * max(1.0, forced)
-                   for forced, cap in zip(self.forced, open_capacity))
-        return fits, install
+        """(open capacity covers the forced tonnage, install cost) of one
+        configuration, unchecked.  `solve_exact` screens whole blocks
+        through `blocks`, which gives the same two values."""
+        sums = self._sums(config)[:, 0]
+        return bool(_covers(sums[:-1], self.forced).all()), float(sums[-1])
 
     def install_values(self, config: Configuration) -> dict[str, float]:
         """Install column name -> 1.0 for each open site."""
@@ -394,41 +463,51 @@ def solve_exact(inst: Instance, max_configs: int = MAX_CONFIGS, prune: bool = Tr
     t0 = time.monotonic()
     slots = _SlotTable(inst)
     # refuse before the all-open LP is assembled
-    configurations = slots.configurations(max_configs)
+    blocks = slots.blocks(max_configs)
     factory = _LpFactory(inst, prune, slots)
     flow_bound = factory.flow_bound(permute_seed)
     enumerated = pruned = bound_pruned = infeasible = solved = 0
     best_obj: float | None = None
     best_config: Configuration | None = None
     best_x: np.ndarray | None = None
-    for config in configurations:
-        enumerated += 1
-        if progress is not None and enumerated % 512 == 0:
-            progress(enumerated, slots.count)
-        fits, install = slots.scan(config)
-        if not fits:
-            pruned += 1
-            continue
+    for block in blocks:
+        passing = np.flatnonzero(block.fits)
+        pruned += block.fits.size - passing.size
         if flow_bound is None:
-            infeasible += 1
-            continue
-        # the margin sits on the incumbent's side, so a pruned configuration
-        # could not have replaced the incumbent under the rule below
-        if best_obj is not None and (
-                install + flow_bound > best_obj + TIE_TOL * max(1.0, abs(best_obj))):
-            pruned += 1
-            bound_pruned += 1
-            continue
-        result = factory.solve(config, permute_seed)
-        if result.status == "infeasible":
-            infeasible += 1
-            continue
-        solved += 1
-        objective = result.objective + install
-        if best_obj is None or objective < best_obj - TIE_TOL * max(1.0, abs(best_obj)):
-            best_obj = objective
-            best_config = config
-            best_x = result.x
+            infeasible += passing.size
+            passing = passing[:0]
+        at = 0
+        while at < passing.size:
+            if best_obj is not None:
+                # skip to the next configuration the bound prune keeps; the
+                # margin sits on the incumbent's side, so a skipped one could
+                # not have replaced the incumbent under the rule below
+                kept = np.flatnonzero(block.install[passing[at:]] + flow_bound
+                                      <= best_obj + TIE_TOL * max(1.0, abs(best_obj)))
+                skip = int(kept[0]) if kept.size else passing.size - at
+                pruned += skip
+                bound_pruned += skip
+                at += skip
+                if at == passing.size:
+                    break
+            k = int(passing[at])
+            at += 1
+            config = block.configuration(k)
+            result = factory.solve(config, permute_seed)
+            if result.status == "infeasible":
+                infeasible += 1
+                continue
+            solved += 1
+            objective = result.objective + float(block.install[k])
+            if best_obj is None or objective < best_obj - TIE_TOL * max(1.0, abs(best_obj)):
+                best_obj = objective
+                best_config = config
+                best_x = result.x
+        if progress is not None:
+            for done in range(enumerated - enumerated % 512 + 512,
+                              enumerated + block.fits.size + 1, 512):
+                progress(done, slots.count)
+        enumerated += block.fits.size
     wall = time.monotonic() - t0
     cert = OracleCertificate(
         enumerated=enumerated,

@@ -4,8 +4,13 @@ The oracle fixes the install binaries, leaving a pure LP over nonnegative
 flows with mixed-sense rows.  Subproblems are small (hundreds of columns),
 so this favors a plain dense tableau and robustness over sparse cleverness:
 
-* phase 1 minimizes artificial variables on every row; a residual above
-  ``_PHASE1_TOL`` means infeasible,
+* the starting basis is the slack basis where it is feasible (Bixby,
+  ORSA J. Computing 1992): a <= row with rhs >= 0 and a >= row with
+  rhs <= 0, flipped so its surplus reads +1, start on their slack; only
+  the other rows (== rows, >= rows with rhs > 0, <= rows with rhs < 0)
+  get an artificial variable,
+* phase 1 minimizes those artificials and is skipped when there are none;
+  a residual above ``_PHASE1_TOL`` means infeasible,
 * phase 2 runs Dantzig's most-negative-reduced-cost rule and switches to
   Bland's anti-cycling rule after ``_DEGENERATE_LIMIT`` consecutive
   degenerate pivots,
@@ -14,6 +19,11 @@ so this favors a plain dense tableau and robustness over sparse cleverness:
   accumulated drift,
 * exceeding ``_MAX_ITERATIONS`` pivots in one solve raises; a stuck LP
   must poison the oracle run, never masquerade as infeasible.
+
+Each row's starting-basis column (its slack or its artificial) starts as
+a unit column, so after any pivot these columns hold the current B^-1:
+row i's starting column is column i of B^-1, negated where row i was
+flipped.
 """
 
 from __future__ import annotations
@@ -58,39 +68,46 @@ def solve_lp(
     if len(senses) != m or b.shape != (m,) or c.shape != (n,):
         raise ValueError("inconsistent LP dimensions")
 
+    is_l = np.array([s == "L" for s in senses], dtype=bool)
+    is_g = np.array([s == "G" for s in senses], dtype=bool)
+    slack_rows = np.flatnonzero(is_l | is_g)
+    # starting basis: a <= row with rhs >= 0 and a >= row with rhs <= 0 start
+    # on their slack; every other row starts on an artificial
+    needs = np.flatnonzero(~((is_l & (b >= 0.0)) | (is_g & (b <= 0.0))))
+    n_ext = n + slack_rows.size
+    tableau = np.zeros((m, n_ext + needs.size), dtype=np.float64)
+    tableau[:, :n] = a
     # slack (+1) for <=, surplus (-1) for >=
-    slack_rows = [i for i, s in enumerate(senses) if s in ("L", "G")]
-    n_slack = len(slack_rows)
-    ext = np.zeros((m, n + n_slack), dtype=np.float64)
-    ext[:, :n] = a
-    for k, i in enumerate(slack_rows):
-        ext[i, n + k] = 1.0 if senses[i] == "L" else -1.0
+    slack_cols = n + np.arange(slack_rows.size)
+    tableau[slack_rows, slack_cols] = np.where(is_l[slack_rows], 1.0, -1.0)
     rhs = b.copy()
 
-    # make rhs nonnegative so the artificial basis is feasible
-    neg = rhs < 0.0
-    ext[neg] *= -1.0
-    rhs[neg] *= -1.0
+    # make rhs nonnegative; a >= row with rhs 0 flips too, so that every
+    # starting slack reads +1
+    flip = (rhs < 0.0) | (is_g & (rhs == 0.0))
+    tableau[flip] *= -1.0
+    rhs[flip] *= -1.0
 
-    n_ext = n + n_slack
-    tableau = np.hstack([ext, np.eye(m)])
-    basis = np.arange(n_ext, n_ext + m, dtype=np.intp)
-
+    basis = np.empty(m, dtype=np.intp)
+    basis[slack_rows] = slack_cols
+    basis[needs] = n_ext + np.arange(needs.size)
+    tableau[needs, basis[needs]] = 1.0
     state = _State(tableau, rhs, basis)
 
-    # phase 1: drive the artificials to zero
-    cost1 = np.zeros(n_ext + m, dtype=np.float64)
-    cost1[n_ext:] = 1.0
-    status = _run(state, cost1, allowed=n_ext + m)
-    if status == "unbounded":
-        raise AssertionError("phase-1 objective is bounded below by 0")
-    phase1_value = float(cost1[state.basis] @ state.rhs)
-    if phase1_value > _PHASE1_TOL:
-        return LpResult("infeasible", phase1_value, None, state.iterations)
-    _evict_artificials(state, n_ext)
+    if needs.size:
+        # phase 1: drive the artificials to zero
+        cost1 = np.zeros(tableau.shape[1], dtype=np.float64)
+        cost1[n_ext:] = 1.0
+        status = _run(state, cost1, allowed=tableau.shape[1])
+        if status == "unbounded":
+            raise AssertionError("phase-1 objective is bounded below by 0")
+        phase1_value = float(cost1[state.basis] @ state.rhs)
+        if phase1_value > _PHASE1_TOL:
+            return LpResult("infeasible", phase1_value, None, state.iterations)
+        _evict_artificials(state, n_ext)
 
     # phase 2: original costs; artificials may not re-enter
-    cost2 = np.zeros(n_ext + m, dtype=np.float64)
+    cost2 = np.zeros(tableau.shape[1], dtype=np.float64)
     cost2[:n] = c
     status = _run(state, cost2, allowed=n_ext)
     if status == "unbounded":

@@ -153,6 +153,84 @@ def test_simplex_agrees_with_scipy_on_random_lps(seed):
         assert res.status == "unbounded"
 
 
+def record_phases(monkeypatch):
+    """Start basis of each solve_lp call and the `allowed` bound of each
+    pivoting run (phase 1 admits the artificial columns, phase 2 does not)."""
+    starts, runs = [], []
+
+    class RecordingState(simplex._State):
+        def __init__(self, tableau, rhs, basis):
+            starts.append((tableau.copy(), basis.copy()))
+            super().__init__(tableau, rhs, basis)
+
+    real_run = simplex._run
+
+    def recording_run(state, cost, allowed):
+        runs.append(allowed)
+        return real_run(state, cost, allowed)
+
+    monkeypatch.setattr(simplex, "_State", RecordingState)
+    monkeypatch.setattr(simplex, "_run", recording_run)
+    return starts, runs
+
+
+def test_all_le_lp_with_nonnegative_rhs_skips_phase_one(monkeypatch):
+    starts, runs = record_phases(monkeypatch)
+    c = np.array([-1.0, -2.0, 0.5])
+    a = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [0.0, 1.0, 2.0]])
+    b = np.array([4.0, 0.0, 3.0])
+    res = solve_lp(c, a, ["L", "L", "L"], b)
+    ref = linprog_reference(c, a, ["L", "L", "L"], b)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(ref.fun, abs=1e-9)
+    # one run, phase 2, over structurals and slacks only: no artificial exists
+    tableau, basis = starts[0]
+    assert tableau.shape == (3, 6)
+    assert list(basis) == [3, 4, 5]
+    assert runs == [6]
+
+
+def test_ge_row_with_nonpositive_rhs_starts_on_its_flipped_surplus(monkeypatch):
+    starts, runs = record_phases(monkeypatch)
+    # x0 + x1 >= -3, x0 - x1 >= 0, x0 + 2 x1 == 2
+    c = np.array([1.0, 1.0])
+    a = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 2.0]])
+    b = np.array([-3.0, 0.0, 2.0])
+    res = solve_lp(c, a, ["G", "G", "E"], b)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(4.0 / 3.0)
+    tableau, basis = starts[0]
+    # surplus columns 2 and 3 start basic at +1; only the == row gets an artificial
+    assert list(basis) == [2, 3, 4]
+    assert list(tableau[0]) == [-1.0, -1.0, 1.0, 0.0, 0.0]
+    assert list(tableau[1]) == [-1.0, 1.0, 0.0, 1.0, 0.0]
+    assert list(tableau[2]) == [1.0, 2.0, 0.0, 0.0, 1.0]
+    assert runs == [5, 4]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_simplex_agrees_with_scipy_with_zero_and_negative_rhs(seed):
+    """Random LPs whose rows mix rhs 0, rhs < 0 and rhs > 0 over all three
+    senses, so every starting-basis case meets every other."""
+    rng = np.random.default_rng(700 + seed)
+    m = int(rng.integers(1, 7))
+    n = int(rng.integers(1, 6))
+    a = rng.uniform(-2, 2, size=(m, n)).round(2)
+    b = rng.choice([0.0, -1.0, 1.0], size=m) * rng.uniform(0.5, 4, size=m).round(2)
+    c = rng.uniform(-1, 2, size=n).round(2)
+    senses = [str(rng.choice(["L", "G", "E"])) for _ in range(m)]
+    res = solve_lp(c, a, senses, b)
+    ref = linprog_reference(c, a, senses, b)
+    assert ref.status in (0, 2, 3)
+    assert res.status == {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+    if ref.status == 0:
+        assert res.objective == pytest.approx(ref.fun, abs=1e-7)
+        assert (res.x >= 0.0).all()
+        lhs = a @ res.x
+        for sense, v, rhs in zip(senses, lhs, b):
+            assert {"L": v <= rhs + 1e-7, "G": v >= rhs - 1e-7, "E": abs(v - rhs) <= 1e-7}[sense]
+
+
 # ---------------------------------------------------------------------------
 # configuration enumeration
 
@@ -469,6 +547,58 @@ def test_solve_exact_matches_brute_force(bound_pruning_members, prune, permute_s
         assert 0 <= cert.bound_pruned <= cert.pruned
 
 
+def random_shape_instance(seed):
+    return parse_instance(json.dumps(random_shape_doc(np.random.default_rng(seed))))
+
+
+def walk_outcome(inst):
+    sol, cert = solve_exact(inst)
+    counts = (cert.enumerated, cert.pruned, cert.bound_pruned, cert.infeasible, cert.solved)
+    best = None if cert.best_objective is None else cert.best_objective.hex()
+    return counts, best, cert.best_configuration, sol.values
+
+
+def test_small_blocks_walk_like_the_default(bound_pruning_members, monkeypatch):
+    """A block size that cuts every instance into many blocks solves the
+    same LPs: the counts, the optimum's bits, the configuration and the
+    flows all match the default block size's."""
+    cases = bound_pruning_members + [random_shape_instance(411)]
+    default = [walk_outcome(inst) for inst in cases]
+    monkeypatch.setattr(oracle, "_BLOCK", 7)
+    assert all(count_configurations(inst) > 7 for inst in cases)
+    assert [walk_outcome(inst) for inst in cases] == default
+
+
+def scan_loop(table, config):
+    """The capacity screen and install cost of one configuration as a plain
+    loop in slot order: the reference for `scan` and the blocks."""
+    capacity = [0.0] * len(table.forced)
+    install = 0.0
+    for choice, slot in zip(config, table.slots):
+        if choice:
+            capacity[slot.echelon] += slot.caps[choice - 1]
+            install += slot.costs[choice - 1]
+    fits = all(f <= cap + 1e-9 * max(1.0, f) for f, cap in zip(table.forced, capacity))
+    return fits, install
+
+
+@pytest.mark.parametrize("block", [1, 7, oracle._BLOCK])
+def test_blocks_list_every_configuration_with_its_scan(monkeypatch, block):
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    for inst in (parse_doc(minimal_doc()), random_shape_instance(400), random_shape_instance(411)):
+        table = oracle._SlotTable(inst)
+        listed = []
+        for b in table.blocks(oracle.MAX_CONFIGS):
+            assert b.fits.size <= block
+            for k in range(b.fits.size):
+                config = b.configuration(k)
+                expected = scan_loop(table, config)
+                assert table.scan(config) == expected
+                assert (bool(b.fits[k]), float(b.install[k])) == expected
+                listed.append(config)
+        assert listed == list(table.configurations(oracle.MAX_CONFIGS))
+
+
 def test_flow_cost_bound_is_below_every_configuration():
     checked = 0
     for seed in range(400, 460):
@@ -530,8 +660,9 @@ def test_tiny_suite_lp_sequence_is_golden(monkeypatch):
     monkeypatch.setattr(oracle, "solve_lp", counting_solve_lp)
     certs = [solve_exact(inst)[1] for inst in make_tiny_suite(2026)]
     assert len(pivots) == 287
-    assert sum(pivots) == 7_649
+    assert sum(pivots) == 3_324
     assert sum(c.enumerated for c in certs) == 19_497
     assert sum(c.pruned for c in certs) == 19_265
+    assert sum(c.bound_pruned for c in certs) == 8_856
     assert sum(c.infeasible for c in certs) == 0
     assert sum(c.solved for c in certs) == 232
