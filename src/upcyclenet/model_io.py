@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NamingError, SolutionError, SolverRunError
-from .model import ROW_FAMILIES, Model, RowBlock, first_duplicate
+from .model import ROW_FAMILIES, Model, RowBlock, SizeProjection, first_duplicate, project_sizes
 
 SOLUTION_STATUSES = ("optimal", "feasible", "infeasible", "unbounded", "unknown")
 
@@ -112,14 +112,16 @@ def _changes(values: np.ndarray) -> np.ndarray:
     return new
 
 
-def _mps_batches(model: Model) -> Iterator[bytes | np.ndarray]:
-    """`write_mps(model)` encoded as UTF-8, in consecutive batches, each
-    `bytes` or a 1-D uint8 array: the sections before COLUMNS, each batch
-    of up to `_MPS_CHUNK` COLUMNS lines, each marker line and the sections
-    after COLUMNS.  Column and row names are checked before the first
-    batch is made."""
-    names = model.index.name_table()
-    block = model.constraints
+def _mps_batches(names: np.ndarray, block: RowBlock, objective: np.ndarray,
+                 n_continuous: int) -> Iterator[bytes | np.ndarray]:
+    """The MPS text of a matrix, encoded as UTF-8, in consecutive batches,
+    each `bytes` or a 1-D uint8 array: the sections before COLUMNS, each
+    batch of up to `_MPS_CHUNK` COLUMNS lines, each marker line and the
+    sections after COLUMNS.  `names` is the NUL-padded column name table,
+    and the columns from `n_continuous` on are the binaries.  Row names
+    are checked before the first batch is made.  `write_mps` passes the
+    model's parts, `run_external_solver` those of its projection."""
+    n_columns = len(objective)
     duplicate = first_duplicate(block.names)
     if duplicate is not None:
         raise NamingError(f"row name collision after sanitization: '{duplicate}'")
@@ -131,11 +133,11 @@ def _mps_batches(model: Model) -> Iterator[bytes | np.ndarray]:
     n_rows = block.n_rows
     row_of = np.repeat(np.arange(n_rows, dtype=np.int32), np.diff(block.indptr))
     keep = block.data != 0.0
-    obj_cols = np.flatnonzero(model.objective != 0.0).astype(np.int32)
-    entries_per_col = np.bincount(block.indices[keep], minlength=model.n_columns)
+    obj_cols = np.flatnonzero(objective != 0.0).astype(np.int32)
+    entries_per_col = np.bincount(block.indices[keep], minlength=n_columns)
     entries_per_col[obj_cols] += 1
     empty_cols = np.flatnonzero(entries_per_col == 0).astype(np.int32)
-    values, value_ids = _value_ids(np.concatenate((model.objective[obj_cols], block.data[keep])))
+    values, value_ids = _value_ids(np.concatenate((objective[obj_cols], block.data[keep])))
     # entry k: column, row (n_rows is COST) and value (len(values) is the
     # `0` of empty columns)
     cols = np.concatenate((obj_cols, empty_cols, block.indices[keep].astype(np.int32)))
@@ -174,9 +176,9 @@ def _mps_batches(model: Model) -> Iterator[bytes | np.ndarray]:
             lines = data[:n * record.itemsize]
             yield lines[lines != 0]
 
-    split = int(np.searchsorted(entries[0], model.index.n_continuous))
+    split = int(np.searchsorted(entries[0], n_continuous))
     yield from column_lines(0, split)
-    if model.index.n_binary:
+    if n_columns > n_continuous:
         yield b" MARKER 'MARKER' 'INTORG'\n"
         yield from column_lines(split, len(entries[0]))
         yield b" MARKER 'MARKER' 'INTEND'\n"
@@ -186,9 +188,9 @@ def _mps_batches(model: Model) -> Iterator[bytes | np.ndarray]:
     tail.append("BOUNDS\n")
     yield "\n".join(tail).encode()
     # the install rows of the name table, each between ` BV BND ` and a newline
-    bounds = np.zeros((model.index.n_binary, 8 + names.shape[1] + 1), dtype=np.uint8)
+    bounds = np.zeros((n_columns - n_continuous, 8 + names.shape[1] + 1), dtype=np.uint8)
     bounds[:, :8] = np.frombuffer(b" BV BND ", dtype=np.uint8)
-    bounds[:, 8:-1] = names[model.index.n_continuous:]
+    bounds[:, 8:-1] = names[n_continuous:]
     bounds[:, -1] = ord("\n")
     yield bounds[bounds != 0]
     yield b"ENDATA\n"
@@ -229,15 +231,32 @@ def write_mps(model: Model) -> str:
     batches are appended to one buffer as they come and decoded once.
     """
     text = bytearray()
-    for batch in _mps_batches(model):
+    for batch in _model_batches(model):
         # a memoryview: `bytearray += array` would be numpy's elementwise add
         text += memoryview(batch)
     return str(text, "utf-8")
 
 
+def _model_batches(model: Model) -> Iterator[bytes | np.ndarray]:
+    """`write_mps(model)` encoded, in `_mps_batches`' batches; column names
+    are checked here, row names before the first batch."""
+    return _mps_batches(model.index.name_table(), model.constraints, model.objective,
+                        model.index.n_continuous)
+
+
+def _projection_batches(model: Model, projection: SizeProjection) -> Iterator[bytes | np.ndarray]:
+    """The MPS of `projection`, a projection of `model`, in `_mps_batches`'
+    batches; each column is named after the model column it stands for."""
+    return _mps_batches(model.index.name_table()[projection.columns], projection.constraints,
+                        projection.objective, projection.n_continuous)
+
+
 def _write_mps_file(model: Model, path: Path) -> None:
     """`write_mps(model).encode()` written to `path` a batch at a time."""
-    batches = _mps_batches(model)
+    _write_batches(_model_batches(model), path)
+
+
+def _write_batches(batches: Iterator[bytes | np.ndarray], path: Path) -> None:
     head = next(batches)  # names are checked before the file exists
     with open(path, "wb") as f:
         f.write(head)
@@ -603,13 +622,60 @@ def _refine_onto_active_set(sol: Solution, model: Model) -> Solution:
     return result
 
 
+def _lift_sizes(sol: Solution, model: Model) -> tuple[Solution, int]:
+    """`sol` with each site's inflow summed over sizes and put at the site's
+    chosen size, the size whose install binary is largest (the first of
+    equals), and the number of sites whose flows moved.
+
+    This takes a solution of `project_sizes(model)`, whose flows carry
+    their first size's names, back to the model.  A solution whose flows
+    all sit at their site's chosen size comes back as the same object.
+    The objective stays as reported: merged columns cost the same.  Nothing
+    is checked here; a site with two sizes installed, flow at a closed
+    site or a fractional binary is left for `verify_solution` to fail.
+    """
+    index = model.index
+    x = solution_vector(sol, model)
+    lifted = x.copy()
+    sites = 0
+    for leg in index.legs:
+        if not leg.sizes:
+            continue
+        grid = leg.grid()  # (t, p, origin, site, size)
+        chosen = np.argmax(x[index.install(leg.dest_role).grid()], axis=1)
+        off_size = np.arange(len(leg.sizes)) != chosen[:, None]
+        stray = np.flatnonzero(((x[grid] != 0.0) & off_size).any(axis=(0, 1, 2, 4)))
+        if not len(stray):
+            continue
+        moved = grid[:, :, :, stray]
+        at = np.take_along_axis(moved, chosen[stray][None, None, None, :, None], axis=4)
+        lifted[moved] = 0.0
+        lifted[at[..., 0]] = x[moved].sum(axis=4)
+        sites += len(stray)
+    if not sites:
+        return sol, 0
+    changed = lifted != x
+    values = {name: v for name, v in sol.values.items() if not changed[_column(model, name)]}
+    values.update((index.column_name(int(c)), float(lifted[c]))
+                  for c in np.flatnonzero(changed & (lifted != 0.0)))
+    return replace(sol, values=values), sites
+
+
 def run_external_solver(model: Model, solver_cmd: str,
                         time_limit: float | None = None) -> Solution:
-    """Write MPS, run the user's solver command, parse back its solution.
+    """Write the model's size projection as MPS, run the user's solver
+    command, parse back its solution and lift it onto the model.
 
     `solver_cmd` is a shell-less command template; every occurrence of
-    `{mps}` and `{sol}` in its tokens is replaced by the model path and the
-    expected solution path.  The child runs in a fresh temp directory with
+    `{mps}` and `{sol}` in its tokens is replaced by the MPS path and the
+    expected solution path.  The MPS is `project_sizes(model)`, written by
+    the same writer as `write_mps`: flows merged over their destination's
+    size axis under their first size's name, capacity rows summed over
+    sizes.  A model where every echelon has one size projects onto itself,
+    so its file is `write_mps(model)`.  The solution file is parsed against
+    the model, and `_lift_sizes` moves each site's flows onto its chosen
+    size; one diagnostics line gives both column and row counts and the
+    number of sites lifted.  The child runs in a fresh temp directory with
     the caller's environment.  A declared `=status=` in the solution file
     wins; otherwise a nonzero exit means status unknown (diagnostics
     captured), and a timeout with an incumbent file present means feasible.
@@ -632,10 +698,13 @@ def run_external_solver(model: Model, solver_cmd: str,
     if time_limit is not None and not (math.isfinite(time_limit) and time_limit > 0.0):
         raise SolverRunError(f"time_limit must be finite and above 0 seconds, got {time_limit}")
     tokens = shlex.split(solver_cmd)
+    projection = project_sizes(model)
+    shape = (f"projection: {model.n_columns} -> {projection.n_columns} columns, "
+             f"{model.n_rows} -> {projection.n_rows} rows")
     with tempfile.TemporaryDirectory(prefix="upcyclenet-") as tmp:
         mps_path = Path(tmp) / "model.mps"
         sol_path = Path(tmp) / "model.sol"
-        _write_mps_file(model, mps_path)
+        _write_batches(_projection_batches(model, projection), mps_path)
         cmd = [t.replace("{mps}", str(mps_path)).replace("{sol}", str(sol_path)) for t in tokens]
         t0 = time.monotonic()
         timed_out = False
@@ -657,18 +726,23 @@ def run_external_solver(model: Model, solver_cmd: str,
             f"elapsed={elapsed:.2f}s\nstdout: {stdout[-2000:]}\nstderr: {stderr[-2000:]}"
         )
 
+        def diagnostics(lifted: int) -> str:
+            return f"{diag}\n{shape}; {lifted} sites lifted"
+
         if not sol_path.exists():
             return Solution(values={}, objective_reported=0.0, status="unknown",
-                            source="external", diagnostics=diag)
+                            source="external", diagnostics=diagnostics(0))
         try:
             sol, declared = _parse_solution(sol_path.read_text(), model)
         except SolutionError as exc:
             return Solution(values={}, objective_reported=0.0, status="unknown",
-                            source="external", diagnostics=f"{diag}\nparse error: {exc}")
-        sol.diagnostics = diag
+                            source="external",
+                            diagnostics=f"{diagnostics(0)}\nparse error: {exc}")
         if not declared:
             if timed_out:
                 sol.status = "feasible"
             elif exit_code != 0:
                 sol.status = "unknown"
+        sol, lifted = _lift_sizes(sol, model)
+        sol.diagnostics = diagnostics(lifted)
         return _refine_onto_active_set(sol, model)

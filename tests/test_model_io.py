@@ -11,7 +11,7 @@ from test_milp_core import random_shape_doc
 from upcyclenet import model_io
 from upcyclenet.errors import NamingError, SolutionError, SolverRunError
 from upcyclenet.instance import parse_instance, serialize_instance
-from upcyclenet.model import ROW_FAMILIES, build_milp
+from upcyclenet.model import ROW_FAMILIES, build_milp, project_sizes
 from upcyclenet.model_io import (
     Solution,
     _least_squares,
@@ -332,7 +332,7 @@ def test_duplicate_row_names_abort_before_any_output(hand_model, tmp_path):
     names = (block.names[0],) + block.names[:-1]
     model = dataclasses.replace(hand_model,
                                 constraints=dataclasses.replace(block, names=names))
-    batches = model_io._mps_batches(model)
+    batches = model_io._model_batches(model)
     with pytest.raises(NamingError, match=f"row name collision.*'{block.names[0]}'"):
         next(batches)
     with pytest.raises(NamingError, match="row name collision"):
@@ -858,14 +858,44 @@ def test_refinement_leaves_an_exact_solution_untouched(hand_model, tmp_path):
     assert "solver's values kept" in sol.diagnostics
 
 
-def test_solver_reads_the_bytes_of_write_mps(monkeypatch, tmp_path):
-    monkeypatch.setattr(model_io, "_MPS_CHUNK", 7)  # the file is written in many batches
-    inst = parse_instance(json.dumps(random_shape_doc(np.random.default_rng(3))))
-    model = build_milp(inst)
+def copying_solver(tmp_path):
+    """(command template of a solver that copies its MPS file, the copy's path)."""
     copy = tmp_path / "copy.mps"
     cmd = write_script(tmp_path, f"""
         import shutil
         shutil.copyfile(sys.argv[1], {str(copy)!r})
         """)
+    return cmd, copy
+
+
+# sha256 of the projection's MPS for random_shape_doc(default_rng(3)), prune on
+PROJECTION_MPS_SHA256 = "e12cb0e057c1bb055b638fa2bc3c6882f4402cac94ca2aa952c6e655fe4546a7"
+
+
+def test_solver_reads_the_bytes_of_write_mps(monkeypatch, tmp_path):
+    # the solver gets the size projection, through the same writer
+    monkeypatch.setattr(model_io, "_MPS_CHUNK", 7)  # the file is written in many batches
+    inst = parse_instance(json.dumps(random_shape_doc(np.random.default_rng(3))))
+    model = build_milp(inst)
+    projection = project_sizes(model)
+    assert projection.n_columns < model.n_columns
+    cmd, copy = copying_solver(tmp_path)
     assert run_external_solver(model, cmd).status == "unknown"
+    text = bytearray()
+    for batch in model_io._projection_batches(model, projection):
+        text += memoryview(batch)
+    assert copy.read_bytes() == text
+    assert hashlib.sha256(text).hexdigest() == PROJECTION_MPS_SHA256
+    data = read_free_mps(text.decode())
+    assert data.column_order == [model.index.column_name(c) for c in projection.columns]
+    assert data.row_order[1:] == list(projection.constraints.names)
+
+
+def test_solver_reads_write_mps_of_a_single_size_model(monkeypatch, tmp_path):
+    monkeypatch.setattr(model_io, "_MPS_CHUNK", 7)
+    model = two_sink_model(20.0)
+    cmd, copy = copying_solver(tmp_path)
+    sol = run_external_solver(model, cmd)
+    assert sol.status == "unknown"
     assert copy.read_bytes() == write_mps(model).encode()
+    assert sol.diagnostics.endswith("projection: 10 -> 10 columns, 16 -> 16 rows; 0 sites lifted")
