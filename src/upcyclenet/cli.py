@@ -23,9 +23,11 @@ from .instance import (
     serialize_instance,
     validate_instance,
 )
-from .model import build_milp, count_columns, dump_model
+from .model import build_milp, count_columns
 from .model_io import (
-    _write_mps_file,
+    _dump_batches,
+    _model_batches,
+    _write_batches,
     format_solution,
     parse_solution,
     run_external_solver,
@@ -67,8 +69,8 @@ def _cmd_build(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     mps_path = out / "model.mps"
     dump_path = out / "model.dump.txt"
-    _write_mps_file(model, mps_path)
-    dump_path.write_text(dump_model(model))
+    _write_batches(_model_batches(model), mps_path)
+    _write_batches(_dump_batches(model), dump_path)
     print(f"wrote {mps_path}")
     print(f"wrote {dump_path}")
     print(f"columns: {model.index.n_continuous} continuous + {model.index.n_binary} binary, "

@@ -47,20 +47,18 @@ echelon's installs (`InstallSpace`) is a `_Block`, the product of its id
 axes in mixed radix, last axis fastest, and `VariableIndex` lays the nine
 blocks end to end.  `_Block` alone turns positions into columns and
 columns back into ids.  Names have one format, `prefix_token_token...` of
-sanitized ids, checked against MAX_NAME_LEN.  The MPS writer reads them
-as one NUL-padded byte table (`VariableIndex.name_table`), broadcast
-block by block from the prefix and one token table per axis, so it makes
-no string per column.  `column_name`, `flow_column_name` and
-`install_column_name` format single names from ids; the oracle names its
-values that way.  `names`, every name as a cached tuple of strings, is
-decoded from the table for the listing and the tests only.  `column`
-inverts the format (prefix -> block, token -> position per axis ->
-`offset`), so no name -> column map is kept.  The rows are one read-only
-CSR block (`RowBlock`: `indptr`, `indices`, `data`, `sense`/`rhs` arrays,
-per-row names and keys, family offsets), built from whole column ranges
-of the blocks.  `Model.rows` offers the same rows as `Row` tuples, built
-from the block on each access, for the listing and per-row reference
-checks; no writer, reader or verification reads it.
+sanitized ids, checked against MAX_NAME_LEN.  Every name at once is one
+NUL-padded byte table (`VariableIndex.name_table`), broadcast block by
+block from the prefix and one token table per axis, so no string is made
+per column.  `column_name`, `flow_column_name` and `install_column_name`
+format single names from ids; the oracle names its values that way.
+`column` inverts the format (prefix -> block, token -> position per axis
+-> `offset`), so no name -> column map is kept.  The rows are one
+read-only CSR block (`RowBlock`: `indptr`, `indices`, `data`,
+`sense`/`rhs` arrays, per-row names and keys, family offsets), built from
+whole column ranges of the blocks.  `Model.rows` offers the same rows as
+`Row` tuples for tests and the benchmark's workloads.  This module holds
+the representation; `model_io` alone turns a model into text.
 
 Size projection.  The size index on flows costs columns, not LP
 strength: per-ton costs do not depend on the size, and `one_size` installs
@@ -199,9 +197,9 @@ class VariableIndex:
     """Arithmetic bijection between variable keys and column numbers, plus
     the model's one column-naming path: the five leg blocks in chain order,
     then the four install blocks, end to end.  `name_table` gives every
-    name as bytes, `column_name` one name and `names` the cached tuple;
-    `column` inverts a name through one {sanitized id: position} map per
-    axis, so no per-column map exists."""
+    name as bytes and `column_name` one name; `column` inverts a name
+    through one {sanitized id: position} map per axis, so no per-column
+    map exists."""
 
     def __init__(self, inst: Instance, prune: bool) -> None:
         for role in ("sources",) + ECHELON_TAGS + ("sinks",):
@@ -236,7 +234,6 @@ class VariableIndex:
             block.prefix: (block, tuple(_token_positions(ids) for ids in block.axes))
             for block in self._blocks
         }
-        self._names: tuple[str, ...] | None = None
 
     def leg(self, leg_id: str) -> LegSpace:
         return self._leg_by_id[leg_id]
@@ -289,7 +286,7 @@ class VariableIndex:
         NULs between its tokens as well as after them.  A block's longest
         name joins the longest token of every axis, so the length check is
         arithmetic; NamingError names the first over-long column in column
-        order.  Not cached: the writer drops it after each file.
+        order.  Not cached: each writer drops it after its file.
         """
         blocks = [(block, [_token_table(ids) for ids in block.axes])
                   for block in self._blocks if block.count]
@@ -311,17 +308,6 @@ class VariableIndex:
                 rows[..., at:at + tok.shape[1]] = _along(block, axis, tok)
                 at += tok.shape[1]
         return table
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        """Every column name in column order (cached, immutable), for
-        listings and tests; the MPS writer reads `name_table` instead."""
-        if self._names is None:
-            table = self.name_table()
-            lines = np.concatenate(
-                (table, np.full((len(table), 1), ord("\n"), dtype=np.uint8)), axis=1)
-            self._names = tuple(lines[lines != 0].tobytes().decode().split("\n")[:-1])
-        return self._names
 
 
 def _along(block: _Block, axis: int, tokens: np.ndarray) -> np.ndarray:
@@ -362,7 +348,7 @@ def count_columns(inst: Instance, prune: bool = True) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Row:
-    """One constraint row as plain tuples, for listings and per-row checks."""
+    """One constraint row as plain tuples, for per-row reference checks."""
 
     name: str
     family: str
@@ -414,6 +400,7 @@ class RowBlock:
         return act
 
     def row(self, r: int) -> Row:
+        """Row r as a `Row`, for tests and the benchmark's workloads only."""
         lo, hi = self.indptr[r], self.indptr[r + 1]
         return Row(
             name=self.names[r],
@@ -453,9 +440,9 @@ class Model:
     @property
     def rows(self) -> tuple[Row, ...]:
         """The rows as `Row` tuples, built from `constraints` on each access
-        and not kept, so a model never holds its matrix twice.  For listings
-        and per-row reference checks; the package's writer, readers and
-        verification use `constraints`."""
+        and not kept, so a model never holds its matrix twice.  Only tests
+        and the benchmark's workloads read it; the package's writers,
+        readers and verification use `constraints`."""
         return tuple(self.constraints.row(r) for r in range(self.n_rows))
 
 
@@ -743,13 +730,18 @@ def project_sizes(model: Model) -> SizeProjection:
     row_to = np.searchsorted(kept_rows, row_head)
     n_kept = len(kept_rows)
 
-    # the summed matrix: one entry per (canonical column, summed row), in
-    # column order and each column's rows ascending
+    # the summed matrix's (row, column, value) entries in row order, then in
+    # column order: `row_to` does not decrease, so a stable sort leaves each
+    # column's rows ascending; a built model has one entry per (column, row)
     nonzero = block.data != 0.0
-    rows = row_to[np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(block.indptr))[nonzero]]
-    pairs, entry = np.unique(block.indices[nonzero] * n_kept + rows, return_inverse=True)
-    data = np.bincount(entry, weights=block.data[nonzero], minlength=len(pairs))
-    cols, rows = np.divmod(pairs, n_kept)
+    entries = (row_to[np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(block.indptr))[nonzero]],
+               block.indices[nonzero], block.data[nonzero])
+    order = np.argsort(entries[1], kind="stable")
+    rows, cols, data = (field[order] for field in entries)
+    repeated = np.flatnonzero((cols[1:] == cols[:-1]) & (rows[1:] <= rows[:-1]))
+    if len(repeated):
+        raise ModelError(f"column {index.column_name(int(cols[repeated[0]]))} has more than one "
+                         "entry in a summed row; the size projection is not exact")
 
     # merged columns agree entry by entry with their head column
     count = np.bincount(cols, minlength=n)
@@ -763,9 +755,10 @@ def project_sizes(model: Model) -> SizeProjection:
         raise ModelError(f"columns {index.column_name(int(head[c]))} and {index.column_name(c)} "
                          "differ in cost or in a summed row; the size projection is not exact")
 
-    keep = head[cols] == cols
-    order = np.argsort(rows[keep], kind="stable")
-    rows, cols, data = rows[keep][order], cols[keep][order], data[keep][order]
+    # the head columns' entries, already in row order in a built model
+    keep = head[entries[1]] == entries[1]
+    order = np.argsort(entries[0][keep], kind="stable")
+    rows, cols, data = (field[keep][order] for field in entries)
     constraints = RowBlock(
         indptr=np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_kept)))),
         indices=np.searchsorted(columns, cols),
@@ -782,24 +775,3 @@ def project_sizes(model: Model) -> SizeProjection:
         constraints=constraints,
         n_continuous=int(np.searchsorted(columns, index.n_continuous)),
     )
-
-
-def dump_model(model: Model) -> str:
-    """Human-auditable row listing: key, sense, rhs, then name:coefficient pairs."""
-    names = model.index.names
-    sense_txt = {"L": "<=", "G": ">=", "E": "=="}
-    lines = [
-        f"model fingerprint={model.fingerprint} prune={'on' if model.prune else 'off'} "
-        "install_cost_mode=annualized_times_horizon",
-        f"columns={model.n_columns} continuous={model.index.n_continuous} "
-        f"binary={model.index.n_binary} rows={model.n_rows}",
-        "objective " + " ".join(
-            f"{names[c]}:{float(model.objective[c])!r}"
-            for c in range(model.n_columns)
-            if model.objective[c] != 0.0
-        ),
-    ]
-    for row in model.rows:
-        body = " ".join(f"{names[c]}:{float(v)!r}" for c, v in zip(row.cols, row.coefs))
-        lines.append(f"{row.name} [{row.family}{row.key!r}] {sense_txt[row.sense]} {row.rhs!r} :: {body}")
-    return "\n".join(lines) + "\n"

@@ -2,13 +2,10 @@
 
 Three jobs live here:
 
-* writing the canonical model as free-format MPS (the bit-exact interchange
-  artifact; `model.dump_model` is the listing for human eyes); the writer
-  makes the text in batches of encoded lines from byte tables of the
-  column names, row names and coefficients through one record buffer,
-  with no string per column or per line, so `upcyclenet build` and
-  `run_external_solver` stream them straight into the file and never hold
-  the whole text,
+* turning a model into text, the only module that does: free-format MPS
+  (`write_mps`, the bit-exact interchange artifact) and the listing for
+  human eyes (`dump_model`), both gathered from byte tables in batches
+  (`_gather`), which `upcyclenet build` and `run_external_solver` stream,
 * parsing and verifying solution files in a neutral ``name value`` line
   format,
 * driving an external MPS-capable solver as a subprocess through a command
@@ -73,7 +70,7 @@ def compute_gap(objective: float, bound: float) -> float | None:
 
 
 # ---------------------------------------------------------------------------
-# MPS writing
+# text: the MPS file and the listing
 
 
 def _fmt(x: float) -> str:
@@ -81,27 +78,28 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-_MPS_CHUNK = 1 << 16  # COLUMNS lines assembled per batch
+_MPS_CHUNK = 1 << 16  # records (COLUMNS lines, listing entries) assembled per batch
 
 
 def _value_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct values ascending, int32 index of each value among them).
+    """(distinct values, int32 index of each value among them) of a float64
+    array, told apart by their bits: -0.0 and 0.0 get two indices.
 
     Each run of equal neighbours is sorted once, by its first value: the
-    coefficients come in runs (a row's +1 entries, a flow's per-ton cost
-    over its sizes), so at the default shape 1.8M values make 60k runs.
-    One argsort of those, a mark where the sorted values change and its
-    cumulative sum scattered back give each run's index, repeated over the
-    run.
+    coefficients come in runs (a row's +1 entries, a flow's per-ton cost over
+    its sizes), so at the default shape 1.8M values make 60k runs.  One argsort
+    of those, a mark where the sorted values change and its cumulative sum
+    scattered back give each run's index, repeated over the run.
     """
-    starts = np.flatnonzero(_changes(values))
-    heads = values[starts]
+    bits = values.view(np.int64)
+    starts = np.flatnonzero(_changes(bits))
+    heads = bits[starts]
     order = np.argsort(heads, kind="stable")
     ordered = heads[order]
     new = _changes(ordered)
     ids = np.empty(len(ordered), dtype=np.int32)
     ids[order] = np.cumsum(new, dtype=np.int32) - 1
-    return ordered[new], np.repeat(ids, np.diff(starts, append=len(values)))
+    return ordered[new].view(np.float64), np.repeat(ids, np.diff(starts, append=len(values)))
 
 
 def _changes(values: np.ndarray) -> np.ndarray:
@@ -148,41 +146,19 @@ def _mps_batches(names: np.ndarray, block: RowBlock, objective: np.ndarray,
                             value_ids[len(obj_cols):]))
     del row_of, keep, obj_cols, entries_per_col, empty_cols, value_ids
     order = np.argsort(cols, kind="stable")
-    entries = (cols[order], rows[order], texts[order])
+    ids = (np.broadcast_to(np.int32(0), cols.shape), cols[order], rows[order], texts[order])
     del cols, rows, texts, order
-    # NUL-padded byte tables, one token per item, each viewed as one
-    # fixed-width void item per token; a line is a space, then its column's,
-    # row's and value's tokens side by side in one record
-    tables = [_records(names),
-              _records(np.array([f" {row} " for row in block.names] + [" COST "],
-                                dtype=np.bytes_)),
-              _records(np.array([f"{_fmt(v)}\n" for v in values.tolist()] + ["0\n"],
-                                dtype=np.bytes_))]
-    fields = ("name", "row", "value")
-    record = np.dtype([("space", np.uint8)] + [(f, t.dtype) for f, t in zip(fields, tables)])
-    # no more records than entries: setting the spaces touches every page
-    chunk = max(1, min(_MPS_CHUNK, len(entries[0])))
-    buffer = np.empty(chunk, dtype=record)
-    buffer["space"] = ord(" ")
-    data = buffer.view(np.uint8)
-
-    def column_lines(lo: int, hi: int) -> Iterator[np.ndarray]:
-        for start in range(lo, hi, chunk):
-            n = min(start + chunk, hi) - start
-            # every id is in range; mode="raise" would gather into a
-            # temporary first and then copy it into `out`
-            for field, table, ids in zip(fields, tables, entries):
-                np.take(table, ids[start:start + n], out=buffer[field][:n], mode="clip")
-            lines = data[:n * record.itemsize]
-            yield lines[lines != 0]
-
-    split = int(np.searchsorted(entries[0], n_continuous))
-    yield from column_lines(0, split)
+    # a line is a space, then its column's, row's and value's tokens
+    tables = [_tokens([" "]), _records(names),
+              _tokens([f" {row} " for row in block.names] + [" COST "]),
+              _tokens([f"{_fmt(v)}\n" for v in values.tolist()] + ["0\n"])]
+    split = int(np.searchsorted(ids[1], n_continuous))
+    yield from _gather(tables, [field[:split] for field in ids], _MPS_CHUNK)
     if n_columns > n_continuous:
         yield b" MARKER 'MARKER' 'INTORG'\n"
-        yield from column_lines(split, len(entries[0]))
+        yield from _gather(tables, [field[split:] for field in ids], _MPS_CHUNK)
         yield b" MARKER 'MARKER' 'INTEND'\n"
-    del entries, tables, buffer, data
+    del ids, tables
     tail = ["RHS"]
     tail += [f" RHS {row} {_fmt(b)}" for row, b in zip(block.names, block.rhs.tolist()) if b != 0.0]
     tail.append("BOUNDS\n")
@@ -196,9 +172,30 @@ def _mps_batches(names: np.ndarray, block: RowBlock, objective: np.ndarray,
     yield b"ENDATA\n"
 
 
+def _gather(tables: list[np.ndarray], ids: list[np.ndarray], chunk: int) -> Iterator[np.ndarray]:
+    """Records encoded in batches of up to `chunk`: field k of record e is
+    token `ids[k][e]` of the `_records` table `tables[k]`.  A batch is one
+    `np.take` per field into one buffer, less every NUL (no token holds one)."""
+    n_records, record = len(ids[0]), [(f"f{k}", table.dtype) for k, table in enumerate(tables)]
+    # no more records than there are: every page is written here, where a field
+    # of one token (MPS's leading space) is written once
+    buffer = np.full(max(1, min(chunk, n_records)), np.array(tuple(t[0] for t in tables), record))
+    for start in range(0, n_records, len(buffer)):
+        n = min(start + len(buffer), n_records) - start
+        for k, (table, field_ids) in enumerate(zip(tables, ids)):
+            if len(table) > 1:  # ids are in range; "raise" would take into a temporary
+                np.take(table, field_ids[start:start + n], out=buffer[f"f{k}"][:n], mode="clip")
+        text = buffer[:n].view(np.uint8)
+        yield text[text != 0]
+
+
+def _tokens(texts: list[str]) -> np.ndarray:
+    """`_records` of `texts` in UTF-8; none holds a NUL (a `repr` escapes one)."""
+    return _records(np.array([t.encode() for t in texts], dtype=np.bytes_))
+
+
 def _records(table: np.ndarray) -> np.ndarray:
-    """A NUL-padded table (an `S` array or a 2-D uint8 array) as one void
-    item of its width per row."""
+    """A NUL-padded `S` array or 2-D uint8 table as one void item per row."""
     rows = table.view(np.uint8).reshape(len(table), -1)
     return rows.view(f"V{rows.shape[1]}").reshape(len(table))
 
@@ -215,23 +212,17 @@ def write_mps(model: Model) -> str:
     its rows in emission order; a column with no entry at all is written
     as `COST 0` so that readers still see it.
 
-    COLUMNS is assembled `_MPS_CHUNK` lines at a time without a per-line
-    or per-column string.  Three NUL-padded byte tables hold one token
-    each: every column name (`VariableIndex.name_table`, broadcast block by
-    block from per-axis token tables), every ` row ` (plus ` COST `) and
-    every distinct coefficient as `repr(float)` plus a newline (plus `0`
-    for empty columns).  One record buffer, a space and one fixed-width
-    field per table, is allocated per write; a batch fills each field with
-    one `np.take` of its table's tokens and drops every NUL with one `!= 0`
-    mask over the buffer's bytes.  The bytes left are the batch's lines.
-    That is exact because no token holds a NUL and all are ASCII: names
-    are `sanitize_id` tokens ([A-Za-z0-9-]) joined by `_`, and the `repr`
-    of a float is ASCII (digits, `.`, `-`, `+`, `e`, `inf`, `nan`).  The
-    BV lines take the install rows of the name table the same way.  The
-    batches are appended to one buffer as they come and decoded once.
+    COLUMNS is made by `_gather` from a space, `VariableIndex.name_table`,
+    every ` row ` (plus ` COST `) and every distinct coefficient's `repr`
+    plus a newline (plus `0` for empty columns); BV lines from the table.
     """
+    return _decode(_model_batches(model))
+
+
+def _decode(batches: Iterator[bytes | np.ndarray]) -> str:
+    """The batches appended to one buffer as they come and decoded once."""
     text = bytearray()
-    for batch in _model_batches(model):
+    for batch in batches:
         # a memoryview: `bytearray += array` would be numpy's elementwise add
         text += memoryview(batch)
     return str(text, "utf-8")
@@ -251,9 +242,43 @@ def _projection_batches(model: Model, projection: SizeProjection) -> Iterator[by
                         projection.objective, projection.n_continuous)
 
 
-def _write_mps_file(model: Model, path: Path) -> None:
-    """`write_mps(model).encode()` written to `path` a batch at a time."""
-    _write_batches(_model_batches(model), path)
+def dump_model(model: Model) -> str:
+    """Human-auditable listing: two header lines, the objective's nonzero
+    `name:coefficient` pairs, then one line per row in emission order,
+    `name [family(key)] sense rhs :: name:coefficient ...` over every entry
+    of the row, zeros included; made by `_gather` like COLUMNS."""
+    return _decode(_dump_batches(model))
+
+
+def _dump_batches(model: Model) -> Iterator[bytes | np.ndarray]:
+    """`dump_model(model)` encoded; column names are checked before the first batch."""
+    index, block = model.index, model.constraints
+    names = index.name_table()
+    obj_cols = np.flatnonzero(model.objective != 0.0)
+    values, value_ids = _value_ids(np.concatenate((model.objective[obj_cols], block.data)))
+    # line 0 is the objective, line r + 1 row r; a record is the line's start
+    # (on its first entry) or a space, a name and a `:value`, or the start alone
+    counts = np.concatenate(([len(obj_cols)], np.diff(block.indptr)))
+    slots = np.maximum(counts, 1)
+    first = np.cumsum(slots) - slots
+    at = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(len(value_ids))
+    ids = [np.full(slots.sum(), k, dtype=np.int32) for k in (len(counts), len(names), len(values))]
+    ids[0][first] = np.arange(len(counts))
+    ids[1][at] = np.concatenate((obj_cols, block.indices))
+    ids[2][at] = value_ids
+    sense = {"L": "<=", "G": ">=", "E": "=="}
+    families = np.repeat(ROW_FAMILIES, np.diff(block.family_offsets)).tolist()
+    starts = [f"\n{name} [{family}{key!r}] {sense[s]} {rhs!r} :: " for name, family, key, s, rhs
+              in zip(block.names, families, block.keys, block.sense.tolist(), block.rhs.tolist())]
+    tables = [_tokens(["objective "] + starts + [" "]),
+              _records(np.concatenate((names, np.zeros((1, names.shape[1]), dtype=np.uint8)))),
+              _tokens([f":{_fmt(v)}" for v in values.tolist()] + [""])]
+    del names, starts, obj_cols, value_ids, at
+    yield (f"model fingerprint={model.fingerprint} prune={'on' if model.prune else 'off'} "
+           f"install_cost_mode=annualized_times_horizon\ncolumns={model.n_columns} "
+           f"continuous={index.n_continuous} binary={index.n_binary} rows={block.n_rows}\n").encode()
+    yield from _gather(tables, ids, _MPS_CHUNK)
+    yield b"\n"
 
 
 def _write_batches(batches: Iterator[bytes | np.ndarray], path: Path) -> None:

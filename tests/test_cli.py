@@ -113,6 +113,8 @@ def test_build_writes_model_and_dump(tmp_path, hand_file, capsys):
     out2 = tmp_path / "m2"
     assert cli.main(["build", "--instance", str(hand_file), "--out", str(out2)]) == 0
     assert (out / "model.mps").read_bytes() == (out2 / "model.mps").read_bytes()
+    model = build_milp(parse_instance(hand_file.read_text()))
+    assert (out / "model.dump.txt").read_bytes() == model_io.dump_model(model).encode()
 
 
 def test_build_streams_the_bytes_of_write_mps(monkeypatch, tmp_path, hand_file):

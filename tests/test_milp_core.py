@@ -7,6 +7,7 @@ import pytest
 
 from scipy_milp_adapter import read_free_mps
 from test_instance import minimal_doc, parse_doc
+from upcyclenet import model_io
 from upcyclenet.errors import ModelError, NamingError
 from upcyclenet.geo import haversine_km
 from upcyclenet.instance import Node, parse_instance, serialize_instance
@@ -16,12 +17,12 @@ from upcyclenet.model import (
     build_milp,
     count_columns,
     count_rows,
-    dump_model,
     flow_column_name,
     install_column_name,
+    project_sizes,
 )
-from upcyclenet.model_io import write_mps
-from upcyclenet.scenario import _eta_zero_instance, single_chain_instance
+from upcyclenet.model_io import dump_model, write_mps
+from upcyclenet.scenario import _eta_zero_instance, make_tiny_suite, single_chain_instance
 
 ECH = ("cf", "rtf", "cpf", "dpf")
 LEG_ENDPOINTS = (
@@ -204,6 +205,11 @@ def want_columns_cont(doc, prune):
     return count_columns_oracle(doc, prune)[0]
 
 
+def table_names(index):
+    """Every column name, decoded row by row from `index.name_table()`."""
+    return [bytes(row[row != 0]).decode() for row in index.name_table()]
+
+
 def test_single_chain_shape_forces_five_plus_four():
     inst = single_chain_instance()
     assert count_columns(inst, prune=True) == (5, 4)
@@ -212,10 +218,10 @@ def test_single_chain_shape_forces_five_plus_four():
 
 def test_pruning_removes_unacceptable_source_columns():
     inst = parse_doc(minimal_doc())
-    names = VariableIndex(inst, prune=True).names
+    names = table_names(VariableIndex(inst, prune=True))
     src_cols = [n for n in names if n.startswith("xsrccf_")]
     assert src_cols == ["xsrccf_t1_w_src1_cf1_s1"]
-    names_off = VariableIndex(inst, prune=False).names
+    names_off = table_names(VariableIndex(inst, prune=False))
     src_cols_off = [n for n in names_off if n.startswith("xsrccf_")]
     assert "xsrccf_t1_g_src1_cf1_s1" in src_cols_off
 
@@ -229,7 +235,7 @@ def test_column_key_offset_bijection():
     doc = random_shape_doc(rng)
     inst = parse_instance(json.dumps(doc))
     vindex = VariableIndex(inst, prune=True)
-    names = vindex.names
+    names = table_names(vindex)
     assert len(set(names)) == vindex.n_columns
     for col in range(vindex.n_columns):
         key = vindex.column_key(col)
@@ -256,7 +262,7 @@ def test_column_key_offset_bijection():
         inst = parse_instance(json.dumps(random_shape_doc(np.random.default_rng(seed))))
         for prune in (True, False):
             vindex = VariableIndex(inst, prune=prune)
-            assert [vindex.column(name) for name in vindex.names] == list(range(vindex.n_columns))
+            assert [vindex.column(name) for name in table_names(vindex)] == list(range(vindex.n_columns))
 
     inst = parse_doc(minimal_doc())
     pruned, unpruned = VariableIndex(inst, prune=True), VariableIndex(inst, prune=False)
@@ -271,7 +277,7 @@ def test_column_key_offset_bijection():
                  "xsrccf_t1_g_src1_cf1_s1"):  # 'g' is pruned from the source leg
         assert pruned.column(name) is None, name
     col = unpruned.column("xsrccf_t1_g_src1_cf1_s1")
-    assert unpruned.names[col] == "xsrccf_t1_g_src1_cf1_s1"
+    assert unpruned.column_name(col) == "xsrccf_t1_g_src1_cf1_s1"
 
     # two ids with one sanitized token would give two columns one name; the
     # parser rejects such documents, so forge the instance
@@ -286,7 +292,7 @@ def test_single_column_names_match_the_cached_block_names():
     # the model's own, or its solutions stop parsing against the model
     doc = random_shape_doc(np.random.default_rng(7))
     vindex = VariableIndex(parse_instance(json.dumps(doc)), prune=True)
-    for col, name in enumerate(vindex.names):
+    for col, name in enumerate(table_names(vindex)):
         key = vindex.column_key(col)
         single = flow_column_name(*key[1:]) if key[0] == "flow" else install_column_name(*key[1:])
         assert single == name
@@ -309,7 +315,7 @@ def test_empty_leg_block_at_the_bisect_boundary():
         model = build_milp(inst, prune=prune)
         vindex = model.index
         assert [space.count for space in vindex.legs] == counts
-        names = vindex.names
+        names = table_names(vindex)
         assert [vindex.column(name) for name in names] == list(range(vindex.n_columns))
         keys = [vindex.column_key(col) for col in range(vindex.n_columns)]
         assert len(set(keys)) == len(keys)
@@ -322,7 +328,7 @@ def test_empty_leg_block_at_the_bisect_boundary():
 
 def test_flow_columns_precede_installs_in_chain_order():
     inst = parse_doc(minimal_doc())
-    names = VariableIndex(inst, prune=False).names
+    names = table_names(VariableIndex(inst, prune=False))
     prefixes = []
     for n in names:
         head = n.split("_")[0]
@@ -349,7 +355,7 @@ def test_empty_chain_role_rejected():
 def test_hand_instance_objective_coefficients():
     inst = single_chain_instance()
     model = build_milp(inst)
-    names = model.index.names
+    names = table_names(model.index)
     coef = dict(zip(names, model.objective.tolist()))
     # per ton: 1.0 operating + 2 * 10 km * 0.1 transport = 3.0 on facility legs
     for name in ("xsrccf_t1_w_src1_cf1_s1", "xcfrtf_t1_w_cf1_rtf1_s1",
@@ -447,8 +453,7 @@ def test_balance_row_applies_yield_to_inbound():
     model = build_milp(inst, prune=True)
     row = next(r for r in model.rows if r.name == "balrtf_t1_g_rtf1")
     assert row.sense == "E" and row.rhs == 0.0
-    names = model.index.names
-    coefs = {names[c]: v for c, v in zip(row.cols, row.coefs)}
+    coefs = {model.index.column_name(c): v for c, v in zip(row.cols, row.coefs)}
     assert coefs["xcfrtf_t1_w_cf1_rtf1_s1"] == pytest.approx(0.5)
     assert coefs["xrtfcpf_t1_g_rtf1_cpf1_s1"] == -1.0
 
@@ -458,8 +463,7 @@ def test_zero_yield_coefficients_are_skipped():
     doc["echelons"]["rtf"]["yields"] = {"g": 0.0}
     model = build_milp(parse_doc(doc), prune=True)
     row = next(r for r in model.rows if r.name == "balrtf_t1_g_rtf1")
-    names = model.index.names
-    coefs = {names[c]: v for c, v in zip(row.cols, row.coefs)}
+    coefs = {model.index.column_name(c): v for c, v in zip(row.cols, row.coefs)}
     # only the outbound -1 remains; the 0-yield inbound is not stored
     assert all(v == -1.0 for v in coefs.values())
     assert all(n.startswith("xrtfcpf_") for n in coefs)
@@ -469,8 +473,7 @@ def test_facility_cap_links_inflow_to_chosen_size():
     inst = single_chain_instance()
     model = build_milp(inst)
     row = next(r for r in model.rows if r.name == "capcf_t1_cf1_s1")
-    names = model.index.names
-    coefs = {names[c]: v for c, v in zip(row.cols, row.coefs)}
+    coefs = {model.index.column_name(c): v for c, v in zip(row.cols, row.coefs)}
     assert coefs == {"xsrccf_t1_w_src1_cf1_s1": 1.0, "bcf_cf1_s1": -15.0}
     assert row.sense == "L" and row.rhs == 0.0
 
@@ -525,6 +528,82 @@ def test_dump_model_mentions_every_row_family():
                      "facility_cap", "one_size"):
         assert fragment in text
     assert "np.float64" not in text
+
+
+def reference_dump(model):
+    """The listing formatted one f-string per entry over `Model.rows`."""
+    names = table_names(model.index)
+    sense_txt = {"L": "<=", "G": ">=", "E": "=="}
+    lines = [
+        f"model fingerprint={model.fingerprint} prune={'on' if model.prune else 'off'} "
+        "install_cost_mode=annualized_times_horizon",
+        f"columns={model.n_columns} continuous={model.index.n_continuous} "
+        f"binary={model.index.n_binary} rows={model.n_rows}",
+        "objective " + " ".join(
+            f"{names[c]}:{float(model.objective[c])!r}"
+            for c in range(model.n_columns)
+            if model.objective[c] != 0.0
+        ),
+    ]
+    for row in model.rows:
+        body = " ".join(f"{names[c]}:{float(v)!r}" for c, v in zip(row.cols, row.coefs))
+        lines.append(f"{row.name} [{row.family}{row.key!r}] {sense_txt[row.sense]} {row.rhs!r} :: {body}")
+    return "\n".join(lines) + "\n"
+
+
+def zero_capacity_model():
+    """Two size options of 0.0 and -0.0 tons at the CF, so its capacity rows
+    hold -0.0 and 0.0 coefficients, and a non-ASCII site id in the row keys."""
+    doc = minimal_doc()
+    doc["echelons"]["cf"]["sites"][0]["id"] = "cf-ü1"
+    doc["echelons"]["cf"]["size_options"] = [
+        {"id": "z0", "max_capacity_tons": 0.0, "install_cost_annual": 10.0},
+        {"id": "z1", "max_capacity_tons": -0.0, "install_cost_annual": 10.0},
+    ]
+    return build_milp(parse_doc(doc))
+
+
+def test_dump_model_matches_the_per_entry_reference(monkeypatch):
+    models = [build_milp(single_chain_instance()), zero_capacity_model()]
+    for inst in make_tiny_suite(2026):
+        models += [build_milp(inst, prune=True), build_milp(inst, prune=False)]
+    for seed in range(3, 9):
+        inst = parse_instance(json.dumps(random_shape_doc(np.random.default_rng(seed))))
+        models += [build_milp(inst, prune=True), build_milp(inst, prune=False)]
+    for model in models:
+        assert dump_model(model) == reference_dump(model)
+    assert sum(1 for model in models for row in model.rows if not row.cols) > 0
+    zeros = [v for v in models[1].constraints.data if v == 0.0]
+    assert {math.copysign(1.0, v) for v in zeros} == {1.0, -1.0}
+    text = dump_model(models[1])
+    assert ":-0.0" in text and ":0.0" in text and "'cf-ü1'" in text
+    # without objective entries the `objective ` line stays
+    model = dataclasses.replace(models[0], objective=np.zeros(models[0].n_columns))
+    assert "\nobjective \n" in dump_model(model)
+    assert dump_model(model) == reference_dump(model)
+    # the text does not depend on how many records make a batch
+    for chunk in (1, 7):
+        monkeypatch.setattr(model_io, "_MPS_CHUNK", chunk)
+        for model in models[:2] + models[-2:]:
+            assert dump_model(model) == reference_dump(model)
+
+
+def test_size_projection_refuses_two_entries_in_one_summed_row():
+    # the s2 flow into the CF also booked in the s1 capacity row: once the
+    # rows are summed over sizes, that column meets the summed row twice
+    doc = minimal_doc()
+    doc["echelons"]["cf"]["size_options"].append(
+        {"id": "s2", "max_capacity_tons": 200.0, "install_cost_annual": 20.0})
+    model = build_milp(parse_doc(doc))
+    project_sizes(model)
+    block, index = model.constraints, model.index
+    r = block.names.index("capcf_t1_cf1_s1")
+    flow = index.column("xsrccf_t1_w_src1_cf1_s2")
+    indices = block.indices.copy()
+    indices[block.indptr[r]] = flow
+    forged = dataclasses.replace(model, constraints=dataclasses.replace(block, indices=indices))
+    with pytest.raises(ModelError, match="xsrccf_t1_w_src1_cf1_s2 has more than one entry"):
+        project_sizes(forged)
 
 
 @pytest.mark.parametrize("make", [single_chain_instance, _eta_zero_instance])

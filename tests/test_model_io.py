@@ -7,16 +7,17 @@ import pytest
 
 from scipy_milp_adapter import read_free_mps, write_solution_file
 from test_instance import minimal_doc, parse_doc
-from test_milp_core import random_shape_doc
+from test_milp_core import GOLDEN_HAND_DUMP, random_shape_doc, table_names
 from upcyclenet import model_io
 from upcyclenet.errors import NamingError, SolutionError, SolverRunError
 from upcyclenet.instance import parse_instance, serialize_instance
-from upcyclenet.model import ROW_FAMILIES, build_milp, project_sizes
+from upcyclenet.model import ROW_FAMILIES, Model, build_milp, project_sizes
 from upcyclenet.model_io import (
     Solution,
     _least_squares,
     _worst_residual,
     compute_gap,
+    dump_model,
     format_solution,
     parse_solution,
     recompute_objective,
@@ -146,7 +147,7 @@ def test_independent_reader_recovers_model_exactly(seed, prune):
     model = build_milp(inst, prune=prune)
     data = read_free_mps(write_mps(model))
 
-    names = list(model.index.names)
+    names = table_names(model.index)
     assert data.column_order == names
     assert data.integer_columns == {names[c] for c in model.binary_columns}
     assert data.objective_row == "COST"
@@ -197,8 +198,6 @@ def test_mps_bytes_match_golden_digest(seed, prune):
 
 
 def test_column_name_cache_survives_caller_edits(hand_model):
-    names = hand_model.index.names
-    assert isinstance(names, tuple) and hand_model.index.names is names
     assert write_mps(hand_model) == GOLDEN_HAND_MPS
     with pytest.raises(ValueError):
         hand_model.constraints.data[0] = 2.0
@@ -253,27 +252,32 @@ def test_over_long_column_name_aborts_write(hand_model, tmp_path):
     assert str(excinfo.value) == message
     path = tmp_path / "model.mps"
     with pytest.raises(NamingError) as excinfo:
-        model_io._write_mps_file(model, path)
+        model_io._write_batches(model_io._model_batches(model), path)
+    assert str(excinfo.value) == message
+    assert not path.exists()
+    # the listing checks the names before its file exists, too
+    path = tmp_path / "model.dump.txt"
+    with pytest.raises(NamingError) as excinfo:
+        model_io._write_batches(model_io._dump_batches(model), path)
     assert str(excinfo.value) == message
     assert not path.exists()
 
 
-def test_writer_never_builds_the_names_tuple(monkeypatch, hand_model, tmp_path):
-    from upcyclenet.model import VariableIndex
-
+def test_writers_never_read_model_rows(monkeypatch, hand_model, tmp_path):
     def refuse(self):
-        raise AssertionError("the MPS writer read VariableIndex.names")
+        raise AssertionError("a writer read Model.rows")
 
-    monkeypatch.setattr(VariableIndex, "names", property(refuse))
+    monkeypatch.setattr(Model, "rows", property(refuse))
     assert write_mps(hand_model) == GOLDEN_HAND_MPS
+    assert dump_model(hand_model) == GOLDEN_HAND_DUMP
     path = tmp_path / "model.mps"
-    model_io._write_mps_file(hand_model, path)
+    model_io._write_batches(model_io._model_batches(hand_model), path)
     assert path.read_text() == GOLDEN_HAND_MPS
     for (seed, prune), digest in GOLDEN_MPS_SHA256.items():
         inst = parse_instance(json.dumps(random_shape_doc(np.random.default_rng(seed))))
         text = write_mps(build_milp(inst, prune=prune))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (seed, prune)
-    # the two diagnostics that name one column do not build it either
+    # nor do the two diagnostics that name one column
     values = {**hand_solution(hand_model).values, "bcf_cf1_s1": float("inf")}
     report = verify_solution(Solution(values=values, objective_reported=540.0), hand_model)
     assert any(m.endswith("first at bcf_cf1_s1") for m in report.messages)
@@ -291,10 +295,9 @@ def test_column_name_and_name_table_match_names(seed, prune):
 
     inst = parse_instance(json.dumps(random_shape_doc(np.random.default_rng(seed))))
     index = VariableIndex(inst, prune)
-    names = index.names
-    assert [index.column_name(c) for c in range(index.n_columns)] == list(names)
+    names = [index.column_name(c) for c in range(index.n_columns)]
     table = index.name_table()
-    assert [bytes(row[row != 0]).decode() for row in table] == list(names)
+    assert [bytes(row[row != 0]).decode() for row in table] == names
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
@@ -339,7 +342,7 @@ def test_duplicate_row_names_abort_before_any_output(hand_model, tmp_path):
         write_mps(model)
     path = tmp_path / "model.mps"
     with pytest.raises(NamingError, match="row name collision"):
-        model_io._write_mps_file(model, path)
+        model_io._write_batches(model_io._model_batches(model), path)
     assert not path.exists()
 
 
@@ -484,7 +487,7 @@ def test_verify_quota_shortfall_detected(hand_model):
 
 
 def test_verify_fails_on_non_finite_values(hand_model):
-    nan_flows = {name: float("nan") for name in hand_model.index.names
+    nan_flows = {name: float("nan") for name in table_names(hand_model.index)
                  if name.startswith("x")}
     for values in (nan_flows, {**hand_solution(hand_model).values, "bcf_cf1_s1": float("inf")},
                    {"xdpfsnk_t1_w_dpf1_snk1": float("-inf")}):
@@ -526,7 +529,7 @@ def reference_verification(model, x, tol):
 def assert_verify_matches_reference(model, x):
     """Rows are summed in another order than the reference's, so activities
     may differ in the last bits; worst violations agree to 1e-12 relative."""
-    sol = Solution(values=dict(zip(model.index.names, x.tolist())), objective_reported=0.0)
+    sol = Solution(values=dict(zip(table_names(model.index), x.tolist())), objective_reported=0.0)
     report = verify_solution(sol, model)
     by_family, worst, worst_row = reference_verification(model, x, report.tol)
     assert report.violations_by_family == by_family
@@ -561,7 +564,7 @@ def test_vectorised_verify_matches_per_row_reference(tiny_suite):
 def test_verify_worst_row_ties_and_clean_solutions(hand_model):
     # every binary at 2 breaks the four one_size rows by exactly 1.0 each
     values = {**hand_solution(hand_model).values,
-              **{name: 2.0 for name in hand_model.index.names if name.startswith("b")}}
+              **{name: 2.0 for name in table_names(hand_model.index) if name.startswith("b")}}
     sol = Solution(values=values, objective_reported=0.0)
     report = verify_solution(sol, hand_model)
     assert report.violations_by_family["one_size"] == 4
