@@ -553,6 +553,13 @@ def quota_mandated_tons(inst: Instance, period: str) -> tuple[float, float]:
     return mandated_all, mandated_collectable
 
 
+# margin on forced tons, relative to max(1 t, forced): open capacity this far
+# short of the forced tons still carries them, in the oracle's capacity
+# screen (`oracle._covers`) and in the cover rows `model.capacity_cover`
+# hands an external solver alike
+FORCED_TONS_TOL = 1e-9
+
+
 def forced_inflow_tons(inst: Instance) -> dict[str, dict[str, float]]:
     """Per period and echelon, the tons the quota provably forces into it:
     the CF takes every mandated ton, each later echelon the collectable

@@ -70,6 +70,16 @@ from the model's blocks and row keys alone and checks that every merged
 column agrees with its first size's in cost and in every summed row.
 Only `model_io.run_external_solver` uses it, to hand the solver the
 smaller problem; `write_mps` and the listing keep the canonical model.
+
+Capacity cover.  `Model.forced_tons` holds the tons the quota forces
+through each echelon in each period (`instance.forced_inflow_tons`, the
+rule the oracle's capacity screen reads too).  `capacity_cover` states
+that screen as one pure-binary `G` row per (echelon, period) over the
+projection's columns: installed capacity covers the forced tons.  The
+other rows imply it, so the optimum and the LP bound stay; the solver
+gets a knapsack row to cut on (12 rows at the 10% default shape, where
+HiGHS then closes at the root).  The solver's file holds these rows
+after the projection's; the canonical model has no such row.
 """
 
 from __future__ import annotations
@@ -84,7 +94,15 @@ import numpy as np
 
 from .errors import ModelError, NamingError
 from .geo import DistanceMatrix, build_leg_matrices
-from .instance import ECHELON_TAGS, LEGS, Instance, sanitize_id, serialize_instance
+from .instance import (
+    ECHELON_TAGS,
+    FORCED_TONS_TOL,
+    LEGS,
+    Instance,
+    forced_inflow_tons,
+    sanitize_id,
+    serialize_instance,
+)
 
 FLOW_PREFIXES = {
     "src_cf": "xsrccf",
@@ -369,7 +387,8 @@ class RowBlock:
     Row r has columns `indices[indptr[r]:indptr[r + 1]]` with coefficients
     `data[...]` in the same slice.  Families occupy contiguous row ranges
     in ROW_FAMILIES order: family k is rows
-    `family_offsets[k]:family_offsets[k + 1]`.
+    `family_offsets[k]:family_offsets[k + 1]`.  Rows past the last offset
+    belong to no family; only `capacity_cover`'s rows do that.
     """
 
     indptr: np.ndarray  # int64, n_rows + 1
@@ -423,6 +442,9 @@ class Model:
     index: VariableIndex
     objective: np.ndarray
     constraints: RowBlock
+    # read-only (echelon, period): the tons the quota forces through each
+    # echelon (ECHELON_TAGS order) in each period, from `forced_inflow_tons`
+    forced_tons: np.ndarray
     fingerprint: str
 
     @property
@@ -658,12 +680,17 @@ def build_milp(inst: Instance, prune: bool = True) -> Model:
     constraints = build_rows(inst, vindex)
     counts = count_rows(inst, prune)
     assert constraints.n_rows == counts["total"], "row generation disagrees with closed-form count"
+    forced = forced_inflow_tons(inst)
+    forced_tons = np.array([[forced[t.id][tag] for t in inst.periods] for tag in ECHELON_TAGS],
+                           dtype=np.float64)
+    forced_tons.flags.writeable = False
     fingerprint = hashlib.sha256(serialize_instance(inst).encode()).hexdigest()
     return Model(
         prune=prune,
         index=vindex,
         objective=objective,
         constraints=constraints,
+        forced_tons=forced_tons,
         fingerprint=fingerprint,
     )
 
@@ -774,4 +801,56 @@ def project_sizes(model: Model) -> SizeProjection:
         objective=model.objective[columns],
         constraints=constraints,
         n_continuous=int(np.searchsorted(columns, index.n_continuous)),
+    )
+
+
+def capacity_cover(model: Model, projection: SizeProjection) -> RowBlock:
+    """The oracle's capacity screen as rows over the columns of
+    `projection`, a projection of `model`: one `G` row per (echelon,
+    period) whose forced tons (`Model.forced_tons`) are above 0,
+
+        sum over sites j and sizes c of cap_c * b[j, c] >= forced
+                                     - FORCED_TONS_TOL * max(1, forced),
+
+    named `cov<echelon>_<period>` with key (echelon, period), echelons in
+    chain order, then periods.  Each coefficient is a binary entry of the
+    projection's summed `facility_cap` rows, negated.
+
+    The quota, balance and summed capacity rows imply every cover row, so
+    it removes no feasible point and leaves the LP bound where it is.  It
+    is the total-capacity inequality of capacitated facility location
+    (Aardal, Pochet & Wolsey, Math. Oper. Res. 20(3), 1995): a pure-binary
+    knapsack row that a MILP solver separates cover cuts from (Crowder,
+    Johnson & Padberg, Oper. Res. 31(5), 1983).  The rows belong to no
+    family: every family slice of the block is empty.
+    """
+    block, forced = projection.constraints, model.forced_tons
+    periods = model.index.legs[0].periods
+    positive = forced > 0.0
+    covered = np.argwhere(positive)  # (echelon, period) of each cover row
+    # each (echelon, period)'s cover row, -1 where nothing is forced
+    row_of = np.full(forced.shape, -1, dtype=np.int64)
+    row_of[positive] = np.arange(len(covered))
+    echelon_of = {tag: e for e, tag in enumerate(ECHELON_TAGS)}
+    period_of = {t: k for k, t in enumerate(periods)}
+    cap = block.family_slice("facility_cap")
+    target = np.array([row_of[echelon_of[key[0]], period_of[key[1]]] for key in block.keys[cap]],
+                      dtype=np.int64)
+    # the summed rows run echelon by echelon, then period by period, so
+    # their entries are already in cover-row order
+    lo, hi = block.indptr[cap.start], block.indptr[cap.stop]
+    rows = np.repeat(target, np.diff(block.indptr[cap.start:cap.stop + 1]))
+    cols, data = block.indices[lo:hi], block.data[lo:hi]
+    keep = (rows >= 0) & (cols >= projection.n_continuous)
+    rows, cols, data = rows[keep], cols[keep], -data[keep]
+    tons = forced[positive]
+    return RowBlock(
+        indptr=np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(covered))))),
+        indices=cols,
+        data=data,
+        sense=np.full(len(covered), "G", dtype="<U1"),
+        rhs=tons - FORCED_TONS_TOL * np.maximum(1.0, tons),
+        names=tuple(_row_name(f"cov{ECHELON_TAGS[e]}", periods[k]) for e, k in covered),
+        keys=tuple((ECHELON_TAGS[e], periods[k]) for e, k in covered),
+        family_offsets=(0,) * (len(ROW_FAMILIES) + 1),
     )

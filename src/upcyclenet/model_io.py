@@ -41,7 +41,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NamingError, SolutionError, SolverRunError
-from .model import ROW_FAMILIES, Model, RowBlock, SizeProjection, first_duplicate, project_sizes
+from .model import (
+    ROW_FAMILIES,
+    Model,
+    RowBlock,
+    SizeProjection,
+    capacity_cover,
+    first_duplicate,
+    project_sizes,
+)
 
 SOLUTION_STATUSES = ("optimal", "feasible", "infeasible", "unbounded", "unknown")
 
@@ -235,10 +243,23 @@ def _model_batches(model: Model) -> Iterator[bytes | np.ndarray]:
                         model.index.n_continuous)
 
 
-def _projection_batches(model: Model, projection: SizeProjection) -> Iterator[bytes | np.ndarray]:
-    """The MPS of `projection`, a projection of `model`, in `_mps_batches`'
-    batches; each column is named after the model column it stands for."""
-    return _mps_batches(model.index.name_table()[projection.columns], projection.constraints,
+def _projection_batches(model: Model, projection: SizeProjection,
+                        cover: RowBlock) -> Iterator[bytes | np.ndarray]:
+    """The MPS of `projection`, a projection of `model`, with the `cover`
+    rows (`capacity_cover`) after its own, in `_mps_batches`' batches; each
+    column is named after the model column it stands for."""
+    rows = projection.constraints
+    stacked = RowBlock(
+        indptr=np.concatenate((rows.indptr, rows.indptr[-1] + cover.indptr[1:])),
+        indices=np.concatenate((rows.indices, cover.indices)),
+        data=np.concatenate((rows.data, cover.data)),
+        sense=np.concatenate((rows.sense, cover.sense)),
+        rhs=np.concatenate((rows.rhs, cover.rhs)),
+        names=rows.names + cover.names,
+        keys=rows.keys + cover.keys,
+        family_offsets=rows.family_offsets,
+    )
+    return _mps_batches(model.index.name_table()[projection.columns], stacked,
                         projection.objective, projection.n_continuous)
 
 
@@ -688,22 +709,27 @@ def _lift_sizes(sol: Solution, model: Model) -> tuple[Solution, int]:
 
 def run_external_solver(model: Model, solver_cmd: str,
                         time_limit: float | None = None) -> Solution:
-    """Write the model's size projection as MPS, run the user's solver
-    command, parse back its solution and lift it onto the model.
+    """Write the model's size projection and its capacity-cover rows as
+    MPS, run the user's solver command, parse back its solution and lift
+    it onto the model.
 
     `solver_cmd` is a shell-less command template; every occurrence of
     `{mps}` and `{sol}` in its tokens is replaced by the MPS path and the
     expected solution path.  The MPS is `project_sizes(model)`, written by
     the same writer as `write_mps`: flows merged over their destination's
     size axis under their first size's name, capacity rows summed over
-    sizes.  A model where every echelon has one size projects onto itself,
-    so its file is `write_mps(model)`.  The solution file is parsed against
-    the model, and `_lift_sizes` moves each site's flows onto its chosen
-    size; one diagnostics line gives both column and row counts and the
-    number of sites lifted.  The child runs in a fresh temp directory with
-    the caller's environment.  A declared `=status=` in the solution file
-    wins; otherwise a nonzero exit means status unknown (diagnostics
-    captured), and a timeout with an incumbent file present means feasible.
+    sizes.  After the projection's rows come the `capacity_cover` rows,
+    one per (echelon, period) with forced tons: implied by the others, they
+    give the solver a pure-binary knapsack row to cut on.  A model where
+    every echelon has one size projects onto itself, so its file is
+    `write_mps(model)` plus the cover rows.  The solution file is parsed
+    against the model, and `_lift_sizes` moves each site's flows onto its
+    chosen size; one diagnostics line gives both column and row counts,
+    the number of sites lifted and the number of cover rows.  The child
+    runs in a fresh temp directory with the caller's environment.  A
+    declared `=status=` in the solution file wins; otherwise a nonzero
+    exit means status unknown (diagnostics captured), and a timeout with
+    an incumbent file present means feasible.
 
     An optimal or feasible solution that passes `verify_solution` is then
     refined onto its active set (`_refine_onto_active_set`): exact
@@ -724,12 +750,13 @@ def run_external_solver(model: Model, solver_cmd: str,
         raise SolverRunError(f"time_limit must be finite and above 0 seconds, got {time_limit}")
     tokens = shlex.split(solver_cmd)
     projection = project_sizes(model)
+    cover = capacity_cover(model, projection)
     shape = (f"projection: {model.n_columns} -> {projection.n_columns} columns, "
              f"{model.n_rows} -> {projection.n_rows} rows")
     with tempfile.TemporaryDirectory(prefix="upcyclenet-") as tmp:
         mps_path = Path(tmp) / "model.mps"
         sol_path = Path(tmp) / "model.sol"
-        _write_batches(_projection_batches(model, projection), mps_path)
+        _write_batches(_projection_batches(model, projection, cover), mps_path)
         cmd = [t.replace("{mps}", str(mps_path)).replace("{sol}", str(sol_path)) for t in tokens]
         t0 = time.monotonic()
         timed_out = False
@@ -752,7 +779,7 @@ def run_external_solver(model: Model, solver_cmd: str,
         )
 
         def diagnostics(lifted: int) -> str:
-            return f"{diag}\n{shape}; {lifted} sites lifted"
+            return f"{diag}\n{shape}; {lifted} sites lifted; {cover.n_rows} cover rows"
 
         if not sol_path.exists():
             return Solution(values={}, objective_reported=0.0, status="unknown",

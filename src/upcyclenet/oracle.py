@@ -66,7 +66,7 @@ import numpy as np
 
 from .errors import ModelError, OracleError
 from .geo import build_leg_matrices
-from .instance import ECHELON_TAGS, LEGS, Instance, forced_inflow_tons
+from .instance import ECHELON_TAGS, FORCED_TONS_TOL, LEGS, Instance, forced_inflow_tons
 from .model import flow_column_name, install_column_name
 from .model_io import Solution
 from .simplex import LpResult, solve_lp
@@ -137,7 +137,7 @@ class _Block(NamedTuple):
 def _covers(capacity, forced):
     """The capacity screen's rule: open capacity carries the forced tonnage,
     elementwise over scalars or arrays."""
-    return forced <= capacity + 1e-9 * np.maximum(1.0, forced)
+    return forced <= capacity + FORCED_TONS_TOL * np.maximum(1.0, forced)
 
 
 class _SlotTable:

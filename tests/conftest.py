@@ -1,8 +1,8 @@
 """Shared fixtures.
 
 The expensive work (oracle passes and external solves over the whole tiny
-suite) happens once per session in `suite_run`; the equivalence and the
-conservation acceptance checks both read from it.
+suite, with pruning on and off) happens once per session in `suite_run`;
+the equivalence and the conservation acceptance checks both read from it.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ def scale_costs(inst: Instance, k: float) -> Instance:
 class SuiteRecord:
     inst: Instance
     model: Model  # prune on
+    model_off: Model
     sol_on: Solution
     cert_on: OracleCertificate
     sol_off: Solution
@@ -80,6 +81,7 @@ class SuiteRecord:
     sol_scaled: Solution
     cert_scaled: OracleCertificate
     external: Solution | None
+    external_off: Solution | None  # of `model_off`
 
 
 @dataclass
@@ -103,24 +105,27 @@ def suite_run(tiny_suite) -> SuiteRun:
     started = time.perf_counter()
     cmd = adapter_template() if have_scipy_milp() else None
     models = [build_milp(inst, prune=True) for inst in tiny_suite]
+    models_off = [build_milp(inst, prune=False) for inst in tiny_suite]
     records = []
     # each external solve waits on its own child process, so the solves
     # overlap with each other and with the oracle passes below
     with ThreadPoolExecutor(max_workers=min(2, os.cpu_count() or 1)) as pool:
         externals = [
-            pool.submit(run_external_solver, model, cmd, time_limit=120.0) if cmd else None
-            for model in models
+            [pool.submit(run_external_solver, model, cmd, time_limit=120.0) if cmd else None
+             for model in pair]
+            for pair in zip(models, models_off)
         ]
-        for inst, model, pending in zip(tiny_suite, models, externals):
+        for inst, model, model_off, pending in zip(tiny_suite, models, models_off, externals):
             sol_on, cert_on = solve_exact(inst, prune=True)
             sol_off, _ = solve_exact(inst, prune=False)
             sol_perm, cert_perm = solve_exact(inst, prune=True, permute_seed=1)
             sol_scaled, cert_scaled = solve_exact(scale_costs(inst, COST_SCALE), prune=True)
-            external = pending.result() if pending else None
+            external, external_off = (p.result() if p else None for p in pending)
             records.append(
                 SuiteRecord(
                     inst=inst,
                     model=model,
+                    model_off=model_off,
                     sol_on=sol_on,
                     cert_on=cert_on,
                     sol_off=sol_off,
@@ -129,6 +134,7 @@ def suite_run(tiny_suite) -> SuiteRun:
                     sol_scaled=sol_scaled,
                     cert_scaled=cert_scaled,
                     external=external,
+                    external_off=external_off,
                 )
             )
     return SuiteRun(records=records, wall_seconds=time.perf_counter() - started)

@@ -1,0 +1,190 @@
+"""The capacity-cover rows that `run_external_solver` hands the solver after
+the size projection (`model.capacity_cover`): the oracle's capacity screen
+(`oracle._SlotTable.scan`) stated as one row per echelon and period."""
+
+import itertools
+import json
+
+import numpy as np
+import pytest
+
+from conftest import adapter_template, have_scipy_milp
+from test_acceptance import TOL_EQUIVALENCE
+from upcyclenet.instance import (
+    ECHELON_TAGS,
+    FORCED_TONS_TOL,
+    forced_inflow_tons,
+    parse_instance,
+    serialize_instance,
+)
+from upcyclenet.model import (
+    ROW_FAMILIES,
+    build_milp,
+    capacity_cover,
+    install_column_name,
+    project_sizes,
+)
+from upcyclenet.model_io import run_external_solver, verify_solution
+from upcyclenet.oracle import _SlotTable
+from upcyclenet.scenario import GenSpec, _eta_zero_instance, generate, single_chain_instance
+
+SCREENED_CONFIGS = 512  # members with at most this many configurations are checked in full
+TEN_PERCENT_OPTIMUM = 9_259_682.4398896  # the 10% default shape, generator seed 1
+
+
+def warned_instance(code):
+    """The hand instance with a second material 'g' that the pruned model
+    cannot move: the source supplies 4 t of it under a 0.5 quota that the
+    CF does not accept (`quota-uncollectable`), or the CF makes it and the
+    RTF does not accept it (`orphan-output`).  Unpruned, 'g' may vanish at
+    that facility."""
+    doc = json.loads(serialize_instance(single_chain_instance()))
+    doc["materials"] = ["w", "g"]
+    doc["transport_cost"]["g"] = 0.1
+    if code == "quota-uncollectable":
+        doc["sources"][0]["supply"]["t1"]["g"] = 4.0
+        doc["quota"]["t1"]["g"] = 0.5
+    else:
+        doc["echelons"]["cf"]["outputs"] = ["g"]
+        doc["echelons"]["cf"]["yields"] = {"g": 1.0}
+    return parse_instance(json.dumps(doc))
+
+
+def cover_of(inst, prune):
+    model = build_milp(inst, prune=prune)
+    projection = project_sizes(model)
+    return model, projection, capacity_cover(model, projection)
+
+
+def screen_agreement(inst, prune):
+    """(configurations the screen keeps, configurations it drops), after
+    checking on every configuration that the cover rows hold exactly when
+    `_SlotTable.scan` keeps it."""
+    model, projection, cover = cover_of(inst, prune)
+    table = _SlotTable(inst)
+    # per slot and choice, the projected install column it opens (-1: closed)
+    opens = []
+    for slot in table.slots:
+        cols = [model.index.column(install_column_name(slot.tag, slot.site_id, size))
+                for size in slot.sizes]
+        opens.append([-1] + np.searchsorted(projection.columns, cols).tolist())
+    kept = dropped = 0
+    for config in table.configurations(SCREENED_CONFIGS):
+        x = np.zeros(projection.n_columns)
+        x[[opens[k][c] for k, c in enumerate(config) if c]] = 1.0
+        meets = bool((cover.activities(x) >= cover.rhs).all())
+        fits, _ = table.scan(config)
+        assert meets == fits, (inst.name, prune, config)
+        kept += fits
+        dropped += not fits
+    return kept, dropped
+
+
+@pytest.mark.parametrize("prune", [True, False])
+def test_cover_rows_keep_exactly_what_the_capacity_screen_keeps(tiny_suite, prune):
+    members = [inst for inst in tiny_suite if _SlotTable(inst).count <= SCREENED_CONFIGS]
+    assert len(members) == 43
+    totals = np.sum([screen_agreement(inst, prune) for inst in members], axis=0)
+    assert totals.min() > 0  # both sides of the screen are exercised
+
+
+@pytest.mark.parametrize("code", ["quota-uncollectable", "orphan-output"])
+@pytest.mark.parametrize("prune", [True, False])
+def test_cover_rows_keep_what_the_screen_keeps_on_warned_instances(code, prune):
+    kept, dropped = screen_agreement(warned_instance(code), prune)
+    assert kept and dropped
+
+
+def test_cover_rows_on_the_hand_instance():
+    inst = single_chain_instance()
+    model, projection, cover = cover_of(inst, prune=True)
+    forced = forced_inflow_tons(inst)["t1"]
+    assert cover.names == ("covcf_t1", "covrtf_t1", "covcpf_t1", "covdpf_t1")
+    assert cover.keys == tuple((tag, "t1") for tag in ECHELON_TAGS)
+    assert cover.sense.tolist() == ["G"] * 4
+    assert cover.rhs.tolist() == [forced[tag] - FORCED_TONS_TOL * max(1.0, forced[tag])
+                                  for tag in ECHELON_TAGS]
+    # one install binary per echelon, at its capacity
+    for r, tag in enumerate(ECHELON_TAGS):
+        cols = cover.indices[cover.indptr[r]:cover.indptr[r + 1]]
+        assert [model.index.column_key(int(c)) for c in projection.columns[cols]] == [
+            ("install", tag, inst.echelon(tag).sites[0].id, "s1")]
+        assert cover.data[cover.indptr[r]:cover.indptr[r + 1]].tolist() == [
+            inst.echelon(tag).size_options[0].max_capacity_tons]
+    assert all(cover.family_slice(family) == slice(0, 0) for family in ROW_FAMILIES)
+
+
+def test_no_quota_no_cover_rows():
+    model, _, cover = cover_of(_eta_zero_instance(), prune=True)
+    assert not model.forced_tons.any()
+    assert cover.n_rows == 0
+    assert len(cover.indices) == 0
+
+
+def test_cover_rows_read_the_forced_tons_of_every_period():
+    inst = generate(GenSpec(seed=3, n_sources=4, n_cf=2, n_rtf=2, n_cpf=1, n_dpf=1, n_sinks=1))
+    model, _, cover = cover_of(inst, prune=True)
+    forced = forced_inflow_tons(inst)
+    periods = [t.id for t in inst.periods]
+    assert model.forced_tons.shape == (len(ECHELON_TAGS), len(periods))
+    assert not model.forced_tons.flags.writeable
+    expected = [(tag, t) for tag, t in itertools.product(ECHELON_TAGS, periods)
+                if forced[t][tag] > 0.0]
+    assert cover.keys == tuple(expected)
+    assert cover.names == tuple(f"cov{tag}_{t}" for tag, t in expected)
+
+
+# ---------------------------------------------------------------------------
+# through the tests' scipy/HiGHS adapter
+
+
+@pytest.mark.skipif(not have_scipy_milp(), reason="scipy.optimize.milp unavailable")
+def test_capacity_short_instance_is_infeasible_through_the_adapter():
+    doc = json.loads(serialize_instance(single_chain_instance()))
+    doc["echelons"]["cf"]["size_options"][0]["max_capacity_tons"] = 5.0
+    sol = run_external_solver(build_milp(parse_instance(json.dumps(doc))), adapter_template(),
+                              time_limit=120.0)
+    assert sol.status == "infeasible"
+    assert "; 4 cover rows" in sol.diagnostics
+
+
+@pytest.mark.skipif(not have_scipy_milp(), reason="scipy.optimize.milp unavailable")
+def test_unpruned_external_optima_equal_the_oracle(suite_run):
+    for rec in suite_run.records:
+        if rec.sol_off.status == "optimal":
+            obj = rec.sol_off.objective_reported
+            assert rec.external_off.status == "optimal", rec.inst.name
+            assert abs(rec.external_off.objective_reported - obj) <= (
+                TOL_EQUIVALENCE * max(1.0, abs(obj))), rec.inst.name
+            assert verify_solution(rec.external_off, rec.model_off, tol=TOL_EQUIVALENCE).passed
+        else:
+            assert rec.external_off.status == "infeasible", rec.inst.name
+
+
+@pytest.mark.parametrize("code, unpruned_objective", [
+    ("quota-uncollectable", 546.0), ("orphan-output", 260.0),
+])
+@pytest.mark.skipif(not have_scipy_milp(), reason="scipy.optimize.milp unavailable")
+def test_warned_instances_through_the_adapter(code, unpruned_objective):
+    inst = warned_instance(code)
+    pruned = run_external_solver(build_milp(inst, prune=True), adapter_template(),
+                                 time_limit=120.0)
+    assert pruned.status == "infeasible"
+    model = build_milp(inst, prune=False)
+    unpruned = run_external_solver(model, adapter_template(), time_limit=120.0)
+    assert unpruned.status == "optimal"
+    assert unpruned.objective_reported == pytest.approx(unpruned_objective, rel=TOL_EQUIVALENCE)
+    assert verify_solution(unpruned, model).passed
+
+
+@pytest.mark.skipif(not have_scipy_milp(), reason="scipy.optimize.milp unavailable")
+def test_ten_percent_default_shape_through_the_adapter():
+    base = GenSpec()
+    counts = {f: max(1, round(getattr(base, f) * 0.1))
+              for f in ("n_sources", "n_cf", "n_rtf", "n_cpf", "n_dpf", "n_sinks")}
+    model = build_milp(generate(GenSpec(seed=1, **counts)))
+    sol = run_external_solver(model, adapter_template(), time_limit=120.0)
+    assert sol.status == "optimal"
+    assert verify_solution(sol, model).passed
+    assert abs(sol.objective_reported - TEN_PERCENT_OPTIMUM) <= 1e-6 * TEN_PERCENT_OPTIMUM
+    assert "projection: 3802 -> 598 columns, 392 -> 170 rows; 4 sites lifted; 12 cover rows" in sol.diagnostics

@@ -184,7 +184,7 @@ def test_solve_external_adapter(tmp_path, hand_file, capsys):
     assert rc == 0
     captured = capsys.readouterr()
     assert "running external solver on 9 columns" in captured.err
-    assert "projection: 9 -> 9 columns, 15 -> 15 rows; 0 sites lifted" in captured.err
+    assert "projection: 9 -> 9 columns, 15 -> 15 rows; 0 sites lifted; 4 cover rows\n" in captured.err
     assert "status: optimal, objective: 540.0" in captured.out
     assert (tmp_path / "solution.sol").is_file()
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from test_milp_core import GOLDEN_HAND_DUMP, random_shape_doc, table_names
 from upcyclenet import model_io
 from upcyclenet.errors import NamingError, SolutionError, SolverRunError
 from upcyclenet.instance import parse_instance, serialize_instance
-from upcyclenet.model import ROW_FAMILIES, Model, build_milp, project_sizes
+from upcyclenet.model import ROW_FAMILIES, Model, build_milp, capacity_cover, project_sizes
 from upcyclenet.model_io import (
     Solution,
     _least_squares,
@@ -871,8 +872,9 @@ def copying_solver(tmp_path):
     return cmd, copy
 
 
-# sha256 of the projection's MPS for random_shape_doc(default_rng(3)), prune on
-PROJECTION_MPS_SHA256 = "e12cb0e057c1bb055b638fa2bc3c6882f4402cac94ca2aa952c6e655fe4546a7"
+# sha256 of the projection's MPS, cover rows included, for
+# random_shape_doc(default_rng(3)), prune on
+PROJECTION_MPS_SHA256 = "edcf7a75e9c18316fa6bf4061b28ffed938ff1af5d21328f79b07b08487792d5"
 
 
 def test_solver_reads_the_bytes_of_write_mps(monkeypatch, tmp_path):
@@ -881,17 +883,18 @@ def test_solver_reads_the_bytes_of_write_mps(monkeypatch, tmp_path):
     inst = parse_instance(json.dumps(random_shape_doc(np.random.default_rng(3))))
     model = build_milp(inst)
     projection = project_sizes(model)
+    cover = capacity_cover(model, projection)
     assert projection.n_columns < model.n_columns
     cmd, copy = copying_solver(tmp_path)
     assert run_external_solver(model, cmd).status == "unknown"
     text = bytearray()
-    for batch in model_io._projection_batches(model, projection):
+    for batch in model_io._projection_batches(model, projection, cover):
         text += memoryview(batch)
     assert copy.read_bytes() == text
     assert hashlib.sha256(text).hexdigest() == PROJECTION_MPS_SHA256
     data = read_free_mps(text.decode())
     assert data.column_order == [model.index.column_name(c) for c in projection.columns]
-    assert data.row_order[1:] == list(projection.constraints.names)
+    assert data.row_order[1:] == list(projection.constraints.names) + list(cover.names)
 
 
 def test_solver_reads_write_mps_of_a_single_size_model(monkeypatch, tmp_path):
@@ -900,5 +903,20 @@ def test_solver_reads_write_mps_of_a_single_size_model(monkeypatch, tmp_path):
     cmd, copy = copying_solver(tmp_path)
     sol = run_external_solver(model, cmd)
     assert sol.status == "unknown"
-    assert copy.read_bytes() == write_mps(model).encode()
-    assert sol.diagnostics.endswith("projection: 10 -> 10 columns, 16 -> 16 rows; 0 sites lifted")
+    read = read_free_mps(copy.read_text())
+    assert [r for r in read.row_order if r.startswith("cov")] == ["covcf_t1", "covrtf_t1",
+                                                                  "covcpf_t1", "covdpf_t1"]
+    assert without_cover_rows(read) == read_free_mps(write_mps(model))
+    assert sol.diagnostics.endswith(
+        "projection: 10 -> 10 columns, 16 -> 16 rows; 0 sites lifted; 4 cover rows")
+
+
+def without_cover_rows(data):
+    """`data` less every `cov*` row and its entries."""
+    def kept(row):
+        return not row.startswith("cov")
+
+    return replace(data, row_order=[r for r in data.row_order if kept(r)],
+                   row_sense={r: s for r, s in data.row_sense.items() if kept(r)},
+                   entries=[e for e in data.entries if kept(e[1])],
+                   rhs={r: b for r, b in data.rhs.items() if kept(r)})

@@ -5,6 +5,7 @@ import pytest
 
 from scipy_milp_adapter import read_free_mps, solve_mps
 from test_acceptance import _decentralization_instance
+from test_capacity_cover import warned_instance
 from test_instance import minimal_doc, parse_doc
 from test_milp_core import random_shape_doc
 from upcyclenet import oracle, simplex
@@ -347,19 +348,7 @@ def test_material_pruning_modes_agree_on_hand_instance():
     ("quota-uncollectable", 546.0), ("orphan-output", 260.0),
 ])
 def test_material_pruning_changes_the_optimum_on_warned_instances(code, unpruned_objective):
-    # a second material 'g': the source supplies 4 t of it under a 0.5
-    # quota that the CF does not accept, or the CF makes it and the RTF
-    # does not accept it.  Unpruned, 'g' may vanish at that facility.
-    doc = json.loads(serialize_instance(single_chain_instance()))
-    doc["materials"] = ["w", "g"]
-    doc["transport_cost"]["g"] = 0.1
-    if code == "quota-uncollectable":
-        doc["sources"][0]["supply"]["t1"]["g"] = 4.0
-        doc["quota"]["t1"]["g"] = 0.5
-    else:
-        doc["echelons"]["cf"]["outputs"] = ["g"]
-        doc["echelons"]["cf"]["yields"] = {"g": 1.0}
-    inst = parse_instance(json.dumps(doc))
+    inst = warned_instance(code)
     assert code in {f.code for f in validate_instance(inst)}
     pruned, _ = solve_exact(inst, prune=True)
     assert pruned.status == "infeasible"
