@@ -70,9 +70,7 @@ from .oracle import (
     OracleCertificate,
     count_configurations,
     describe_configuration,
-    enumerate_configurations,
     solve_exact,
-    solve_flow_lp,
 )
 from .reporting import (
     CostBreakdown,
@@ -141,9 +139,7 @@ __all__ = [
     "run_external_solver",
     "OracleCertificate",
     "count_configurations",
-    "enumerate_configurations",
     "describe_configuration",
-    "solve_flow_lp",
     "solve_exact",
     "LpResult",
     "solve_lp",

@@ -4,8 +4,8 @@ All distances in the model derive from node coordinates via the haversine
 formula on a sphere of radius 6371.0088 km, optionally stretched by a
 road-circuity factor.  Distances feed transport cost only; they are never
 read from the instance document.  One dense matrix is built per leg of the
-chain (sources->CF, CF->RTF, RTF->CPF, CPF->DPF, DPF->sinks); `build_milp`,
-`solve_exact` and `solve_flow_lp` each build them once per call.
+chain (sources->CF, CF->RTF, RTF->CPF, CPF->DPF, DPF->sinks); `build_milp`
+and `solve_exact` each build them once per call.
 """
 
 from __future__ import annotations

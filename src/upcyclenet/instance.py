@@ -27,6 +27,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
+import numpy as np
+
 from .errors import InstanceError
 
 ECHELON_TAGS = ("cf", "rtf", "cpf", "dpf")
@@ -554,10 +556,16 @@ def quota_mandated_tons(inst: Instance, period: str) -> tuple[float, float]:
 
 
 # margin on forced tons, relative to max(1 t, forced): open capacity this far
-# short of the forced tons still carries them, in the oracle's capacity
-# screen (`oracle._covers`) and in the cover rows `model.capacity_cover`
-# hands an external solver alike
+# short of the forced tons still carries them, in `capacity_covers` and in
+# the cover rows `model.capacity_cover` hands an external solver alike
 FORCED_TONS_TOL = 1e-9
+
+
+def capacity_covers(capacity, forced):
+    """Capacity carries the forced tonnage, elementwise over scalars or
+    arrays: the one rule of the oracle's capacity screen and of
+    `validate_instance`'s capacity and demand errors."""
+    return forced <= capacity + FORCED_TONS_TOL * np.maximum(1.0, forced)
 
 
 def forced_inflow_tons(inst: Instance) -> dict[str, dict[str, float]]:
@@ -620,7 +628,6 @@ def validate_instance(inst: Instance) -> list[Finding]:
                     )
                 )
 
-    tol = 1e-9
     for t in inst.periods:
         for p in inst.materials:
             eta = inst.quota_at(t.id, p)
@@ -640,7 +647,7 @@ def validate_instance(inst: Instance) -> list[Finding]:
         for tag, spec in inst.echelons():
             forced_in = forced[tag]
             agg_cap = sum(max(o.max_capacity_tons for o in spec.size_options) for s in spec.sites)
-            if forced_in > agg_cap + tol:
+            if not capacity_covers(agg_cap, forced_in):
                 findings.append(
                     Finding(
                         "ERROR",
@@ -654,7 +661,7 @@ def validate_instance(inst: Instance) -> list[Finding]:
         for p in inst.dpf.outputs:
             forced_out = inst.dpf.yields[p] * forced["dpf"]
             cap = inst.demand_total(t.id, p)
-            if forced_out > cap + tol:
+            if not capacity_covers(cap, forced_out):
                 findings.append(
                     Finding(
                         "ERROR",

@@ -40,17 +40,18 @@ neither changes the reported optimum, configuration or flows:
 Both count towards `pruned`, so `pruned + infeasible + solved ==
 enumerated` holds; `bound_pruned` is the bound prune's share.
 
-The walk screens configurations in numpy blocks rather than one at a
-time.  A block is one choice for each leading slot followed by every
+`_SlotTable.blocks` is the only enumeration: it lists the configurations
+in numpy blocks, each one choice for each leading slot followed by every
 choice of the trailing slots, at most `_BLOCK` configurations, so memory
 stays bounded whatever `max_configs` allows.  Each block's per-echelon
 open capacities and install costs are summed slot by slot in slot order,
-the same floats a one-at-a-time scan gives.  Within a block the walk jumps
-from one screen-passing configuration the bound prune keeps to the next,
-and every screen-passing one it jumps over is bound-pruned.  The bound
-threshold moves only when the incumbent does, so the walk solves the same
-LPs in the same order as a one-at-a-time loop and every certificate count
-is the same.
+so a configuration's floats do not depend on how the walk was split into
+blocks.  Within a block the walk jumps from one screen-passing
+configuration the bound prune keeps to the next, and every screen-passing
+one it jumps over is bound-pruned.  The bound threshold moves only when
+the incumbent does, so the walk solves the same LPs in the same order as
+a loop over every configuration in lexicographic order, with the same
+certificate counts.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ import numpy as np
 
 from .errors import ModelError, OracleError
 from .geo import build_leg_matrices
-from .instance import ECHELON_TAGS, FORCED_TONS_TOL, LEGS, Instance, forced_inflow_tons
+from .instance import ECHELON_TAGS, LEGS, Instance, capacity_covers, forced_inflow_tons
 from .model import flow_column_name, install_column_name
 from .model_io import Solution
 from .simplex import LpResult, solve_lp
@@ -123,7 +124,8 @@ class _Slot(NamedTuple):
 
 class _Block(NamedTuple):
     """The configurations `prefix` followed by each choice of the trailing
-    slots, lexicographic, with `_SlotTable.scan`'s two values for each."""
+    slots, lexicographic, with the capacity screen's verdict and the
+    install cost of each."""
 
     prefix: Configuration
     shape: tuple[int, ...]  # choices per trailing slot
@@ -132,12 +134,6 @@ class _Block(NamedTuple):
 
     def configuration(self, k: int) -> Configuration:
         return self.prefix + tuple(int(d) for d in np.unravel_index(k, self.shape))
-
-
-def _covers(capacity, forced):
-    """The capacity screen's rule: open capacity carries the forced tonnage,
-    elementwise over scalars or arrays."""
-    return forced <= capacity + FORCED_TONS_TOL * np.maximum(1.0, forced)
 
 
 class _SlotTable:
@@ -172,22 +168,15 @@ class _SlotTable:
             add[-1, 1:] = slot.costs
             self._adds.append(add)
 
-    def _refuse_over(self, max_configs: int) -> None:
+    def blocks(self, max_configs: int) -> Iterator[_Block]:
+        """Every configuration, lexicographic, with its capacity screen
+        verdict and install cost, in blocks of at most `_BLOCK` over the
+        trailing slots; refuses more than `max_configs` when called,
+        before the first block."""
         if self.count > max_configs:
             raise OracleError(
                 f"{self.count} configurations exceed the enumeration limit {max_configs}"
             )
-
-    def configurations(self, max_configs: int) -> Iterator[Configuration]:
-        """Every configuration, lexicographic; refuses more than `max_configs`."""
-        self._refuse_over(max_configs)
-        return itertools.product(*(range(len(s.sizes) + 1) for s in self.slots))
-
-    def blocks(self, max_configs: int) -> Iterator[_Block]:
-        """Every configuration, lexicographic, in blocks of at most `_BLOCK`
-        over the trailing slots; refuses more than `max_configs` when
-        called, before the first block."""
-        self._refuse_over(max_configs)
         radices = [len(s.sizes) + 1 for s in self.slots]
         split = len(radices)
         while split and math.prod(radices[split - 1:]) <= _BLOCK:
@@ -197,12 +186,12 @@ class _SlotTable:
         def walk():
             for prefix in itertools.product(*(range(r) for r in radices[:split])):
                 sums = self._sums(prefix, len(shape))
-                fits = _covers(sums[:-1], self.forced[:, None]).all(axis=0)
+                fits = capacity_covers(sums[:-1], self.forced[:, None]).all(axis=0)
                 yield _Block(prefix, shape, fits, sums[-1])
 
         return walk()
 
-    def _sums(self, head: Configuration, tail: int = 0) -> np.ndarray:
+    def _sums(self, head: Configuration, tail: int) -> np.ndarray:
         """Open capacity per echelon and install cost (rows) of each
         configuration that starts with `head` and then runs through every
         choice of the next `tail` slots, lexicographic (columns).  The sums
@@ -226,13 +215,6 @@ class _SlotTable:
                 opened.append((slot, choice - 1))
         return opened
 
-    def scan(self, config: Configuration) -> tuple[bool, float]:
-        """(open capacity covers the forced tonnage, install cost) of one
-        configuration, unchecked.  `solve_exact` screens whole blocks
-        through `blocks`, which gives the same two values."""
-        sums = self._sums(config)[:, 0]
-        return bool(_covers(sums[:-1], self.forced).all()), float(sums[-1])
-
     def install_values(self, config: Configuration) -> dict[str, float]:
         """Install column name -> 1.0 for each open site."""
         return {install_column_name(slot.tag, slot.site_id, slot.sizes[c]): 1.0
@@ -241,12 +223,6 @@ class _SlotTable:
 
 def count_configurations(inst: Instance) -> int:
     return _SlotTable(inst).count
-
-
-def enumerate_configurations(inst: Instance, max_configs: int = MAX_CONFIGS):
-    """Complete lexicographic stream of all configurations; refuses when the
-    product of per-site choices exceeds `max_configs`."""
-    return _SlotTable(inst).configurations(max_configs)
 
 
 def describe_configuration(inst: Instance, config: Configuration) -> dict[str, dict[str, str | None]]:
@@ -258,14 +234,6 @@ def describe_configuration(inst: Instance, config: Configuration) -> dict[str, d
     for slot, c in table.open_sites(config):
         desc[slot.tag][slot.site_id] = slot.sizes[c]
     return desc
-
-
-@dataclass
-class FlowLpResult:
-    status: str  # 'optimal' | 'infeasible'
-    objective: float  # includes the configuration's installation cost
-    flows: dict[str, float]  # column name -> tons, nonzero entries only
-    iterations: int
 
 
 class _LpFactory:
@@ -376,7 +344,7 @@ class _LpFactory:
         self.quota = np.zeros(len(rows), dtype=bool)
         self.quota[quota_rows] = True
 
-    def solve(self, config: Configuration, permute_seed: int | None = None) -> LpResult:
+    def solve(self, config: Configuration) -> LpResult:
         """Solve the configuration's restriction of the all-open LP.  `x` is
         padded with zeros to the all-open columns, and the objective is the
         flow cost only; callers add the installation cost."""
@@ -391,18 +359,15 @@ class _LpFactory:
         cols = np.concatenate([self.ids[leg][:, :, is_open[o]][..., is_open[d]].ravel()
                                for leg, o, d in LEGS])
         rows = np.flatnonzero(self.quota | (self.a[:, cols] != 0.0).any(axis=1))
-        order = cols
-        if permute_seed is not None:
-            order = cols[np.random.default_rng(permute_seed).permutation(cols.size)]
-        result = solve_lp(self.obj[order], self.a[np.ix_(rows, order)],
+        result = solve_lp(self.obj[cols], self.a[np.ix_(rows, cols)],
                           [self.senses[r] for r in rows], rhs[rows])
         if result.status == "infeasible":
             return LpResult("infeasible", 0.0, None, result.iterations)
         if result.status == "unbounded":
             raise OracleError("flow subproblem unbounded; objective data must be nonnegative")
         x = np.zeros(self.obj.size, dtype=np.float64)
-        x[order] = result.x
-        return LpResult("optimal", float(self.obj[cols] @ x[cols]), x, result.iterations)
+        x[cols] = result.x
+        return LpResult("optimal", float(self.obj[cols] @ result.x), x, result.iterations)
 
     def flows(self, config: Configuration, x: np.ndarray) -> dict[str, float]:
         """Column name -> tons for the nonzero entries of a padded `x`."""
@@ -421,34 +386,15 @@ class _LpFactory:
                 flows[name] = float(block[t_pos, p_pos, i, j])
         return flows
 
-    def flow_bound(self, permute_seed: int | None = None) -> float | None:
+    def flow_bound(self) -> float | None:
         """Flow cost (objective minus install cost) of `slots.widest`, every
         site open at its largest size: a lower bound on every
         configuration's flow cost.  None when even that LP is infeasible."""
-        result = self.solve(self.slots.widest, permute_seed)
+        result = self.solve(self.slots.widest)
         return None if result.status == "infeasible" else result.objective
 
 
-def solve_flow_lp(inst: Instance, config: Configuration, prune: bool = True,
-                  permute_seed: int | None = None) -> FlowLpResult:
-    """Solve the flow LP for one fixed configuration; objective includes the
-    configuration's installation cost."""
-    return _solve_flow_lp(_LpFactory(inst, prune, _SlotTable(inst)), config, permute_seed)
-
-
-def _solve_flow_lp(factory: _LpFactory, config: Configuration,
-                   permute_seed: int | None = None) -> FlowLpResult:
-    """`solve_flow_lp` on an assembled factory, which a caller solving many
-    configurations of one instance builds once."""
-    result = factory.solve(config, permute_seed)
-    if result.x is None:
-        return FlowLpResult(result.status, result.objective, {}, result.iterations)
-    return FlowLpResult(result.status, result.objective + factory.slots.scan(config)[1],
-                        factory.flows(config, result.x), result.iterations)
-
-
 def solve_exact(inst: Instance, max_configs: int = MAX_CONFIGS, prune: bool = True,
-                permute_seed: int | None = None,
                 progress: Callable[[int, int], None] | None = None,
                 ) -> tuple[Solution, OracleCertificate]:
     """Global optimum by exhaustion.  Any simplex abort poisons the whole
@@ -465,7 +411,7 @@ def solve_exact(inst: Instance, max_configs: int = MAX_CONFIGS, prune: bool = Tr
     # refuse before the all-open LP is assembled
     blocks = slots.blocks(max_configs)
     factory = _LpFactory(inst, prune, slots)
-    flow_bound = factory.flow_bound(permute_seed)
+    flow_bound = factory.flow_bound()
     enumerated = pruned = bound_pruned = infeasible = solved = 0
     best_obj: float | None = None
     best_config: Configuration | None = None
@@ -493,7 +439,7 @@ def solve_exact(inst: Instance, max_configs: int = MAX_CONFIGS, prune: bool = Tr
             k = int(passing[at])
             at += 1
             config = block.configuration(k)
-            result = factory.solve(config, permute_seed)
+            result = factory.solve(config)
             if result.status == "infeasible":
                 infeasible += 1
                 continue

@@ -7,14 +7,17 @@ the equivalence and the conservation acceptance checks both read from it.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import shutil
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from upcyclenet import (
@@ -23,10 +26,12 @@ from upcyclenet import (
     OracleCertificate,
     Solution,
     build_milp,
+    oracle,
     parse_instance,
     run_external_solver,
     serialize_instance,
     solve_exact,
+    write_mps,
 )
 from upcyclenet.scenario import make_tiny_suite, single_chain_instance
 
@@ -68,6 +73,27 @@ def scale_costs(inst: Instance, k: float) -> Instance:
     return parse_instance(json.dumps(doc))
 
 
+@contextmanager
+def permuted_columns(seed: int):
+    """Inside the block the oracle's simplex sees every LP with its columns
+    permuted by `np.random.default_rng(seed).permutation(len(c))`; each
+    solution comes back in the LP's own column order."""
+    real_solve_lp = oracle.solve_lp
+
+    def permuted_solve_lp(c, a, senses, b):
+        order = np.random.default_rng(seed).permutation(len(c))
+        result = real_solve_lp(c[order], a[:, order], senses, b)
+        if result.x is None:
+            return result
+        x = np.empty_like(result.x)
+        x[order] = result.x
+        return dataclasses.replace(result, x=x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "solve_lp", permuted_solve_lp)
+        yield
+
+
 @dataclass
 class SuiteRecord:
     inst: Instance
@@ -81,7 +107,7 @@ class SuiteRecord:
     sol_scaled: Solution
     cert_scaled: OracleCertificate
     external: Solution | None
-    external_off: Solution | None  # of `model_off`
+    external_off: Solution | None  # of `model_off`; `external` when their MPS is the same
 
 
 @dataclass
@@ -108,17 +134,22 @@ def suite_run(tiny_suite) -> SuiteRun:
     models_off = [build_milp(inst, prune=False) for inst in tiny_suite]
     records = []
     # each external solve waits on its own child process, so the solves
-    # overlap with each other and with the oracle passes below
+    # overlap with each other and with the oracle passes below; a member
+    # whose two models write the same MPS is solved once
     with ThreadPoolExecutor(max_workers=min(2, os.cpu_count() or 1)) as pool:
-        externals = [
-            [pool.submit(run_external_solver, model, cmd, time_limit=120.0) if cmd else None
-             for model in pair]
-            for pair in zip(models, models_off)
-        ]
+        def solve(model):
+            return pool.submit(run_external_solver, model, cmd, time_limit=120.0) if cmd else None
+
+        externals = []
+        for model, model_off in zip(models, models_off):
+            on = solve(model)
+            same = write_mps(model) == write_mps(model_off)
+            externals.append((on, on if same else solve(model_off)))
         for inst, model, model_off, pending in zip(tiny_suite, models, models_off, externals):
             sol_on, cert_on = solve_exact(inst, prune=True)
             sol_off, _ = solve_exact(inst, prune=False)
-            sol_perm, cert_perm = solve_exact(inst, prune=True, permute_seed=1)
+            with permuted_columns(1):
+                sol_perm, cert_perm = solve_exact(inst, prune=True)
             sol_scaled, cert_scaled = solve_exact(scale_costs(inst, COST_SCALE), prune=True)
             external, external_off = (p.result() if p else None for p in pending)
             records.append(

@@ -1,6 +1,7 @@
 """The capacity-cover rows that `run_external_solver` hands the solver after
 the size projection (`model.capacity_cover`): the oracle's capacity screen
-(`oracle._SlotTable.scan`) stated as one row per echelon and period."""
+(`oracle._SlotTable.blocks`) stated as one row per echelon and period.
+`validate_instance` reads the screen's rule too."""
 
 import itertools
 import json
@@ -16,6 +17,7 @@ from upcyclenet.instance import (
     forced_inflow_tons,
     parse_instance,
     serialize_instance,
+    validate_instance,
 )
 from upcyclenet.model import (
     ROW_FAMILIES,
@@ -25,7 +27,7 @@ from upcyclenet.model import (
     project_sizes,
 )
 from upcyclenet.model_io import run_external_solver, verify_solution
-from upcyclenet.oracle import _SlotTable
+from upcyclenet.oracle import MAX_CONFIGS, _SlotTable, solve_exact
 from upcyclenet.scenario import GenSpec, _eta_zero_instance, generate, single_chain_instance
 
 SCREENED_CONFIGS = 512  # members with at most this many configurations are checked in full
@@ -50,6 +52,14 @@ def warned_instance(code):
     return parse_instance(json.dumps(doc))
 
 
+def screened(table, max_configs=MAX_CONFIGS):
+    """(configuration, kept by the capacity screen, install cost) of every
+    configuration, lexicographic, from the oracle's block walk."""
+    for block in table.blocks(max_configs):
+        for k in range(block.fits.size):
+            yield block.configuration(k), bool(block.fits[k]), float(block.install[k])
+
+
 def cover_of(inst, prune):
     model = build_milp(inst, prune=prune)
     projection = project_sizes(model)
@@ -59,7 +69,7 @@ def cover_of(inst, prune):
 def screen_agreement(inst, prune):
     """(configurations the screen keeps, configurations it drops), after
     checking on every configuration that the cover rows hold exactly when
-    `_SlotTable.scan` keeps it."""
+    the oracle's capacity screen keeps it."""
     model, projection, cover = cover_of(inst, prune)
     table = _SlotTable(inst)
     # per slot and choice, the projected install column it opens (-1: closed)
@@ -69,11 +79,10 @@ def screen_agreement(inst, prune):
                 for size in slot.sizes]
         opens.append([-1] + np.searchsorted(projection.columns, cols).tolist())
     kept = dropped = 0
-    for config in table.configurations(SCREENED_CONFIGS):
+    for config, fits, _ in screened(table, SCREENED_CONFIGS):
         x = np.zeros(projection.n_columns)
         x[[opens[k][c] for k, c in enumerate(config) if c]] = 1.0
         meets = bool((cover.activities(x) >= cover.rhs).all())
-        fits, _ = table.scan(config)
         assert meets == fits, (inst.name, prune, config)
         kept += fits
         dropped += not fits
@@ -93,6 +102,39 @@ def test_cover_rows_keep_exactly_what_the_capacity_screen_keeps(tiny_suite, prun
 def test_cover_rows_keep_what_the_screen_keeps_on_warned_instances(code, prune):
     kept, dropped = screen_agreement(warned_instance(code), prune)
     assert kept and dropped
+
+
+def cf_capacity_short_by(tons):
+    """The hand instance with its CF size `tons` short of the 10 t quota."""
+    doc = json.loads(serialize_instance(single_chain_instance()))
+    doc["echelons"]["cf"]["size_options"][0]["max_capacity_tons"] = 10.0 - tons
+    return parse_instance(json.dumps(doc))
+
+
+def widest_is_kept(inst):
+    """The capacity screen keeps the configuration with every site open at
+    its largest size."""
+    table = _SlotTable(inst)
+    return next(fits for config, fits, _ in screened(table) if config == table.widest)
+
+
+def validation_errors(inst):
+    return [f.code for f in validate_instance(inst) if f.severity == "ERROR"]
+
+
+@pytest.mark.parametrize("short, kept", [(5e-9, True), (2e-8, False)])
+def test_validation_and_the_screen_share_the_forced_tons_margin(short, kept):
+    inst = cf_capacity_short_by(short)
+    assert widest_is_kept(inst) == kept
+    assert validation_errors(inst) == ([] if kept else ["aggregate-cf-capacity-short"])
+    if not kept:
+        assert solve_exact(inst)[1].solved == 0
+
+
+def test_validation_errs_exactly_when_the_screen_drops_the_widest_configuration(tiny_suite):
+    cases = tiny_suite + [warned_instance(code) for code in ("quota-uncollectable", "orphan-output")]
+    for inst in cases:
+        assert bool(validation_errors(inst)) == (not widest_is_kept(inst)), inst.name
 
 
 def test_cover_rows_on_the_hand_instance():

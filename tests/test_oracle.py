@@ -1,11 +1,14 @@
+import contextlib
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+from conftest import permuted_columns
 from scipy_milp_adapter import read_free_mps, solve_mps
 from test_acceptance import _decentralization_instance
-from test_capacity_cover import warned_instance
+from test_capacity_cover import screened, warned_instance
 from test_instance import minimal_doc, parse_doc
 from test_milp_core import random_shape_doc
 from upcyclenet import oracle, simplex
@@ -13,13 +16,7 @@ from upcyclenet.errors import OracleError, SimplexIterationError
 from upcyclenet.instance import parse_instance, serialize_instance, validate_instance
 from upcyclenet.model import build_milp, install_column_name
 from upcyclenet.model_io import verify_solution, write_mps
-from upcyclenet.oracle import (
-    count_configurations,
-    describe_configuration,
-    enumerate_configurations,
-    solve_exact,
-    solve_flow_lp,
-)
+from upcyclenet.oracle import count_configurations, describe_configuration, solve_exact
 from upcyclenet.scenario import _colocated_instance, make_tiny_suite, single_chain_instance
 from upcyclenet.simplex import solve_lp
 
@@ -244,8 +241,8 @@ def test_site_slots_and_count_on_hand_instance():
 
 
 def test_enumeration_is_lexicographic_and_complete():
-    inst = single_chain_instance()
-    configs = list(enumerate_configurations(inst))
+    table = oracle._SlotTable(single_chain_instance())
+    configs = [config for config, _, _ in screened(table)]
     assert len(configs) == 16
     assert configs[0] == (0, 0, 0, 0)
     assert configs[-1] == (1, 1, 1, 1)
@@ -255,7 +252,7 @@ def test_enumeration_is_lexicographic_and_complete():
 def test_enumeration_refuses_over_limit():
     inst = single_chain_instance()
     with pytest.raises(OracleError, match="16"):
-        enumerate_configurations(inst, max_configs=8)
+        oracle._SlotTable(inst).blocks(8)
     with pytest.raises(OracleError):
         solve_exact(inst, max_configs=8)
 
@@ -283,8 +280,9 @@ def test_describe_configuration_names_sizes():
 def test_capacity_screen_hand_cases():
     inst = single_chain_instance()
     table = oracle._SlotTable(inst)
-    assert not table.scan((0, 0, 0, 0))[0]  # quota needs 10 t collected
-    assert table.scan((1, 1, 1, 1))[0]
+    fits = {config: fit for config, fit, _ in screened(table)}
+    assert not fits[0, 0, 0, 0]  # quota needs 10 t collected
+    assert fits[1, 1, 1, 1]
     with pytest.raises(OracleError):
         table.open_sites((1, 1, 1))
 
@@ -294,24 +292,25 @@ def test_capacity_screen_hand_cases():
 
 
 def test_flow_lp_on_hand_configuration():
-    inst = single_chain_instance()
-    res = solve_flow_lp(inst, (1, 1, 1, 1))
+    factory = all_open_factory(single_chain_instance())
+    res = factory.solve((1, 1, 1, 1))
     assert res.status == "optimal"
-    assert res.objective == pytest.approx(540.0, abs=1e-9)
-    assert set(res.flows) == {
+    # flow cost only: the optimum 540 less four sites' install cost of 100
+    assert res.objective == pytest.approx(140.0, abs=1e-9)
+    flows = factory.flows((1, 1, 1, 1), res.x)
+    assert set(flows) == {
         "xsrccf_t1_w_src1_cf1_s1",
         "xcfrtf_t1_w_cf1_rtf1_s1",
         "xrtfcpf_t1_w_rtf1_cpf1_s1",
         "xcpfdpf_t1_w_cpf1_dpf1_s1",
         "xdpfsnk_t1_w_dpf1_snk1",
     }
-    for v in res.flows.values():
+    for v in flows.values():
         assert v == pytest.approx(10.0, abs=1e-9)
 
 
 def test_flow_lp_all_closed_is_infeasible_under_quota():
-    inst = single_chain_instance()
-    assert solve_flow_lp(inst, (0, 0, 0, 0)).status == "infeasible"
+    assert all_open_factory(single_chain_instance()).solve((0, 0, 0, 0)).status == "infeasible"
 
 
 def test_solve_exact_hand_instance_exact_540():
@@ -363,7 +362,8 @@ def test_column_permutation_does_not_change_the_winner():
     inst = single_chain_instance()
     base, cert_base = solve_exact(inst)
     for seed in (1, 2, 3):
-        perm, cert_perm = solve_exact(inst, permute_seed=seed)
+        with permuted_columns(seed):
+            perm, cert_perm = solve_exact(inst)
         assert perm.objective_reported == pytest.approx(
             base.objective_reported, rel=1e-9
         )
@@ -477,31 +477,29 @@ def test_decentralized_collection_emerges_with_expensive_raw_transport():
 # bound prune, checked against plain enumeration
 
 
-def brute_force(inst, prune, permute_seed, tie_tol=oracle.TIE_TOL):
-    """Every configuration through solve_flow_lp's body on one factory,
-    keeping the lexicographically first minimum under the oracle's tie rule."""
+def every_configuration(table):
+    """Every configuration, lexicographic, without the oracle's blocks."""
+    return itertools.product(*(range(len(s.sizes) + 1) for s in table.slots))
+
+
+def brute_force(inst, prune, tie_tol=oracle.TIE_TOL):
+    """Every configuration's flow LP plus its install cost, keeping the
+    lexicographically first minimum under the oracle's tie rule."""
     factory = all_open_factory(inst, prune)
     best = None
-    for config in enumerate_configurations(inst):
-        res = oracle._solve_flow_lp(factory, config, permute_seed)
+    for config in every_configuration(factory.slots):
+        res = factory.solve(config)
         if res.status != "optimal":
             continue
-        if best is None or res.objective < best[0] - tie_tol * max(1.0, abs(best[0])):
-            best = (res.objective, config, res.flows)
+        objective = res.objective + scan_loop(factory.slots, config)[1]
+        if best is None or objective < best[0] - tie_tol * max(1.0, abs(best[0])):
+            best = (objective, config, factory.flows(config, res.x))
     return best
 
 
 def all_open_factory(inst, prune=True):
-    """The all-open LP that solve_flow_lp assembles on each call, built once."""
+    """The instance's all-open LP, which restricts to each configuration's."""
     return oracle._LpFactory(inst, prune, oracle._SlotTable(inst))
-
-
-def install_cost(inst, config):
-    cost = 0.0
-    for tag, sites in describe_configuration(inst, config).items():
-        options = {o.id: o for o in inst.echelon(tag).size_options}
-        cost += sum(options[size].install_cost_annual for size in sites.values() if size)
-    return cost * inst.horizon_years()
 
 
 @pytest.fixture(scope="module")
@@ -521,8 +519,9 @@ def test_solve_exact_matches_brute_force(bound_pruning_members, prune, permute_s
     assert len(bound_pruning_members) >= 8
     cases = [single_chain_instance(), _colocated_instance(), _decentralization_instance()]
     for inst in cases + bound_pruning_members:
-        sol, cert = solve_exact(inst, prune=prune, permute_seed=permute_seed)
-        ref_obj, ref_config, ref_flows = brute_force(inst, prune, permute_seed)
+        with permuted_columns(permute_seed) if permute_seed else contextlib.nullcontext():
+            sol, cert = solve_exact(inst, prune=prune)
+            ref_obj, ref_config, ref_flows = brute_force(inst, prune)
         assert sol.status == "optimal"
         assert cert.best_objective == pytest.approx(ref_obj, rel=1e-9)
         assert cert.best_configuration == ref_config
@@ -560,7 +559,7 @@ def test_small_blocks_walk_like_the_default(bound_pruning_members, monkeypatch):
 
 def scan_loop(table, config):
     """The capacity screen and install cost of one configuration as a plain
-    loop in slot order: the reference for `scan` and the blocks."""
+    loop in slot order: the reference for the blocks."""
     capacity = [0.0] * len(table.forced)
     install = 0.0
     for choice, slot in zip(config, table.slots):
@@ -582,10 +581,9 @@ def test_blocks_list_every_configuration_with_its_scan(monkeypatch, block):
             for k in range(b.fits.size):
                 config = b.configuration(k)
                 expected = scan_loop(table, config)
-                assert table.scan(config) == expected
                 assert (bool(b.fits[k]), float(b.install[k])) == expected
                 listed.append(config)
-        assert listed == list(table.configurations(oracle.MAX_CONFIGS))
+        assert listed == list(every_configuration(table))
 
 
 def test_flow_cost_bound_is_below_every_configuration():
@@ -597,13 +595,12 @@ def test_flow_cost_bound_is_below_every_configuration():
         checked += 1
         factory = all_open_factory(inst)
         bound = factory.flow_bound()
-        for config in enumerate_configurations(inst):
-            res = oracle._solve_flow_lp(factory, config)
+        for config in every_configuration(factory.slots):
+            res = factory.solve(config)
             if bound is None:
                 assert res.status == "infeasible"
             elif res.status == "optimal":
-                flow_cost = res.objective - install_cost(inst, config)
-                assert bound <= flow_cost + 1e-9 * max(1.0, abs(flow_cost))
+                assert bound <= res.objective + 1e-9 * max(1.0, abs(res.objective))
         sol, cert = solve_exact(inst)
         assert cert.pruned + cert.infeasible + cert.solved == cert.enumerated
         assert 0 <= cert.bound_pruned <= cert.pruned
