@@ -153,6 +153,7 @@ class _SlotTable:
                       for j, site in enumerate(spec.sites)]
         self.slots = tuple(slots)
         self.count = math.prod(len(s.sizes) + 1 for s in slots)
+        self._options = np.array([len(s.sizes) for s in slots], dtype=np.intp)
         # every site open at the size with the largest capacity, first on a tie
         self.widest: Configuration = tuple(1 + s.caps.index(max(s.caps)) for s in slots)
         # per echelon: the largest tonnage the quota forces through it
@@ -203,17 +204,20 @@ class _SlotTable:
             sums = (sums[:, :, None] + add[:, None, :]).reshape(len(sums), -1)
         return sums
 
-    def open_sites(self, config: Configuration) -> list[tuple[_Slot, int]]:
-        """(slot, size position) for each open site, in slot order."""
+    def choices(self, config: Configuration) -> np.ndarray:
+        """`config` as an array of size choices, checked slot by slot."""
         if len(config) != len(self.slots):
             raise OracleError(f"configuration length {len(config)} != {len(self.slots)} sites")
-        opened = []
-        for choice, slot in zip(config, self.slots):
-            if not 0 <= choice <= len(slot.sizes):
-                raise OracleError(f"size choice {choice} out of range at {slot.tag} site {slot.site}")
-            if choice:
-                opened.append((slot, choice - 1))
-        return opened
+        choice = np.array(config, dtype=np.intp)
+        bad = ((choice < 0) | (choice > self._options)).nonzero()[0]
+        if bad.size:
+            slot = self.slots[bad[0]]
+            raise OracleError(f"size choice {choice[bad[0]]} out of range at {slot.tag} site {slot.site}")
+        return choice
+
+    def open_sites(self, config: Configuration) -> list[tuple[_Slot, int]]:
+        """(slot, size position) for each open site, in slot order."""
+        return [(slot, int(c) - 1) for slot, c in zip(self.slots, self.choices(config)) if c]
 
     def install_values(self, config: Configuration) -> dict[str, float]:
         """Install column name -> 1.0 for each open site."""
@@ -238,7 +242,9 @@ def describe_configuration(inst: Instance, config: Configuration) -> dict[str, d
 
 class _LpFactory:
     """The instance's all-open flow LP, and its restriction to each
-    configuration as the module docstring describes."""
+    configuration as the module docstring describes.  Each column's origin
+    and destination slot, the matrix's nonzero pattern and each slot's
+    capacity rows are kept, so a restriction is a few array operations."""
 
     def __init__(self, inst: Instance, prune: bool, slots: _SlotTable) -> None:
         self.inst = inst
@@ -270,7 +276,7 @@ class _LpFactory:
         self.obj = np.concatenate(costs)
 
         rows: list[np.ndarray] = []
-        self.senses: list[str] = []
+        senses: list[str] = []
         rhs: list[float] = []
 
         def add_row(sense: str, value: float, *entries: tuple[np.ndarray, float]) -> int:
@@ -278,7 +284,7 @@ class _LpFactory:
             for cols, coef in entries:
                 row[cols] = coef
             rows.append(row)
-            self.senses.append(sense)
+            senses.append(sense)
             rhs.append(value)
             return len(rows) - 1
 
@@ -328,46 +334,65 @@ class _LpFactory:
                         add_row("E", 0.0, *entries)
 
         # facility_cap at the widest size: total inflow within capacity;
-        # cap_rows[tag][t, j] is the row of site j in period t
-        self.cap_rows: dict[str, np.ndarray] = {}
+        # cap_rows[s, t] is the row of slot s in period t
+        cap_rows = []
         for tag in ECHELON_TAGS:
             spec = inst.echelon(tag)
             widest = max(o.max_capacity_tons for o in spec.size_options)
-            self.cap_rows[tag] = np.array([
+            cap_rows.append(np.array([
                 [add_row("L", widest, (ids[_LEG_INTO[tag]][t_pos, :, :, j], 1.0))
                  for j in range(len(spec.sites))]
                 for t_pos in range(len(inst.periods))
-            ], dtype=np.intp)
+            ], dtype=np.intp).reshape(len(inst.periods), -1).T)
+        self.cap_rows = np.concatenate(cap_rows)
+        # cap_of[s, k]: slot s's capacity at choice k; 0 when closed, which
+        # no kept row reads, as a closed slot's capacity rows are dropped
+        self.cap_of = np.zeros((len(slots.slots), 1 + max(len(s.sizes) for s in slots.slots)))
+        for k, slot in enumerate(slots.slots):
+            self.cap_of[k, 1:len(slot.caps) + 1] = slot.caps
 
         self.a = np.array(rows, dtype=np.float64).reshape(len(rows), n)
+        self.nonzero = self.a != 0.0
         self.rhs = np.array(rhs, dtype=np.float64)
+        self.senses = np.array(senses, dtype="<U1")
         self.quota = np.zeros(len(rows), dtype=bool)
         self.quota[quota_rows] = True
+        # per column, the slots of its origin and destination; -1 for a
+        # source or a sink, which indexes the always-open last entry of
+        # `solve`'s open mask
+        first = dict(zip(ECHELON_TAGS, itertools.accumulate(
+            (len(inst.echelon(tag).sites) for tag in ECHELON_TAGS), initial=0)))
+
+        def slot_of(role: str) -> np.ndarray:
+            count = len(inst.role_nodes(role))
+            return first[role] + np.arange(count) if role in first else np.full(count, -1)
+
+        self.origin = np.empty(n, dtype=np.intp)
+        self.dest = np.empty(n, dtype=np.intp)
+        for leg, origin_role, dest_role in LEGS:
+            self.origin[ids[leg]] = slot_of(origin_role)[:, None]
+            self.dest[ids[leg]] = slot_of(dest_role)
 
     def solve(self, config: Configuration) -> LpResult:
         """Solve the configuration's restriction of the all-open LP.  `x` is
         padded with zeros to the all-open columns, and the objective is the
         flow cost only; callers add the installation cost."""
-        is_open = {role: np.ones(len(self.inst.role_nodes(role)), dtype=bool)
-                   for role in ("sources", "sinks")}
-        is_open.update((tag, np.zeros(len(self.inst.echelon(tag).sites), dtype=bool))
-                       for tag in ECHELON_TAGS)
+        choice = self.slots.choices(config)
+        is_open = np.append(choice > 0, True)
+        # ascending, so in the all-open LP's column order
+        cols = (is_open[self.origin] & is_open[self.dest]).nonzero()[0]
+        rows = (self.quota | self.nonzero[:, cols].any(axis=1)).nonzero()[0]
         rhs = self.rhs.copy()
-        for slot, c in self.slots.open_sites(config):
-            is_open[slot.tag][slot.site] = True
-            rhs[self.cap_rows[slot.tag][:, slot.site]] = slot.caps[c]
-        cols = np.concatenate([self.ids[leg][:, :, is_open[o]][..., is_open[d]].ravel()
-                               for leg, o, d in LEGS])
-        rows = np.flatnonzero(self.quota | (self.a[:, cols] != 0.0).any(axis=1))
-        result = solve_lp(self.obj[cols], self.a[np.ix_(rows, cols)],
-                          [self.senses[r] for r in rows], rhs[rows])
+        rhs[self.cap_rows] = self.cap_of[np.arange(choice.size), choice][:, None]
+        c = self.obj[cols]
+        result = solve_lp(c, self.a[rows[:, None], cols], self.senses[rows], rhs[rows])
         if result.status == "infeasible":
             return LpResult("infeasible", 0.0, None, result.iterations)
         if result.status == "unbounded":
             raise OracleError("flow subproblem unbounded; objective data must be nonnegative")
         x = np.zeros(self.obj.size, dtype=np.float64)
         x[cols] = result.x
-        return LpResult("optimal", float(self.obj[cols] @ result.x), x, result.iterations)
+        return LpResult("optimal", float(c @ result.x), x, result.iterations)
 
     def flows(self, config: Configuration, x: np.ndarray) -> dict[str, float]:
         """Column name -> tons for the nonzero entries of a padded `x`."""

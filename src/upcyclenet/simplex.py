@@ -24,6 +24,26 @@ Each row's starting-basis column (its slack or its artificial) starts as
 a unit column, so after any pivot these columns hold the current B^-1:
 row i's starting column is column i of B^-1, negated where row i was
 flipped.
+
+The subproblems are tiny (tens of rows), so a pivot's cost is the number
+of numpy calls it makes, not its arithmetic.  Three things keep that
+number down without changing a single bit of any result:
+
+* the rhs is the tableau's last column, so one rank-1 update moves the
+  matrix and the rhs together;
+* basic columns need no mask in pricing.  A pivot turns the entering
+  column into an exact unit vector (``p / p == 1.0`` and
+  ``a - a * 1.0 == 0.0``) and leaves every other basic column one (its
+  pivot-row entry is ``0 / p``), so a basic column's reduced cost is
+  exactly 0 and it can never enter;
+* a pivot updates only the rows with a nonzero entry in the entering
+  column when at most half the rows have one, and every row otherwise
+  (Maros, *Computational Techniques of the Simplex Method*, 2003).  A
+  skipped row would only have had ``0 * pivot_row`` subtracted, which can
+  flip the sign of a zero but never changes a value, and the rhs column's
+  zeros are reset to +0.0 after every pivot.  Tableaus under
+  ``_ROW_RULE_MIN_ENTRIES`` entries always update every row: at that size
+  the row gathers cost more than the rows they skip.
 """
 
 from __future__ import annotations
@@ -40,6 +60,9 @@ _DEGENERATE_STEP = 1e-12
 _DEGENERATE_LIMIT = 1_000
 _PHASE1_TOL = 1e-7
 _MAX_ITERATIONS = 50_000
+# below this many tableau entries a pivot updates every row: the gathers of
+# the row rule cost more than the rows they skip
+_ROW_RULE_MIN_ENTRIES = 4_096
 
 
 @dataclass
@@ -53,27 +76,36 @@ class LpResult:
 def solve_lp(
     c: np.ndarray,
     a: np.ndarray,
-    senses: list[str],
+    senses: list[str] | np.ndarray,
     b: np.ndarray,
 ) -> LpResult:
     """Minimize c @ x subject to a @ x (<=|>=|==) b, x >= 0.
 
     `senses` holds 'L', 'G' or 'E' per row.  Returns an optimal basic
-    solution, or status infeasible/unbounded.
+    solution, or status infeasible/unbounded.  Raises `ValueError` on
+    inconsistent dimensions, any other sense, or a NaN or infinite entry
+    in `c`, `a` or `b`.
     """
     c = np.asarray(c, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    senses = np.asarray(senses)
     m, n = a.shape
-    if len(senses) != m or b.shape != (m,) or c.shape != (n,):
+    if senses.shape != (m,) or b.shape != (m,) or c.shape != (n,):
         raise ValueError("inconsistent LP dimensions")
+    is_l = senses == "L"
+    is_g = senses == "G"
+    unknown = (~(is_l | is_g | (senses == "E"))).nonzero()[0]
+    if unknown.size:
+        raise ValueError(f"row {unknown[0]} has sense {str(senses[unknown[0]])!r}; "
+                         "expected 'L', 'G' or 'E'")
+    if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("LP data must be finite: c, a or b holds a NaN or an infinity")
 
-    is_l = np.array([s == "L" for s in senses], dtype=bool)
-    is_g = np.array([s == "G" for s in senses], dtype=bool)
-    slack_rows = np.flatnonzero(is_l | is_g)
+    slack_rows = (is_l | is_g).nonzero()[0]
     # starting basis: a <= row with rhs >= 0 and a >= row with rhs <= 0 start
     # on their slack; every other row starts on an artificial
-    needs = np.flatnonzero(~((is_l & (b >= 0.0)) | (is_g & (b <= 0.0))))
+    needs = (~((is_l & (b >= 0.0)) | (is_g & (b <= 0.0)))).nonzero()[0]
     n_ext = n + slack_rows.size
     tableau = np.zeros((m, n_ext + needs.size), dtype=np.float64)
     tableau[:, :n] = a
@@ -101,7 +133,8 @@ def solve_lp(
         status = _run(state, cost1, allowed=tableau.shape[1])
         if status == "unbounded":
             raise AssertionError("phase-1 objective is bounded below by 0")
-        phase1_value = float(cost1[state.basis] @ state.rhs)
+        # a contiguous copy: BLAS may sum a strided vector in another order
+        phase1_value = float(cost1[state.basis] @ state.rhs.copy())
         if phase1_value > _PHASE1_TOL:
             return LpResult("infeasible", phase1_value, None, state.iterations)
         _evict_artificials(state, n_ext)
@@ -114,19 +147,20 @@ def solve_lp(
         return LpResult("unbounded", float("-inf"), None, state.iterations)
 
     x = np.zeros(n, dtype=np.float64)
-    for i, bi in enumerate(state.basis):
-        if bi < n:
-            x[bi] = state.rhs[i]
+    structural = state.basis < n
+    x[state.basis[structural]] = state.rhs[structural]
     return LpResult("optimal", float(c @ x), x, state.iterations)
 
 
 class _State:
+    """The tableau and its rhs, copied into one array whose last column is
+    the rhs; `tableau` and `rhs` are views of it."""
+
     def __init__(self, tableau: np.ndarray, rhs: np.ndarray, basis: np.ndarray) -> None:
-        self.tableau = tableau
-        self.rhs = rhs
+        self.full = np.concatenate((tableau, rhs[:, None]), axis=1)
+        self.tableau = self.full[:, :-1]
+        self.rhs = self.full[:, -1]
         self.basis = basis
-        self.in_basis = np.zeros(tableau.shape[1], dtype=bool)
-        self.in_basis[basis] = True
         self.iterations = 0
         self.degenerate_run = 0
         self.bland = False
@@ -134,29 +168,34 @@ class _State:
 
 def _run(state: _State, cost: np.ndarray, allowed: int) -> str:
     """Pivot until optimal or unbounded; columns >= `allowed` may not enter."""
-    tableau, rhs = state.tableau, state.rhs
+    tableau, rhs, basis = state.tableau, state.rhs, state.basis
+    if allowed == 0:  # no column may enter, and argmin needs one
+        return "optimal"
+    ratios = np.empty(len(basis), dtype=np.float64)
     while True:
         if state.iterations >= _MAX_ITERATIONS:
             raise SimplexIterationError(f"simplex exceeded {_MAX_ITERATIONS} iterations")
-        reduced = cost - cost[state.basis] @ tableau
-        candidates = np.flatnonzero(
-            (reduced[:allowed] < -_REDCOST_TOL) & ~state.in_basis[:allowed])
-        if candidates.size == 0:
-            return "optimal"
+        reduced = (cost - cost[basis] @ tableau)[:allowed]
         if state.bland:
-            enter = candidates[0]
+            below = (reduced < -_REDCOST_TOL).nonzero()[0]
+            if below.size == 0:
+                return "optimal"
+            enter = below[0]
         else:
             # argmin takes the first of equal minima: the least index wins ties
-            enter = candidates[np.argmin(reduced[candidates])]
+            enter = reduced.argmin()
+            if not reduced[enter] < -_REDCOST_TOL:
+                return "optimal"
         col = tableau[:, enter]
-        eligible = np.flatnonzero(col > _PIVOT_TOL)
-        if eligible.size == 0:
-            return "unbounded"
-        ratios = rhs[eligible] / col[eligible]
+        # rows with no positive entry keep an infinite ratio
+        ratios.fill(np.inf)
+        np.divide(rhs, col, out=ratios, where=col > _PIVOT_TOL)
         best = ratios.min()
+        if best == np.inf:
+            return "unbounded"
         # leaving tie-break by least basis index resists cycling on its own
-        ties = eligible[ratios <= best]
-        leave_row = ties[np.argmin(state.basis[ties])]
+        ties = (ratios <= best).nonzero()[0]
+        leave_row = ties[0] if ties.size == 1 else ties[basis[ties].argmin()]
         _pivot(state, leave_row, enter)
         if best <= _DEGENERATE_STEP:
             state.degenerate_run += 1
@@ -168,17 +207,17 @@ def _run(state: _State, cost: np.ndarray, allowed: int) -> str:
 
 
 def _pivot(state: _State, row: int, col: int) -> None:
-    tableau, rhs = state.tableau, state.rhs
-    pivot = tableau[row, col]
-    tableau[row] /= pivot
-    rhs[row] /= pivot
-    factors = tableau[:, col].copy()
+    full, rhs = state.full, state.rhs
+    pivot_row = full[row]
+    pivot_row /= pivot_row[col]
+    factors = full[:, col].copy()
     factors[row] = 0.0
-    tableau -= factors[:, None] * tableau[row]
-    rhs -= factors * rhs[row]
+    rows = factors.nonzero()[0] if full.size >= _ROW_RULE_MIN_ENTRIES else None
+    if rows is not None and 2 * rows.size <= factors.size:
+        full[rows] -= factors[rows, None] * pivot_row
+    else:
+        full -= factors[:, None] * pivot_row
     rhs[np.abs(rhs) < 1e-11] = 0.0
-    state.in_basis[state.basis[row]] = False
-    state.in_basis[col] = True
     state.basis[row] = col
 
 

@@ -1,13 +1,15 @@
 import contextlib
+import dataclasses
+import hashlib
 import itertools
 import json
 
 import numpy as np
 import pytest
 
-from conftest import permuted_columns
+from conftest import adapter_template, have_scipy_milp, permuted_columns
 from scipy_milp_adapter import read_free_mps, solve_mps
-from test_acceptance import _decentralization_instance
+from test_acceptance import TOL_EQUIVALENCE, _decentralization_instance
 from test_capacity_cover import screened, warned_instance
 from test_instance import minimal_doc, parse_doc
 from test_milp_core import random_shape_doc
@@ -15,9 +17,15 @@ from upcyclenet import oracle, simplex
 from upcyclenet.errors import OracleError, SimplexIterationError
 from upcyclenet.instance import parse_instance, serialize_instance, validate_instance
 from upcyclenet.model import build_milp, install_column_name
-from upcyclenet.model_io import verify_solution, write_mps
+from upcyclenet.model_io import run_external_solver, verify_solution, write_mps
 from upcyclenet.oracle import count_configurations, describe_configuration, solve_exact
-from upcyclenet.scenario import _colocated_instance, make_tiny_suite, single_chain_instance
+from upcyclenet.scenario import (
+    GenSpec,
+    _colocated_instance,
+    generate,
+    make_tiny_suite,
+    single_chain_instance,
+)
 from upcyclenet.simplex import solve_lp
 
 scipy_opt = pytest.importorskip("scipy.optimize")
@@ -149,6 +157,82 @@ def test_simplex_agrees_with_scipy_on_random_lps(seed):
         assert res.status == "infeasible"
     elif ref.status == 3:
         assert res.status == "unbounded"
+
+
+def test_simplex_rejects_an_unknown_sense():
+    with pytest.raises(ValueError, match="sense 'X'"):
+        solve_lp(np.array([1.0]), np.array([[1.0]]), ["X"], np.array([2.0]))
+
+
+@pytest.mark.parametrize("where, value", [
+    ("b", float("nan")), ("b", float("-inf")), ("c", float("inf")), ("a", float("nan")),
+])
+def test_simplex_rejects_non_finite_data(where, value):
+    lp = {"c": np.array([1.0, 2.0]), "a": np.array([[1.0, 1.0], [1.0, 0.0]]),
+          "b": np.array([4.0, 1.0])}
+    lp[where][(0,) * lp[where].ndim] = value
+    with pytest.raises(ValueError, match="finite"):
+        solve_lp(lp["c"], lp["a"], ["G", "L"], lp["b"])
+
+
+def sparse_lp(rng):
+    """20-80 rows at under 10% density, all three senses and rhs of both
+    signs; built around a nonnegative point, with a last row capping half
+    of the columns, so that most are feasible and some bounded."""
+    m = int(rng.integers(20, 81))
+    n = int(rng.integers(20, 61))
+    a = np.where(rng.random((m, n)) < 0.06, rng.uniform(-2, 2, (m, n)).round(2), 0.0)
+    a[-1] = rng.random(n) < 0.5
+    x0 = np.where(rng.random(n) < 0.3, rng.uniform(0, 5, n), 0.0)
+    senses = rng.choice(["L", "G", "E"], size=m, p=[0.5, 0.3, 0.2])
+    senses[-1] = "L"
+    gap = rng.uniform(0, 2, m).round(2)
+    b = (a @ x0).round(2) + np.where(senses == "L", gap, np.where(senses == "G", -gap, 0.0))
+    c = rng.uniform(-0.3, 2, n).round(2)
+    return c, a, senses, b
+
+
+def test_simplex_row_rule_is_exact_on_sparse_lps(monkeypatch):
+    """Updating only the rows with an entry in the entering column gives
+    the same bits as updating every row, on LPs where both kinds of pivot
+    occur, and the answers agree with scipy."""
+    pivots = {"rows": 0, "dense": 0}
+    real_pivot = simplex._pivot
+
+    def counting_pivot(state, row, col):
+        touched = np.count_nonzero(state.tableau[:, col]) - 1
+        row_rule = (state.full.size >= simplex._ROW_RULE_MIN_ENTRIES
+                    and 2 * touched <= len(state.basis))
+        pivots["rows" if row_rule else "dense"] += 1
+        real_pivot(state, row, col)
+
+    statuses = set()
+    for seed in range(12):
+        c, a, senses, b = sparse_lp(np.random.default_rng(900 + seed))
+        assert np.count_nonzero(a) <= 0.1 * a.size
+        assert (b < 0).any() and (b > 0).any()
+        with monkeypatch.context() as mp:
+            mp.setattr(simplex, "_pivot", counting_pivot)
+            res = solve_lp(c, a, senses, b)
+        runs = []
+        for threshold in (0, 2**62):  # the row rule at every size, and never
+            with monkeypatch.context() as mp:
+                mp.setattr(simplex, "_ROW_RULE_MIN_ENTRIES", threshold)
+                runs.append(solve_lp(c, a, senses, b))
+        for other in runs:
+            assert (other.status, other.iterations, other.objective.hex()) == \
+                (res.status, res.iterations, res.objective.hex())
+            assert (other.x is None and res.x is None) or other.x.tobytes() == res.x.tobytes()
+        ref = linprog_reference(c, a, senses, b)
+        assert res.status == {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+        statuses.add(res.status)
+        if res.status == "optimal":
+            assert res.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-7)
+            lhs = a @ res.x
+            for sense, v, rhs in zip(senses, lhs, b):
+                assert {"L": v <= rhs + 1e-7, "G": v >= rhs - 1e-7, "E": abs(v - rhs) <= 1e-7}[sense]
+    assert "optimal" in statuses
+    assert pivots["rows"] > 0 and pivots["dense"] > 0
 
 
 def record_phases(monkeypatch):
@@ -473,6 +557,32 @@ def test_decentralized_collection_emerges_with_expensive_raw_transport():
     assert len(open_cpf) == 1
 
 
+def scaled_default_shape(fraction):
+    """The default generator shape at seed 1 with every node count scaled,
+    at least one of each."""
+    base = GenSpec()
+    counts = {field: max(1, round(getattr(base, field) * fraction))
+              for field in ("n_sources", "n_cf", "n_rtf", "n_cpf", "n_dpf", "n_sinks")}
+    return generate(dataclasses.replace(base, seed=1, **counts))
+
+
+@pytest.mark.skipif(not have_scipy_milp(), reason="scipy.optimize.milp unavailable")
+def test_oracle_matches_the_external_route_at_five_percent():
+    """Far past the tiny suite: 944,784 configurations over three periods,
+    where the LPs are large enough for the simplex's row rule."""
+    inst = scaled_default_shape(0.05)
+    assert count_configurations(inst) == 944_784
+    sol, cert = solve_exact(inst)
+    model = build_milp(inst)
+    external = run_external_solver(model, adapter_template())
+    assert sol.status == external.status == "optimal"
+    assert cert.pruned + cert.infeasible + cert.solved == cert.enumerated
+    assert abs(sol.objective_reported - external.objective_reported) <= \
+        TOL_EQUIVALENCE * max(1.0, abs(external.objective_reported))
+    assert sol.objective_reported == pytest.approx(4_435_097.5998, abs=1e-4)
+    assert verify_solution(sol, model, tol=TOL_EQUIVALENCE).passed
+
+
 # ---------------------------------------------------------------------------
 # bound prune, checked against plain enumeration
 
@@ -652,3 +762,31 @@ def test_tiny_suite_lp_sequence_is_golden(monkeypatch):
     assert sum(c.bound_pruned for c in certs) == 8_856
     assert sum(c.infeasible for c in certs) == 0
     assert sum(c.solved for c in certs) == 232
+
+
+# sha256 over the tiny suite's LPs and optima, recorded before the simplex
+# kernel was last reworked; see the test below
+TINY_SUITE_LP_DIGEST = "9fc46d56500062d4b758af369ce2655d9132c07d608a901d3fa20e28dbd488d4"
+
+
+def test_tiny_suite_lp_bits_are_pinned(monkeypatch):
+    """Every tiny-suite LP's status, pivot count, objective and `x`, and
+    each member's optimum, to the bit: a change to the simplex or to how
+    the configuration LPs are cut must leave them all alone.  The digest
+    is tied to this numpy and BLAS build, whose dot products set the last
+    bits; on another build it may differ where the program does not."""
+    digest = hashlib.sha256()
+    real_solve_lp = oracle.solve_lp
+
+    def hashing_solve_lp(*args):
+        result = real_solve_lp(*args)
+        digest.update(f"{result.status} {result.iterations} {result.objective.hex()}\n".encode())
+        if result.x is not None:
+            digest.update(result.x.tobytes())
+        return result
+
+    monkeypatch.setattr(oracle, "solve_lp", hashing_solve_lp)
+    for inst in make_tiny_suite(2026):
+        best = solve_exact(inst)[1].best_objective
+        digest.update(f"{inst.name} {None if best is None else best.hex()}\n".encode())
+    assert digest.hexdigest() == TINY_SUITE_LP_DIGEST
