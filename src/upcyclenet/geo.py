@@ -27,42 +27,23 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     Symmetric bit for bit: the two endpoints enter an argument-order
     insensitive expression, so swapping them cannot change the result.
     """
-    return _haversine(_angles(lat1, lon1), _angles(lat2, lon2))
-
-
-def _angles(lat: float, lon: float) -> tuple[float, float, float]:
-    """A point's latitude and longitude in radians, and its latitude's cosine."""
-    phi = math.radians(lat)
-    return phi, math.radians(lon), math.cos(phi)
-
-
-def _haversine(p1: tuple[float, float, float], p2: tuple[float, float, float]) -> float:
-    """Great-circle km between two points given as `_angles`."""
-    phi1, lam1, cos1 = p1
-    phi2, lam2, cos2 = p2
+    phi1 = math.radians(lat1)
+    phi2 = math.radians(lat2)
     # |x - y| is the same float in either argument order, unlike sin(x - y)
-    dphi = abs(phi2 - phi1)
-    dlam = abs(lam2 - lam1)
-    a = math.sin(dphi / 2.0) ** 2 + cos1 * cos2 * math.sin(dlam / 2.0) ** 2
+    dphi = abs(math.radians(lat2) - math.radians(lat1))
+    dlam = abs(math.radians(lon2) - math.radians(lon1))
+    a = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
     # guard rounding just past 1.0 on antipodal pairs
     a = min(1.0, max(0.0, a))
     return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(a))
 
 
-def _check_circuity(circuity_factor: float) -> None:
-    if circuity_factor < 1.0:
-        raise ValueError(f"circuity_factor must be >= 1, got {circuity_factor}")
-
-
-def _check_coordinates(nodes) -> None:
-    if any(math.isnan(n.lat) or math.isnan(n.lon) for n in nodes):
-        raise ValueError("node coordinates must not be NaN")
-
-
 def node_distance_km(a: Node, b: Node, circuity_factor: float = 1.0) -> float:
     """Leg length in km between two nodes, scaled by the circuity factor."""
-    _check_circuity(circuity_factor)
-    _check_coordinates((a, b))
+    if circuity_factor < 1.0:
+        raise ValueError(f"circuity_factor must be >= 1, got {circuity_factor}")
+    if math.isnan(a.lat) or math.isnan(a.lon) or math.isnan(b.lat) or math.isnan(b.lon):
+        raise ValueError("node coordinates must not be NaN")
     return circuity_factor * haversine_km(a.lat, a.lon, b.lat, b.lon)
 
 
@@ -88,22 +69,17 @@ class DistanceMatrix:
 def build_leg_matrices(inst: Instance) -> tuple[DistanceMatrix, ...]:
     """One distance matrix per leg, in chain order.
 
-    Each entry is the float `node_distance_km` gives for its pair, but each
-    node's radians and cosine are computed once per build, not once per
-    pair.  Entries are filled in a fixed sequential order so repeated
-    builds are bit-identical.
+    Entries are filled in a fixed sequential order so repeated builds are
+    bit-identical.
     """
-    circuity = inst.circuity_factor
-    _check_circuity(circuity)
-    roles = {role: inst.role_nodes(role) for leg in LEGS for role in leg[1:]}
-    _check_coordinates(n for nodes in roles.values() for n in nodes)
-    angles = {role: [_angles(n.lat, n.lon) for n in nodes] for role, nodes in roles.items()}
     out = []
     for leg, origin_role, dest_role in LEGS:
-        origins, dests = roles[origin_role], roles[dest_role]
+        origins = inst.role_nodes(origin_role)
+        dests = inst.role_nodes(dest_role)
         km = np.zeros((len(origins), len(dests)), dtype=np.float64)
-        for i, a in enumerate(angles[origin_role]):
-            km[i] = [circuity * _haversine(a, b) for b in angles[dest_role]]
+        for i, a in enumerate(origins):
+            for j, b in enumerate(dests):
+                km[i, j] = node_distance_km(a, b, inst.circuity_factor)
         km.setflags(write=False)
         out.append(
             DistanceMatrix(

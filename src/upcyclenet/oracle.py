@@ -208,6 +208,9 @@ class _SlotTable:
         """`config` as an array of size choices, checked slot by slot."""
         if len(config) != len(self.slots):
             raise OracleError(f"configuration length {len(config)} != {len(self.slots)} sites")
+        for c, slot in zip(config, self.slots):
+            if not isinstance(c, (int, np.integer)):
+                raise OracleError(f"size choice {c!r} is not an integer at {slot.tag} site {slot.site}")
         choice = np.array(config, dtype=np.intp)
         bad = ((choice < 0) | (choice > self._options)).nonzero()[0]
         if bad.size:

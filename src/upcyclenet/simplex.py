@@ -26,7 +26,7 @@ row i's starting column is column i of B^-1, negated where row i was
 flipped.
 
 The subproblems are tiny (tens of rows), so a pivot's cost is the number
-of numpy calls it makes, not its arithmetic.  Three things keep that
+of numpy calls it makes, not its arithmetic.  Two things keep that
 number down without changing a single bit of any result:
 
 * the rhs is the tableau's last column, so one rank-1 update moves the
@@ -35,15 +35,7 @@ number down without changing a single bit of any result:
   column into an exact unit vector (``p / p == 1.0`` and
   ``a - a * 1.0 == 0.0``) and leaves every other basic column one (its
   pivot-row entry is ``0 / p``), so a basic column's reduced cost is
-  exactly 0 and it can never enter;
-* a pivot updates only the rows with a nonzero entry in the entering
-  column when at most half the rows have one, and every row otherwise
-  (Maros, *Computational Techniques of the Simplex Method*, 2003).  A
-  skipped row would only have had ``0 * pivot_row`` subtracted, which can
-  flip the sign of a zero but never changes a value, and the rhs column's
-  zeros are reset to +0.0 after every pivot.  Tableaus under
-  ``_ROW_RULE_MIN_ENTRIES`` entries always update every row: at that size
-  the row gathers cost more than the rows they skip.
+  exactly 0 and it can never enter.
 """
 
 from __future__ import annotations
@@ -60,9 +52,6 @@ _DEGENERATE_STEP = 1e-12
 _DEGENERATE_LIMIT = 1_000
 _PHASE1_TOL = 1e-7
 _MAX_ITERATIONS = 50_000
-# below this many tableau entries a pivot updates every row: the gathers of
-# the row rule cost more than the rows they skip
-_ROW_RULE_MIN_ENTRIES = 4_096
 
 
 @dataclass
@@ -212,11 +201,7 @@ def _pivot(state: _State, row: int, col: int) -> None:
     pivot_row /= pivot_row[col]
     factors = full[:, col].copy()
     factors[row] = 0.0
-    rows = factors.nonzero()[0] if full.size >= _ROW_RULE_MIN_ENTRIES else None
-    if rows is not None and 2 * rows.size <= factors.size:
-        full[rows] -= factors[rows, None] * pivot_row
-    else:
-        full -= factors[:, None] * pivot_row
+    full -= factors[:, None] * pivot_row
     rhs[np.abs(rhs) < 1e-11] = 0.0
     state.basis[row] = col
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +10,7 @@ from upcyclenet.geo import (
     node_distance_km,
 )
 from upcyclenet.instance import LEGS, Node
-from upcyclenet.scenario import GenSpec, generate, make_tiny_suite, single_chain_instance
+from upcyclenet.scenario import single_chain_instance
 
 
 def greatcircle_oracle_km(lat1, lon1, lat2, lon2):
@@ -100,27 +99,6 @@ def test_leg_matrices_shapes_and_values():
     # each hand-instance leg spans 10 km by construction
     for m in mats:
         assert m.km[0, 0] == pytest.approx(10.0, rel=1e-9)
-
-
-def test_leg_matrices_equal_node_distance_bit_for_bit():
-    """The matrices reuse each node's radians and cosine, yet every entry
-    is the float `node_distance_km` gives for its pair."""
-    for inst in [generate(GenSpec())] + make_tiny_suite(2026):
-        for (leg, origin_role, dest_role), m in zip(LEGS, build_leg_matrices(inst)):
-            origins, dests = inst.role_nodes(origin_role), inst.role_nodes(dest_role)
-            expected = np.array([[node_distance_km(a, b, inst.circuity_factor) for b in dests]
-                                 for a in origins]).reshape(m.km.shape)
-            assert m.km.tobytes() == expected.tobytes(), (inst.name, leg)
-
-
-def test_leg_matrices_raise_what_node_distance_raises():
-    inst = single_chain_instance()
-    with pytest.raises(ValueError, match="circuity_factor must be >= 1"):
-        build_leg_matrices(dataclasses.replace(inst, circuity_factor=0.9))
-    site = inst.cf.sites[0]
-    nan_site = Node(site.id, site.lat, float("nan"))
-    with pytest.raises(ValueError, match="must not be NaN"):
-        build_leg_matrices(dataclasses.replace(inst, cf=dataclasses.replace(inst.cf, sites=(nan_site,))))
 
 
 def test_matrix_csv_three_decimals():
