@@ -86,28 +86,34 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-_MPS_CHUNK = 1 << 16  # records (COLUMNS lines, listing entries) assembled per batch
+_MPS_CHUNK = 1 << 14  # records (COLUMNS lines, listing entries) assembled per batch
 
 
 def _value_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(distinct values, int32 index of each value among them) of a float64
-    array, told apart by their bits: -0.0 and 0.0 get two indices.
+    array, told apart by their bits: -0.0 and 0.0 get two indices."""
+    distinct, ids = _run_ids(values.view(np.int64))
+    return distinct.view(np.float64), ids
 
-    Each run of equal neighbours is sorted once, by its first value: the
-    coefficients come in runs (a row's +1 entries, a flow's per-ton cost over
-    its sizes), so at the default shape 1.8M values make 60k runs.  One argsort
-    of those, a mark where the sorted values change and its cumulative sum
+
+def _run_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct keys in ascending order, int32 index of each key among
+    them) of an int64 array.
+
+    Each run of equal neighbours is sorted once, by its first key: the keys
+    come in runs (a row's +1 entries, a flow's per-ton cost over its sizes),
+    so at the default shape 1.8M coefficients make 60k runs.  One argsort of
+    those, a mark where the sorted keys change and its cumulative sum
     scattered back give each run's index, repeated over the run.
     """
-    bits = values.view(np.int64)
-    starts = np.flatnonzero(_changes(bits))
-    heads = bits[starts]
+    starts = np.flatnonzero(_changes(keys))
+    heads = keys[starts]
     order = np.argsort(heads, kind="stable")
     ordered = heads[order]
     new = _changes(ordered)
     ids = np.empty(len(ordered), dtype=np.int32)
     ids[order] = np.cumsum(new, dtype=np.int32) - 1
-    return ordered[new].view(np.float64), np.repeat(ids, np.diff(starts, append=len(values)))
+    return ordered[new], np.repeat(ids, np.diff(starts, append=len(keys)))
 
 
 def _changes(values: np.ndarray) -> np.ndarray:
@@ -126,7 +132,13 @@ def _mps_batches(names: np.ndarray, block: RowBlock, objective: np.ndarray,
     sections after COLUMNS.  `names` is the NUL-padded column name table,
     and the columns from `n_continuous` on are the binaries.  Row names
     are checked before the first batch is made.  `write_mps` passes the
-    model's parts, `run_external_solver` those of its projection."""
+    model's parts, `run_external_solver` those of its projection.
+
+    A COLUMNS line is a space, its column's name and its tail, one token
+    per (row, coefficient) pair with the coefficient told apart by its
+    bits.  Pairs are few (7,311 for the 1.45M matrix entries of the default
+    shape), so the tail table is small and a batch takes two fields; the
+    pair ids come from the entries' runs (`_run_ids`)."""
     n_columns = len(objective)
     duplicate = first_duplicate(block.names)
     if duplicate is not None:
@@ -137,29 +149,32 @@ def _mps_batches(names: np.ndarray, block: RowBlock, objective: np.ndarray,
     yield "\n".join(head).encode()
 
     n_rows = block.n_rows
-    row_of = np.repeat(np.arange(n_rows, dtype=np.int32), np.diff(block.indptr))
     keep = block.data != 0.0
+    row_of = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(block.indptr))[keep]
     obj_cols = np.flatnonzero(objective != 0.0).astype(np.int32)
     entries_per_col = np.bincount(block.indices[keep], minlength=n_columns)
     entries_per_col[obj_cols] += 1
     empty_cols = np.flatnonzero(entries_per_col == 0).astype(np.int32)
     values, value_ids = _value_ids(np.concatenate((objective[obj_cols], block.data[keep])))
-    # entry k: column, row (n_rows is COST) and value (len(values) is the
-    # `0` of empty columns)
+    # entry k: column and pair, row * n_texts + value, where row n_rows is
+    # COST and value len(values) the `0` of empty columns
+    n_texts = len(values) + 1
+    row_of *= n_texts
+    row_of += value_ids[len(obj_cols):]
+    pairs, pair_ids = _run_ids(np.concatenate((
+        n_rows * n_texts + value_ids[:len(obj_cols)].astype(np.int64),
+        np.full(len(empty_cols), n_rows * n_texts + len(values), dtype=np.int64),
+        row_of)))
     cols = np.concatenate((obj_cols, empty_cols, block.indices[keep].astype(np.int32)))
-    rows = np.concatenate((np.full(len(obj_cols) + len(empty_cols), n_rows, dtype=np.int32),
-                           row_of[keep]))
-    texts = np.concatenate((value_ids[:len(obj_cols)],
-                            np.full(len(empty_cols), len(values), dtype=np.int32),
-                            value_ids[len(obj_cols):]))
     del row_of, keep, obj_cols, entries_per_col, empty_cols, value_ids
     order = np.argsort(cols, kind="stable")
-    ids = (np.broadcast_to(np.int32(0), cols.shape), cols[order], rows[order], texts[order])
-    del cols, rows, texts, order
-    # a line is a space, then its column's, row's and value's tokens
+    ids = (np.broadcast_to(np.int32(0), cols.shape), cols[order], pair_ids[order])
+    del cols, pair_ids, order
+    row_names = [*block.names, "COST"]
+    texts = [_fmt(v) for v in values.tolist()] + ["0"]
     tables = [_tokens([" "]), _records(names),
-              _tokens([f" {row} " for row in block.names] + [" COST "]),
-              _tokens([f"{_fmt(v)}\n" for v in values.tolist()] + ["0\n"])]
+              _tokens([f" {row_names[pair // n_texts]} {texts[pair % n_texts]}\n"
+                       for pair in pairs.tolist()])]
     split = int(np.searchsorted(ids[1], n_continuous))
     yield from _gather(tables, [field[:split] for field in ids], _MPS_CHUNK)
     if n_columns > n_continuous:
@@ -220,20 +235,27 @@ def write_mps(model: Model) -> str:
     its rows in emission order; a column with no entry at all is written
     as `COST 0` so that readers still see it.
 
-    COLUMNS is made by `_gather` from a space, `VariableIndex.name_table`,
-    every ` row ` (plus ` COST `) and every distinct coefficient's `repr`
-    plus a newline (plus `0` for empty columns); BV lines from the table.
+    COLUMNS is made by `_gather` from a space, `VariableIndex.name_table`
+    and one tail per distinct (row, coefficient) pair: ` row `, the
+    coefficient's `repr` and a newline, with row `COST` for the objective
+    and ` COST 0` for empty columns; BV lines from the name table.  The
+    batches are decoded into one `str` (`_decode`).
     """
     return _decode(_model_batches(model))
 
 
 def _decode(batches: Iterator[bytes | np.ndarray]) -> str:
-    """The batches appended to one buffer as they come and decoded once."""
-    text = bytearray()
+    """The batches decoded one by one and appended to one `str`; a batch
+    is whole records or lines, so none splits a character."""
+    text = ""
     for batch in batches:
-        # a memoryview: `bytearray += array` would be numpy's elementwise add
-        text += memoryview(batch)
-    return str(text, "utf-8")
+        # CPython grows a str in place when `+=` holds its only reference,
+        # as here, once the loop is specialised (after a few passes; 3.11
+        # not under a profiler or tracer): the text is held once and never
+        # as bytes.  Otherwise `+=` copies: the same text, in time that
+        # grows with the square of the batch count.
+        text += str(memoryview(batch), "utf-8")
+    return text
 
 
 def _model_batches(model: Model) -> Iterator[bytes | np.ndarray]:

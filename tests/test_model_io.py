@@ -1,6 +1,9 @@
 import hashlib
 import json
+import platform
+import sys
 import textwrap
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -309,6 +312,99 @@ def test_mps_bytes_do_not_depend_on_batch_size(monkeypatch, hand_model, chunk):
         inst = parse_instance(json.dumps(random_shape_doc(np.random.default_rng(seed))))
         text = write_mps(build_milp(inst, prune=prune))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (seed, prune)
+
+
+def reference_mps(model):
+    """The MPS formatted one f-string per line over `Model.rows`."""
+    names = table_names(model.index)
+    rows = model.rows
+    entries = [[("COST", v)] if v != 0.0 else [] for v in model.objective.tolist()]
+    for row in rows:
+        for c, v in zip(row.cols, row.coefs):
+            if v != 0.0:
+                entries[c].append((row.name, v))
+    lines = ["NAME UPCYCLENET", "ROWS", " N COST"]
+    lines += [f" {row.sense} {row.name}" for row in rows]
+    lines.append("COLUMNS")
+    n_continuous = model.index.n_continuous
+    for c, name in enumerate(names):
+        if c == n_continuous:
+            lines.append(" MARKER 'MARKER' 'INTORG'")
+        if not entries[c]:
+            lines.append(f" {name} COST 0")
+        lines += [f" {name} {row} {float(v)!r}" for row, v in entries[c]]
+    if model.n_columns > n_continuous:
+        lines.append(" MARKER 'MARKER' 'INTEND'")
+    lines.append("RHS")
+    lines += [f" RHS {row.name} {float(row.rhs)!r}" for row in rows if row.rhs != 0.0]
+    lines.append("BOUNDS")
+    lines += [f" BV BND {names[c]}" for c in model.binary_columns]
+    lines.append("ENDATA")
+    return "\n".join(lines) + "\n"
+
+
+def scattered_coefficient_model():
+    """The hand model with 2.5 in two runs of the demand row, split by a
+    1.0, and 2.5 and its next float up in the quota row: tokens must tell
+    pairs apart by row and by every bit of the coefficient."""
+    model = build_milp(single_chain_instance())
+    block = model.constraints
+    entries = {0: ([0, 1, 2, 3, 4], [2.5, 1.0, 2.5, 2.5, 1.0]),
+               1: ([0, 4], [2.5, np.nextafter(2.5, 3.0)])}
+    cols, coefs = [], []
+    for r in range(block.n_rows):
+        lo, hi = block.indptr[r], block.indptr[r + 1]
+        row_cols, row_coefs = entries.get(r, (block.indices[lo:hi], block.data[lo:hi]))
+        cols.append(np.asarray(row_cols, dtype=np.int64))
+        coefs.append(np.asarray(row_coefs, dtype=np.float64))
+    indptr = np.concatenate(([0], np.cumsum([len(c) for c in cols])))
+    return replace(model, constraints=replace(block, indptr=indptr, indices=np.concatenate(cols),
+                                              data=np.concatenate(coefs)))
+
+
+def test_mps_matches_the_per_line_reference(monkeypatch, tiny_suite):
+    from test_milp_core import zero_capacity_model
+
+    models = [build_milp(single_chain_instance()), zero_capacity_model(),
+              scattered_coefficient_model()]
+    for inst in tiny_suite:
+        models += [build_milp(inst, prune=True), build_milp(inst, prune=False)]
+    for seed in range(3, 9):
+        inst = parse_instance(json.dumps(random_shape_doc(np.random.default_rng(seed))))
+        models += [build_milp(inst, prune=True), build_milp(inst, prune=False)]
+    for model in models:
+        assert write_mps(model) == reference_mps(model)
+    assert " xsrccf_t1_w_src1_cf1_s1 quo_t1_w 2.5\n" in write_mps(models[2])
+    assert " xdpfsnk_t1_w_dpf1_snk1 quo_t1_w 2.5000000000000004\n" in write_mps(models[2])
+    # the text does not depend on how many records make a batch
+    for chunk in (1, 7):
+        monkeypatch.setattr(model_io, "_MPS_CHUNK", chunk)
+        for model in models[:3] + models[-2:]:
+            assert write_mps(model) == reference_mps(model)
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython"
+                    or sys.gettrace() is not None or sys.getprofile() is not None,
+                    reason="the text is grown in place by CPython's specialised str +=")
+def test_text_is_held_once(hand_model):
+    """The default shape at 25%: 6.85 MB of MPS and a 4.79 MB listing.  A
+    second copy of the text, encoded or decoded, would break either bound."""
+    from test_oracle import scaled_default_shape
+
+    model = build_milp(scaled_default_shape(0.25))
+    # CPython specialises `_decode`'s `+=` after its first few passes, so
+    # warm it on the hand model
+    write_mps(hand_model)
+    for write, bound in ((write_mps, 2.25), (dump_model, 3.0)):
+        tracemalloc.start()
+        try:
+            text = write(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) > 4_000_000
+        assert peak < bound * len(text), (write.__name__, peak / len(text))
+        del text
 
 
 def test_column_without_entries_is_written_as_cost_zero(hand_model):
