@@ -22,7 +22,7 @@ from .errors import (
     SolverRunError,
     UpcycleNetError,
 )
-from .geo import DistanceMatrix, build_leg_matrices, haversine_km, node_distance_km
+from .geo import build_leg_matrices, haversine_km, node_distance_km
 from .instance import (
     ECHELON_TAGS,
     LEGS,
@@ -98,7 +98,6 @@ __all__ = [
     "ReportError",
     "haversine_km",
     "node_distance_km",
-    "DistanceMatrix",
     "build_leg_matrices",
     "Node",
     "TimePeriod",

@@ -110,7 +110,10 @@ class Instance:
     currency_unit: str = ""
 
     def echelon(self, tag: str) -> EchelonSpec:
-        return {"cf": self.cf, "rtf": self.rtf, "cpf": self.cpf, "dpf": self.dpf}[tag]
+        """The spec of echelon `tag`; KeyError if it is not in ECHELON_TAGS."""
+        if tag not in ECHELON_TAGS:
+            raise KeyError(tag)
+        return getattr(self, tag)
 
     def echelons(self) -> Iterator[tuple[str, EchelonSpec]]:
         for tag in ECHELON_TAGS:

@@ -53,7 +53,8 @@ block from the prefix and one token table per axis, so no string is made
 per column.  `column_name`, `flow_column_name` and `install_column_name`
 format single names from ids; the oracle names its values that way.
 `column` inverts the format (prefix -> block, token -> position per axis
--> `offset`), so no name -> column map is kept.  The rows are one
+-> `offset`), so no name -> column map is kept; `name_key` reads a name's
+key off the same parse.  The rows are one
 read-only CSR block (`RowBlock`: `indptr`, `indices`, `data`,
 `sense`/`rhs` arrays, per-row names and keys, family offsets), built from
 whole column ranges of the blocks.  `Model.rows` offers the same rows as
@@ -93,7 +94,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ModelError, NamingError
-from .geo import DistanceMatrix, build_leg_matrices
+from .geo import build_leg_matrices
 from .instance import (
     ECHELON_TAGS,
     FORCED_TONS_TOL,
@@ -184,9 +185,8 @@ class LegSpace(_Block):
         self.periods, self.materials, self.origins, self.dests = axes[:4]
         self.sizes = axes[4] if len(axes) > 4 else ()
 
-    def key(self, col: int) -> tuple:
-        """('flow', leg, t, p, origin, dest, size-or-None)."""
-        ids = self.ids(col)
+    def key(self, ids: tuple[str, ...]) -> tuple:
+        """('flow', leg, t, p, origin, dest, size-or-None) of the column at `ids`."""
         if not self.sizes:
             ids += (None,)
         return ("flow", self.leg) + ids
@@ -200,9 +200,9 @@ class InstallSpace(_Block):
         self.echelon = echelon
         self.sites, self.sizes = axes
 
-    def key(self, col: int) -> tuple:
-        """('install', echelon, site, size)."""
-        return ("install", self.echelon) + self.ids(col)
+    def key(self, ids: tuple[str, ...]) -> tuple:
+        """('install', echelon, site, size) of the column at `ids`."""
+        return ("install", self.echelon) + ids
 
 
 def _token_table(ids: tuple[str, ...]) -> np.ndarray:
@@ -268,15 +268,13 @@ class VariableIndex:
 
     def column_key(self, col: int) -> tuple:
         """('flow', leg, t, p, origin, dest, size-or-None) or ('install', echelon, site, size)."""
-        return self._block_of(col).key(col)
+        block = self._block_of(col)
+        return block.key(block.ids(col))
 
-    def column(self, name: str) -> int | None:
-        """The column called `name`, or None if no column has that name.
-
-        Inverts the formatter: the prefix picks the block, and each token's
-        position on its axis goes to the block's `offset`.  Exact because
-        sanitized ids contain no '_'.
-        """
+    def _parse(self, name: str) -> tuple[_Block, list[int]] | None:
+        """(block, position per axis) of the column called `name`, or None:
+        the prefix picks the block, each token's position on its axis comes
+        from the axis' map.  Exact because sanitized ids contain no '_'."""
         prefix, *tokens = name.split("_")
         entry = self._by_prefix.get(prefix)
         if entry is None:
@@ -285,10 +283,23 @@ class VariableIndex:
         if len(tokens) != len(axes):
             return None
         try:
-            positions = [axis[token] for token, axis in zip(tokens, axes)]
+            return block, [axis[token] for token, axis in zip(tokens, axes)]
         except KeyError:
             return None
-        return block.offset(*positions)
+
+    def column(self, name: str) -> int | None:
+        """The column called `name`, or None if no column has that name."""
+        parsed = self._parse(name)
+        return None if parsed is None else parsed[0].offset(*parsed[1])
+
+    def name_key(self, name: str) -> tuple | None:
+        """`column_key` of the column called `name`, or None if no column
+        has that name; one parse of the name, no column arithmetic."""
+        parsed = self._parse(name)
+        if parsed is None:
+            return None
+        block, positions = parsed
+        return block.key(tuple(ids[k] for ids, k in zip(block.axes, positions)))
 
     def column_name(self, col: int) -> str:
         """The name of column `col`, formatted on its own from its ids."""
@@ -400,6 +411,10 @@ class RowBlock:
     keys: tuple[tuple, ...]
     family_offsets: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        for arr in (self.indptr, self.indices, self.data, self.sense, self.rhs):
+            arr.flags.writeable = False
+
     @property
     def n_rows(self) -> int:
         return len(self.names)
@@ -508,17 +523,16 @@ def count_rows(inst: Instance, prune: bool = True) -> dict[str, int]:
 
 
 def build_objective(inst: Instance, vindex: VariableIndex,
-                    dists: tuple[DistanceMatrix, ...]) -> np.ndarray:
+                    dists: tuple[np.ndarray, ...]) -> np.ndarray:
     """Objective coefficient vector over the full column space.
 
-    Flow columns into a facility cost dt_t * op_cost + 2 * dt_t * D * rate;
-    sink-leg columns carry transport only.  Install columns cost the
+    Flow columns into a facility cost dt_t * op_cost + 2 * dt_t * D * rate,
+    D from `build_leg_matrices`; sink-leg columns carry transport only.  Install columns cost the
     annualized installation figure times the horizon in years.
     """
     obj = np.zeros(vindex.n_columns, dtype=np.float64)
     dt = np.array([t.duration_years for t in inst.periods], dtype=np.float64)
-    dist_by_leg = {d.leg: d for d in dists}
-    for space in vindex.legs:
+    for space, km in zip(vindex.legs, dists):
         if not space.count:
             continue
         for p in space.materials:
@@ -527,7 +541,6 @@ def build_objective(inst: Instance, vindex: VariableIndex,
                     f"material '{p}' rides leg '{space.leg}' but has no transport_cost entry"
                 )
         rate = np.array([inst.transport_cost[p] for p in space.materials], dtype=np.float64)
-        km = dist_by_leg[space.leg].km
         op = inst.echelon(space.dest_role).op_cost_per_ton if space.dest_role in ECHELON_TAGS else 0.0
         # per-ton cost, shape (T, P, O, D): dt * (op + 2 * km * rate)
         per_ton = dt[:, None, None, None] * (
@@ -658,7 +671,7 @@ def build_rows(inst: Instance, vindex: VariableIndex) -> RowBlock:
                  (grid[ispace][j_idx], 1.0))
     family_offsets.append(len(names))
 
-    block = RowBlock(
+    return RowBlock(
         indptr=np.concatenate(([0], np.cumsum(row_nnz, dtype=np.int64))),
         indices=np.concatenate(seg_cols) if seg_cols else no_cols,
         data=np.repeat(np.array(seg_coef, dtype=np.float64), [len(c) for c in seg_cols]),
@@ -668,9 +681,6 @@ def build_rows(inst: Instance, vindex: VariableIndex) -> RowBlock:
         keys=tuple(keys),
         family_offsets=tuple(family_offsets),
     )
-    for arr in (block.indptr, block.indices, block.data, block.sense, block.rhs):
-        arr.flags.writeable = False
-    return block
 
 
 def build_milp(inst: Instance, prune: bool = True) -> Model:

@@ -259,7 +259,7 @@ class _LpFactory:
         self.ids: dict[str, np.ndarray] = {}
         costs = []
         n = 0
-        for (leg, _, dest_role), dist in zip(LEGS, build_leg_matrices(inst)):
+        for (leg, _, dest_role), km in zip(LEGS, build_leg_matrices(inst)):
             mats = self.leg_mats[leg]
             for p in mats:
                 if p not in inst.transport_cost:
@@ -267,7 +267,6 @@ class _LpFactory:
                         f"material '{p}' rides leg '{leg}' but has no transport_cost entry"
                     )
             rate = np.array([inst.transport_cost[p] for p in mats], dtype=np.float64)
-            km = dist.km
             op = inst.echelon(dest_role).op_cost_per_ton if dest_role in ECHELON_TAGS else 0.0
             # (T, P, O, D) per-ton coefficient
             cost = dt[:, None, None, None] * (
@@ -379,8 +378,9 @@ class _LpFactory:
     def solve(self, config: Configuration) -> LpResult:
         """Solve the configuration's restriction of the all-open LP.  `x` is
         padded with zeros to the all-open columns, and the objective is the
-        flow cost only; callers add the installation cost."""
-        choice = self.slots.choices(config)
+        flow cost only; callers add the installation cost.  `config` is not
+        checked: the walk and `widest` only yield valid configurations."""
+        choice = np.asarray(config, dtype=np.intp)
         is_open = np.append(choice > 0, True)
         # ascending, so in the all-open LP's column order
         cols = (is_open[self.origin] & is_open[self.dest]).nonzero()[0]

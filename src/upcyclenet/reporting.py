@@ -58,10 +58,10 @@ def decode_solution(sol: Solution, inst: Instance) -> tuple[list[DecodedFlow], l
     for name, value in sol.values.items():
         if value == 0.0:
             continue
-        col = index.column(name)
-        if col is None:
+        key = index.name_key(name)
+        if key is None:
             raise ReportError(f"solution column '{name}' does not match any naming scheme")
-        kind, *key = index.column_key(col)
+        kind, *key = key
         if kind == "flow":
             flows.append(DecodedFlow(*key, value))
         else:

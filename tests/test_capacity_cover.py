@@ -176,6 +176,19 @@ def test_cover_rows_read_the_forced_tons_of_every_period():
     assert cover.names == tuple(f"cov{tag}_{t}" for tag, t in expected)
 
 
+
+def test_every_row_block_is_read_only():
+    inst = generate(GenSpec(seed=3, n_sources=4, n_cf=2, n_rtf=2, n_cpf=1, n_dpf=1, n_sinks=1))
+    model, projection, cover = cover_of(inst, prune=True)
+    assert projection.n_rows < model.n_rows and cover.n_rows > 0
+    for block in (model.constraints, projection.constraints, cover):
+        for field in ("indptr", "indices", "data", "sense", "rhs"):
+            array = getattr(block, field)
+            assert not array.flags.writeable, field
+            with pytest.raises(ValueError, match="read-only"):
+                array[:1] = array[:1]
+
+
 # ---------------------------------------------------------------------------
 # through the tests' scipy/HiGHS adapter
 

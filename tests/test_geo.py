@@ -1,16 +1,21 @@
+import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from test_milp_core import random_shape_doc
+from test_oracle import scaled_default_shape
 from upcyclenet.geo import (
     EARTH_RADIUS_KM,
     build_leg_matrices,
     haversine_km,
     node_distance_km,
 )
-from upcyclenet.instance import LEGS, Node
-from upcyclenet.scenario import single_chain_instance
+from upcyclenet.instance import LEGS, Node, parse_instance
+from upcyclenet.scenario import make_tiny_suite, single_chain_instance
 
 
 def greatcircle_oracle_km(lat1, lon1, lat2, lon2):
@@ -86,26 +91,60 @@ def test_node_distance_rejects_nan():
     b = Node("b", 51.0, 9.0)
     with pytest.raises(ValueError):
         node_distance_km(a, b, 1.0)
+    with pytest.raises(ValueError):
+        haversine_km(51.0, 9.0, 50.0, float("nan"))
 
 
 def test_leg_matrices_shapes_and_values():
     inst = single_chain_instance()
     mats = build_leg_matrices(inst)
-    assert tuple(m.leg for m in mats) == tuple(leg for leg, _, _ in LEGS)
-    for m in mats:
-        assert m.km.shape == (len(m.origin_ids), len(m.dest_ids))
-        assert not m.km.flags.writeable
-        assert np.all(np.isfinite(m.km))
-    # each hand-instance leg spans 10 km by construction
-    for m in mats:
-        assert m.km[0, 0] == pytest.approx(10.0, rel=1e-9)
+    assert isinstance(mats, tuple) and len(mats) == len(LEGS)
+    for km, (_, origin_role, dest_role) in zip(mats, LEGS):
+        assert km.shape == (len(inst.role_nodes(origin_role)), len(inst.role_nodes(dest_role)))
+        assert not km.flags.writeable
+        assert np.all(np.isfinite(km))
+        # each hand-instance leg spans 10 km by construction
+        assert km[0, 0] == pytest.approx(10.0, rel=1e-9)
 
 
-def test_matrix_csv_three_decimals():
+# sha256 over every leg array of the 78 instances in `distance_instances`
+# (each array's shape repr, then its bytes), recorded from the per-pair
+# build that computed each pair's trigonometry on its own
+LEG_MATRICES_SHA256 = "be7a85846567ac29ba86a507b913e5fe7d195896492574f65f450ed7659c4d05"
+
+
+def distance_instances():
+    """The tiny suite, `random_shape_doc` seeds 0-19 and the default
+    generator shape at 10%, 25% and 100%."""
+    insts = list(make_tiny_suite(2026))
+    insts += [parse_instance(json.dumps(random_shape_doc(np.random.default_rng(seed))))
+              for seed in range(20)]
+    insts += [scaled_default_shape(fraction) for fraction in (0.10, 0.25, 1.0)]
+    return insts
+
+
+def test_leg_matrices_are_node_distances_bit_for_bit():
+    insts = distance_instances()
+    assert len(insts) == 78
+    digest = hashlib.sha256()
+    for inst in insts:
+        mats = build_leg_matrices(inst)
+        for km, (_, origin_role, dest_role) in zip(mats, LEGS, strict=True):
+            pairs = [node_distance_km(a, b, inst.circuity_factor)
+                     for a in inst.role_nodes(origin_role) for b in inst.role_nodes(dest_role)]
+            assert km.tobytes() == np.array(pairs, dtype=np.float64).tobytes(), inst.name
+            digest.update(repr(km.shape).encode())
+            digest.update(km.tobytes())
+    assert digest.hexdigest() == LEG_MATRICES_SHA256
+
+
+def test_leg_matrices_reject_nan_coordinates_and_low_circuity():
     inst = single_chain_instance()
-    m = build_leg_matrices(inst)[0]
-    lines = m.to_csv().strip().splitlines()
-    assert lines[0] == "origin,destination,km"
-    origin, dest, value = lines[1].split(",")
-    assert (origin, dest) == ("src1", "cf1")
-    assert value == f"{m.km[0, 0]:.3f}"
+    site = inst.rtf.sites[0]
+    for lat, lon in ((float("nan"), site.lon), (site.lat, float("nan"))):
+        bad = dataclasses.replace(inst, rtf=dataclasses.replace(
+            inst.rtf, sites=(Node(site.id, lat, lon),)))
+        with pytest.raises(ValueError, match="NaN"):
+            build_leg_matrices(bad)
+    with pytest.raises(ValueError, match="circuity_factor"):
+        build_leg_matrices(dataclasses.replace(inst, circuity_factor=0.9))

@@ -4,6 +4,7 @@ import pytest
 
 from upcyclenet.errors import InstanceError
 from upcyclenet.instance import (
+    ECHELON_TAGS,
     chain_inflow_factors,
     errors_only,
     parse_instance,
@@ -145,6 +146,16 @@ def test_parse_rejects_non_json_and_non_object():
         parse_instance("{not json")
     with pytest.raises(InstanceError):
         parse_instance("[1, 2]")
+
+
+def test_echelon_is_the_field_of_its_tag():
+    inst = parse_doc(minimal_doc())
+    for tag in ECHELON_TAGS:
+        assert inst.echelon(tag) is getattr(inst, tag)
+    # "name" is a field of the instance, but not an echelon
+    for tag in ("sources", "sinks", "name", "CF", ""):
+        with pytest.raises(KeyError):
+            inst.echelon(tag)
 
 
 def test_leg_materials_pruning_matches_set_arithmetic():

@@ -287,6 +287,19 @@ def test_column_key_offset_bijection():
         VariableIndex(forged, prune=True)
 
 
+def test_name_key_is_the_column_key_of_the_named_column():
+    for seed in (3, 4, 5):
+        inst = parse_instance(json.dumps(random_shape_doc(np.random.default_rng(seed))))
+        for prune in (True, False):
+            vindex = VariableIndex(inst, prune=prune)
+            assert ([vindex.name_key(name) for name in table_names(vindex)]
+                    == [vindex.column_key(col) for col in range(vindex.n_columns)])
+    pruned = VariableIndex(parse_doc(minimal_doc()), prune=True)
+    for name in ("xsrccf_t1_w_src1_cf1", "zz_t1_w_src1_cf1_s1", "", "xsrccf_t1_w_src1_cf1_s1_",
+                 "xsrccf_t1_w_src1_cf9_s1", "xsrccf_t1_g_src1_cf1_s1"):
+        assert pruned.name_key(name) is None, name
+
+
 def test_single_column_names_match_the_cached_block_names():
     # the oracle names its values one column at a time; those names must be
     # the model's own, or its solutions stop parsing against the model

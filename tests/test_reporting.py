@@ -1,13 +1,16 @@
+import hashlib
 import json
 
 import pytest
 
 from test_instance import minimal_doc, parse_doc
 from upcyclenet.errors import ReportError, SolutionError
-from upcyclenet.model import build_milp
+from upcyclenet.model import VariableIndex, build_milp
 from upcyclenet.model_io import Solution, parse_solution
 from upcyclenet.oracle import solve_exact
 from upcyclenet.reporting import (
+    DecodedFlow,
+    DecodedInstall,
     breakdown_costs,
     compute_utilization,
     decode_solution,
@@ -15,7 +18,7 @@ from upcyclenet.reporting import (
     export_layout,
     utilization_csv,
 )
-from upcyclenet.scenario import single_chain_instance
+from upcyclenet.scenario import make_tiny_suite, single_chain_instance
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +60,29 @@ def test_decode_rejects_foreign_names(hand_case):
     bad = Solution(values={"zz_t1": 1.0}, objective_reported=0.0)
     with pytest.raises(ReportError, match="naming scheme"):
         decode_solution(bad, inst)
+
+
+# sha256 over repr((flows, installs)) of every 2026 tiny-suite member's
+# oracle solution, pruning on then off, recorded when `decode_solution`
+# looked each name up with `column` and then unravelled it with `column_key`
+TINY_SUITE_DECODE_SHA256 = "d494d2a50af3bd4adabc60e796fd3332c0776cd83e68ea7331680572160865fa"
+
+
+def test_decoding_the_tiny_suite_keeps_its_lists():
+    digest = hashlib.sha256()
+    for inst in make_tiny_suite(2026):
+        index = VariableIndex(inst, prune=False)
+        for prune in (True, False):
+            sol, _ = solve_exact(inst, prune=prune)
+            flows, installs = decode_solution(sol, inst)
+            keyed = [(index.column_key(index.column(name)), value)
+                     for name, value in sol.values.items() if value != 0.0]
+            assert flows == [DecodedFlow(*key[1:], value) for key, value in keyed
+                             if key[0] == "flow"]
+            assert installs == [DecodedInstall(*key[1:], value) for key, value in keyed
+                                if key[0] == "install"]
+            digest.update(repr((flows, installs)).encode())
+    assert digest.hexdigest() == TINY_SUITE_DECODE_SHA256
 
 
 def test_decode_reads_materials_that_pruning_drops():
