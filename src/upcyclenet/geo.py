@@ -45,7 +45,7 @@ def _haversine(p: tuple[float, float, float], q: tuple[float, float, float]) -> 
 
 
 def _circuity(factor: float) -> float:
-    if factor < 1.0:
+    if not factor >= 1.0:  # NaN fails this
         raise ValueError(f"circuity_factor must be >= 1, got {factor}")
     return factor
 

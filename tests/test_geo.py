@@ -82,8 +82,9 @@ def test_node_distance_applies_circuity():
     b = Node("b", 51.0, 9.0)
     base = node_distance_km(a, b, 1.0)
     assert node_distance_km(a, b, 1.4) == pytest.approx(1.4 * base, rel=1e-15)
-    with pytest.raises(ValueError):
-        node_distance_km(a, b, 0.9)
+    for factor in (0.9, float("nan")):
+        with pytest.raises(ValueError):
+            node_distance_km(a, b, factor)
 
 
 def test_node_distance_rejects_nan():
@@ -146,5 +147,6 @@ def test_leg_matrices_reject_nan_coordinates_and_low_circuity():
             inst.rtf, sites=(Node(site.id, lat, lon),)))
         with pytest.raises(ValueError, match="NaN"):
             build_leg_matrices(bad)
-    with pytest.raises(ValueError, match="circuity_factor"):
-        build_leg_matrices(dataclasses.replace(inst, circuity_factor=0.9))
+    for factor in (0.9, float("nan")):
+        with pytest.raises(ValueError, match="circuity_factor"):
+            build_leg_matrices(dataclasses.replace(inst, circuity_factor=factor))
