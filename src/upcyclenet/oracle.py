@@ -138,8 +138,8 @@ class _Block(NamedTuple):
 
 class _SlotTable:
     """The instance's site slots in configuration order, the forced tonnage
-    per echelon, and `widest`; the only code that turns a configuration
-    into open sites."""
+    per echelon, and `widest`; the only code that checks a configuration
+    and names its open sites."""
 
     def __init__(self, inst: Instance) -> None:
         horizon = inst.horizon_years()
