@@ -15,7 +15,7 @@ import math
 import sys
 from pathlib import Path
 
-from .errors import UpcycleNetError
+from .errors import InstanceError, SolutionError, UpcycleNetError, read_text
 from .instance import (
     ECHELON_TAGS,
     errors_only,
@@ -45,7 +45,7 @@ from .scenario import GenSpec, generate
 
 
 def _read_instance(path: str):
-    return parse_instance(Path(path).read_text())
+    return parse_instance(read_text(path, InstanceError))
 
 
 def _print_findings(findings, stream) -> None:
@@ -130,7 +130,7 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     inst = _read_instance(args.instance)
     model = build_milp(inst, prune=args.prune == "on")
-    sol = parse_solution(Path(args.solution).read_text(), model)
+    sol = parse_solution(read_text(args.solution, SolutionError), model)
     report = verify_solution(sol, model, tol=args.tol)
     print(report.summary())
     return 0 if report.passed else 1
@@ -139,7 +139,7 @@ def _cmd_verify(args) -> int:
 def _cmd_report(args) -> int:
     inst = _read_instance(args.instance)
     model = build_milp(inst, prune=args.prune == "on")
-    sol = parse_solution(Path(args.solution).read_text(), model)
+    sol = parse_solution(read_text(args.solution, SolutionError), model)
     report = verify_solution(sol, model, tol=args.tol)
     if not report.passed:
         print(report.summary(), file=sys.stderr)
@@ -170,7 +170,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.spec:
-        spec = GenSpec.from_json(Path(args.spec).read_text(), seed=args.seed)
+        spec = GenSpec.from_json(read_text(args.spec, InstanceError), seed=args.seed)
     else:
         spec = GenSpec(seed=args.seed if args.seed is not None else 0)
     inst = generate(spec)

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+from pathlib import Path
+
 
 class UpcycleNetError(Exception):
     """Base class for all errors raised by this package."""
@@ -35,3 +37,11 @@ class SimplexIterationError(OracleError):
 
 class ReportError(UpcycleNetError):
     """Report components do not reconcile with the solution objective."""
+
+
+def read_text(path: str | Path, error: type[UpcycleNetError]) -> str:
+    """The UTF-8 text of the file at `path`; other bytes raise `error`."""
+    try:
+        return Path(path).read_bytes().decode()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from None

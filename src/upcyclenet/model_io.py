@@ -34,13 +34,13 @@ import shlex
 import subprocess
 import tempfile
 import time
-from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from collections.abc import Collection, Iterator
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import NamingError, SolutionError, SolverRunError
+from .errors import NamingError, SolutionError, SolverRunError, read_text
 from .model import (
     ROW_FAMILIES,
     Model,
@@ -335,6 +335,9 @@ def _write_batches(batches: Iterator[bytes | np.ndarray], path: Path) -> None:
 # solution parsing and formatting
 
 
+_DIRECTIVES = {"=obj=": "objective", "=bound=": "bound", "=status=": "status"}
+
+
 def parse_solution(text: str, model: Model) -> Solution:
     """Parse a neutral solution file against the model's column names.
 
@@ -343,13 +346,13 @@ def parse_solution(text: str, model: Model) -> Solution:
     return _parse_solution(text, model)[0]
 
 
-def _parse_solution(text: str, model: Model) -> tuple[Solution, bool]:
-    """`parse_solution`'s result, and whether the file declared `=status=`."""
+def _parse_solution(text: str, model: Model) -> tuple[Solution, bool, np.ndarray, list[int]]:
+    """`parse_solution`'s result, whether the file declared `=status=`,
+    the dense column vector of its values and the column of each value, in
+    the order of `Solution.values`; each name is parsed once."""
     values: dict[str, float] = {}
-    declared_obj: float | None = None
-    declared_status: str | None = None
-    declared_bound: float | None = None
-
+    columns: list[int] = []
+    declared: dict[str, float | str] = {}  # directive -> its number or status
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -368,41 +371,30 @@ def _parse_solution(text: str, model: Model) -> tuple[Solution, bool]:
                 raise SolutionError(f"line {lineno}: non-finite {what} {val!r}")
             return x
 
-        if key == "=obj=":
-            if declared_obj is not None:
-                raise SolutionError(f"line {lineno}: duplicate =obj= directive")
-            declared_obj = number("objective")
-        elif key == "=bound=":
-            if declared_bound is not None:
-                raise SolutionError(f"line {lineno}: duplicate =bound= directive")
-            declared_bound = number("bound")
-        elif key == "=status=":
-            if declared_status is not None:
-                raise SolutionError(f"line {lineno}: duplicate =status= directive")
-            if val not in SOLUTION_STATUSES:
+        if key.startswith("="):
+            if key not in _DIRECTIVES:
+                raise SolutionError(f"line {lineno}: unknown directive {key!r}")
+            if key in declared:
+                raise SolutionError(f"line {lineno}: duplicate {key} directive")
+            if key == "=status=" and val not in SOLUTION_STATUSES:
                 raise SolutionError(f"line {lineno}: unknown status {val!r}")
-            declared_status = val
-        elif key.startswith("="):
-            raise SolutionError(f"line {lineno}: unknown directive {key!r}")
+            declared[key] = val if key == "=status=" else number(_DIRECTIVES[key])
         else:
-            if model.index.column(key) is None:
+            col = model.index.column(key)
+            if col is None:
                 raise SolutionError(f"line {lineno}: unknown column name {key!r}")
             if key in values:
                 raise SolutionError(f"line {lineno}: duplicate assignment to {key!r}")
             values[key] = number("value")
+            columns.append(col)
 
-    if declared_status is not None:
-        status = declared_status
-    elif values or declared_obj is not None:
-        status = "feasible"
-    else:
-        status = "unknown"
-
-    objective = declared_obj if declared_obj is not None else recompute_objective(values, model)
-    gap = compute_gap(objective, declared_bound) if declared_bound is not None else None
-    sol = Solution(values=values, objective_reported=objective, status=status,
-                   bound=declared_bound, gap=gap)
-    return sol, declared_status is not None
+    objective, bound = declared.get("=obj="), declared.get("=bound=")
+    status = declared.get("=status=", "feasible" if values or objective is not None else "unknown")
+    if objective is None:
+        objective = _objective_sum(model, columns, values.values())
+    sol = Solution(values=values, objective_reported=objective, status=status, bound=bound,
+                   gap=None if bound is None else compute_gap(objective, bound))
+    return sol, "=status=" in declared, _dense(model, columns, values.values()), columns
 
 
 def format_solution(sol: Solution) -> str:
@@ -418,10 +410,12 @@ def format_solution(sol: Solution) -> str:
 
 def solution_vector(sol: Solution, model: Model) -> np.ndarray:
     """Dense column-ordered value vector; unknown names are a hard error."""
-    cols = np.fromiter((_column(model, name) for name in sol.values), dtype=np.int64,
-                       count=len(sol.values))
+    return _dense(model, [_column(model, name) for name in sol.values], sol.values.values())
+
+
+def _dense(model: Model, columns: list[int], values: Collection[float]) -> np.ndarray:
     x = np.zeros(model.n_columns, dtype=np.float64)
-    x[cols] = np.fromiter(sol.values.values(), dtype=np.float64, count=len(sol.values))
+    x[np.array(columns, dtype=np.int64)] = np.fromiter(values, dtype=np.float64, count=len(values))
     return x
 
 
@@ -433,10 +427,15 @@ def _column(model: Model, name: str) -> int:
 
 
 def recompute_objective(values: dict[str, float], model: Model) -> float:
+    return _objective_sum(model, [_column(model, name) for name in values], values.values())
+
+
+def _objective_sum(model: Model, columns: list[int], values: Collection[float]) -> float:
+    """The objective of `values` at `columns`, summed one term at a time in their order."""
     objective = model.objective
     total = 0.0
-    for name, v in values.items():
-        total += float(objective[_column(model, name)]) * v
+    for col, v in zip(columns, values):
+        total += float(objective[col]) * v
     return total
 
 
@@ -457,6 +456,10 @@ class VerificationReport:
     worst_integrality: float
     negative_value_violations: int
     objective_recomputed: float
+    # the largest of every row violation, negative flow and binary's
+    # distance from 0 or 1, and the row or column it is at (None at 0.0)
+    worst_residual: float
+    worst_residual_at: str | None
     messages: list[str] = field(default_factory=list)
 
     def summary(self) -> str:
@@ -495,46 +498,59 @@ def verify_solution(sol: Solution, model: Model, tol: float = 1e-6) -> Verificat
     every value is finite.  A row whose activity is not finite counts as
     infinitely violated.  The first row in emission order wins a tie for
     the worst violation.  The report never raises on violations; it
-    carries them.  A `tol` that is not finite or is below 0 raises
-    `ValueError`.
+    carries them, and also the worst residual over rows, flow signs and
+    binaries and where it is.  A `tol` that is not finite or is below 0
+    raises `ValueError`.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
-    x = solution_vector(sol, model)
+    report = _verify_vector(solution_vector(sol, model), model, tol)
+    recomputed = report.objective_recomputed
+    if sol.objective_reported != 0.0 or recomputed != 0.0:
+        denom = max(1.0, abs(recomputed))
+        if abs(recomputed - sol.objective_reported) > 1e-6 * denom:
+            report.messages.append(
+                f"reported objective {sol.objective_reported!r} differs from "
+                f"recomputed {recomputed!r}"
+            )
+    return report
+
+
+def _verify_vector(x: np.ndarray, model: Model, tol: float = 1e-6) -> VerificationReport:
+    """`verify_solution` of the dense column vector `x`, without the
+    reported objective's message."""
     block = model.constraints
+    n_continuous = model.index.n_continuous
     activity = block.activities(x)
     violation = _row_violations(block, activity)
     violation[~np.isfinite(activity)] = np.inf
     over = violation > tol
     violations = {fam: int(np.count_nonzero(over[block.family_slice(fam)])) for fam in ROW_FAMILIES}
-    worst = 0.0
-    worst_row: str | None = None
-    if block.n_rows:
+    worst, worst_row = 0.0, None
+    if violation.any():  # the first row wins a tie
         k = int(np.argmax(violation))
-        if violation[k] > 0.0:
-            worst, worst_row = float(violation[k]), block.names[k]
-    binaries = x[model.index.n_continuous:]
+        worst, worst_row = float(violation[k]), block.names[k]
+    binaries = x[n_continuous:]
     distance = np.minimum(np.abs(binaries), np.abs(binaries - 1.0))
     distance[np.isnan(distance)] = np.inf
     n_int = int(np.count_nonzero(distance > INTEGRALITY_TOL))
     worst_int = float(distance.max()) if len(distance) else 0.0
-    neg = int(np.sum(x[: model.index.n_continuous] < -tol))
+    flows = x[:n_continuous]
+    neg = int(np.sum(flows < -tol))
+    residual = np.concatenate((violation, np.maximum(0.0, -flows), distance))
+    residual[np.isnan(residual)] = np.inf  # a NaN flow
+    worst_residual, worst_at = 0.0, None
+    if residual.any():
+        k = int(np.argmax(residual))
+        worst_residual = float(residual[k])
+        worst_at = block.names[k] if k < block.n_rows else model.index.column_name(k - block.n_rows)
     messages = []
     nonfinite = np.flatnonzero(~np.isfinite(x))
     if len(nonfinite):
         messages.append(f"{len(nonfinite)} non-finite solution values, first at "
                         f"{model.index.column_name(int(nonfinite[0]))}")
-    recomputed = float(model.objective @ x)
-    if sol.objective_reported != 0.0 or recomputed != 0.0:
-        denom = max(1.0, abs(recomputed))
-        if abs(recomputed - sol.objective_reported) > 1e-6 * denom:
-            messages.append(
-                f"reported objective {sol.objective_reported!r} differs from "
-                f"recomputed {recomputed!r}"
-            )
-    passed = worst <= tol and n_int == 0 and neg == 0 and len(nonfinite) == 0
     return VerificationReport(
-        passed=passed,
+        passed=worst <= tol and n_int == 0 and neg == 0 and len(nonfinite) == 0,
         tol=tol,
         violations_by_family=violations,
         worst_violation=worst,
@@ -542,7 +558,9 @@ def verify_solution(sol: Solution, model: Model, tol: float = 1e-6) -> Verificat
         integrality_violations=n_int,
         worst_integrality=worst_int,
         negative_value_violations=neg,
-        objective_recomputed=recomputed,
+        objective_recomputed=float(model.objective @ x),
+        worst_residual=worst_residual,
+        worst_residual_at=worst_at,
         messages=messages,
     )
 
@@ -581,66 +599,42 @@ def _least_squares(a: np.ndarray, r: np.ndarray) -> np.ndarray:
     return d
 
 
-def _worst_residual(model: Model, x: np.ndarray) -> tuple[float, str | None]:
-    """Largest violation of any row, flow sign or binary value, and its name."""
-    n_continuous = model.index.n_continuous
-    binaries = x[n_continuous:]
-    violation = np.concatenate((
-        _row_violations(model.constraints, model.constraints.activities(x)),
-        np.maximum(0.0, -x[:n_continuous]),
-        np.minimum(np.abs(binaries), np.abs(binaries - 1.0)),
-    ))
-    if violation.max(initial=0.0) == 0.0:
-        return 0.0, None
-    k = int(np.argmax(violation))
-    n_rows = model.n_rows
-    return float(violation[k]), (model.constraints.names[k] if k < n_rows
-                                 else model.index.column_name(k - n_rows))
-
-
-def _refine_onto_active_set(sol: Solution, model: Model) -> Solution:
+def _refine_onto_active_set(x: np.ndarray, model: Model) -> tuple[np.ndarray, str]:
     """Move a solver's point onto its active set (iterative refinement after
     Gleixner, Steffy & Wolter, INFORMS J. Computing 2016).
 
     MILP solvers accept rows violated by their own feasibility tolerance,
     about 1e-6, and a solver may spend that slack on a lower objective.
-    Only a solution with status optimal or feasible that passes
-    `verify_solution` at its default tolerance is touched; any other one
-    is returned as it came.  Binaries are set to exact 0 or 1 and flows at
-    or below 0 are held at 0.  The active set is every equality row and
-    every inequality row that is violated or within that tolerance of its
-    bound, restricted to the positive flows.  A minimum-norm least-squares
-    correction over a dense matrix of those rows and columns only is
-    applied repeatedly; each pass counts only the violated side of an
-    inequality row as residual, solves over the equality rows and the rows
-    with a nonzero residual, and clips the flows at 0, and the passes stop
-    when the largest residual no longer drops.
+    Only a column vector `x` that passes `verify_solution`'s check at its
+    default tolerance is touched; any other one comes back as it came,
+    with an empty diagnostics line.  Binaries are set to exact 0 or 1 and
+    flows at or below 0 are held at 0.  The active set is every equality
+    row and every inequality row that is violated or within that tolerance
+    of its bound, restricted to the positive flows.  A minimum-norm
+    least-squares correction over a dense matrix of those rows and columns
+    only is applied repeatedly; each pass counts only the violated side of
+    an inequality row as residual, solves over the equality rows and the
+    rows with a nonzero residual, and clips the flows at 0, and the passes
+    stop when the largest residual no longer drops.
 
-    The refined values replace the solver's only if the worst violation of
-    any row, flow sign or binary value strictly drops and the refined
-    solution still verifies; the objective is then recomputed from the
-    values and the gap from the objective and the solver's bound.
-    Otherwise values, objective and gap stay exactly as parsed.  Either way
-    one diagnostics line records the worst residual before and after.
+    The refined vector comes back in place of `x` only if it verifies and
+    its `worst_residual` (any row, flow sign or binary value) is strictly
+    below that of `x`; either way the diagnostics line gives both.
     """
-    if sol.status not in ("optimal", "feasible"):
-        return sol
-    report = verify_solution(sol, model)
-    if not report.passed:
-        return sol
-    tol = report.tol
+    before = _verify_vector(x, model)
+    if not before.passed:
+        return x, ""
     block = model.constraints
     n_continuous = model.index.n_continuous
-    x0 = solution_vector(sol, model)
-    x = x0.copy()
-    x[n_continuous:] = np.round(x[n_continuous:])
-    flows = x[:n_continuous]
+    refined = x.copy()
+    refined[n_continuous:] = np.round(refined[n_continuous:])
+    flows = refined[:n_continuous]
     flows[flows <= 0.0] = 0.0
     free = np.flatnonzero(flows > 0.0)
 
-    activity = block.activities(x)
+    activity = block.activities(refined)
     slack = np.where(block.sense == "L", block.rhs - activity, activity - block.rhs)
-    active = (block.sense == "E") | (slack <= tol)
+    active = (block.sense == "E") | (slack <= before.tol)
     local = np.full(model.n_columns, -1, dtype=np.int64)
     local[free] = np.arange(len(free))
     row_of = np.repeat(np.arange(block.n_rows, dtype=np.int64), np.diff(block.indptr))
@@ -649,9 +643,9 @@ def _refine_onto_active_set(sol: Solution, model: Model) -> Solution:
     rows, row_pos = np.unique(row_of[entry], return_inverse=True)
     a = np.zeros((len(rows), len(free)), dtype=np.float64)
     np.add.at(a, (row_pos, col[entry]), block.data[entry])
-    values = x[free]
-    x[free] = 0.0
-    base = block.activities(x)[rows]  # what the fixed columns contribute
+    values = refined[free]
+    refined[free] = 0.0
+    base = block.activities(refined)[rows]  # what the fixed columns contribute
     sense, rhs = block.sense[rows], block.rhs[rows]
     best = np.inf
     for _ in range(_REFINE_PASSES):
@@ -666,44 +660,34 @@ def _refine_onto_active_set(sol: Solution, model: Model) -> Solution:
         # correction, so only equalities and violated rows constrain it
         target = (sense == "E") | (residual != 0.0)
         values = np.maximum(values + _least_squares(a[target], residual[target]), 0.0)
-    x[free] = values
+    refined[free] = values
 
-    before, before_at = _worst_residual(model, x0)
-    after, after_at = _worst_residual(model, x)
-    objective = float(model.objective @ x)
-    refined = replace(
-        sol,
-        values={name: float(x[_column(model, name)]) for name in sol.values},
-        objective_reported=objective,
-        gap=compute_gap(objective, sol.bound) if sol.bound is not None else None,
-    )
-    improved = after < before and verify_solution(refined, model).passed
-    result = refined if improved else sol
+    after = _verify_vector(refined, model)
+    improved = after.worst_residual < before.worst_residual and after.passed
 
-    def where(name: str | None) -> str:
-        return f" at {name}" if name else ""
-
-    result.diagnostics += (
-        f"\nrefinement: worst residual {before:.3e}{where(before_at)} before, "
-        f"{after:.3e}{where(after_at)} after; "
-        + ("refined values kept" if improved else "solver's values kept"))
-    return result
+    at = [f" at {report.worst_residual_at}" if report.worst_residual_at else ""
+          for report in (before, after)]
+    line = (f"\nrefinement: worst residual {before.worst_residual:.3e}{at[0]} before, "
+            f"{after.worst_residual:.3e}{at[1]} after; "
+            + ("refined values kept" if improved else "solver's values kept"))
+    return (refined if improved else x), line
 
 
-def _lift_sizes(sol: Solution, model: Model) -> tuple[Solution, int]:
-    """`sol` with each site's inflow summed over sizes and put at the site's
-    chosen size, the size whose install binary is largest (the first of
-    equals), and the number of sites whose flows moved.
+def _lift_sizes(x: np.ndarray, model: Model) -> tuple[np.ndarray, int]:
+    """The column vector `x` with each site's inflow summed over sizes and
+    put at the site's chosen size, the size whose install binary is
+    largest (the first of equals), and the number of sites whose flows
+    moved.
 
     This takes a solution of `project_sizes(model)`, whose flows carry
-    their first size's names, back to the model.  A solution whose flows
-    all sit at their site's chosen size comes back as the same object.
-    The objective stays as reported: merged columns cost the same.  Nothing
-    is checked here; a site with two sizes installed, flow at a closed
-    site or a fractional binary is left for `verify_solution` to fail.
+    their first size's names, back to the model.  A vector whose flows all
+    sit at their site's chosen size comes back as the same object, and a
+    value the lift leaves equal keeps its bits (a -0.0 stays -0.0).  The
+    objective is unchanged: merged columns cost the same.  Nothing is
+    checked here; a site with two sizes installed, flow at a closed site
+    or a fractional binary is left for `verify_solution` to fail.
     """
     index = model.index
-    x = solution_vector(sol, model)
     lifted = x.copy()
     sites = 0
     for leg in index.legs:
@@ -721,12 +705,8 @@ def _lift_sizes(sol: Solution, model: Model) -> tuple[Solution, int]:
         lifted[at[..., 0]] = x[moved].sum(axis=4)
         sites += len(stray)
     if not sites:
-        return sol, 0
-    changed = lifted != x
-    values = {name: v for name, v in sol.values.items() if not changed[_column(model, name)]}
-    values.update((index.column_name(int(c)), float(lifted[c]))
-                  for c in np.flatnonzero(changed & (lifted != 0.0)))
-    return replace(sol, values=values), sites
+        return x, 0
+    return np.where(lifted != x, lifted, x), sites
 
 
 def run_external_solver(model: Model, solver_cmd: str,
@@ -744,24 +724,24 @@ def run_external_solver(model: Model, solver_cmd: str,
     one per (echelon, period) with forced tons: implied by the others, they
     give the solver a pure-binary knapsack row to cut on.  A model where
     every echelon has one size projects onto itself, so its file is
-    `write_mps(model)` plus the cover rows.  The solution file is parsed
-    against the model, and `_lift_sizes` moves each site's flows onto its
-    chosen size; one diagnostics line gives both column and row counts,
-    the number of sites lifted and the number of cover rows.  The child
-    runs in a fresh temp directory with the caller's environment.  A
-    declared `=status=` in the solution file wins; otherwise a nonzero
-    exit means status unknown (diagnostics captured), and a timeout with
-    an incumbent file present means feasible.
+    `write_mps(model)` plus the cover rows.  The child runs in a fresh temp
+    directory with the caller's environment, and its output is decoded as
+    UTF-8 with undecodable bytes replaced.  A declared `=status=` in the
+    solution file wins; otherwise a nonzero exit means status unknown
+    (diagnostics captured), and a timeout with an incumbent file present
+    means feasible.  A solution file that is not UTF-8 or does not parse
+    means status unknown and a `parse error` diagnostics line.
 
-    An optimal or feasible solution that passes `verify_solution` is then
-    refined onto its active set (`_refine_onto_active_set`): exact
-    binaries, no negative flows, and equality rows met far inside the
-    solver's own feasibility tolerance.  The refined values
-    replace the solver's only when that strictly lowers the worst
-    violation and the result still verifies; the objective and gap then
-    follow the refined values.  A solution that fails verification comes
-    back exactly as parsed.  `Solution.diagnostics` ends with the worst
-    residual before and after refinement whenever it ran.
+    From the parse on, the solution is one column vector and each name is
+    parsed once.  `_lift_sizes` moves each site's flows onto its chosen
+    size; one diagnostics line gives both column and row counts, the
+    number of sites lifted and the number of cover rows.  An optimal or
+    feasible solution that passes `verify_solution` is then refined onto
+    its active set (`_refine_onto_active_set`), whose line on the worst
+    residual before and after ends `Solution.diagnostics`; when the refined
+    values are kept, the objective and gap follow them.  The values are
+    the parsed names the lift left in place, then the columns it filled,
+    in column order.
 
     A `time_limit` that is not finite or not above 0 raises
     `SolverRunError` before anything is written or run.
@@ -773,50 +753,57 @@ def run_external_solver(model: Model, solver_cmd: str,
     tokens = shlex.split(solver_cmd)
     projection = project_sizes(model)
     cover = capacity_cover(model, projection)
-    shape = (f"projection: {model.n_columns} -> {projection.n_columns} columns, "
-             f"{model.n_rows} -> {projection.n_rows} rows")
     with tempfile.TemporaryDirectory(prefix="upcyclenet-") as tmp:
         mps_path = Path(tmp) / "model.mps"
         sol_path = Path(tmp) / "model.sol"
         _write_batches(_projection_batches(model, projection, cover), mps_path)
         cmd = [t.replace("{mps}", str(mps_path)).replace("{sol}", str(sol_path)) for t in tokens]
         t0 = time.monotonic()
-        timed_out = False
         try:
-            proc = subprocess.run(cmd, capture_output=True, text=True, timeout=time_limit)
-            exit_code: int | None = proc.returncode
-            stdout, stderr = proc.stdout, proc.stderr
-        except subprocess.TimeoutExpired as exc:
-            timed_out = True
-            exit_code = None
-            stdout = exc.stdout.decode(errors="replace") if exc.stdout else ""
-            stderr = exc.stderr.decode(errors="replace") if exc.stderr else ""
+            run = subprocess.run(cmd, capture_output=True, timeout=time_limit)
+        except subprocess.TimeoutExpired as exc:  # holds the output so far
+            run = exc
         except FileNotFoundError as exc:
             raise SolverRunError(f"cannot spawn solver: {exc}") from exc
         elapsed = time.monotonic() - t0
-
+        exit_code = run.returncode if isinstance(run, subprocess.CompletedProcess) else None
+        stdout, stderr = (b.decode(errors="replace") if b else "" for b in (run.stdout, run.stderr))
         diag = (
-            f"cmd={' '.join(cmd)}\nexit={'timeout' if timed_out else exit_code} "
+            f"cmd={' '.join(cmd)}\nexit={'timeout' if exit_code is None else exit_code} "
             f"elapsed={elapsed:.2f}s\nstdout: {stdout[-2000:]}\nstderr: {stderr[-2000:]}"
+            f"\nprojection: {model.n_columns} -> {projection.n_columns} columns, "
+            f"{model.n_rows} -> {projection.n_rows} rows; "
         )
 
         def diagnostics(lifted: int) -> str:
-            return f"{diag}\n{shape}; {lifted} sites lifted; {cover.n_rows} cover rows"
+            return f"{diag}{lifted} sites lifted; {cover.n_rows} cover rows"
 
+        unknown = Solution(values={}, objective_reported=0.0, diagnostics=diagnostics(0))
         if not sol_path.exists():
-            return Solution(values={}, objective_reported=0.0, status="unknown",
-                            source="external", diagnostics=diagnostics(0))
+            return unknown
         try:
-            sol, declared = _parse_solution(sol_path.read_text(), model)
+            sol, declared, parsed, columns = _parse_solution(read_text(sol_path, SolutionError),
+                                                             model)
         except SolutionError as exc:
-            return Solution(values={}, objective_reported=0.0, status="unknown",
-                            source="external",
-                            diagnostics=f"{diagnostics(0)}\nparse error: {exc}")
-        if not declared:
-            if timed_out:
-                sol.status = "feasible"
-            elif exit_code != 0:
-                sol.status = "unknown"
-        sol, lifted = _lift_sizes(sol, model)
-        sol.diagnostics = diagnostics(lifted)
-        return _refine_onto_active_set(sol, model)
+            unknown.diagnostics += f"\nparse error: {exc}"
+            return unknown
+    if not declared:
+        if exit_code is None:
+            sol.status = "feasible"
+        elif exit_code != 0:
+            sol.status = "unknown"
+    x, lifted = _lift_sizes(parsed, model)
+    changed = x != parsed  # the parsed names the lift left, then the columns it filled
+    named = [(name, col) for name, col in zip(sol.values, columns) if not changed[col]]
+    named += [(model.index.column_name(col), col)
+              for col in np.flatnonzero(changed & (x != 0.0)).tolist()]
+    sol.diagnostics = diagnostics(lifted)
+    if sol.status in ("optimal", "feasible"):
+        refined, line = _refine_onto_active_set(x, model)
+        if refined is not x:
+            x = refined
+            sol.objective_reported = float(model.objective @ x)
+            sol.gap = compute_gap(sol.objective_reported, sol.bound) if sol.bound is not None else None
+        sol.diagnostics += line
+    sol.values = {name: float(x[col]) for name, col in named}
+    return sol

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
+import shlex
 import shutil
+import subprocess
+import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +32,6 @@ from upcyclenet import (
     run_external_solver,
     serialize_instance,
     solve_exact,
-    write_mps,
 )
 from upcyclenet.scenario import make_tiny_suite, single_chain_instance
 
@@ -107,7 +107,7 @@ class SuiteRecord:
     sol_scaled: Solution
     cert_scaled: OracleCertificate
     external: Solution | None
-    external_off: Solution | None  # of `model_off`; `external` when their MPS is the same
+    external_off: Solution | None  # of `model_off`; one solve with `external` if their files match
 
 
 @dataclass
@@ -126,46 +126,62 @@ def tiny_suite() -> list[Instance]:
     return make_tiny_suite(SUITE_SEED)
 
 
+def copying_solver(source: str, target: str) -> str:
+    """A solver command template that copies `source` to `target`, where
+    `"$0"` stands for the `{mps}` path and `"$1"` for the `{sol}` path."""
+    return f"sh -c {shlex.quote(f'cp {source} {target}')} {{mps}} {{sol}}"
+
+
+def solve_in_one_child(models: list[Model]) -> list[Solution]:
+    """`run_external_solver(model, adapter_template())` of each model, with
+    every distinct solver file solved once and all of them in one adapter
+    child: each model's file is written by `run_external_solver` copying it
+    out, the adapter solves the directory, and `run_external_solver` runs
+    again per model copying the solution in, so that parse, lift,
+    refinement and verification still go through the command path."""
+    with tempfile.TemporaryDirectory(prefix="suite-") as tmp:
+        stems: dict[bytes, int] = {}  # solver file -> the stem it is solved under
+        stem_of = []
+        for k, model in enumerate(models):
+            mps = Path(tmp) / f"{k}.mps"
+            run_external_solver(model, copying_solver('"$0"', shlex.quote(str(mps))))
+            stem_of.append(stems.setdefault(mps.read_bytes(), k))
+            if stem_of[-1] != k:
+                mps.unlink()
+        subprocess.run([_python3(), str(ADAPTER_PATH), tmp], check=True, timeout=120.0)
+        return [run_external_solver(model, copying_solver(shlex.quote(f"{tmp}/{stem}.sol"), '"$1"'))
+                for model, stem in zip(models, stem_of)]
+
+
 @pytest.fixture(scope="session")
 def suite_run(tiny_suite) -> SuiteRun:
     started = time.perf_counter()
-    cmd = adapter_template() if have_scipy_milp() else None
     models = [build_milp(inst, prune=True) for inst in tiny_suite]
     models_off = [build_milp(inst, prune=False) for inst in tiny_suite]
+    n = len(models)
+    externals = solve_in_one_child(models + models_off) if have_scipy_milp() else [None] * (2 * n)
     records = []
-    # each external solve waits on its own child process, so the solves
-    # overlap with each other and with the oracle passes below; a member
-    # whose two models write the same MPS is solved once
-    with ThreadPoolExecutor(max_workers=min(2, os.cpu_count() or 1)) as pool:
-        def solve(model):
-            return pool.submit(run_external_solver, model, cmd, time_limit=120.0) if cmd else None
-
-        externals = []
-        for model, model_off in zip(models, models_off):
-            on = solve(model)
-            same = write_mps(model) == write_mps(model_off)
-            externals.append((on, on if same else solve(model_off)))
-        for inst, model, model_off, pending in zip(tiny_suite, models, models_off, externals):
-            sol_on, cert_on = solve_exact(inst, prune=True)
-            sol_off, _ = solve_exact(inst, prune=False)
-            with permuted_columns(1):
-                sol_perm, cert_perm = solve_exact(inst, prune=True)
-            sol_scaled, cert_scaled = solve_exact(scale_costs(inst, COST_SCALE), prune=True)
-            external, external_off = (p.result() if p else None for p in pending)
-            records.append(
-                SuiteRecord(
-                    inst=inst,
-                    model=model,
-                    model_off=model_off,
-                    sol_on=sol_on,
-                    cert_on=cert_on,
-                    sol_off=sol_off,
-                    sol_perm=sol_perm,
-                    cert_perm=cert_perm,
-                    sol_scaled=sol_scaled,
-                    cert_scaled=cert_scaled,
-                    external=external,
-                    external_off=external_off,
-                )
+    for inst, model, model_off, external, external_off in zip(
+            tiny_suite, models, models_off, externals[:n], externals[n:]):
+        sol_on, cert_on = solve_exact(inst, prune=True)
+        sol_off, _ = solve_exact(inst, prune=False)
+        with permuted_columns(1):
+            sol_perm, cert_perm = solve_exact(inst, prune=True)
+        sol_scaled, cert_scaled = solve_exact(scale_costs(inst, COST_SCALE), prune=True)
+        records.append(
+            SuiteRecord(
+                inst=inst,
+                model=model,
+                model_off=model_off,
+                sol_on=sol_on,
+                cert_on=cert_on,
+                sol_off=sol_off,
+                sol_perm=sol_perm,
+                cert_perm=cert_perm,
+                sol_scaled=sol_scaled,
+                cert_scaled=cert_scaled,
+                external=external,
+                external_off=external_off,
             )
+        )
     return SuiteRun(records=records, wall_seconds=time.perf_counter() - started)

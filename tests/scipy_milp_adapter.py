@@ -10,6 +10,10 @@ and writes a solution file in the package's text format:
     <column> <value>                 (nonzero values only)
 
 Usage: python3 scipy_milp_adapter.py MPS_PATH SOL_PATH [TIME_LIMIT] [MIP_REL_GAP]
+       python3 scipy_milp_adapter.py DIR
+
+The second form solves every DIR/NAME.mps into DIR/NAME.sol in one
+process, so that scipy is imported once for many files.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 
 @dataclass
@@ -200,17 +205,25 @@ def write_solution_file(path: str, data: MpsData, res) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) < 3:
-        print(__doc__, file=sys.stderr)
-        return 2
-    mps_path, sol_path = argv[1], argv[2]
-    time_limit = float(argv[3]) if len(argv) > 3 else None
-    mip_rel_gap = float(argv[4]) if len(argv) > 4 else None
+def solve_file(mps_path: str, sol_path: str, time_limit: float | None = None,
+               mip_rel_gap: float | None = None) -> None:
     with open(mps_path) as fh:
         data = read_free_mps(fh.read())
     res = solve_mps(data, time_limit, mip_rel_gap)
     write_solution_file(sol_path, data, res)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and Path(argv[1]).is_dir():
+        for mps_path in sorted(Path(argv[1]).glob("*.mps")):
+            solve_file(str(mps_path), str(mps_path.with_suffix(".sol")))
+        return 0
+    if len(argv) < 3:
+        print(__doc__, file=sys.stderr)
+        return 2
+    time_limit = float(argv[3]) if len(argv) > 3 else None
+    mip_rel_gap = float(argv[4]) if len(argv) > 4 else None
+    solve_file(argv[1], argv[2], time_limit, mip_rel_gap)
     return 0
 
 

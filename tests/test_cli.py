@@ -79,6 +79,24 @@ def test_malformed_instance_reports_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--instance", "{bad}"],
+    ["verify", "--instance", "{hand}", "--solution", "{bad}"],
+    ["report", "--instance", "{hand}", "--solution", "{bad}", "--out", "{out}"],
+    ["gen", "--out", "{out}", "--spec", "{bad}"],
+], ids=["instance", "verify-solution", "report-solution", "spec"])
+def test_a_file_that_is_not_utf8_is_an_error_not_a_traceback(tmp_path, hand_file, capsys, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b'{"name": "\xff"}\n')
+    paths = {"bad": bad, "hand": hand_file, "out": tmp_path / "out"}
+    rc = cli.main([arg.format(**paths) for arg in argv])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and "is not UTF-8 text" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # validate
 

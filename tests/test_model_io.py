@@ -19,7 +19,6 @@ from upcyclenet.model import ROW_FAMILIES, Model, build_milp, capacity_cover, pr
 from upcyclenet.model_io import (
     Solution,
     _least_squares,
-    _worst_residual,
     compute_gap,
     dump_model,
     format_solution,
@@ -288,8 +287,8 @@ def test_writers_never_read_model_rows(monkeypatch, hand_model, tmp_path):
     model = two_sink_model(20.0)
     values = dict(hand_solution(model).values,
                   xdpfsnk_t1_w_dpf1_snk1=10.0 + 3e-7, xdpfsnk_t1_w_dpf1_snk2=-3e-7)
-    x = solution_vector(Solution(values=values, objective_reported=0.0), model)
-    assert _worst_residual(model, x) == (3e-7, "xdpfsnk_t1_w_dpf1_snk2")
+    report = verify_solution(Solution(values=values, objective_reported=0.0), model)
+    assert (report.worst_residual, report.worst_residual_at) == (3e-7, "xdpfsnk_t1_w_dpf1_snk2")
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
@@ -818,6 +817,32 @@ def test_unparsable_solver_output_is_unknown_with_diagnostics(hand_model, tmp_pa
     assert "parse error" in sol.diagnostics
 
 
+def test_solver_output_that_is_not_utf8_is_kept_in_diagnostics(hand_model, tmp_path):
+    expected = hand_solution(hand_model)
+    answer = tmp_path / "answer.sol"
+    answer.write_text(format_solution(expected))
+    cmd = write_script(
+        tmp_path,
+        f"""
+        sys.stdout.buffer.write(b"gap \\xff\\n")
+        sys.stderr.buffer.write(b"\\xfe warning\\n")
+        open(sys.argv[2], "w").write(open({str(answer)!r}).read())
+        """,
+    )
+    sol = run_external_solver(hand_model, cmd)
+    assert sol.status == expected.status
+    assert sol.values == expected.values
+    assert "stdout: gap \ufffd\n" in sol.diagnostics
+    assert "stderr: \ufffd warning\n" in sol.diagnostics
+
+
+def test_solution_file_that_is_not_utf8_is_unknown_with_diagnostics(hand_model, tmp_path):
+    cmd = write_script(tmp_path, """open(sys.argv[2], "wb").write(b"bcf_cf1_s1 1.0 \\xff\\n")\n""")
+    sol = run_external_solver(hand_model, cmd)
+    assert sol.status == "unknown" and sol.values == {}
+    assert "\nparse error: " in sol.diagnostics and "is not UTF-8 text" in sol.diagnostics
+
+
 # ---------------------------------------------------------------------------
 # refinement of external solutions onto their active set
 
@@ -884,7 +909,7 @@ def test_refinement_restores_balance_of_a_nudged_outflow(hand_model, tmp_path):
     assert verify_solution(sol, hand_model).passed
     # the nudge leaves the demand row slack by 5e-7, inside the active set;
     # a met row must not hold the correction back
-    assert _worst_residual(hand_model, solution_vector(sol, hand_model))[0] <= 1e-12
+    assert verify_solution(sol, hand_model).worst_residual <= 1e-12
     assert "refinement: worst residual 5.000e-07 at baldpf_t1_w_dpf1 before" in sol.diagnostics
     assert "refined values kept" in sol.diagnostics
 

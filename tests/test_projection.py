@@ -13,10 +13,11 @@ from test_milp_core import random_shape_doc
 from test_model_io import fake_solver_writing
 from upcyclenet.errors import ModelError
 from upcyclenet.instance import parse_instance, serialize_instance
-from upcyclenet.model import build_milp, flow_column_name, project_sizes
+from upcyclenet.model import VariableIndex, build_milp, flow_column_name, project_sizes
 from upcyclenet.model_io import (
     Solution,
     _lift_sizes,
+    _verify_vector,
     recompute_objective,
     run_external_solver,
     solution_vector,
@@ -222,8 +223,9 @@ def test_canonical_solutions_come_back_as_parsed(multi_size_members):
         if sol.status != "optimal":
             continue
         model = build_milp(inst)
-        lifted, sites = _lift_sizes(sol, model)
-        assert lifted is sol and sites == 0, inst.name
+        x = solution_vector(sol, model)
+        lifted, sites = _lift_sizes(x, model)
+        assert lifted is x and sites == 0, inst.name
 
 
 def test_first_size_flows_land_on_the_chosen_size(multi_size_members):
@@ -236,10 +238,9 @@ def test_first_size_flows_land_on_the_chosen_size(multi_size_members):
         values = projected_form(sol.values, model, first_sizes(inst))
         reported = Solution(values=values, objective_reported=sol.objective_reported,
                             status="optimal")
-        lifted, sites = _lift_sizes(reported, model)
-        assert np.allclose(solution_vector(lifted, model), solution_vector(sol, model),
-                           rtol=1e-12, atol=0.0), inst.name
-        assert verify_solution(lifted, model).passed, inst.name
+        lifted, sites = _lift_sizes(solution_vector(reported, model), model)
+        assert np.allclose(lifted, solution_vector(sol, model), rtol=1e-12, atol=0.0), inst.name
+        assert _verify_vector(lifted, model).passed, inst.name
         assert (sites == 0) == (values == sol.values), inst.name
         lifted_any += sites > 0
     assert lifted_any >= 20
@@ -288,3 +289,16 @@ def test_bad_solver_output_never_verifies(tmp_path, installs, failure):
     else:
         assert report.violations_by_family[failure] >= 1
     assert "worst residual" not in sol.diagnostics
+
+
+def test_each_solution_name_is_parsed_once(tmp_path, monkeypatch):
+    # parse, lift, refinement and verification share one column vector
+    model = two_size_hand_model()
+    values = {**FLOWS, "bcf_cf1_s2": 1.0}
+    parsed = []
+    parse = VariableIndex._parse
+    monkeypatch.setattr(VariableIndex, "_parse",
+                        lambda index, name: parsed.append(name) or parse(index, name))
+    sol = run_external_solver(model, fake_solver_writing(tmp_path, values, 540.0))
+    assert "1 sites lifted" in sol.diagnostics and "refinement: worst residual" in sol.diagnostics
+    assert parsed == list(values)
