@@ -335,6 +335,7 @@ def _write_batches(batches: Iterator[bytes | np.ndarray], path: Path) -> None:
 # solution parsing and formatting
 
 
+# each directive of the solution format, and what its value is called in errors
 _DIRECTIVES = {"=obj=": "objective", "=bound=": "bound", "=status=": "status"}
 
 
