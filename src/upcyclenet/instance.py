@@ -29,11 +29,11 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from .errors import InstanceError
+from .errors import InstanceError, ModelError
 
 ECHELON_TAGS = ("cf", "rtf", "cpf", "dpf")
 
-# (leg id, origin role, destination role); roles 'sources'/'sinks' or an echelon tag
+# the chain: (leg id, origin role, destination role); roles 'sources'/'sinks' or an echelon tag
 LEGS = (
     ("src_cf", "sources", "cf"),
     ("cf_rtf", "cf", "rtf"),
@@ -41,6 +41,10 @@ LEGS = (
     ("cpf_dpf", "cpf", "dpf"),
     ("dpf_sink", "dpf", "sinks"),
 )
+LEG_ROLES = {leg: (origin, dest) for leg, origin, dest in LEGS}
+LEG_INTO = {dest: leg for leg, _, dest in LEGS}  # role -> the leg ending there
+LEG_OUT_OF = {origin: leg for leg, origin, _ in LEGS}  # role -> the leg leaving it
+CHAIN_ROLES = tuple(LEG_OUT_OF) + (LEGS[-1][2],)  # sources, the echelons, sinks
 _SANITIZE_RE = re.compile(r"[^A-Za-z0-9-]")
 
 
@@ -148,22 +152,22 @@ class Instance:
         """
         if not prune:
             return self.materials
-        allowed = _leg_admissible(self, leg)
-        return tuple(p for p in self.materials if p in allowed)
+        origin, dest = LEG_ROLES[leg]
+        return tuple(p for p in self.materials
+                     if (origin not in ECHELON_TAGS or p in self.echelon(origin).outputs)
+                     and (dest not in ECHELON_TAGS or p in self.echelon(dest).inputs))
 
 
-def _leg_admissible(inst: Instance, leg: str) -> set[str]:
-    if leg == "src_cf":
-        return set(inst.cf.inputs)
-    if leg == "cf_rtf":
-        return set(inst.cf.outputs) & set(inst.rtf.inputs)
-    if leg == "rtf_cpf":
-        return set(inst.rtf.outputs) & set(inst.cpf.inputs)
-    if leg == "cpf_dpf":
-        return set(inst.cpf.outputs) & set(inst.dpf.inputs)
-    if leg == "dpf_sink":
-        return set(inst.dpf.outputs)
-    raise KeyError(leg)
+def empty_chain_positions(inst: Instance) -> tuple[str, ...]:
+    """The chain positions without a node, in chain order; see `require_chain`."""
+    return tuple(role for role in CHAIN_ROLES if not inst.role_nodes(role))
+
+
+def require_chain(inst: Instance) -> None:
+    """ModelError naming the first chain position without a node: both routes refuse it."""
+    empty = empty_chain_positions(inst)
+    if empty:
+        raise ModelError(f"echelon chain position '{empty[0]}' has no nodes")
 
 
 # ---------------------------------------------------------------------------
@@ -588,10 +592,12 @@ def validate_instance(inst: Instance) -> list[Finding]:
     """Aggregate feasibility screen; pure, returns ERROR/WARNING findings.
 
     ERROR findings mean no assignment can satisfy the model (necessary
-    conditions on aggregate capacity and demand are violated).  WARNING
+    conditions on aggregate capacity and demand are violated) or, for
+    `empty-chain-position`, that neither route builds the model.  WARNING
     findings flag suspicious data that is still solvable.
     """
-    findings: list[Finding] = []
+    findings = [Finding("ERROR", "empty-chain-position", f"echelon chain position '{role}' has no nodes")
+                for role in empty_chain_positions(inst)]
     forced_by_period = forced_inflow_tons(inst)
 
     used: set[str] = set()

@@ -31,6 +31,10 @@ Constraint rows, in emission order:
                   <= capacity * install binary
     one_size      per facility: at most one size installed
 
+Each echelon's legs in and out are `instance.LEG_INTO`/`LEG_OUT_OF`.
+Which demand and source_cap rows exist is `_demand_row_keys` and
+`_source_row_keys`, read by `build_rows` and `count_rows` alike.
+
 Column order is deterministic: the five legs in chain order, each
 lexicographic by (t, p, origin, dest, c) in instance declaration order,
 then the install binaries grouped by echelon.  Material pruning (`prune`)
@@ -98,9 +102,13 @@ from .geo import build_leg_matrices
 from .instance import (
     ECHELON_TAGS,
     FORCED_TONS_TOL,
+    LEG_INTO,
+    LEG_OUT_OF,
+    LEG_ROLES,
     LEGS,
     Instance,
     forced_inflow_tons,
+    require_chain,
     sanitize_id,
     serialize_instance,
 )
@@ -176,12 +184,10 @@ class LegSpace(_Block):
     """One leg's flow columns x[t, p, origin, dest, size]; the sink leg has
     no size axis and `sizes == ()`."""
 
-    def __init__(self, leg: str, origin_role: str, dest_role: str,
-                 axes: tuple[tuple[str, ...], ...], start: int) -> None:
+    def __init__(self, leg: str, axes: tuple[tuple[str, ...], ...], start: int) -> None:
         super().__init__(FLOW_PREFIXES[leg], axes, start)
         self.leg = leg
-        self.origin_role = origin_role
-        self.dest_role = dest_role
+        self.origin_role, self.dest_role = LEG_ROLES[leg]
         self.periods, self.materials, self.origins, self.dests = axes[:4]
         self.sizes = axes[4] if len(axes) > 4 else ()
 
@@ -220,9 +226,7 @@ class VariableIndex:
     map exists."""
 
     def __init__(self, inst: Instance, prune: bool) -> None:
-        for role in ("sources",) + ECHELON_TAGS + ("sinks",):
-            if not inst.role_nodes(role):
-                raise ModelError(f"echelon chain position '{role}' has no nodes")
+        require_chain(inst)
         periods = tuple(t.id for t in inst.periods)
         blocks: list[_Block] = []
         at = 0
@@ -232,7 +236,7 @@ class VariableIndex:
                     tuple(n.id for n in inst.role_nodes(dest_role)))
             if dest_role in ECHELON_TAGS:
                 axes += (tuple(o.id for o in inst.echelon(dest_role).size_options),)
-            blocks.append(LegSpace(leg, origin_role, dest_role, axes, at))
+            blocks.append(LegSpace(leg, axes, at))
             at += blocks[-1].count
         self.n_continuous = at
         for tag in ECHELON_TAGS:
@@ -483,35 +487,37 @@ class Model:
         return tuple(self.constraints.row(r) for r in range(self.n_rows))
 
 
-def _demand_row_keys(inst: Instance, leg4_materials: tuple[str, ...]) -> Iterator[tuple[str, str, str]]:
-    """(t, p, sink) demand keys: every defined demand entry, plus every
-    (t, p, sink) reachable by a sink-leg column.  Absent entries cap at 0;
-    without the row, an undeclared demand would silently become unlimited."""
-    leg4 = set(leg4_materials)
-    for t in inst.periods:
+def _demand_row_keys(inst: Instance, materials: tuple[str, ...]) -> Iterator[tuple[int, str, int]]:
+    """(period position, material, sink position) of each demand row: every
+    defined demand entry, plus every (t, p, sink) with p in `materials`,
+    the sink leg's.  Absent entries cap at 0; without the row, an
+    undeclared demand would silently become unlimited."""
+    for t_pos, t in enumerate(inst.periods):
         for p in inst.materials:
-            for s in inst.sinks:
-                if p in leg4 or (t.id, p) in s.demand:
-                    yield (t.id, p, s.node.id)
+            for j, s in enumerate(inst.sinks):
+                if p in materials or (t.id, p) in s.demand:
+                    yield t_pos, p, j
 
 
-def _source_row_keys(inst: Instance, leg0_materials: tuple[str, ...]) -> Iterator[tuple[str, str, str]]:
-    leg0 = set(leg0_materials)
-    for t in inst.periods:
+def _source_row_keys(inst: Instance, materials: tuple[str, ...]) -> Iterator[tuple[int, str, int]]:
+    """(period position, material, source position) of each source_cap row:
+    every positive supply entry, plus every (t, p, source) with p in
+    `materials`, the source leg's."""
+    for t_pos, t in enumerate(inst.periods):
         for p in inst.materials:
-            for s in inst.sources:
-                if p in leg0 or s.supply.get((t.id, p), 0.0) > 0.0:
-                    yield (t.id, p, s.node.id)
+            for i, s in enumerate(inst.sources):
+                if p in materials or s.supply.get((t.id, p), 0.0) > 0.0:
+                    yield t_pos, p, i
 
 
 def count_rows(inst: Instance, prune: bool = True) -> dict[str, int]:
     """Row counts per family by closed-form counting, no row objects built."""
-    leg0 = inst.leg_materials("src_cf", prune)
-    leg4 = inst.leg_materials("dpf_sink", prune)
+    shipped = inst.leg_materials(LEG_OUT_OF["sources"], prune)
+    delivered = inst.leg_materials(LEG_INTO["sinks"], prune)
     counts = {
-        "demand": sum(1 for _ in _demand_row_keys(inst, leg4)),
+        "demand": sum(1 for _ in _demand_row_keys(inst, delivered)),
         "quota": sum(1 for v in inst.quota.values() if v > 0.0),
-        "source_cap": sum(1 for _ in _source_row_keys(inst, leg0)),
+        "source_cap": sum(1 for _ in _source_row_keys(inst, shipped)),
         "flow_balance": len(inst.periods)
         * sum(len(spec.outputs) * len(spec.sites) for _, spec in inst.echelons()),
         "facility_cap": len(inst.periods)
@@ -586,9 +592,7 @@ def build_rows(inst: Instance, vindex: VariableIndex) -> RowBlock:
             seg_coef.append(coef)
         row_nnz.append(sum(len(cols) for cols, _ in segments))
 
-    leg0, leg1, leg2, leg3, leg4 = vindex.legs
-    in_leg_of = {"cf": leg0, "rtf": leg1, "cpf": leg2, "dpf": leg3}
-    out_leg_of = {"cf": leg1, "rtf": leg2, "cpf": leg3, "dpf": leg4}
+    source_leg, sink_leg = vindex.leg(LEG_OUT_OF["sources"]), vindex.leg(LEG_INTO["sinks"])
     no_cols = np.zeros(0, dtype=np.int64)
     # local to this build: kept on the blocks, the grids would hold about
     # 3 MB in every default-shape model
@@ -602,13 +606,10 @@ def build_rows(inst: Instance, vindex: VariableIndex) -> RowBlock:
         return grid[space][t, space.materials.index(p_id), i, j].ravel()
 
     # demand: inflow at a sink capped by declared demand (0 when undeclared)
-    for t_idx, t in enumerate(inst.periods):
-        for p in inst.materials:
-            for j_idx, s in enumerate(inst.sinks):
-                if not (p in leg4.materials or (t.id, p) in s.demand):
-                    continue
-                emit(_row_name("dem", t.id, p, s.node.id), (t.id, p, s.node.id),
-                     "L", s.demand.get((t.id, p), 0.0), (leg_cols(leg4, t_idx, p, j=j_idx), 1.0))
+    for t_idx, p, j_idx in _demand_row_keys(inst, sink_leg.materials):
+        t, s = inst.periods[t_idx].id, inst.sinks[j_idx]
+        emit(_row_name("dem", t, p, s.node.id), (t, p, s.node.id),
+             "L", s.demand.get((t, p), 0.0), (leg_cols(sink_leg, t_idx, p, j=j_idx), 1.0))
     family_offsets.append(len(names))
 
     # quota: collected tons of p must reach the mandated share of total supply
@@ -618,24 +619,20 @@ def build_rows(inst: Instance, vindex: VariableIndex) -> RowBlock:
             if eta <= 0.0:
                 continue
             emit(_row_name("quo", t.id, p), (t.id, p), "G",
-                 eta * inst.supply_total(t.id, p), (leg_cols(leg0, t_idx, p), 1.0))
+                 eta * inst.supply_total(t.id, p), (leg_cols(source_leg, t_idx, p), 1.0))
     family_offsets.append(len(names))
 
     # source_cap: shipments out of a source capped by its supply
-    for t_idx, t in enumerate(inst.periods):
-        for p in inst.materials:
-            for i_idx, s in enumerate(inst.sources):
-                sigma = s.supply.get((t.id, p), 0.0)
-                if not (p in leg0.materials or sigma > 0.0):
-                    continue
-                emit(_row_name("src", t.id, p, s.node.id), (t.id, p, s.node.id),
-                     "L", sigma, (leg_cols(leg0, t_idx, p, i=i_idx), 1.0))
+    for t_idx, p, i_idx in _source_row_keys(inst, source_leg.materials):
+        t, s = inst.periods[t_idx].id, inst.sources[i_idx]
+        emit(_row_name("src", t, p, s.node.id), (t, p, s.node.id),
+             "L", s.supply.get((t, p), 0.0), (leg_cols(source_leg, t_idx, p, i=i_idx), 1.0))
     family_offsets.append(len(names))
 
     # flow_balance: yield * admissible inflow == outflow, per output material
     for tag in ECHELON_TAGS:
         spec = inst.echelon(tag)
-        lin, lout = in_leg_of[tag], out_leg_of[tag]
+        lin, lout = vindex.leg(LEG_INTO[tag]), vindex.leg(LEG_OUT_OF[tag])
         admissible_in = tuple(p for p in lin.materials if p in spec.inputs)
         for t_idx, t in enumerate(inst.periods):
             for p_out in spec.outputs:
@@ -651,7 +648,7 @@ def build_rows(inst: Instance, vindex: VariableIndex) -> RowBlock:
     # facility_cap: inflow booked at size c at a site, against capacity * install
     for tag in ECHELON_TAGS:
         spec = inst.echelon(tag)
-        lin = in_leg_of[tag]
+        lin = vindex.leg(LEG_INTO[tag])
         ispace = vindex.install(tag)
         for t_idx, t in enumerate(inst.periods):
             for j_idx, site in enumerate(spec.sites):

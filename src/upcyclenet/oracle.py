@@ -9,7 +9,8 @@ certified by exhaustion.
 This module deliberately assembles its LPs straight from the instance
 rather than reusing the canonical model builder, so the two routes check
 each other: a bug would have to appear in both, in matching form, to slip
-through the equivalence tests.
+through the equivalence tests.  Only the chain's shape is shared: `instance`'s
+LEG_INTO and LEG_OUT_OF, and `require_chain`'s rule that every position has a node.
 
 It assembles one LP per instance, the all-open LP: every site open, its
 capacity rows at the widest size.  Each configuration's LP is a
@@ -67,7 +68,8 @@ import numpy as np
 
 from .errors import ModelError, OracleError
 from .geo import build_leg_matrices
-from .instance import ECHELON_TAGS, LEGS, Instance, capacity_covers, forced_inflow_tons
+from .instance import (ECHELON_TAGS, LEG_INTO, LEG_OUT_OF, LEGS, Instance, capacity_covers,
+                       forced_inflow_tons, require_chain)
 from .model import flow_column_name, install_column_name
 from .model_io import Solution
 from .simplex import LpResult, solve_lp
@@ -81,9 +83,6 @@ TIE_TOL = 1e-9
 MAX_CONFIGS = 2**20
 # most configurations screened in one numpy block; bounds the walk's memory
 _BLOCK = 1 << 14
-
-_LEG_INTO = {"cf": "src_cf", "rtf": "cf_rtf", "cpf": "rtf_cpf", "dpf": "cpf_dpf"}
-_LEG_OUT_OF = {"cf": "cf_rtf", "rtf": "rtf_cpf", "cpf": "cpf_dpf", "dpf": "dpf_sink"}
 
 
 @dataclass(frozen=True)
@@ -292,13 +291,14 @@ class _LpFactory:
 
         ids = self.ids
         mat_pos = {leg: {p: k for k, p in enumerate(mats)} for leg, mats in self.leg_mats.items()}
+        shipped, delivered = LEG_OUT_OF["sources"], LEG_INTO["sinks"]
 
         # demand: inflow at a sink capped by its declared demand (0 if absent)
         for t_pos, t in enumerate(inst.periods):
-            for p_pos, p in enumerate(self.leg_mats["dpf_sink"]):
+            for p_pos, p in enumerate(self.leg_mats[delivered]):
                 for n_pos, sink in enumerate(inst.sinks):
                     add_row("L", sink.demand.get((t.id, p), 0.0),
-                            (ids["dpf_sink"][t_pos, p_pos, :, n_pos], 1.0))
+                            (ids[delivered][t_pos, p_pos, :, n_pos], 1.0))
 
         # quota: collected tons reach the mandated share even if no CF is open
         quota_rows = []
@@ -308,21 +308,21 @@ class _LpFactory:
                 if eta <= 0.0:
                     continue
                 entries = []
-                if p in mat_pos["src_cf"]:
-                    entries.append((ids["src_cf"][t_pos, mat_pos["src_cf"][p]], 1.0))
+                if p in mat_pos[shipped]:
+                    entries.append((ids[shipped][t_pos, mat_pos[shipped][p]], 1.0))
                 quota_rows.append(add_row("G", eta * inst.supply_total(t.id, p), *entries))
 
         # source_cap: shipments out of a source limited by its supply
         for t_pos, t in enumerate(inst.periods):
-            for p_pos, p in enumerate(self.leg_mats["src_cf"]):
+            for p_pos, p in enumerate(self.leg_mats[shipped]):
                 for i_pos, src in enumerate(inst.sources):
                     add_row("L", src.supply.get((t.id, p), 0.0),
-                            (ids["src_cf"][t_pos, p_pos, i_pos, :], 1.0))
+                            (ids[shipped][t_pos, p_pos, i_pos, :], 1.0))
 
         # flow_balance at every site: yield * admissible inflow == outflow
         for tag in ECHELON_TAGS:
             spec = inst.echelon(tag)
-            lin, lout = _LEG_INTO[tag], _LEG_OUT_OF[tag]
+            lin, lout = LEG_INTO[tag], LEG_OUT_OF[tag]
             admissible = [k for k, p in enumerate(self.leg_mats[lin]) if p in spec.inputs]
             for t_pos in range(len(inst.periods)):
                 for p_out in spec.outputs:
@@ -342,7 +342,7 @@ class _LpFactory:
             spec = inst.echelon(tag)
             widest = max(o.max_capacity_tons for o in spec.size_options)
             cap_rows.append(np.array([
-                [add_row("L", widest, (ids[_LEG_INTO[tag]][t_pos, :, :, j], 1.0))
+                [add_row("L", widest, (ids[LEG_INTO[tag]][t_pos, :, :, j], 1.0))
                  for j in range(len(spec.sites))]
                 for t_pos in range(len(inst.periods))
             ], dtype=np.intp).reshape(len(inst.periods), -1).T)
@@ -429,12 +429,14 @@ def solve_exact(inst: Instance, max_configs: int = MAX_CONFIGS, prune: bool = Tr
     run, the bound LP's included; it is never converted into an
     infeasibility claim.
 
-    An instance with more than `max_configs` configurations is refused
-    with `OracleError` before any LP is assembled or solved.  `progress`,
+    An instance with an empty chain position is refused with `ModelError`
+    (`require_chain`), and one with more than `max_configs` configurations
+    with `OracleError`, before any LP is assembled or solved.  `progress`,
     if given, is called every 512 configurations with (configurations
     examined, total count).
     """
     t0 = time.monotonic()
+    require_chain(inst)
     slots = _SlotTable(inst)
     # refuse before the all-open LP is assembled
     blocks = slots.blocks(max_configs)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import ReportError
 from .geo import node_distance_km
-from .instance import ECHELON_TAGS, LEGS, Instance, Node, SizeOption
+from .instance import CHAIN_ROLES, ECHELON_TAGS, LEG_ROLES, LEGS, Instance, SizeOption
 from .model import Model, VariableIndex
 from .model_io import Solution
 
@@ -133,11 +133,7 @@ def breakdown_costs(sol: Solution, model: Model, inst: Instance) -> CostBreakdow
     not read and stays for the callers that pass it."""
     flows, installs = decode_solution(sol, inst)
     duration = {t.id: t.duration_years for t in inst.periods}
-    node_of: dict[str, dict[str, Node]] = {
-        role: {n.id: n for n in inst.role_nodes(role)}
-        for role in ("sources", "sinks") + ECHELON_TAGS
-    }
-    leg_roles = {leg: (o, d) for leg, o, d in LEGS}
+    node_of = {role: {n.id: n for n in inst.role_nodes(role)} for role in CHAIN_ROLES}
 
     horizon = inst.horizon_years()
     installation = 0.0
@@ -152,7 +148,7 @@ def breakdown_costs(sol: Solution, model: Model, inst: Instance) -> CostBreakdow
         for leg, _, _ in LEGS:
             transport[(t.id, leg)] = 0.0
     for f in flows:
-        origin_role, dest_role = leg_roles[f.leg]
+        origin_role, dest_role = LEG_ROLES[f.leg]
         dt = duration[f.period]
         if dest_role in ECHELON_TAGS:
             operating[(f.period, dest_role)] += dt * inst.echelon(dest_role).op_cost_per_ton * f.tons
@@ -236,14 +232,13 @@ def export_flows(sol: Solution, inst: Instance) -> FlowTable:
     leg_pos = {leg: k for k, (leg, _, _) in enumerate(LEGS)}
     material_pos = {p: k for k, p in enumerate(inst.materials)}
     node_pos: dict[tuple[str, str], int] = {}
-    for role in ("sources",) + ECHELON_TAGS + ("sinks",):
+    for role in CHAIN_ROLES:
         for k, n in enumerate(inst.role_nodes(role)):
             node_pos[(role, n.id)] = k
-    leg_roles = {leg: (o, d) for leg, o, d in LEGS}
 
     def sort_key(item):
         (t, leg, origin, dest, p), _ = item
-        origin_role, dest_role = leg_roles[leg]
+        origin_role, dest_role = LEG_ROLES[leg]
         return (
             period_pos[t],
             leg_pos[leg],
@@ -352,9 +347,8 @@ def compute_utilization(sol: Solution, inst: Instance) -> list[UtilizationRow]:
     """
     flows, installs = decode_solution(sol, inst)
     inflow: dict[tuple[str, str, str], float] = {}
-    leg_dest_role = {leg: d for leg, _, d in LEGS}
     for f in flows:
-        dest_role = leg_dest_role[f.leg]
+        dest_role = LEG_ROLES[f.leg][1]
         if dest_role in ECHELON_TAGS:
             key = (dest_role, f.dest, f.period)
             inflow[key] = inflow.get(key, 0.0) + f.tons

@@ -3,6 +3,8 @@
 The expensive work (oracle passes and external solves over the whole tiny
 suite, with pruning on and off) happens once per session in `suite_run`;
 the equivalence and the conservation acceptance checks both read from it.
+The other external solves that only need the adapter's answer happen once
+per session too, in one adapter child (`adapter_solves`).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from upcyclenet import (
     serialize_instance,
     solve_exact,
 )
-from upcyclenet.scenario import make_tiny_suite, single_chain_instance
+from upcyclenet.scenario import GenSpec, generate, make_tiny_suite, single_chain_instance
 
 SUITE_SEED = 2026
 COST_SCALE = 7.0
@@ -70,6 +72,33 @@ def scale_costs(inst: Instance, k: float) -> Instance:
         for option in ech["size_options"]:
             option["install_cost_annual"] *= k
     doc["transport_cost"] = {p: v * k for p, v in doc["transport_cost"].items()}
+    return parse_instance(json.dumps(doc))
+
+
+def scaled_default_shape(fraction):
+    """The default generator shape at seed 1 with every node count scaled,
+    at least one of each."""
+    base = GenSpec()
+    counts = {field: max(1, round(getattr(base, field) * fraction))
+              for field in ("n_sources", "n_cf", "n_rtf", "n_cpf", "n_dpf", "n_sinks")}
+    return generate(dataclasses.replace(base, seed=1, **counts))
+
+
+def warned_instance(code):
+    """The hand instance with a second material 'g' that the pruned model
+    cannot move: the source supplies 4 t of it under a 0.5 quota that the
+    CF does not accept (`quota-uncollectable`), or the CF makes it and the
+    RTF does not accept it (`orphan-output`).  Unpruned, 'g' may vanish at
+    that facility."""
+    doc = json.loads(serialize_instance(single_chain_instance()))
+    doc["materials"] = ["w", "g"]
+    doc["transport_cost"]["g"] = 0.1
+    if code == "quota-uncollectable":
+        doc["sources"][0]["supply"]["t1"]["g"] = 4.0
+        doc["quota"]["t1"]["g"] = 0.5
+    else:
+        doc["echelons"]["cf"]["outputs"] = ["g"]
+        doc["echelons"]["cf"]["yields"] = {"g": 1.0}
     return parse_instance(json.dumps(doc))
 
 
@@ -151,6 +180,24 @@ def solve_in_one_child(models: list[Model]) -> list[Solution]:
         subprocess.run([_python3(), str(ADAPTER_PATH), tmp], check=True, timeout=120.0)
         return [run_external_solver(model, copying_solver(shlex.quote(f"{tmp}/{stem}.sol"), '"$1"'))
                 for model, stem in zip(models, stem_of)]
+
+
+@pytest.fixture(scope="session")
+def adapter_solves() -> dict:
+    """(model, its `run_external_solver(model, adapter_template())`) by
+    case, all solved in one adapter child: "capacity-short" (the hand
+    instance with a 5 t CF), (code, prune) for each `warned_instance`, and
+    the `scaled_default_shape` fractions 0.05 and 0.10."""
+    doc = json.loads(serialize_instance(single_chain_instance()))
+    doc["echelons"]["cf"]["size_options"][0]["max_capacity_tons"] = 5.0
+    models = {"capacity-short": build_milp(parse_instance(json.dumps(doc)))}
+    for code in ("quota-uncollectable", "orphan-output"):
+        for prune in (True, False):
+            models[code, prune] = build_milp(warned_instance(code), prune=prune)
+    for fraction in (0.05, 0.10):
+        models[fraction] = build_milp(scaled_default_shape(fraction))
+    solutions = solve_in_one_child(list(models.values()))
+    return {case: (model, sol) for (case, model), sol in zip(models.items(), solutions)}
 
 
 @pytest.fixture(scope="session")

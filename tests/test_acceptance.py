@@ -7,11 +7,16 @@ pinned as module constants so a change to them is visible in review.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import upcyclenet
 from conftest import COST_SCALE, adapter_template, have_scipy_milp
 from test_milp_core import count_columns_oracle, count_rows_oracle, random_shape_doc
 from upcyclenet.instance import ECHELON_TAGS, LEGS, parse_instance, serialize_instance
@@ -301,3 +306,37 @@ def test_criterion_7_gap_plumbing_on_time_limited_run():
     assert sol.gap is not None
     expected = (sol.objective_reported - sol.bound) / sol.objective_reported
     assert abs(sol.gap - expected) <= TOL_GAP_FORMAT
+
+
+# ---------------------------------------------------------------------------
+# the package runs on numpy alone: pyproject.toml declares no other
+# dependency, and only the tests' adapter imports scipy
+
+NUMPY_ONLY_PIPELINE = """
+import sys
+from upcyclenet import (breakdown_costs, build_milp, compute_utilization, dump_model, export_flows,
+                        export_layout, format_solution, parse_solution, single_chain_instance,
+                        solve_exact, verify_solution, write_mps)
+inst = single_chain_instance()
+model = build_milp(inst)
+write_mps(model)
+dump_model(model)
+sol, _ = solve_exact(inst)
+assert verify_solution(sol, model).passed
+sol = parse_solution(format_solution(sol), model)
+breakdown_costs(sol, model, inst)
+export_flows(sol, inst)
+export_layout(sol, inst)
+compute_utilization(sol, inst)
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+"""
+
+
+def test_the_whole_pipeline_imports_no_scipy():
+    # a fresh interpreter, so that no scipy module imported by another test counts
+    paths = [str(Path(upcyclenet.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    run = subprocess.run([sys.executable, "-c", NUMPY_ONLY_PIPELINE], capture_output=True,
+                         text=True, env=env, timeout=120.0)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import adapter_template, have_scipy_milp
+from conftest import have_scipy_milp, warned_instance
 from test_acceptance import TOL_EQUIVALENCE
 from upcyclenet.instance import (
     ECHELON_TAGS,
@@ -26,30 +26,12 @@ from upcyclenet.model import (
     install_column_name,
     project_sizes,
 )
-from upcyclenet.model_io import run_external_solver, verify_solution
+from upcyclenet.model_io import verify_solution
 from upcyclenet.oracle import MAX_CONFIGS, _SlotTable, solve_exact
 from upcyclenet.scenario import GenSpec, _eta_zero_instance, generate, single_chain_instance
 
 SCREENED_CONFIGS = 512  # members with at most this many configurations are checked in full
 TEN_PERCENT_OPTIMUM = 9_259_682.4398896  # the 10% default shape, generator seed 1
-
-
-def warned_instance(code):
-    """The hand instance with a second material 'g' that the pruned model
-    cannot move: the source supplies 4 t of it under a 0.5 quota that the
-    CF does not accept (`quota-uncollectable`), or the CF makes it and the
-    RTF does not accept it (`orphan-output`).  Unpruned, 'g' may vanish at
-    that facility."""
-    doc = json.loads(serialize_instance(single_chain_instance()))
-    doc["materials"] = ["w", "g"]
-    doc["transport_cost"]["g"] = 0.1
-    if code == "quota-uncollectable":
-        doc["sources"][0]["supply"]["t1"]["g"] = 4.0
-        doc["quota"]["t1"]["g"] = 0.5
-    else:
-        doc["echelons"]["cf"]["outputs"] = ["g"]
-        doc["echelons"]["cf"]["yields"] = {"g": 1.0}
-    return parse_instance(json.dumps(doc))
 
 
 def screened(table, max_configs=MAX_CONFIGS):
@@ -190,15 +172,13 @@ def test_every_row_block_is_read_only():
 
 
 # ---------------------------------------------------------------------------
-# through the tests' scipy/HiGHS adapter
+# through the tests' scipy/HiGHS adapter, solved once per session in one
+# adapter child (`conftest.adapter_solves`)
 
 
 @pytest.mark.skipif(not have_scipy_milp(), reason="scipy.optimize.milp unavailable")
-def test_capacity_short_instance_is_infeasible_through_the_adapter():
-    doc = json.loads(serialize_instance(single_chain_instance()))
-    doc["echelons"]["cf"]["size_options"][0]["max_capacity_tons"] = 5.0
-    sol = run_external_solver(build_milp(parse_instance(json.dumps(doc))), adapter_template(),
-                              time_limit=120.0)
+def test_capacity_short_instance_is_infeasible_through_the_adapter(adapter_solves):
+    _, sol = adapter_solves["capacity-short"]
     assert sol.status == "infeasible"
     assert "; 4 cover rows" in sol.diagnostics
 
@@ -220,25 +200,18 @@ def test_unpruned_external_optima_equal_the_oracle(suite_run):
     ("quota-uncollectable", 546.0), ("orphan-output", 260.0),
 ])
 @pytest.mark.skipif(not have_scipy_milp(), reason="scipy.optimize.milp unavailable")
-def test_warned_instances_through_the_adapter(code, unpruned_objective):
-    inst = warned_instance(code)
-    pruned = run_external_solver(build_milp(inst, prune=True), adapter_template(),
-                                 time_limit=120.0)
+def test_warned_instances_through_the_adapter(adapter_solves, code, unpruned_objective):
+    _, pruned = adapter_solves[code, True]
     assert pruned.status == "infeasible"
-    model = build_milp(inst, prune=False)
-    unpruned = run_external_solver(model, adapter_template(), time_limit=120.0)
+    model, unpruned = adapter_solves[code, False]
     assert unpruned.status == "optimal"
     assert unpruned.objective_reported == pytest.approx(unpruned_objective, rel=TOL_EQUIVALENCE)
     assert verify_solution(unpruned, model).passed
 
 
 @pytest.mark.skipif(not have_scipy_milp(), reason="scipy.optimize.milp unavailable")
-def test_ten_percent_default_shape_through_the_adapter():
-    base = GenSpec()
-    counts = {f: max(1, round(getattr(base, f) * 0.1))
-              for f in ("n_sources", "n_cf", "n_rtf", "n_cpf", "n_dpf", "n_sinks")}
-    model = build_milp(generate(GenSpec(seed=1, **counts)))
-    sol = run_external_solver(model, adapter_template(), time_limit=120.0)
+def test_ten_percent_default_shape_through_the_adapter(adapter_solves):
+    model, sol = adapter_solves[0.10]
     assert sol.status == "optimal"
     assert verify_solution(sol, model).passed
     assert abs(sol.objective_reported - TEN_PERCENT_OPTIMUM) <= 1e-6 * TEN_PERCENT_OPTIMUM

@@ -5,8 +5,10 @@ import pytest
 from conftest import adapter_template, have_scipy_milp
 from test_scenario import BAD_SPECS
 from upcyclenet import cli, model_io
-from upcyclenet.instance import parse_instance, serialize_instance
+from upcyclenet.errors import ModelError
+from upcyclenet.instance import Finding, parse_instance, serialize_instance, validate_instance
 from upcyclenet.model import build_milp
+from upcyclenet.oracle import solve_exact
 from upcyclenet.scenario import make_tiny_suite, single_chain_instance
 
 
@@ -191,6 +193,36 @@ def test_solve_gate_override_reaches_infeasibility_proof(tmp_path, broken_file, 
     err = capsys.readouterr().err
     assert "status: infeasible; no solution written" in err
     assert not (tmp_path / "solution.sol").exists()
+
+
+@pytest.mark.parametrize("quota", [1.0, 0.0])
+@pytest.mark.parametrize("role", ["sources", "sinks", "cf"])
+def test_both_routes_refuse_an_empty_chain_position(tmp_path, capsys, role, quota):
+    # neither route can carry a ton through a chain with a gap: validation
+    # says so, and both refuse it with one message even past the gate,
+    # however the quota reads
+    doc = json.loads(serialize_instance(single_chain_instance()))
+    if role == "cf":
+        doc["echelons"]["cf"]["sites"] = []
+    else:
+        doc[role] = []
+    doc["quota"]["t1"]["w"] = quota
+    inst = parse_instance(json.dumps(doc))
+    message = f"echelon chain position '{role}' has no nodes"
+    assert Finding("ERROR", "empty-chain-position", message) in validate_instance(inst)
+    for route in (build_milp, solve_exact):
+        with pytest.raises(ModelError) as exc:
+            route(inst)
+        assert str(exc.value) == message
+    path = tmp_path / "gap.json"
+    path.write_text(serialize_instance(inst))
+    assert cli.main(["validate", "--instance", str(path)]) == 1
+    for engine in (["--oracle"], ["--solver-cmd", "false {mps} {sol}"]):
+        out = tmp_path / engine[0].strip("-")
+        assert cli.main(["solve", "--instance", str(path), "--out", str(out),
+                         "--override-validation", *engine]) == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not (out / "solution.sol").exists()
 
 
 @pytest.mark.skipif(not have_scipy_milp(), reason="scipy.optimize.milp unavailable")

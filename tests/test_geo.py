@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import scaled_default_shape
 from test_milp_core import random_shape_doc
-from test_oracle import scaled_default_shape
 from upcyclenet.geo import (
     EARTH_RADIUS_KM,
     build_leg_matrices,

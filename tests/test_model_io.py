@@ -388,7 +388,7 @@ def test_mps_matches_the_per_line_reference(monkeypatch, tiny_suite):
 def test_text_is_held_once(hand_model):
     """The default shape at 25%: 6.85 MB of MPS and a 4.79 MB listing.  A
     second copy of the text, encoded or decoded, would break either bound."""
-    from test_oracle import scaled_default_shape
+    from conftest import scaled_default_shape
 
     model = build_milp(scaled_default_shape(0.25))
     # CPython specialises `_decode`'s `+=` after its first few passes, so

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -7,25 +6,19 @@ import json
 import numpy as np
 import pytest
 
-from conftest import adapter_template, have_scipy_milp, permuted_columns
+from conftest import have_scipy_milp, permuted_columns, scaled_default_shape, warned_instance
 from scipy_milp_adapter import read_free_mps, solve_mps
 from test_acceptance import TOL_EQUIVALENCE, _decentralization_instance
-from test_capacity_cover import screened, warned_instance
+from test_capacity_cover import screened
 from test_instance import minimal_doc, parse_doc
 from test_milp_core import random_shape_doc
 from upcyclenet import oracle, simplex
 from upcyclenet.errors import OracleError, SimplexIterationError
 from upcyclenet.instance import parse_instance, serialize_instance, validate_instance
 from upcyclenet.model import build_milp, install_column_name
-from upcyclenet.model_io import run_external_solver, verify_solution, write_mps
+from upcyclenet.model_io import verify_solution, write_mps
 from upcyclenet.oracle import count_configurations, describe_configuration, solve_exact
-from upcyclenet.scenario import (
-    GenSpec,
-    _colocated_instance,
-    generate,
-    make_tiny_suite,
-    single_chain_instance,
-)
+from upcyclenet.scenario import _colocated_instance, make_tiny_suite, single_chain_instance
 from upcyclenet.simplex import solve_lp
 
 # ---------------------------------------------------------------------------
@@ -552,23 +545,13 @@ def test_decentralized_collection_emerges_with_expensive_raw_transport():
     assert len(open_cpf) == 1
 
 
-def scaled_default_shape(fraction):
-    """The default generator shape at seed 1 with every node count scaled,
-    at least one of each."""
-    base = GenSpec()
-    counts = {field: max(1, round(getattr(base, field) * fraction))
-              for field in ("n_sources", "n_cf", "n_rtf", "n_cpf", "n_dpf", "n_sinks")}
-    return generate(dataclasses.replace(base, seed=1, **counts))
-
-
 @pytest.mark.skipif(not have_scipy_milp(), reason="scipy.optimize.milp unavailable")
-def test_oracle_matches_the_external_route_at_five_percent():
+def test_oracle_matches_the_external_route_at_five_percent(adapter_solves):
     """Far past the tiny suite: 944,784 configurations over three periods."""
     inst = scaled_default_shape(0.05)
     assert count_configurations(inst) == 944_784
     sol, cert = solve_exact(inst)
-    model = build_milp(inst)
-    external = run_external_solver(model, adapter_template())
+    model, external = adapter_solves[0.05]
     assert sol.status == external.status == "optimal"
     assert cert.pruned + cert.infeasible + cert.solved == cert.enumerated
     assert abs(sol.objective_reported - external.objective_reported) <= \
