@@ -84,6 +84,13 @@ def scaled_default_shape(fraction):
     return generate(dataclasses.replace(base, seed=1, **counts))
 
 
+def cf_capacity_short_by(tons):
+    """The hand instance with its CF size `tons` short of the 10 t quota."""
+    doc = json.loads(serialize_instance(single_chain_instance()))
+    doc["echelons"]["cf"]["size_options"][0]["max_capacity_tons"] = 10.0 - tons
+    return parse_instance(json.dumps(doc))
+
+
 def warned_instance(code):
     """The hand instance with a second material 'g' that the pruned model
     cannot move: the source supplies 4 t of it under a 0.5 quota that the
@@ -185,12 +192,11 @@ def solve_in_one_child(models: list[Model]) -> list[Solution]:
 @pytest.fixture(scope="session")
 def adapter_solves() -> dict:
     """(model, its `run_external_solver(model, adapter_template())`) by
-    case, all solved in one adapter child: "capacity-short" (the hand
-    instance with a 5 t CF), (code, prune) for each `warned_instance`, and
-    the `scaled_default_shape` fractions 0.05 and 0.10."""
-    doc = json.loads(serialize_instance(single_chain_instance()))
-    doc["echelons"]["cf"]["size_options"][0]["max_capacity_tons"] = 5.0
-    models = {"capacity-short": build_milp(parse_instance(json.dumps(doc)))}
+    case, all solved in one adapter child: "capacity-short"
+    (`cf_capacity_short_by(5.0)`), (code, prune) for each
+    `warned_instance`, and the `scaled_default_shape` fractions 0.05 and
+    0.10."""
+    models = {"capacity-short": build_milp(cf_capacity_short_by(5.0))}
     for code in ("quota-uncollectable", "orphan-output"):
         for prune in (True, False):
             models[code, prune] = build_milp(warned_instance(code), prune=prune)

@@ -4,19 +4,16 @@ the size projection (`model.capacity_cover`): the oracle's capacity screen
 `validate_instance` reads the screen's rule too."""
 
 import itertools
-import json
 
 import numpy as np
 import pytest
 
-from conftest import have_scipy_milp, warned_instance
+from conftest import cf_capacity_short_by, have_scipy_milp, warned_instance
 from test_acceptance import TOL_EQUIVALENCE
 from upcyclenet.instance import (
     ECHELON_TAGS,
     FORCED_TONS_TOL,
     forced_inflow_tons,
-    parse_instance,
-    serialize_instance,
     validate_instance,
 )
 from upcyclenet.model import (
@@ -84,13 +81,6 @@ def test_cover_rows_keep_exactly_what_the_capacity_screen_keeps(tiny_suite, prun
 def test_cover_rows_keep_what_the_screen_keeps_on_warned_instances(code, prune):
     kept, dropped = screen_agreement(warned_instance(code), prune)
     assert kept and dropped
-
-
-def cf_capacity_short_by(tons):
-    """The hand instance with its CF size `tons` short of the 10 t quota."""
-    doc = json.loads(serialize_instance(single_chain_instance()))
-    doc["echelons"]["cf"]["size_options"][0]["max_capacity_tons"] = 10.0 - tons
-    return parse_instance(json.dumps(doc))
 
 
 def widest_is_kept(inst):
