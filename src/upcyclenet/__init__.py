@@ -34,10 +34,8 @@ from .instance import (
     SizeOption,
     Source,
     TimePeriod,
-    chain_inflow_factors,
     errors_only,
     parse_instance,
-    quota_mandated_tons,
     sanitize_id,
     serialize_instance,
     validate_instance,
@@ -114,8 +112,6 @@ __all__ = [
     "serialize_instance",
     "validate_instance",
     "errors_only",
-    "chain_inflow_factors",
-    "quota_mandated_tons",
     "Model",
     "Row",
     "RowBlock",

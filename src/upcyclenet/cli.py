@@ -116,6 +116,12 @@ def _cmd_solve(args) -> int:
     if sol.status in ("infeasible", "unknown"):
         print(f"status: {sol.status}; no solution written", file=sys.stderr)
         return 1
+    if not args.oracle:
+        report = verify_solution(sol, model)
+        if not report.passed:
+            print(report.summary(), file=sys.stderr)
+            print("error: solution failed verification; no solution written", file=sys.stderr)
+            return 1
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     sol_path = out / "solution.sol"

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
@@ -172,6 +173,27 @@ def require_chain(inst: Instance) -> None:
 
 # ---------------------------------------------------------------------------
 # document parsing
+
+
+def _load_object(text: str, what: str) -> dict:
+    """The JSON object `text` holds.  Invalid JSON, a root that is not an
+    object and a key repeated within one object are InstanceErrors that
+    start with `what`."""
+
+    def unique(pairs: list[tuple[str, Any]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+            raise InstanceError(f"{what}: duplicate key '{key}'")
+        return obj
+
+    try:
+        doc = json.loads(text, object_pairs_hook=unique)
+    except json.JSONDecodeError as exc:
+        raise InstanceError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InstanceError(f"{what} root must be an object")
+    return doc
 
 
 def _require(mapping: dict, key: str, where: str) -> Any:
@@ -325,12 +347,7 @@ def _check_unique_ids(ids: list[str], what: str) -> None:
 
 def parse_instance(text: str) -> Instance:
     """Parse a JSON instance document; raises InstanceError naming the bad field."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"document is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InstanceError("document root must be an object")
+    doc = _load_object(text, "document")
     _reject_unknown(
         doc,
         {
@@ -525,43 +542,6 @@ def errors_only(findings: list[Finding]) -> list[Finding]:
     return [f for f in findings if f.severity == "ERROR"]
 
 
-def chain_inflow_factors(inst: Instance) -> dict[str, float]:
-    """Multiplier turning mandated collection tonnage into minimum inflow per echelon.
-
-    Only materials that both leave a facility and are accepted downstream
-    propagate, so each factor is a lower bound on the forced inflow in
-    either pruning mode of the model.
-    """
-    factors = {"cf": 1.0}
-    chain = list(zip(ECHELON_TAGS, ECHELON_TAGS[1:]))
-    for up, down in chain:
-        spec_up = inst.echelon(up)
-        accepted = set(inst.echelon(down).inputs)
-        passthrough = sum(spec_up.yields[p] for p in spec_up.outputs if p in accepted)
-        factors[down] = factors[up] * passthrough
-    return factors
-
-
-def quota_mandated_tons(inst: Instance, period: str) -> tuple[float, float]:
-    """(all, collectable) tons the quota forces into collection in a period.
-
-    `all` counts every quota material; `collectable` only those the CF
-    echelon accepts and converts, which is what propagates downstream.
-    """
-    mandated_all = 0.0
-    mandated_collectable = 0.0
-    cf_inputs = set(inst.cf.inputs)
-    for p in inst.materials:
-        eta = inst.quota_at(period, p)
-        if eta <= 0.0:
-            continue
-        need = eta * inst.supply_total(period, p)
-        mandated_all += need
-        if p in cf_inputs:
-            mandated_collectable += need
-    return mandated_all, mandated_collectable
-
-
 # margin on forced tons, relative to max(1 t, forced): open capacity this far
 # short of the forced tons still carries them, in `capacity_covers` and in
 # the cover rows `model.capacity_cover` hands an external solver alike
@@ -575,17 +555,43 @@ def capacity_covers(capacity, forced):
     return forced <= capacity + FORCED_TONS_TOL * np.maximum(1.0, forced)
 
 
-def forced_inflow_tons(inst: Instance) -> dict[str, dict[str, float]]:
-    """Per period and echelon, the tons the quota provably forces into it:
-    the CF takes every mandated ton, each later echelon the collectable
-    tons times its chain inflow factor."""
-    factors = chain_inflow_factors(inst)
-    forced = {}
+def forced_inflow_tons(inst: Instance) -> np.ndarray:
+    """Read-only (echelon, period) array, echelons in ECHELON_TAGS order:
+    the tons the quota provably forces into each echelon in each period, a
+    lower bound on its inflow in either pruning mode.  The CF takes every
+    mandated ton; each later echelon the collectable ones (of materials the
+    CF accepts) times its chain inflow factor, the product of the upstream
+    yields of outputs that the next echelon accepts."""
+    factors = [1.0]
+    for up, down in zip(ECHELON_TAGS, ECHELON_TAGS[1:]):
+        spec_up, accepted = inst.echelon(up), set(inst.echelon(down).inputs)
+        factors.append(factors[-1] * sum(spec_up.yields[p] for p in spec_up.outputs if p in accepted))
+    cf_inputs = set(inst.cf.inputs)
+    mandated = []  # per period: (every mandated ton, the collectable ones)
     for t in inst.periods:
-        mandated_all, mandated_collectable = quota_mandated_tons(inst, t.id)
-        forced[t.id] = {tag: factors[tag] * (mandated_all if tag == "cf" else mandated_collectable)
-                        for tag in ECHELON_TAGS}
+        every = collectable = 0.0
+        for p in inst.materials:
+            eta = inst.quota_at(t.id, p)
+            if eta > 0.0:
+                need = eta * inst.supply_total(t.id, p)
+                every += need
+                if p in cf_inputs:
+                    collectable += need
+        mandated.append((every, collectable))
+    every, collectable = np.array(mandated).T
+    forced = np.outer(factors, collectable)
+    forced[0] = every
+    forced.flags.writeable = False
     return forced
+
+
+def transport_rates(inst: Instance, leg: str, materials: tuple[str, ...]) -> np.ndarray:
+    """Cost per ton-km of each of `materials` riding `leg`, in their order;
+    a material without a `transport_cost` entry is a ModelError."""
+    for p in materials:
+        if p not in inst.transport_cost:
+            raise ModelError(f"material '{p}' rides leg '{leg}' but has no transport_cost entry")
+    return np.array([inst.transport_cost[p] for p in materials], dtype=np.float64)
 
 
 def validate_instance(inst: Instance) -> list[Finding]:
@@ -598,7 +604,10 @@ def validate_instance(inst: Instance) -> list[Finding]:
     """
     findings = [Finding("ERROR", "empty-chain-position", f"echelon chain position '{role}' has no nodes")
                 for role in empty_chain_positions(inst)]
-    forced_by_period = forced_inflow_tons(inst)
+    forced = forced_inflow_tons(inst)
+    # per echelon, the capacity of every site open at its largest size
+    widest = [sum(max(o.max_capacity_tons for o in spec.size_options) for _ in spec.sites)
+              for _, spec in inst.echelons()]
 
     used: set[str] = set()
     for _, spec in inst.echelons():
@@ -637,7 +646,7 @@ def validate_instance(inst: Instance) -> list[Finding]:
                     )
                 )
 
-    for t in inst.periods:
+    for k, t in enumerate(inst.periods):
         for p in inst.materials:
             eta = inst.quota_at(t.id, p)
             if eta > 0.0 and inst.supply_total(t.id, p) == 0.0:
@@ -649,26 +658,23 @@ def validate_instance(inst: Instance) -> list[Finding]:
                     )
                 )
 
-        forced = forced_by_period[t.id]
-        if forced["cf"] <= 0.0:
+        if forced[0, k] <= 0.0:
             continue
 
-        for tag, spec in inst.echelons():
-            forced_in = forced[tag]
-            agg_cap = sum(max(o.max_capacity_tons for o in spec.size_options) for s in spec.sites)
-            if not capacity_covers(agg_cap, forced_in):
+        for e, tag in enumerate(ECHELON_TAGS):
+            if not capacity_covers(widest[e], forced[e, k]):
                 findings.append(
                     Finding(
                         "ERROR",
                         f"aggregate-{tag}-capacity-short",
-                        f"period '{t.id}': quota forces {forced_in:.6g} t into {tag.upper()} "
-                        f"but aggregate capacity over all sites is only {agg_cap:.6g} t",
+                        f"period '{t.id}': quota forces {forced[e, k]:.6g} t into {tag.upper()} "
+                        f"but aggregate capacity over all sites is only {widest[e]:.6g} t",
                     )
                 )
 
         # everything leaving the DPF must fit inside sink demand, material by material
         for p in inst.dpf.outputs:
-            forced_out = inst.dpf.yields[p] * forced["dpf"]
+            forced_out = inst.dpf.yields[p] * forced[-1, k]
             cap = inst.demand_total(t.id, p)
             if not capacity_covers(cap, forced_out):
                 findings.append(

@@ -78,7 +78,7 @@ smaller problem; `write_mps` and the listing keep the canonical model.
 
 Capacity cover.  `Model.forced_tons` holds the tons the quota forces
 through each echelon in each period (`instance.forced_inflow_tons`, the
-rule the oracle's capacity screen reads too).  `capacity_cover` states
+array the oracle's capacity screen reads too).  `capacity_cover` states
 that screen as one pure-binary `G` row per (echelon, period) over the
 projection's columns: installed capacity covers the forced tons.  The
 other rows imply it, so the optimum and the LP bound stay; the solver
@@ -111,6 +111,7 @@ from .instance import (
     require_chain,
     sanitize_id,
     serialize_instance,
+    transport_rates,
 )
 
 FLOW_PREFIXES = {
@@ -461,8 +462,8 @@ class Model:
     index: VariableIndex
     objective: np.ndarray
     constraints: RowBlock
-    # read-only (echelon, period): the tons the quota forces through each
-    # echelon (ECHELON_TAGS order) in each period, from `forced_inflow_tons`
+    # `forced_inflow_tons(inst)`: read-only (echelon, period), the tons the
+    # quota forces through each echelon (ECHELON_TAGS order) in each period
     forced_tons: np.ndarray
     fingerprint: str
 
@@ -541,12 +542,7 @@ def build_objective(inst: Instance, vindex: VariableIndex,
     for space, km in zip(vindex.legs, dists):
         if not space.count:
             continue
-        for p in space.materials:
-            if p not in inst.transport_cost:
-                raise ModelError(
-                    f"material '{p}' rides leg '{space.leg}' but has no transport_cost entry"
-                )
-        rate = np.array([inst.transport_cost[p] for p in space.materials], dtype=np.float64)
+        rate = transport_rates(inst, space.leg, space.materials)
         op = inst.echelon(space.dest_role).op_cost_per_ton if space.dest_role in ECHELON_TAGS else 0.0
         # per-ton cost, shape (T, P, O, D): dt * (op + 2 * km * rate)
         per_ton = dt[:, None, None, None] * (
@@ -687,17 +683,13 @@ def build_milp(inst: Instance, prune: bool = True) -> Model:
     constraints = build_rows(inst, vindex)
     counts = count_rows(inst, prune)
     assert constraints.n_rows == counts["total"], "row generation disagrees with closed-form count"
-    forced = forced_inflow_tons(inst)
-    forced_tons = np.array([[forced[t.id][tag] for t in inst.periods] for tag in ECHELON_TAGS],
-                           dtype=np.float64)
-    forced_tons.flags.writeable = False
     fingerprint = hashlib.sha256(serialize_instance(inst).encode()).hexdigest()
     return Model(
         prune=prune,
         index=vindex,
         objective=objective,
         constraints=constraints,
-        forced_tons=forced_tons,
+        forced_tons=forced_inflow_tons(inst),
         fingerprint=fingerprint,
     )
 

@@ -63,8 +63,12 @@ class Solution:
     status: str = "unknown"
     source: str = "external"  # 'oracle' | 'external'
     bound: float | None = None
-    gap: float | None = None
     diagnostics: str = ""
+
+    @property
+    def gap(self) -> float | None:
+        """`compute_gap(objective_reported, bound)`, None without a bound."""
+        return None if self.bound is None else compute_gap(self.objective_reported, self.bound)
 
     def value(self, name: str) -> float:
         return self.values.get(name, 0.0)
@@ -393,8 +397,7 @@ def _parse_solution(text: str, model: Model) -> tuple[Solution, bool, np.ndarray
     status = declared.get("=status=", "feasible" if values or objective is not None else "unknown")
     if objective is None:
         objective = _objective_sum(model, columns, values.values())
-    sol = Solution(values=values, objective_reported=objective, status=status, bound=bound,
-                   gap=None if bound is None else compute_gap(objective, bound))
+    sol = Solution(values=values, objective_reported=objective, status=status, bound=bound)
     return sol, "=status=" in declared, _dense(model, columns, values.values()), columns
 
 
@@ -495,9 +498,11 @@ def verify_solution(sol: Solution, model: Model, tol: float = 1e-6) -> Verificat
     """Recheck every row, sign bound and binary against the raw model data.
 
     PASS means all row activities land within `tol` (absolute) of their
-    sense, every binary is within 1e-6 of 0 or 1, no flow is below -tol and
-    every value is finite.  A row whose activity is not finite counts as
-    infinitely violated.  The first row in emission order wins a tie for
+    sense, every binary is within 1e-6 of 0 or 1, no flow is below -tol,
+    every value is finite and the reported objective is within 1e-6
+    relative (to max(1, |recomputed|)) of the one recomputed from the
+    values; a mismatch also adds a message.  A row whose activity is not
+    finite counts as infinitely violated.  The first row in emission order wins a tie for
     the worst violation.  The report never raises on violations; it
     carries them, and also the worst residual over rows, flow signs and
     binaries and where it is.  A `tol` that is not finite or is below 0
@@ -510,6 +515,7 @@ def verify_solution(sol: Solution, model: Model, tol: float = 1e-6) -> Verificat
     if sol.objective_reported != 0.0 or recomputed != 0.0:
         denom = max(1.0, abs(recomputed))
         if abs(recomputed - sol.objective_reported) > 1e-6 * denom:
+            report.passed = False
             report.messages.append(
                 f"reported objective {sol.objective_reported!r} differs from "
                 f"recomputed {recomputed!r}"
@@ -804,7 +810,6 @@ def run_external_solver(model: Model, solver_cmd: str,
         if refined is not x:
             x = refined
             sol.objective_reported = float(model.objective @ x)
-            sol.gap = compute_gap(sol.objective_reported, sol.bound) if sol.bound is not None else None
         sol.diagnostics += line
     sol.values = {name: float(x[col]) for name, col in named}
     return sol

@@ -66,10 +66,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ModelError, OracleError
+from .errors import OracleError
 from .geo import build_leg_matrices
 from .instance import (ECHELON_TAGS, LEG_INTO, LEG_OUT_OF, LEGS, Instance, capacity_covers,
-                       forced_inflow_tons, require_chain)
+                       forced_inflow_tons, require_chain, transport_rates)
 from .model import flow_column_name, install_column_name
 from .model_io import Solution
 from .simplex import LpResult, solve_lp
@@ -156,9 +156,7 @@ class _SlotTable:
         # every site open at the size with the largest capacity, first on a tie
         self.widest: Configuration = tuple(1 + s.caps.index(max(s.caps)) for s in slots)
         # per echelon: the largest tonnage the quota forces through it
-        per_period = forced_inflow_tons(inst).values()
-        self.forced = np.array([max([0.0] + [f[tag] for f in per_period])
-                                for tag in ECHELON_TAGS])
+        self.forced = forced_inflow_tons(inst).max(axis=1, initial=0.0)
         # per slot, what each choice adds: rows are the echelons' open
         # capacity, then the install cost; column 0 (closed) adds nothing
         self._adds = []
@@ -259,13 +257,7 @@ class _LpFactory:
         costs = []
         n = 0
         for (leg, _, dest_role), km in zip(LEGS, build_leg_matrices(inst)):
-            mats = self.leg_mats[leg]
-            for p in mats:
-                if p not in inst.transport_cost:
-                    raise ModelError(
-                        f"material '{p}' rides leg '{leg}' but has no transport_cost entry"
-                    )
-            rate = np.array([inst.transport_cost[p] for p in mats], dtype=np.float64)
+            rate = transport_rates(inst, leg, self.leg_mats[leg])
             op = inst.echelon(dest_role).op_cost_per_ton if dest_role in ECHELON_TAGS else 0.0
             # (T, P, O, D) per-ton coefficient
             cost = dt[:, None, None, None] * (
@@ -506,6 +498,5 @@ def solve_exact(inst: Instance, max_configs: int = MAX_CONFIGS, prune: bool = Tr
         status="optimal",
         source="oracle",
         bound=best_obj,
-        gap=0.0,
     )
     return sol, cert

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 from .errors import ReportError
 from .geo import node_distance_km
-from .instance import CHAIN_ROLES, ECHELON_TAGS, LEG_ROLES, LEGS, Instance, SizeOption
+from .instance import (CHAIN_ROLES, ECHELON_TAGS, LEG_ROLES, LEGS, Instance, SizeOption,
+                       transport_rates)
 from .model import Model, VariableIndex
 from .model_io import Solution
 
@@ -134,6 +135,9 @@ def breakdown_costs(sol: Solution, model: Model, inst: Instance) -> CostBreakdow
     flows, installs = decode_solution(sol, inst)
     duration = {t.id: t.duration_years for t in inst.periods}
     node_of = {role: {n.id: n for n in inst.role_nodes(role)} for role in CHAIN_ROLES}
+    riding = {leg: tuple(dict.fromkeys(f.material for f in flows if f.leg == leg)) for leg in LEG_ROLES}
+    rate = {leg: dict(zip(mats, transport_rates(inst, leg, mats).tolist()))
+            for leg, mats in riding.items()}
 
     horizon = inst.horizon_years()
     installation = 0.0
@@ -155,7 +159,7 @@ def breakdown_costs(sol: Solution, model: Model, inst: Instance) -> CostBreakdow
         km = node_distance_km(
             node_of[origin_role][f.origin], node_of[dest_role][f.dest], inst.circuity_factor
         )
-        transport[(f.period, f.leg)] += 2.0 * dt * km * inst.transport_cost[f.material] * f.tons
+        transport[(f.period, f.leg)] += 2.0 * dt * km * rate[f.leg][f.material] * f.tons
 
     total = installation + sum(operating.values()) + sum(transport.values())
     rel_tol = 1e-9 if sol.source == "oracle" else 1e-6

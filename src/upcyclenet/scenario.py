@@ -37,6 +37,7 @@ from .instance import (
     ECHELON_TAGS,
     Instance,
     _as_number,
+    _load_object,
     _reject_unknown,
     _require,
     parse_instance,
@@ -137,12 +138,7 @@ class GenSpec:
     def from_json(text: str, seed: int | None = None) -> "GenSpec":
         """A spec from a JSON object of field overrides; every field's type
         and shape is checked, and a bad one is an InstanceError naming it."""
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InstanceError(f"generator spec is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise InstanceError("generator spec root must be an object")
+        doc = _load_object(text, "generator spec")
         kwargs: dict = {}
         for key, value in doc.items():
             where = f"generator spec: {key}"

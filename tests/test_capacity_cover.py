@@ -3,17 +3,20 @@ the size projection (`model.capacity_cover`): the oracle's capacity screen
 (`oracle._SlotTable.blocks`) stated as one row per echelon and period.
 `validate_instance` reads the screen's rule too."""
 
-import itertools
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from conftest import cf_capacity_short_by, have_scipy_milp, warned_instance
+from conftest import cf_capacity_short_by, have_scipy_milp, scaled_default_shape, warned_instance
 from test_acceptance import TOL_EQUIVALENCE
 from upcyclenet.instance import (
     ECHELON_TAGS,
     FORCED_TONS_TOL,
     forced_inflow_tons,
+    parse_instance,
+    serialize_instance,
     validate_instance,
 )
 from upcyclenet.model import (
@@ -112,12 +115,11 @@ def test_validation_errs_exactly_when_the_screen_drops_the_widest_configuration(
 def test_cover_rows_on_the_hand_instance():
     inst = single_chain_instance()
     model, projection, cover = cover_of(inst, prune=True)
-    forced = forced_inflow_tons(inst)["t1"]
+    forced = forced_inflow_tons(inst)[:, 0].tolist()
     assert cover.names == ("covcf_t1", "covrtf_t1", "covcpf_t1", "covdpf_t1")
     assert cover.keys == tuple((tag, "t1") for tag in ECHELON_TAGS)
     assert cover.sense.tolist() == ["G"] * 4
-    assert cover.rhs.tolist() == [forced[tag] - FORCED_TONS_TOL * max(1.0, forced[tag])
-                                  for tag in ECHELON_TAGS]
+    assert cover.rhs.tolist() == [tons - FORCED_TONS_TOL * max(1.0, tons) for tons in forced]
     # one install binary per echelon, at its capacity
     for r, tag in enumerate(ECHELON_TAGS):
         cols = cover.indices[cover.indptr[r]:cover.indptr[r + 1]]
@@ -142,11 +144,47 @@ def test_cover_rows_read_the_forced_tons_of_every_period():
     periods = [t.id for t in inst.periods]
     assert model.forced_tons.shape == (len(ECHELON_TAGS), len(periods))
     assert not model.forced_tons.flags.writeable
-    expected = [(tag, t) for tag, t in itertools.product(ECHELON_TAGS, periods)
-                if forced[t][tag] > 0.0]
+    expected = [(tag, t) for e, tag in enumerate(ECHELON_TAGS) for k, t in enumerate(periods)
+                if forced[e, k] > 0.0]
     assert cover.keys == tuple(expected)
     assert cover.names == tuple(f"cov{tag}_{t}" for tag, t in expected)
 
+
+
+def starved(inst, k):
+    """`inst` with every size option's capacity and every sink's demand
+    times `k`."""
+    doc = json.loads(serialize_instance(inst))
+    for ech in doc["echelons"].values():
+        for option in ech["size_options"]:
+            option["max_capacity_tons"] *= k
+    for sink in doc["sinks"]:
+        for tons in sink.get("demand", {}).values():
+            for p in tons:
+                tons[p] *= k
+    return parse_instance(json.dumps(doc))
+
+
+# recorded from `build_milp(inst).forced_tons` and `validate_instance` when
+# the forced tons were a dict per period, before they became one array
+FORCED_TONS_SHA256 = "74f983b60a715f592a3c2f9026bcf2b3b3dfe09348d8ad9bb98ed3ef21aa4fbc"
+FINDINGS_SHA256 = "9cd461df131a32f21f82d1bdd06e5dc613ea682f8ce870be46b9c4d7b5e32a84"
+
+
+def test_forced_tons_and_findings_are_pinned(tiny_suite):
+    """Every forced ton keeps its bits and every finding its text and
+    place, on the tiny suite, the warned instances and two default shapes,
+    and on each of them starved to 30% capacity and demand, where every
+    capacity and demand error fires."""
+    cases = tiny_suite + [warned_instance(code) for code in ("quota-uncollectable", "orphan-output")]
+    cases += [scaled_default_shape(fraction) for fraction in (0.05, 0.10)]
+    cases += [starved(inst, 0.3) for inst in cases]
+    tons, findings = hashlib.sha256(), hashlib.sha256()
+    for inst in cases:
+        tons.update(forced_inflow_tons(inst).tobytes())
+        findings.update("".join(f"{f}\n" for f in validate_instance(inst)).encode() + b"\n")
+    assert tons.hexdigest() == FORCED_TONS_SHA256
+    assert findings.hexdigest() == FINDINGS_SHA256
 
 
 def test_every_row_block_is_read_only():

@@ -1,8 +1,9 @@
 import json
+import shlex
 
 import pytest
 
-from conftest import adapter_template, have_scipy_milp
+from conftest import adapter_template, copying_solver, have_scipy_milp
 from test_scenario import BAD_SPECS
 from upcyclenet import cli, model_io
 from upcyclenet.errors import ModelError
@@ -239,6 +240,21 @@ def test_solve_external_adapter(tmp_path, hand_file, capsys):
     assert (tmp_path / "solution.sol").is_file()
 
 
+def test_solve_writes_no_solution_that_fails_verification(tmp_path, hand_file, capsys):
+    # a solver that claims the optimum but sets no column
+    claim = tmp_path / "claim.sol"
+    claim.write_text("=status= optimal\n=obj= 540.0\n")
+    out = tmp_path / "run"
+    rc = cli.main(["solve", "--instance", str(hand_file), "--out", str(out),
+                   "--solver-cmd", copying_solver(shlex.quote(str(claim)), '"$1"')])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "verification FAIL" in captured.err
+    assert "error: solution failed verification; no solution written" in captured.err
+    assert not (out / "solution.sol").exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -262,6 +278,18 @@ def test_verify_flags_tampered_solution(solved_dir, hand_file, capsys):
     )
     assert rc == 1
     assert "verification FAIL" in capsys.readouterr().out
+
+
+def test_verify_fails_a_wrong_reported_objective(solved_dir, hand_file, capsys):
+    sol_path = solved_dir / "solution.sol"
+    text = sol_path.read_text()
+    assert "=obj= 540.0\n" in text
+    sol_path.write_text(text.replace("=obj= 540.0\n", "=obj= 1.0\n"))
+    rc = cli.main(["verify", "--instance", str(hand_file), "--solution", str(sol_path)])
+    assert rc == 1
+    stdout = capsys.readouterr().out
+    assert "verification FAIL" in stdout
+    assert "reported objective 1.0 differs from recomputed 540.0" in stdout
 
 
 def test_verify_and_report_reject_a_tolerance_that_passes_anything(

@@ -5,10 +5,9 @@ import pytest
 from upcyclenet.errors import InstanceError
 from upcyclenet.instance import (
     ECHELON_TAGS,
-    chain_inflow_factors,
     errors_only,
+    forced_inflow_tons,
     parse_instance,
-    quota_mandated_tons,
     sanitize_id,
     serialize_instance,
     validate_instance,
@@ -172,9 +171,9 @@ def test_leg_materials_pruning_matches_set_arithmetic():
 
 def test_chain_inflow_factors_hand_oracle():
     inst = parse_doc(minimal_doc())
-    # cf passes w at 1.0, rtf turns w into g at 0.5, cpf and dpf pass g at 1.0
-    factors = chain_inflow_factors(inst)
-    assert factors == {"cf": 1.0, "rtf": 1.0, "cpf": 0.5, "dpf": 0.5}
+    # cf passes w at 1.0, rtf turns w into g at 0.5, cpf and dpf pass g at 1.0:
+    # factors 1, 1, 0.5, 0.5 on the 10 t the quota mandates
+    assert forced_inflow_tons(inst).tolist() == [[10.0], [10.0], [5.0], [5.0]]
 
 
 def test_chain_inflow_factors_drop_unaccepted_outputs():
@@ -182,20 +181,30 @@ def test_chain_inflow_factors_drop_unaccepted_outputs():
     # rtf also produces 'w', which cpf does not accept: it must not propagate
     doc["echelons"]["rtf"]["outputs"] = ["g", "w"]
     doc["echelons"]["rtf"]["yields"] = {"g": 0.5, "w": 0.3}
-    factors = chain_inflow_factors(parse_doc(doc))
-    assert factors["cpf"] == pytest.approx(0.5)
+    forced = forced_inflow_tons(parse_doc(doc))
+    assert forced[ECHELON_TAGS.index("cpf"), 0] == pytest.approx(0.5 * 10.0)
 
 
 def test_quota_mandated_tons_hand_oracle():
     inst = parse_doc(minimal_doc())
     # eta 0.5 on 20 t of w, and w is collectable
-    assert quota_mandated_tons(inst, "t1") == (10.0, 10.0)
+    assert forced_inflow_tons(inst)[:2, 0].tolist() == [10.0, 10.0]
 
     doc = minimal_doc(quota={"t1": {"g": 1.0}})
     doc["sources"][0]["supply"]["t1"]["g"] = 8.0
     inst2 = parse_doc(doc)
     # g is under quota but not a cf input: mandated yes, collectable no
-    assert quota_mandated_tons(inst2, "t1") == (8.0, 0.0)
+    assert forced_inflow_tons(inst2).tolist() == [[8.0], [0.0], [0.0], [0.0]]
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda text: text.replace('"w": 20.0', '"w": 10.0, "w": 99.0'), "w"),
+    (lambda text: text.replace('"name": "minimal"', '"name": "minimal", "name": "other"'), "name"),
+])
+def test_parse_rejects_a_repeated_key(edit, key):
+    text = edit(json.dumps(minimal_doc()))
+    with pytest.raises(InstanceError, match=f"^document: duplicate key '{key}'$"):
+        parse_instance(text)
 
 
 def test_validator_clean_on_consistent_instance():

@@ -524,6 +524,17 @@ def test_compute_gap_semantics():
     assert compute_gap(0.0, -5.0) is None
 
 
+def test_gap_follows_the_objective_and_the_bound(hand_model):
+    sol = parse_solution("=obj= 550.0\n=bound= 540.0\n", hand_model)
+    assert sol.gap == compute_gap(550.0, 540.0)
+    sol.objective_reported = 600.0
+    assert sol.gap == compute_gap(600.0, 540.0)
+    sol.bound = None
+    assert sol.gap is None
+    with pytest.raises(TypeError):
+        Solution(values={}, objective_reported=0.0, gap=0.0)
+
+
 # ---------------------------------------------------------------------------
 # verification
 
@@ -672,12 +683,18 @@ def test_verify_worst_row_ties_and_clean_solutions(hand_model):
     assert clean.worst_row is None and clean.worst_violation == 0.0
 
 
-def test_objective_mismatch_is_message_not_failure(hand_model):
+def test_objective_mismatch_fails_verification(hand_model):
     sol = hand_solution(hand_model)
     sol.objective_reported = 1.0
     report = verify_solution(sol, hand_model)
-    assert report.passed
-    assert any("differs" in m for m in report.messages)
+    assert not report.passed
+    assert report.summary().startswith("verification FAIL")
+    assert "reported objective 1.0 differs from recomputed 540.0" in report.messages
+    # the rule is 1e-6 relative to max(1, |recomputed|)
+    sol.objective_reported = 540.0 * (1.0 + 0.9e-6)
+    assert verify_solution(sol, hand_model).passed
+    sol.objective_reported = 540.0 * (1.0 + 1.1e-6)
+    assert not verify_solution(sol, hand_model).passed
 
 
 # ---------------------------------------------------------------------------

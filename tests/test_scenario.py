@@ -85,6 +85,11 @@ def test_genspec_from_json_rejects_bad_field_types(doc, message):
     assert message in str(err.value)
 
 
+def test_genspec_from_json_rejects_a_repeated_key():
+    with pytest.raises(InstanceError, match="^generator spec: duplicate key 'n_sources'$"):
+        GenSpec.from_json('{"n_sources": 3, "n_sources": 500}')
+
+
 def test_genspec_from_json_counts_are_integers_not_bools():
     for field in ("n_cf", "n_periods", "seed"):
         with pytest.raises(InstanceError, match=field):
