@@ -62,8 +62,9 @@ key off the same parse.  The rows are one
 read-only CSR block (`RowBlock`: `indptr`, `indices`, `data`,
 `sense`/`rhs` arrays, per-row names and keys, family offsets), built from
 whole column ranges of the blocks.  `Model.rows` offers the same rows as
-`Row` tuples for tests and the benchmark's workloads.  This module holds
-the representation; `model_io` alone turns a model into text.
+`Row` objects for tests and the benchmark's workloads, each reading its
+entries in place through read-only views of the CSR arrays.  This module
+holds the representation; `model_io` alone turns a model into text.
 
 Size projection.  The size index on flows costs columns, not LP
 strength: per-ton costs do not depend on the size, and `one_size` installs
@@ -382,15 +383,20 @@ def count_columns(inst: Instance, prune: bool = True) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Row:
-    """One constraint row as plain tuples, for per-row reference checks."""
+    """One constraint row, for per-row reference checks.  `cols` and
+    `coefs` are read-only memoryviews of its slice of the block's
+    `indices` and `data`, not copies: iterating them gives Python ints and
+    floats, and an empty row's views are falsy.  Rows compare equal by
+    value; a memoryview of int64 or float64 cannot be hashed, so neither
+    can a `Row`.  `family` is "" for a row that belongs to no family."""
 
     name: str
     family: str
     key: tuple
     sense: str  # 'L' <=, 'G' >=, 'E' ==
     rhs: float
-    cols: tuple[int, ...]
-    coefs: tuple[float, ...]
+    cols: memoryview  # int64 column numbers
+    coefs: memoryview  # float64 coefficients, one per column
 
     def activity(self, values: np.ndarray) -> float:
         return float(sum(v * values[c] for c, v in zip(self.cols, self.coefs)))
@@ -404,7 +410,8 @@ class RowBlock:
     `data[...]` in the same slice.  Families occupy contiguous row ranges
     in ROW_FAMILIES order: family k is rows
     `family_offsets[k]:family_offsets[k + 1]`.  Rows past the last offset
-    belong to no family; only `capacity_cover`'s rows do that.
+    belong to no family (`Row.family` is ""); only `capacity_cover`'s
+    rows do that.
     """
 
     indptr: np.ndarray  # int64, n_rows + 1
@@ -439,18 +446,21 @@ class RowBlock:
         return act
 
     def row(self, r: int) -> Row:
-        """Row r as a `Row`, for tests and the benchmark's workloads only."""
+        """Row r as a `Row`, for tests and the benchmark's workloads only.
+        Its `cols` and `coefs` are views of this block's arrays, not copies."""
         lo, hi = self.indptr[r], self.indptr[r + 1]
+        # the last family starting at or before r: an empty family starts
+        # where the next one does, so it is never the one found; a row past
+        # the last offset finds the end of ROW_FAMILIES and has family ""
+        k = bisect.bisect_right(self.family_offsets, r) - 1
         return Row(
             name=self.names[r],
-            # the last family starting at or before r: an empty family
-            # starts where the next one does, so it is never the one found
-            family=ROW_FAMILIES[bisect.bisect_right(self.family_offsets, r) - 1],
+            family=ROW_FAMILIES[k] if k < len(ROW_FAMILIES) else "",
             key=self.keys[r],
             sense=str(self.sense[r]),
             rhs=float(self.rhs[r]),
-            cols=tuple(self.indices[lo:hi].tolist()),
-            coefs=tuple(self.data[lo:hi].tolist()),
+            cols=memoryview(self.indices)[lo:hi],
+            coefs=memoryview(self.data)[lo:hi],
         )
 
 
@@ -481,10 +491,11 @@ class Model:
 
     @property
     def rows(self) -> tuple[Row, ...]:
-        """The rows as `Row` tuples, built from `constraints` on each access
-        and not kept, so a model never holds its matrix twice.  Only tests
-        and the benchmark's workloads read it; the package's writers,
-        readers and verification use `constraints`."""
+        """The rows as `Row` objects, one per row, built from `constraints`
+        on each access and not kept.  Each reads its entries through views
+        of the CSR arrays, so the matrix is never copied.  Only tests and
+        the benchmark's workloads read it; the package's writers, readers
+        and verification use `constraints`."""
         return tuple(self.constraints.row(r) for r in range(self.n_rows))
 
 

@@ -199,6 +199,22 @@ def test_every_row_block_is_read_only():
                 array[:1] = array[:1]
 
 
+def test_cover_rows_read_as_rows_of_no_family():
+    """`RowBlock.row` on every row of the 10% default shape's cover block:
+    each belongs to no family, and its views hold its CSR slice."""
+    _, _, cover = cover_of(scaled_default_shape(0.10), prune=True)
+    assert cover.n_rows == 12
+    for r in range(cover.n_rows):
+        row = cover.row(r)
+        lo, hi = cover.indptr[r], cover.indptr[r + 1]
+        assert (row.name, row.family, row.key) == (cover.names[r], "", cover.keys[r])
+        assert (row.sense, row.rhs) == ("G", cover.rhs[r])
+        assert row.cols.tolist() == cover.indices[lo:hi].tolist()
+        assert row.coefs.tolist() == cover.data[lo:hi].tolist()
+        assert np.shares_memory(np.asarray(row.cols), cover.indices)
+        assert np.shares_memory(np.asarray(row.coefs), cover.data)
+
+
 # ---------------------------------------------------------------------------
 # through the tests' scipy/HiGHS adapter, solved once per session in one
 # adapter child (`conftest.adapter_solves`)

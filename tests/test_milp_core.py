@@ -1,10 +1,12 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import scaled_default_shape
 from scipy_milp_adapter import read_free_mps
 from test_instance import minimal_doc, parse_doc
 from upcyclenet import model_io
@@ -499,6 +501,52 @@ def test_one_size_rows_even_with_single_option():
     for r in ones:
         assert r.sense == "L" and r.rhs == 1.0
         assert all(v == 1.0 for v in r.coefs)
+
+
+def test_rows_are_read_only_views_of_the_constraint_arrays():
+    """`Model.rows` copies no entry, at the 50% default shape: each row's
+    `cols` and `coefs` are read-only views of its slice of
+    `constraints.indices` and `.data` that iterate as Python ints and
+    floats.  Two memoryviews and a `Row` cost about 0.7 KB, whatever the
+    row's length, so one `Model.rows` stays under 1 KiB per row, while
+    the entries take over 2 KiB per row and a copy of them cannot fit."""
+    model = build_milp(scaled_default_shape(0.5))
+    block = model.constraints
+    entry_bytes = block.indices.nbytes + block.data.nbytes
+    assert entry_bytes > 2 * 1024 * block.n_rows
+    rows = model.rows
+    assert len(rows) == block.n_rows
+    for r, row in enumerate(rows):
+        lo, hi = block.indptr[r], block.indptr[r + 1]
+        for view, array, kind in ((row.cols, block.indices, int), (row.coefs, block.data, float)):
+            assert view.readonly and len(view) == hi - lo
+            assert all(type(v) is kind for v in view)
+            if hi > lo:
+                assert np.shares_memory(np.asarray(view), array)
+                assert np.asarray(view).ctypes.data == array[lo:hi].ctypes.data
+    del rows
+    tracemalloc.start()
+    try:
+        rows = model.rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * block.n_rows, (peak, entry_bytes)
+
+
+def test_row_activity_keeps_the_tuple_formula_bits():
+    """`Row.activity` over the views gives the bits of the formula over the
+    tuples the rows once held, and a row read twice compares equal."""
+    model = build_milp(scaled_default_shape(0.25))
+    block = model.constraints
+    x = np.random.default_rng(26).uniform(-1e3, 1e3, model.n_columns)
+    for r, row in enumerate(model.rows):
+        lo, hi = block.indptr[r], block.indptr[r + 1]
+        cols, coefs = tuple(block.indices[lo:hi].tolist()), tuple(block.data[lo:hi].tolist())
+        want = float(sum(v * x[c] for c, v in zip(cols, coefs)))
+        assert row.activity(x).hex() == want.hex(), row.name
+        assert row == block.row(r)
+    assert block.row(0) != block.row(1)
 
 
 def test_long_identifier_overflows_name_limit():
