@@ -446,8 +446,7 @@ class RowBlock:
         return act
 
     def row(self, r: int) -> Row:
-        """Row r as a `Row`, for tests and the benchmark's workloads only.
-        Its `cols` and `coefs` are views of this block's arrays, not copies."""
+        """Row r as a `Row`, for tests and the benchmark's workloads only."""
         lo, hi = self.indptr[r], self.indptr[r + 1]
         # the last family starting at or before r: an empty family starts
         # where the next one does, so it is never the one found; a row past
