@@ -133,20 +133,22 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _verify_file(args):
+    """The instance, its model, the parsed solution file and its verification."""
     inst = _read_instance(args.instance)
     model = build_milp(inst, prune=args.prune == "on")
     sol = parse_solution(read_text(args.solution, SolutionError), model)
-    report = verify_solution(sol, model, tol=args.tol)
+    return inst, model, sol, verify_solution(sol, model, tol=args.tol)
+
+
+def _cmd_verify(args) -> int:
+    report = _verify_file(args)[3]
     print(report.summary())
     return 0 if report.passed else 1
 
 
 def _cmd_report(args) -> int:
-    inst = _read_instance(args.instance)
-    model = build_milp(inst, prune=args.prune == "on")
-    sol = parse_solution(read_text(args.solution, SolutionError), model)
-    report = verify_solution(sol, model, tol=args.tol)
+    inst, model, sol, report = _verify_file(args)
     if not report.passed:
         print(report.summary(), file=sys.stderr)
         print("error: solution failed verification; no reports written", file=sys.stderr)

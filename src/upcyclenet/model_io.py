@@ -395,10 +395,11 @@ def _parse_solution(text: str, model: Model) -> tuple[Solution, bool, np.ndarray
 
     objective, bound = declared.get("=obj="), declared.get("=bound=")
     status = declared.get("=status=", "feasible" if values or objective is not None else "unknown")
+    x = _dense(model, columns, values.values())
     if objective is None:
-        objective = _objective_sum(model, columns, values.values())
+        objective = float(model.objective @ x)
     sol = Solution(values=values, objective_reported=objective, status=status, bound=bound)
-    return sol, "=status=" in declared, _dense(model, columns, values.values()), columns
+    return sol, "=status=" in declared, x, columns
 
 
 def format_solution(sol: Solution) -> str:
@@ -431,16 +432,17 @@ def _column(model: Model, name: str) -> int:
 
 
 def recompute_objective(values: dict[str, float], model: Model) -> float:
-    return _objective_sum(model, [_column(model, name) for name in values], values.values())
+    return float(model.objective @ _dense(model, [_column(model, name) for name in values],
+                                          values.values()))
 
 
-def _objective_sum(model: Model, columns: list[int], values: Collection[float]) -> float:
-    """The objective of `values` at `columns`, summed one term at a time in their order."""
-    objective = model.objective
-    total = 0.0
-    for col, v in zip(columns, values):
-        total += float(objective[col]) * v
-    return total
+OBJECTIVE_TOL = 1e-6  # relative; `verify_solution`, external `breakdown_costs`
+
+
+def objective_agrees(value: float, reference: float, rel: float) -> bool:
+    """|value - reference| <= rel * max(1, |reference|), with both finite."""
+    return (math.isfinite(value) and math.isfinite(reference)
+            and abs(value - reference) <= rel * max(1.0, abs(reference)))
 
 
 # ---------------------------------------------------------------------------
@@ -499,27 +501,23 @@ def verify_solution(sol: Solution, model: Model, tol: float = 1e-6) -> Verificat
 
     PASS means all row activities land within `tol` (absolute) of their
     sense, every binary is within 1e-6 of 0 or 1, no flow is below -tol,
-    every value is finite and the reported objective is within 1e-6
-    relative (to max(1, |recomputed|)) of the one recomputed from the
-    values; a mismatch also adds a message.  A row whose activity is not
-    finite counts as infinitely violated.  The first row in emission order wins a tie for
-    the worst violation.  The report never raises on violations; it
-    carries them, and also the worst residual over rows, flow signs and
-    binaries and where it is.  A `tol` that is not finite or is below 0
-    raises `ValueError`.
+    every value is finite and the reported objective agrees with the one
+    recomputed from the values (`objective_agrees` at `OBJECTIVE_TOL`; a
+    non-finite one never does); a mismatch also adds a message.  A row
+    whose activity is not finite counts as infinitely violated.  The first
+    row in emission order wins a tie for the worst violation.  The report
+    never raises on violations; it carries them, and also the worst
+    residual over rows, flow signs and binaries and where it is.  A `tol`
+    that is not finite or is below 0 raises `ValueError`.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     report = _verify_vector(solution_vector(sol, model), model, tol)
     recomputed = report.objective_recomputed
-    if sol.objective_reported != 0.0 or recomputed != 0.0:
-        denom = max(1.0, abs(recomputed))
-        if abs(recomputed - sol.objective_reported) > 1e-6 * denom:
-            report.passed = False
-            report.messages.append(
-                f"reported objective {sol.objective_reported!r} differs from "
-                f"recomputed {recomputed!r}"
-            )
+    if not objective_agrees(sol.objective_reported, recomputed, OBJECTIVE_TOL):
+        report.passed = False
+        report.messages.append(f"reported objective {sol.objective_reported!r} differs from "
+                               f"recomputed {recomputed!r}")
     return report
 
 

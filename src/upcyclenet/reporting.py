@@ -16,6 +16,7 @@ facilities with annual throughput.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ReportError
@@ -23,7 +24,7 @@ from .geo import node_distance_km
 from .instance import (CHAIN_ROLES, ECHELON_TAGS, LEG_ROLES, LEGS, Instance, SizeOption,
                        transport_rates)
 from .model import Model, VariableIndex
-from .model_io import Solution
+from .model_io import OBJECTIVE_TOL, Solution, objective_agrees
 
 _OPEN_THRESHOLD = 0.5
 
@@ -51,7 +52,8 @@ def decode_solution(sol: Solution, inst: Instance) -> tuple[list[DecodedFlow], l
     """Nonzero solution entries as structured flows and installs.
 
     Names resolve through the unpruned column index, so a flow on a material
-    that pruning drops from its leg still decodes.
+    that pruning drops from its leg still decodes.  A NaN or infinite value
+    raises `ReportError` naming its column.
     """
     index = VariableIndex(inst, prune=False)
     flows: list[DecodedFlow] = []
@@ -59,6 +61,8 @@ def decode_solution(sol: Solution, inst: Instance) -> tuple[list[DecodedFlow], l
     for name, value in sol.values.items():
         if value == 0.0:
             continue
+        if not math.isfinite(value):
+            raise ReportError(f"solution column '{name}' has non-finite value {value!r}")
         key = index.name_key(name)
         if key is None:
             raise ReportError(f"solution column '{name}' does not match any naming scheme")
@@ -129,9 +133,9 @@ class CostBreakdown:
 
 def breakdown_costs(sol: Solution, model: Model, inst: Instance) -> CostBreakdown:
     """Recompute cost components from flows and parameters, then insist they
-    sum to the reported objective (1e-9 relative for oracle solutions, 1e-6
-    for external ones).  Everything comes from `sol` and `inst`; `model` is
-    not read and stays for the callers that pass it."""
+    agree with the reported objective (`objective_agrees`: 1e-9 relative for
+    oracle solutions, `OBJECTIVE_TOL` for external ones).  Everything comes
+    from `sol` and `inst`; `model` is not read and stays for its callers."""
     flows, installs = decode_solution(sol, inst)
     duration = {t.id: t.duration_years for t in inst.periods}
     node_of = {role: {n.id: n for n in inst.role_nodes(role)} for role in CHAIN_ROLES}
@@ -162,8 +166,8 @@ def breakdown_costs(sol: Solution, model: Model, inst: Instance) -> CostBreakdow
         transport[(f.period, f.leg)] += 2.0 * dt * km * rate[f.leg][f.material] * f.tons
 
     total = installation + sum(operating.values()) + sum(transport.values())
-    rel_tol = 1e-9 if sol.source == "oracle" else 1e-6
-    if abs(total - sol.objective_reported) > rel_tol * max(1.0, abs(sol.objective_reported)):
+    rel_tol = 1e-9 if sol.source == "oracle" else OBJECTIVE_TOL
+    if not objective_agrees(total, sol.objective_reported, rel_tol):
         raise ReportError(
             f"cost breakdown {total!r} does not reconcile with reported objective "
             f"{sol.objective_reported!r} (tolerance {rel_tol:g} relative)"

@@ -179,7 +179,7 @@ def _run(state: _State, cost: np.ndarray, allowed: int) -> str:
         # rows with no positive entry keep an infinite ratio
         ratios.fill(np.inf)
         np.divide(rhs, col, out=ratios, where=col > _PIVOT_TOL)
-        best = ratios.min()
+        best = ratios.min(initial=np.inf)  # an LP without rows has no ratio
         if best == np.inf:
             return "unbounded"
         # leaving tie-break by least basis index resists cycling on its own

@@ -695,6 +695,40 @@ def test_objective_mismatch_fails_verification(hand_model):
     assert verify_solution(sol, hand_model).passed
     sol.objective_reported = 540.0 * (1.0 + 1.1e-6)
     assert not verify_solution(sol, hand_model).passed
+    # a non-finite objective never agrees
+    for reported in (float("nan"), float("inf"), float("-inf")):
+        sol.objective_reported = reported
+        report = verify_solution(sol, hand_model)
+        assert not report.passed
+        assert report.messages == [f"reported objective {reported!r} differs from recomputed 540.0"]
+
+
+def test_objective_agrees_is_relative_to_the_reference_and_never_non_finite():
+    agrees = model_io.objective_agrees
+    assert agrees(0.0, 0.0, 0.0) and agrees(0.5, 0.0, 0.5) and not agrees(0.5, 0.0, 0.49)
+    assert agrees(1000.0, 1001.0, 1e-3) and not agrees(1001.0, 1000.0, 1e-3 * 0.999)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        assert not agrees(bad, 540.0, 1e-6) and not agrees(540.0, bad, 1e-6)
+        assert not agrees(bad, bad, float("inf"))
+
+
+def test_absent_objective_parses_to_the_recomputed_one_bit_for_bit(hand_model):
+    # in this order the terms of a file-order sum round to 551.1999999999999
+    text = textwrap.dedent("""\
+        bdpf_dpf1_s1 1.0
+        bcpf_cpf1_s1 1.0
+        brtf_rtf1_s1 1.0
+        bcf_cf1_s1 1.0
+        xdpfsnk_t1_w_dpf1_snk1 10.2
+        xcpfdpf_t1_w_cpf1_dpf1_s1 11.5
+        xrtfcpf_t1_w_rtf1_cpf1_s1 11.1
+        xcfrtf_t1_w_cf1_rtf1_s1 10.7
+        xsrccf_t1_w_src1_cf1_s1 10.3
+    """)
+    sol = parse_solution(text, hand_model)
+    recomputed = verify_solution(sol, hand_model).objective_recomputed
+    assert sol.objective_reported == recomputed == 551.2
+    assert recompute_objective(sol.values, hand_model) == recomputed
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,14 @@ def test_simplex_detects_unbounded():
     assert res.status == "unbounded"
 
 
+@pytest.mark.parametrize("cost, status, objective", [(-1.0, "unbounded", float("-inf")),
+                                                     (1.0, "optimal", 0.0)])
+def test_simplex_lp_without_rows(cost, status, objective):
+    res = solve_lp(np.array([cost, 0.0]), np.zeros((0, 2)), [], np.zeros(0))
+    assert (res.status, res.objective, res.iterations) == (status, objective, 0)
+    assert res.x is None if status == "unbounded" else res.x.tolist() == [0.0, 0.0]
+
+
 def test_simplex_survives_beale_cycling_example():
     # the classic cycling instance for Dantzig's rule
     c = np.array([-0.75, 150.0, -0.02, 6.0])

@@ -124,6 +124,10 @@ def test_breakdown_reconciliation_failure_is_hard_error(hand_case):
     )
     with pytest.raises(ReportError, match="reconcile"):
         breakdown_costs(tampered, model, inst)
+    for source in ("oracle", "external"):
+        nan = Solution(values=dict(sol.values), objective_reported=float("nan"), source=source)
+        with pytest.raises(ReportError, match="does not reconcile with reported objective nan"):
+            breakdown_costs(nan, model, inst)
 
 
 def test_breakdown_external_tolerance_is_looser(hand_case):
@@ -306,6 +310,22 @@ def test_layout_rejects_double_size_claims(hand_case, report):
     sol = Solution(values={"bcf_cf1_s1": 1.0, "bcf_cf1_s2": 1.0}, objective_reported=0.0)
     with pytest.raises(ReportError, match="two chosen sizes"):
         report(sol, inst2)
+
+
+@pytest.mark.parametrize("report", [
+    lambda sol, inst: breakdown_costs(sol, build_milp(inst), inst),
+    export_flows,
+    export_layout,
+    compute_utilization,
+], ids=["breakdown_costs", "export_flows", "export_layout", "compute_utilization"])
+@pytest.mark.parametrize("column", ["xcfrtf_t1_w_cf1_rtf1_s1", "bcpf_cpf1_s1"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_reports_reject_non_finite_values(hand_case, report, column, value):
+    inst, _, sol = hand_case
+    bad = Solution(values={**sol.values, column: value}, objective_reported=sol.objective_reported,
+                   source=sol.source)
+    with pytest.raises(ReportError, match=f"'{column}' has non-finite value {value!r}"):
+        report(bad, inst)
 
 
 # ---------------------------------------------------------------------------
