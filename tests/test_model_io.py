@@ -706,14 +706,16 @@ def test_objective_mismatch_fails_verification(hand_model):
 def test_objective_agrees_is_relative_to_the_reference_and_never_non_finite():
     agrees = model_io.objective_agrees
     assert agrees(0.0, 0.0, 0.0) and agrees(0.5, 0.0, 0.5) and not agrees(0.5, 0.0, 0.49)
-    assert agrees(1000.0, 1001.0, 1e-3) and not agrees(1001.0, 1000.0, 1e-3 * 0.999)
+    r = 0.9995e-3  # between 1/1001 and 1/1000: the reference sets the scale
+    assert agrees(1000.0, 1001.0, r) and not agrees(1001.0, 1000.0, r)
     for bad in (float("nan"), float("inf"), float("-inf")):
         assert not agrees(bad, 540.0, 1e-6) and not agrees(540.0, bad, 1e-6)
         assert not agrees(bad, bad, float("inf"))
 
 
 def test_absent_objective_parses_to_the_recomputed_one_bit_for_bit(hand_model):
-    # in this order the terms of a file-order sum round to 551.1999999999999
+    # summed one term at a time in this order, these values give
+    # 551.1999999999999; the dot product gives 551.2
     text = textwrap.dedent("""\
         bdpf_dpf1_s1 1.0
         bcpf_cpf1_s1 1.0
