@@ -104,6 +104,8 @@ def _cmd_solve(args) -> int:
         sol, cert = solve_exact(inst, max_configs=args.max_configs, prune=prune,
                                 progress=progress)
         print(cert.summary(), file=sys.stderr)
+        # built after the oracle, which refuses a large instance before any LP work
+        model = build_milp(inst, prune=prune)
     else:
         model = build_milp(inst, prune=prune)
         print(
@@ -116,12 +118,11 @@ def _cmd_solve(args) -> int:
     if sol.status in ("infeasible", "unknown"):
         print(f"status: {sol.status}; no solution written", file=sys.stderr)
         return 1
-    if not args.oracle:
-        report = verify_solution(sol, model)
-        if not report.passed:
-            print(report.summary(), file=sys.stderr)
-            print("error: solution failed verification; no solution written", file=sys.stderr)
-            return 1
+    report = verify_solution(sol, model)
+    if not report.passed:
+        print(report.summary(), file=sys.stderr)
+        print("error: solution failed verification; no solution written", file=sys.stderr)
+        return 1
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     sol_path = out / "solution.sol"

@@ -242,9 +242,9 @@ def describe_configuration(inst: Instance, config: Configuration) -> dict[str, d
 
 class _LpFactory:
     """The instance's all-open flow LP, and its restriction to each
-    configuration as the module docstring describes.  Each column's origin
-    and destination slot, the matrix's nonzero pattern and each slot's
-    capacity rows are kept, so a restriction is a few array operations."""
+    configuration as the module docstring describes.  One matrix `a`, each
+    column's origin and destination slot and each slot's capacity rows are
+    kept, so a restriction is one gather from `a` and a few array operations."""
 
     def __init__(self, inst: Instance, prune: bool, slots: _SlotTable) -> None:
         self.inst = inst
@@ -346,7 +346,6 @@ class _LpFactory:
             self.cap_of[k, 1:len(slot.caps) + 1] = slot.caps
 
         self.a = np.array(rows, dtype=np.float64).reshape(len(rows), n)
-        self.nonzero = self.a != 0.0
         self.rhs = np.array(rhs, dtype=np.float64)
         self.senses = np.array(senses, dtype="<U1")
         self.quota = np.zeros(len(rows), dtype=bool)
@@ -376,18 +375,19 @@ class _LpFactory:
         is_open = np.append(choice > 0, True)
         # ascending, so in the all-open LP's column order
         cols = (is_open[self.origin] & is_open[self.dest]).nonzero()[0]
-        rows = (self.quota | self.nonzero[:, cols].any(axis=1)).nonzero()[0]
+        sub = self.a[:, cols]
+        rows = (self.quota | sub.any(axis=1)).nonzero()[0]
         rhs = self.rhs.copy()
         rhs[self.cap_rows] = self.cap_of[np.arange(choice.size), choice][:, None]
         c = self.obj[cols]
-        result = solve_lp(c, self.a[rows[:, None], cols], self.senses[rows], rhs[rows])
+        result = solve_lp(c, sub[rows], self.senses[rows], rhs[rows])
         if result.status == "infeasible":
             return LpResult("infeasible", 0.0, None, result.iterations)
         if result.status == "unbounded":
             raise OracleError("flow subproblem unbounded; objective data must be nonnegative")
         x = np.zeros(self.obj.size, dtype=np.float64)
         x[cols] = result.x
-        return LpResult("optimal", float(c @ result.x), x, result.iterations)
+        return LpResult("optimal", result.objective, x, result.iterations)
 
     def flows(self, config: Configuration, x: np.ndarray) -> dict[str, float]:
         """Column name -> tons for the nonzero entries of a padded `x`."""

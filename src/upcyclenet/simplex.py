@@ -29,8 +29,8 @@ The subproblems are tiny (tens of rows), so a pivot's cost is the number
 of numpy calls it makes, not its arithmetic.  Two things keep that
 number down without changing a single bit of any result:
 
-* the rhs is the tableau's last column, so one rank-1 update moves the
-  matrix and the rhs together;
+* each LP is built in one working array whose last column is the rhs,
+  so its rows flip once and one rank-1 update moves matrix and rhs;
 * basic columns need no mask in pricing.  A pivot turns the entering
   column into an exact unit vector (``p / p == 1.0`` and
   ``a - a * 1.0 == 0.0``) and leaves every other basic column one (its
@@ -96,30 +96,30 @@ def solve_lp(
     # on their slack; every other row starts on an artificial
     needs = (~((is_l & (b >= 0.0)) | (is_g & (b <= 0.0)))).nonzero()[0]
     n_ext = n + slack_rows.size
-    tableau = np.zeros((m, n_ext + needs.size), dtype=np.float64)
-    tableau[:, :n] = a
+    width = n_ext + needs.size
+    # structurals, slacks, artificials, then the rhs as the last column
+    full = np.zeros((m, width + 1), dtype=np.float64)
+    full[:, :n] = a
     # slack (+1) for <=, surplus (-1) for >=
     slack_cols = n + np.arange(slack_rows.size)
-    tableau[slack_rows, slack_cols] = np.where(is_l[slack_rows], 1.0, -1.0)
-    rhs = b.copy()
+    full[slack_rows, slack_cols] = np.where(is_l[slack_rows], 1.0, -1.0)
+    full[:, -1] = b
 
     # make rhs nonnegative; a >= row with rhs 0 flips too, so that every
     # starting slack reads +1
-    flip = (rhs < 0.0) | (is_g & (rhs == 0.0))
-    tableau[flip] *= -1.0
-    rhs[flip] *= -1.0
+    full[(b < 0.0) | (is_g & (b == 0.0))] *= -1.0
 
     basis = np.empty(m, dtype=np.intp)
     basis[slack_rows] = slack_cols
     basis[needs] = n_ext + np.arange(needs.size)
-    tableau[needs, basis[needs]] = 1.0
-    state = _State(tableau, rhs, basis)
+    full[needs, basis[needs]] = 1.0
+    state = _State(full, basis)
 
     if needs.size:
         # phase 1: drive the artificials to zero
-        cost1 = np.zeros(tableau.shape[1], dtype=np.float64)
+        cost1 = np.zeros(width, dtype=np.float64)
         cost1[n_ext:] = 1.0
-        status = _run(state, cost1, allowed=tableau.shape[1])
+        status = _run(state, cost1, allowed=width)
         if status == "unbounded":
             raise AssertionError("phase-1 objective is bounded below by 0")
         # a contiguous copy: BLAS may sum a strided vector in another order
@@ -129,7 +129,7 @@ def solve_lp(
         _evict_artificials(state, n_ext)
 
     # phase 2: original costs; artificials may not re-enter
-    cost2 = np.zeros(tableau.shape[1], dtype=np.float64)
+    cost2 = np.zeros(width, dtype=np.float64)
     cost2[:n] = c
     status = _run(state, cost2, allowed=n_ext)
     if status == "unbounded":
@@ -142,13 +142,13 @@ def solve_lp(
 
 
 class _State:
-    """The tableau and its rhs, copied into one array whose last column is
-    the rhs; `tableau` and `rhs` are views of it."""
+    """`solve_lp`'s one working array, used in place: its last column is
+    the rhs, and `tableau` and `rhs` are views of it."""
 
-    def __init__(self, tableau: np.ndarray, rhs: np.ndarray, basis: np.ndarray) -> None:
-        self.full = np.concatenate((tableau, rhs[:, None]), axis=1)
-        self.tableau = self.full[:, :-1]
-        self.rhs = self.full[:, -1]
+    def __init__(self, full: np.ndarray, basis: np.ndarray) -> None:
+        self.full = full
+        self.tableau = full[:, :-1]
+        self.rhs = full[:, -1]
         self.basis = basis
         self.iterations = 0
         self.degenerate_run = 0
@@ -182,7 +182,7 @@ def _run(state: _State, cost: np.ndarray, allowed: int) -> str:
         best = ratios.min(initial=np.inf)  # an LP without rows has no ratio
         if best == np.inf:
             return "unbounded"
-        # leaving tie-break by least basis index resists cycling on its own
+        # leaving tie-break by least basis index; alone it does not stop Beale's LP cycling
         ties = (ratios <= best).nonzero()[0]
         leave_row = ties[0] if ties.size == 1 else ties[basis[ties].argmin()]
         _pivot(state, leave_row, enter)
@@ -209,9 +209,7 @@ def _pivot(state: _State, row: int, col: int) -> None:
 def _evict_artificials(state: _State, n_ext: int) -> None:
     """Pivot leftover zero-valued artificials out; rows that cannot release
     one are redundant and stay inert (their structural entries are all 0)."""
-    for i in range(len(state.basis)):
-        if state.basis[i] < n_ext:
-            continue
+    for i in (state.basis >= n_ext).nonzero()[0]:
         row = state.tableau[i, :n_ext]
         nz = np.flatnonzero(np.abs(row) > _PIVOT_TOL)
         if nz.size:

@@ -255,6 +255,25 @@ def test_solve_writes_no_solution_that_fails_verification(tmp_path, hand_file, c
     assert not (out / "solution.sol").exists()
 
 
+def test_solve_oracle_writes_no_solution_that_fails_verification(
+        monkeypatch, tmp_path, hand_file, capsys):
+    # the oracle route passes the same verification gate as the external one
+    def misreporting_oracle(inst, **kwargs):
+        sol, cert = solve_exact(inst, **kwargs)
+        sol.objective_reported += 1.0
+        return sol, cert
+
+    monkeypatch.setattr(cli, "solve_exact", misreporting_oracle)
+    out = tmp_path / "run"
+    rc = cli.main(["solve", "--instance", str(hand_file), "--out", str(out), "--oracle"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "verification FAIL" in captured.err
+    assert "error: solution failed verification; no solution written" in captured.err
+    assert not (out / "solution.sol").exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 

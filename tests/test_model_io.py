@@ -520,6 +520,8 @@ def test_solution_vector_and_recompute(hand_model):
 
 def test_compute_gap_semantics():
     assert compute_gap(100.0, 90.0) == pytest.approx(0.1)
+    # the denominator is |objective|: a negative optimum's gap is positive too
+    assert compute_gap(-100.0, -110.0) == pytest.approx(0.1)
     assert compute_gap(0.0, 0.0) == 0.0
     assert compute_gap(0.0, -5.0) is None
 

@@ -106,19 +106,57 @@ def test_simplex_lp_without_rows(cost, status, objective):
     assert res.x is None if status == "unbounded" else res.x.tolist() == [0.0, 0.0]
 
 
-def test_simplex_survives_beale_cycling_example():
-    # the classic cycling instance for Dantzig's rule
-    c = np.array([-0.75, 150.0, -0.02, 6.0])
-    a = np.array([
+# the classic cycling instance for Dantzig's rule: (c, a, senses, b)
+BEALE_LP = (
+    np.array([-0.75, 150.0, -0.02, 6.0]),
+    np.array([
         [0.25, -60.0, -0.04, 9.0],
         [0.5, -90.0, -0.02, 3.0],
         [0.0, 0.0, 1.0, 0.0],
-    ])
-    senses = ["L", "L", "L"]
-    b = np.array([0.0, 0.0, 1.0])
-    res = solve_lp(c, a, senses, b)
+    ]),
+    ["L", "L", "L"],
+    np.array([0.0, 0.0, 1.0]),
+)
+
+
+def test_simplex_survives_beale_cycling_example():
+    res = solve_lp(*BEALE_LP)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-0.05, abs=1e-9)  # at x = (0.04, 0, 1, 0)
+
+
+@pytest.mark.parametrize("limit, pivots", [(1, 6), (simplex._DEGENERATE_LIMIT, 1_002)])
+def test_simplex_switches_to_blands_rule_after_the_degenerate_limit(monkeypatch, limit, pivots):
+    # Beale's LP starts with a degenerate pivot (its first two rows have rhs
+    # 0), so a limit of 1 hands the rest of the solve to Bland's rule.  Under
+    # Dantzig's rule it cycles, the leaving tie-break notwithstanding, until
+    # the default limit hands it over too
+    states = []
+
+    class RecordingState(simplex._State):
+        def __init__(self, full, basis):
+            super().__init__(full, basis)
+            states.append(self)
+
+    monkeypatch.setattr(simplex, "_State", RecordingState)
+    monkeypatch.setattr(simplex, "_DEGENERATE_LIMIT", limit)
+    res = solve_lp(*BEALE_LP)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(-0.05, abs=1e-9)
+    assert [state.bland for state in states] == [True]
+    assert res.iterations == pivots
+
+
+def test_ratio_tie_leaves_the_row_with_the_smaller_basis_index():
+    # column 0 enters; both rows give it the ratio 1, and row 1's basic
+    # column (1) is below row 0's (2), so row 1 leaves though row 0 comes first
+    full = np.array([[1.0, 0.0, 1.0, 1.0],
+                     [1.0, 1.0, 0.0, 1.0]])
+    state = simplex._State(full, np.array([2, 1]))
+    assert simplex._run(state, np.array([-1.0, 0.0, 0.0]), allowed=3) == "optimal"
+    assert state.basis.tolist() == [2, 0]
+    assert state.iterations == 1
+    assert state.full.tolist() == [[0.0, -1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 1.0]]
 
 
 def test_simplex_iteration_cap_raises(monkeypatch):
@@ -220,9 +258,9 @@ def record_phases(monkeypatch):
     starts, runs = [], []
 
     class RecordingState(simplex._State):
-        def __init__(self, tableau, rhs, basis):
-            starts.append((tableau.copy(), basis.copy()))
-            super().__init__(tableau, rhs, basis)
+        def __init__(self, full, basis):
+            starts.append((full[:, :-1].copy(), basis.copy()))
+            super().__init__(full, basis)
 
     real_run = simplex._run
 
