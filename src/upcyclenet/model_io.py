@@ -75,9 +75,8 @@ class Solution:
 
 
 def compute_gap(objective: float, bound: float) -> float | None:
-    """Relative optimality gap (objective - bound) / |objective|: a lower
-    bound gives a nonnegative gap whatever the objective's sign.  0 at 0/0,
-    None at 0/x."""
+    """Relative optimality gap (objective - bound) / |objective|, not negative
+    for a lower bound whatever the objective's sign; 0 at 0/0, None at 0/x."""
     if objective != 0.0:
         return (objective - bound) / abs(objective)
     return 0.0 if bound == 0.0 else None
