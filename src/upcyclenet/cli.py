@@ -25,6 +25,7 @@ from .instance import (
 )
 from .model import build_milp, count_columns
 from .model_io import (
+    VERIFY_TOL,
     _dump_batches,
     _model_batches,
     _write_batches,
@@ -258,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance(p)
     p.add_argument("--solution", required=True, help="solution file")
     _add_prune(p)
-    p.add_argument("--tol", type=_tolerance, default=1e-6, help="row violation tolerance")
+    p.add_argument("--tol", type=_tolerance, default=VERIFY_TOL, help="row violation tolerance")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("report", help="write cost, flow, layout and utilization tables")
@@ -266,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solution", required=True, help="solution file")
     p.add_argument("--out", required=True, help="output directory")
     _add_prune(p)
-    p.add_argument("--tol", type=_tolerance, default=1e-6, help="verification tolerance")
+    p.add_argument("--tol", type=_tolerance, default=VERIFY_TOL, help="verification tolerance")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("gen", help="generate a synthetic instance")

@@ -594,6 +594,24 @@ def transport_rates(inst: Instance, leg: str, materials: tuple[str, ...]) -> np.
     return np.array([inst.transport_cost[p] for p in materials], dtype=np.float64)
 
 
+def flow_costs(inst: Instance, leg: str, materials: tuple[str, ...], km: np.ndarray) -> np.ndarray:
+    """Cost per ton of each flow of `materials` on `leg`, shaped (period,
+    material, origin, destination): dt * (op + 2 * km * rate), the
+    destination's operating cost (none at a sink) and the round trip."""
+    dest = LEG_ROLES[leg][1]
+    op = inst.echelon(dest).op_cost_per_ton if dest in ECHELON_TAGS else 0.0
+    dt = np.array([t.duration_years for t in inst.periods], dtype=np.float64)
+    rate = transport_rates(inst, leg, materials)
+    return dt[:, None, None, None] * (op + 2.0 * km[None, None, :, :] * rate[None, :, None, None])
+
+
+def install_costs(inst: Instance, tag: str) -> np.ndarray:
+    """Install cost of each of echelon `tag`'s size options for the whole
+    horizon: the annualized figure times the horizon in years."""
+    options = inst.echelon(tag).size_options
+    return np.array([o.install_cost_annual for o in options], dtype=np.float64) * inst.horizon_years()
+
+
 def validate_instance(inst: Instance) -> list[Finding]:
     """Aggregate feasibility screen; pure, returns ERROR/WARNING findings.
 

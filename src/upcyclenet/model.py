@@ -108,11 +108,12 @@ from .instance import (
     LEG_ROLES,
     LEGS,
     Instance,
+    flow_costs,
     forced_inflow_tons,
+    install_costs,
     require_chain,
     sanitize_id,
     serialize_instance,
-    transport_rates,
 )
 
 FLOW_PREFIXES = {
@@ -541,30 +542,18 @@ def count_rows(inst: Instance, prune: bool = True) -> dict[str, int]:
 
 def build_objective(inst: Instance, vindex: VariableIndex,
                     dists: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Objective coefficient vector over the full column space.
-
-    Flow columns into a facility cost dt_t * op_cost + 2 * dt_t * D * rate,
-    D from `build_leg_matrices`; sink-leg columns carry transport only.  Install columns cost the
-    annualized installation figure times the horizon in years.
-    """
+    """Objective coefficient vector over the full column space: each flow
+    column costs `instance.flow_costs` of its leg, with D from
+    `build_leg_matrices`, at every size option of its destination; each
+    install column costs `instance.install_costs` of its size option."""
     obj = np.zeros(vindex.n_columns, dtype=np.float64)
-    dt = np.array([t.duration_years for t in inst.periods], dtype=np.float64)
     for space, km in zip(vindex.legs, dists):
-        if not space.count:
-            continue
-        rate = transport_rates(inst, space.leg, space.materials)
-        op = inst.echelon(space.dest_role).op_cost_per_ton if space.dest_role in ECHELON_TAGS else 0.0
-        # per-ton cost, shape (T, P, O, D): dt * (op + 2 * km * rate)
-        per_ton = dt[:, None, None, None] * (
-            op + 2.0 * km[None, None, :, :] * rate[None, :, None, None]
-        )
-        # one per-ton cost for every size option of the destination
-        n_sizes = len(space.sizes) or 1
-        obj[space.start : space.start + space.count] = np.repeat(per_ton.ravel(), n_sizes)
+        if space.count:
+            # one per-ton cost for every size option of the destination
+            per_ton = flow_costs(inst, space.leg, space.materials, km).ravel()
+            obj[space.start : space.start + space.count] = np.repeat(per_ton, len(space.sizes) or 1)
     for space in vindex.installs:
-        options = inst.echelon(space.echelon).size_options
-        cost = np.array([opt.install_cost_annual for opt in options], dtype=np.float64)
-        cost *= inst.horizon_years()
+        cost = install_costs(inst, space.echelon)
         obj[space.start : space.start + space.count] = np.tile(cost, len(space.sites))
     return obj
 

@@ -438,6 +438,7 @@ def recompute_objective(values: dict[str, float], model: Model) -> float:
 
 
 OBJECTIVE_TOL = 1e-6  # relative; `verify_solution`, external `breakdown_costs`
+VERIFY_TOL = 1e-6  # absolute; default row and sign tolerance of `verify_solution`, CLI
 
 
 def objective_agrees(value: float, reference: float, rel: float) -> bool:
@@ -497,7 +498,7 @@ def _row_violations(block: RowBlock, activity: np.ndarray) -> np.ndarray:
                                              block.rhs - activity)))
 
 
-def verify_solution(sol: Solution, model: Model, tol: float = 1e-6) -> VerificationReport:
+def verify_solution(sol: Solution, model: Model, tol: float = VERIFY_TOL) -> VerificationReport:
     """Recheck every row, sign bound and binary against the raw model data.
 
     PASS means all row activities land within `tol` (absolute) of their
@@ -522,7 +523,7 @@ def verify_solution(sol: Solution, model: Model, tol: float = 1e-6) -> Verificat
     return report
 
 
-def _verify_vector(x: np.ndarray, model: Model, tol: float = 1e-6) -> VerificationReport:
+def _verify_vector(x: np.ndarray, model: Model, tol: float = VERIFY_TOL) -> VerificationReport:
     """`verify_solution` of the dense column vector `x`, without the
     reported objective's message."""
     block = model.constraints

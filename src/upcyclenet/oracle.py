@@ -9,8 +9,11 @@ certified by exhaustion.
 This module deliberately assembles its LPs straight from the instance
 rather than reusing the canonical model builder, so the two routes check
 each other: a bug would have to appear in both, in matching form, to slip
-through the equivalence tests.  Only the chain's shape is shared: `instance`'s
-LEG_INTO and LEG_OUT_OF, and `require_chain`'s rule that every position has a node.
+through the equivalence tests.  The LP rows are its own; it shares with
+the model the chain's shape and `require_chain`, the distances and rates,
+the cost model (`flow_costs`, `install_costs`), the forced tonnage and the
+screen rule (`capacity_covers`), and the column-name format.  Only
+`reporting.breakdown_costs` recomputes the costs from the raw parameters.
 
 It assembles one LP per instance, the all-open LP: every site open, its
 capacity rows at the widest size.  Each configuration's LP is a
@@ -68,8 +71,9 @@ import numpy as np
 
 from .errors import OracleError
 from .geo import build_leg_matrices
-from .instance import (ECHELON_TAGS, LEG_INTO, LEG_OUT_OF, LEGS, Instance, capacity_covers,
-                       forced_inflow_tons, require_chain, transport_rates)
+from .instance import (CHAIN_ROLES, ECHELON_TAGS, LEG_INTO, LEG_OUT_OF, LEGS, Instance,
+                       capacity_covers, flow_costs, forced_inflow_tons, install_costs,
+                       require_chain)
 from .model import flow_column_name, install_column_name
 from .model_io import Solution
 from .simplex import LpResult, solve_lp
@@ -136,17 +140,17 @@ class _Block(NamedTuple):
 
 
 class _SlotTable:
-    """The instance's site slots in configuration order, the forced tonnage
-    per echelon, and `widest`; the only code that checks a configuration
-    and names its open sites."""
+    """The instance's site slots in configuration order, each chain node's
+    slot, each slot's capacity per choice, the forced tonnage per echelon
+    and `widest`; the only code that checks a configuration and names its
+    open sites."""
 
     def __init__(self, inst: Instance) -> None:
-        horizon = inst.horizon_years()
         slots = []
         for e, tag in enumerate(ECHELON_TAGS):
             spec = inst.echelon(tag)
             caps = tuple(o.max_capacity_tons for o in spec.size_options)
-            costs = tuple(o.install_cost_annual * horizon for o in spec.size_options)
+            costs = tuple(install_costs(inst, tag).tolist())
             sizes = tuple(o.id for o in spec.size_options)
             slots += [_Slot(tag, e, j, site.id, sizes, caps, costs)
                       for j, site in enumerate(spec.sites)]
@@ -157,12 +161,19 @@ class _SlotTable:
         self.widest: Configuration = tuple(1 + s.caps.index(max(s.caps)) for s in slots)
         # per echelon: the largest tonnage the quota forces through it
         self.forced = forced_inflow_tons(inst).max(axis=1, initial=0.0)
+        # of[role][j]: the slot of the role's j-th node, -1 for a source or a sink
+        self.of = {role: np.full(len(inst.role_nodes(role)), -1, dtype=np.intp)
+                   for role in CHAIN_ROLES}
+        # cap[s, k]: slot s's capacity at choice k, 0 when closed or past its options
+        self.cap = np.zeros((len(slots), 1 + self._options.max(initial=0)))
         # per slot, what each choice adds: rows are the echelons' open
         # capacity, then the install cost; column 0 (closed) adds nothing
         self._adds = []
-        for slot in slots:
+        for s, slot in enumerate(slots):
+            self.of[slot.tag][slot.site] = s
+            self.cap[s, 1:len(slot.caps) + 1] = slot.caps
             add = np.zeros((len(ECHELON_TAGS) + 1, len(slot.sizes) + 1))
-            add[slot.echelon, 1:] = slot.caps
+            add[slot.echelon] = self.cap[s, :len(slot.sizes) + 1]
             add[-1, 1:] = slot.costs
             self._adds.append(add)
 
@@ -242,27 +253,21 @@ def describe_configuration(inst: Instance, config: Configuration) -> dict[str, d
 
 class _LpFactory:
     """The instance's all-open flow LP, and its restriction to each
-    configuration as the module docstring describes.  One matrix `a`, each
-    column's origin and destination slot and each slot's capacity rows are
-    kept, so a restriction is one gather from `a` and a few array operations."""
+    configuration as the module docstring describes.  One matrix `a` and
+    each column's origin and destination slot are kept, so a restriction is
+    one gather from `a` and a few array operations."""
 
     def __init__(self, inst: Instance, prune: bool, slots: _SlotTable) -> None:
         self.inst = inst
         self.slots = slots
         self.leg_mats = {leg: inst.leg_materials(leg, prune) for leg, _, _ in LEGS}
-        dt = np.array([t.duration_years for t in inst.periods], dtype=np.float64)
         # columns in leg chain order, (t, p, origin, dest) lexicographic;
         # ids[leg][t, p, i, j] is the column of that flow
         self.ids: dict[str, np.ndarray] = {}
         costs = []
         n = 0
-        for (leg, _, dest_role), km in zip(LEGS, build_leg_matrices(inst)):
-            rate = transport_rates(inst, leg, self.leg_mats[leg])
-            op = inst.echelon(dest_role).op_cost_per_ton if dest_role in ECHELON_TAGS else 0.0
-            # (T, P, O, D) per-ton coefficient
-            cost = dt[:, None, None, None] * (
-                op + 2.0 * km[None, None, :, :] * rate[None, :, None, None]
-            )
+        for (leg, _, _), km in zip(LEGS, build_leg_matrices(inst)):
+            cost = flow_costs(inst, leg, self.leg_mats[leg], km)
             self.ids[leg] = n + np.arange(cost.size).reshape(cost.shape)
             n += cost.size
             costs.append(cost.ravel())
@@ -281,32 +286,29 @@ class _LpFactory:
             rhs.append(value)
             return len(rows) - 1
 
-        ids = self.ids
-        mat_pos = {leg: {p: k for k, p in enumerate(mats)} for leg, mats in self.leg_mats.items()}
+        ids, mats = self.ids, self.leg_mats
         shipped, delivered = LEG_OUT_OF["sources"], LEG_INTO["sinks"]
 
         # demand: inflow at a sink capped by its declared demand (0 if absent)
         for t_pos, t in enumerate(inst.periods):
-            for p_pos, p in enumerate(self.leg_mats[delivered]):
+            for p_pos, p in enumerate(mats[delivered]):
                 for n_pos, sink in enumerate(inst.sinks):
                     add_row("L", sink.demand.get((t.id, p), 0.0),
                             (ids[delivered][t_pos, p_pos, :, n_pos], 1.0))
 
-        # quota: collected tons reach the mandated share even if no CF is open
-        quota_rows = []
+        # quota: collected tons reach the mandated share even if no CF is
+        # open; the only "G" rows
         for t_pos, t in enumerate(inst.periods):
             for p in inst.materials:
                 eta = inst.quota_at(t.id, p)
-                if eta <= 0.0:
-                    continue
-                entries = []
-                if p in mat_pos[shipped]:
-                    entries.append((ids[shipped][t_pos, mat_pos[shipped][p]], 1.0))
-                quota_rows.append(add_row("G", eta * inst.supply_total(t.id, p), *entries))
+                if eta > 0.0:
+                    entries = ([(ids[shipped][t_pos, mats[shipped].index(p)], 1.0)]
+                               if p in mats[shipped] else [])
+                    add_row("G", eta * inst.supply_total(t.id, p), *entries)
 
         # source_cap: shipments out of a source limited by its supply
         for t_pos, t in enumerate(inst.periods):
-            for p_pos, p in enumerate(self.leg_mats[shipped]):
+            for p_pos, p in enumerate(mats[shipped]):
                 for i_pos, src in enumerate(inst.sources):
                     add_row("L", src.supply.get((t.id, p), 0.0),
                             (ids[shipped][t_pos, p_pos, i_pos, :], 1.0))
@@ -315,7 +317,7 @@ class _LpFactory:
         for tag in ECHELON_TAGS:
             spec = inst.echelon(tag)
             lin, lout = LEG_INTO[tag], LEG_OUT_OF[tag]
-            admissible = [k for k, p in enumerate(self.leg_mats[lin]) if p in spec.inputs]
+            admissible = [k for k, p in enumerate(mats[lin]) if p in spec.inputs]
             for t_pos in range(len(inst.periods)):
                 for p_out in spec.outputs:
                     gamma = spec.yields[p_out]
@@ -323,48 +325,31 @@ class _LpFactory:
                         entries = []
                         if gamma != 0.0:
                             entries.append((ids[lin][t_pos, admissible, :, j], gamma))
-                        if p_out in mat_pos[lout]:
-                            entries.append((ids[lout][t_pos, mat_pos[lout][p_out], j, :], -1.0))
+                        if p_out in mats[lout]:
+                            entries.append((ids[lout][t_pos, mats[lout].index(p_out), j, :], -1.0))
                         add_row("E", 0.0, *entries)
 
-        # facility_cap at the widest size: total inflow within capacity;
-        # cap_rows[s, t] is the row of slot s in period t
-        cap_rows = []
+        # facility_cap: total inflow within the chosen size's capacity, which
+        # `solve` writes into the rhs; cap_rows[s, t] is slot s's row in period t
+        self.cap_rows = np.empty((len(slots.slots), len(inst.periods)), dtype=np.intp)
         for tag in ECHELON_TAGS:
-            spec = inst.echelon(tag)
-            widest = max(o.max_capacity_tons for o in spec.size_options)
-            cap_rows.append(np.array([
-                [add_row("L", widest, (ids[LEG_INTO[tag]][t_pos, :, :, j], 1.0))
-                 for j in range(len(spec.sites))]
-                for t_pos in range(len(inst.periods))
-            ], dtype=np.intp).reshape(len(inst.periods), -1).T)
-        self.cap_rows = np.concatenate(cap_rows)
-        # cap_of[s, k]: slot s's capacity at choice k; 0 when closed, which
-        # no kept row reads, as a closed slot's capacity rows are dropped
-        self.cap_of = np.zeros((len(slots.slots), 1 + max(len(s.sizes) for s in slots.slots)))
-        for k, slot in enumerate(slots.slots):
-            self.cap_of[k, 1:len(slot.caps) + 1] = slot.caps
+            for t_pos in range(len(inst.periods)):
+                for j, s in enumerate(slots.of[tag]):
+                    inflow = ids[LEG_INTO[tag]][t_pos, :, :, j]
+                    self.cap_rows[s, t_pos] = add_row("L", 0.0, (inflow, 1.0))
 
         self.a = np.array(rows, dtype=np.float64).reshape(len(rows), n)
         self.rhs = np.array(rhs, dtype=np.float64)
         self.senses = np.array(senses, dtype="<U1")
-        self.quota = np.zeros(len(rows), dtype=bool)
-        self.quota[quota_rows] = True
+        self.quota = self.senses == "G"
         # per column, the slots of its origin and destination; -1 for a
         # source or a sink, which indexes the always-open last entry of
         # `solve`'s open mask
-        first = dict(zip(ECHELON_TAGS, itertools.accumulate(
-            (len(inst.echelon(tag).sites) for tag in ECHELON_TAGS), initial=0)))
-
-        def slot_of(role: str) -> np.ndarray:
-            count = len(inst.role_nodes(role))
-            return first[role] + np.arange(count) if role in first else np.full(count, -1)
-
         self.origin = np.empty(n, dtype=np.intp)
         self.dest = np.empty(n, dtype=np.intp)
         for leg, origin_role, dest_role in LEGS:
-            self.origin[ids[leg]] = slot_of(origin_role)[:, None]
-            self.dest[ids[leg]] = slot_of(dest_role)
+            self.origin[ids[leg]] = slots.of[origin_role][:, None]
+            self.dest[ids[leg]] = slots.of[dest_role]
 
     def solve(self, config: Configuration) -> LpResult:
         """Solve the configuration's restriction of the all-open LP.  `x` is
@@ -378,7 +363,7 @@ class _LpFactory:
         sub = self.a[:, cols]
         rows = (self.quota | sub.any(axis=1)).nonzero()[0]
         rhs = self.rhs.copy()
-        rhs[self.cap_rows] = self.cap_of[np.arange(choice.size), choice][:, None]
+        rhs[self.cap_rows] = self.slots.cap[np.arange(choice.size), choice][:, None]
         c = self.obj[cols]
         result = solve_lp(c, sub[rows], self.senses[rows], rhs[rows])
         if result.status == "infeasible":

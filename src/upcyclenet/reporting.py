@@ -15,6 +15,8 @@ facilities with annual throughput.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -97,6 +99,16 @@ def _fmt6(x: float) -> str:
     return f"{x:.6f}"
 
 
+def _csv(header: str, rows: list[tuple[str, ...]]) -> str:
+    """The comma-separated `header` and `rows` as CSV text, one line per
+    row; a field holding a comma, a quote or a newline is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header.split(","))
+    writer.writerows(rows)
+    return out.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # cost breakdown
 
@@ -121,14 +133,11 @@ class CostBreakdown:
         return sum(self.transport.values())
 
     def to_csv(self) -> str:
-        lines = ["component,period,detail,cost"]
-        lines.append(f"installation,,,{_fmt6(self.installation)}")
-        for (t, tag), v in self.operating.items():
-            lines.append(f"operating,{t},{tag},{_fmt6(v)}")
-        for (t, leg), v in self.transport.items():
-            lines.append(f"transport,{t},{leg},{_fmt6(v)}")
-        lines.append(f"total,,,{_fmt6(self.total)}")
-        return "\n".join(lines) + "\n"
+        return _csv("component,period,detail,cost",
+                    [("installation", "", "", _fmt6(self.installation))]
+                    + [("operating", t, tag, _fmt6(v)) for (t, tag), v in self.operating.items()]
+                    + [("transport", t, leg, _fmt6(v)) for (t, leg), v in self.transport.items()]
+                    + [("total", "", "", _fmt6(self.total))])
 
 
 def breakdown_costs(sol: Solution, model: Model, inst: Instance) -> CostBreakdown:
@@ -209,18 +218,14 @@ class FlowTable:
     facilities: tuple[FacilityAnnotation, ...]
 
     def to_csv(self) -> str:
-        lines = ["period,leg,origin,destination,material,tons"]
-        for r in self.rows:
-            lines.append(
-                f"{r.period},{r.leg},{r.origin},{r.destination},{r.material},{_fmt6(r.tons)}"
-            )
-        return "\n".join(lines) + "\n"
+        return _csv("period,leg,origin,destination,material,tons",
+                    [(r.period, r.leg, r.origin, r.destination, r.material, _fmt6(r.tons))
+                     for r in self.rows])
 
     def facilities_csv(self) -> str:
-        lines = ["echelon,site,size,max_capacity_tons"]
-        for f in self.facilities:
-            lines.append(f"{f.echelon},{f.site},{f.size},{_fmt6(f.max_capacity_tons)}")
-        return "\n".join(lines) + "\n"
+        return _csv("echelon,site,size,max_capacity_tons",
+                    [(f.echelon, f.site, f.size, _fmt6(f.max_capacity_tons))
+                     for f in self.facilities])
 
 
 _ZERO_FLOW = 1e-9
@@ -290,13 +295,10 @@ class LayoutExport:
         return sum(1 for s in self.sites if s.role == role and s.open)
 
     def to_csv(self) -> str:
-        lines = ["role,site,lat,lon,open,size"]
-        for s in self.sites:
-            open_txt = "" if s.open is None else ("1" if s.open else "0")
-            lines.append(
-                f"{s.role},{s.site},{_fmt6(s.lat)},{_fmt6(s.lon)},{open_txt},{s.size or ''}"
-            )
-        return "\n".join(lines) + "\n"
+        return _csv("role,site,lat,lon,open,size",
+                    [(s.role, s.site, _fmt6(s.lat), _fmt6(s.lon),
+                      "" if s.open is None else ("1" if s.open else "0"), s.size or "")
+                     for s in self.sites])
 
     def to_geojson(self) -> str:
         features = []
@@ -381,10 +383,8 @@ def compute_utilization(sol: Solution, inst: Instance) -> list[UtilizationRow]:
 
 
 def utilization_csv(rows: list[UtilizationRow]) -> str:
-    lines = ["echelon,site,size,period,inflow_tons,capacity_tons,utilization,annual_capacity_tons"]
-    for r in rows:
-        lines.append(
-            f"{r.echelon},{r.site},{r.size},{r.period},{_fmt6(r.inflow_tons)},"
-            f"{_fmt6(r.capacity_tons)},{_fmt6(r.utilization)},{_fmt6(r.annual_capacity_tons)}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv("echelon,site,size,period,inflow_tons,capacity_tons,utilization,"
+                "annual_capacity_tons",
+                [(r.echelon, r.site, r.size, r.period, _fmt6(r.inflow_tons),
+                  _fmt6(r.capacity_tons), _fmt6(r.utilization), _fmt6(r.annual_capacity_tons))
+                 for r in rows])

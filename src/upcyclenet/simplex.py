@@ -13,7 +13,7 @@ so this favors a plain dense tableau and robustness over sparse cleverness:
   a residual above ``_PHASE1_TOL`` means infeasible,
 * phase 2 runs Dantzig's most-negative-reduced-cost rule and switches to
   Bland's anti-cycling rule after ``_DEGENERATE_LIMIT`` consecutive
-  degenerate pivots,
+  degenerate pivots, and back after the next non-degenerate one,
 * reduced costs are recomputed from the cost vector each iteration instead
   of carrying an objective row, trading a constant factor for immunity to
   accumulated drift,
@@ -49,7 +49,7 @@ from .errors import SimplexIterationError
 _PIVOT_TOL = 1e-10
 _REDCOST_TOL = 1e-9
 _DEGENERATE_STEP = 1e-12
-_DEGENERATE_LIMIT = 1_000
+_DEGENERATE_LIMIT = 50
 _PHASE1_TOL = 1e-7
 _MAX_ITERATIONS = 50_000
 
@@ -192,6 +192,7 @@ def _run(state: _State, cost: np.ndarray, allowed: int) -> str:
                 state.bland = True
         else:
             state.degenerate_run = 0
+            state.bland = False
         state.iterations += 1
 
 

@@ -109,6 +109,21 @@ def test_criterion_2_hand_instance_exact_costs():
     assert elapsed < HAND_BUDGET_S
 
 
+def test_criterion_2_breakdown_reconciles_on_every_optimal_suite_solution(suite_run):
+    # breakdown_costs recomputes every cost from the raw parameters, apart
+    # from the cost model both routes read, and raises ReportError unless it
+    # reconciles: 1e-9 relative for the oracle, OBJECTIVE_TOL for a solver
+    checked = {"oracle": 0, "external": 0}
+    for rec in suite_run.records:
+        for sol, model in ((rec.sol_on, rec.model), (rec.sol_off, rec.model_off),
+                           (rec.external, rec.model), (rec.external_off, rec.model_off)):
+            if sol is not None and sol.status == "optimal":
+                breakdown_costs(sol, model, rec.inst)
+                checked[sol.source] += 1
+    # 54 optimal members, pruning on and off
+    assert checked == {"oracle": 108, "external": 108 if have_scipy_milp() else 0}
+
+
 # ---------------------------------------------------------------------------
 # criterion 3: variable and row counts match a closed form computed by
 # independent loops, and the documented published counts are shown to be

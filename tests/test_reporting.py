@@ -1,10 +1,13 @@
+import csv
 import hashlib
+import io
 import json
 
 import pytest
 
 from test_instance import minimal_doc, parse_doc
 from upcyclenet.errors import ReportError, SolutionError
+from upcyclenet.instance import parse_instance, serialize_instance
 from upcyclenet.model import VariableIndex, build_milp
 from upcyclenet.model_io import Solution, parse_solution
 from upcyclenet.oracle import solve_exact
@@ -157,6 +160,27 @@ def test_breakdown_csv_shape(hand_case):
     assert lines[-1] == "total,,,540.000000"
     assert "operating,t1,cf,10.000000" in lines
     assert "transport,t1,src_cf,20.000000" in lines
+
+
+def test_csv_tables_quote_an_id_with_a_comma_a_quote_and_a_newline():
+    doc = json.loads(serialize_instance(single_chain_instance()))
+    site_id = 'Koeln, "Nord"\nWest'
+    doc["echelons"]["cf"]["sites"][0]["id"] = site_id
+    inst = parse_instance(json.dumps(doc))
+    sol, _ = solve_exact(inst)
+    flows = export_flows(sol, inst)
+    tables = {
+        "breakdown": breakdown_costs(sol, build_milp(inst), inst).to_csv(),
+        "flows": flows.to_csv(),
+        "facilities": flows.facilities_csv(),
+        "layout": export_layout(sol, inst).to_csv(),
+        "utilization": utilization_csv(compute_utilization(sol, inst)),
+    }
+    for name, text in tables.items():
+        header, *rows = csv.reader(io.StringIO(text))
+        assert rows and all(len(row) == len(header) for row in rows), name
+        if name != "breakdown":  # the only table without a site column
+            assert any(site_id in row for row in rows), name
 
 
 def test_breakdown_installation_matches_oracle_horizon():
