@@ -110,9 +110,10 @@ def test_criterion_2_hand_instance_exact_costs():
 
 
 def test_criterion_2_breakdown_reconciles_on_every_optimal_suite_solution(suite_run):
-    # breakdown_costs recomputes every cost from the raw parameters, apart
-    # from the cost model both routes read, and raises ReportError unless it
-    # reconciles: 1e-9 relative for the oracle, OBJECTIVE_TOL for a solver
+    # breakdown_costs recomputes every cost from the raw parameters, not
+    # through the cost model both routes share, and raises ReportError
+    # unless it reconciles: 1e-9 relative for the oracle, OBJECTIVE_TOL for
+    # a solver
     checked = {"oracle": 0, "external": 0}
     for rec in suite_run.records:
         for sol, model in ((rec.sol_on, rec.model), (rec.sol_off, rec.model_off),
