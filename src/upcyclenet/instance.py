@@ -176,7 +176,8 @@ def require_chain(inst: Instance) -> None:
 
 
 def _load_object(text: str, what: str) -> dict:
-    """The JSON object `text` holds.  Invalid JSON, a root that is not an
+    """The JSON object `text` holds.  Invalid JSON, an integer literal past
+    Python's digit limit, nesting too deep to decode, a root that is not an
     object and a key repeated within one object are InstanceErrors that
     start with `what`."""
 
@@ -191,6 +192,10 @@ def _load_object(text: str, what: str) -> dict:
         doc = json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"{what} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer literal longer than int() reads
+        raise InstanceError(f"{what} holds an integer too long to read") from exc
+    except RecursionError:
+        raise InstanceError(f"{what} is nested too deeply to read") from None
     if not isinstance(doc, dict):
         raise InstanceError(f"{what} root must be an object")
     return doc
@@ -211,7 +216,10 @@ def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
 def _as_number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InstanceError(f"{where}: expected a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the float range
+        out = math.inf
     if not math.isfinite(out):
         raise InstanceError(f"{where}: value must be finite")
     return out
@@ -544,7 +552,7 @@ def errors_only(findings: list[Finding]) -> list[Finding]:
 
 # margin on forced tons, relative to max(1 t, forced): open capacity this far
 # short of the forced tons still carries them, in `capacity_covers` and in
-# the cover rows `model.capacity_cover` hands an external solver alike
+# the cover rows of `model.solver_rows`, which an external solver reads
 FORCED_TONS_TOL = 1e-9
 
 

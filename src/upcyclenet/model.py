@@ -74,18 +74,18 @@ site's `facility_cap` rows over sizes, an exact projection with the same
 LP bound (3,802 -> 598 columns at the 10% default shape).  It is derived
 from the model's blocks and row keys alone and checks that every merged
 column agrees with its first size's in cost and in every summed row.
-Only `model_io.run_external_solver` uses it, to hand the solver the
-smaller problem; `write_mps` and the listing keep the canonical model.
+`lift_sizes` maps a solution back, each site's flows at its installed
+size.  Only `model_io.run_external_solver` uses the two; `write_mps` and
+the listing keep the canonical model.
 
-Capacity cover.  `Model.forced_tons` holds the tons the quota forces
-through each echelon in each period (`instance.forced_inflow_tons`, the
-array the oracle's capacity screen reads too).  `capacity_cover` states
-that screen as one pure-binary `G` row per (echelon, period) over the
-projection's columns: installed capacity covers the forced tons.  The
-other rows imply it, so the optimum and the LP bound stay; the solver
-gets a knapsack row to cut on (12 rows at the 10% default shape, where
-HiGHS then closes at the root).  The solver's file holds these rows
-after the projection's; the canonical model has no such row.
+Solver rows.  `solver_rows` is what the external solver reads, one block:
+the projection's rows, then one capacity-cover row per (echelon, period)
+with forced tons (`Model.forced_tons`, from `instance.forced_inflow_tons`,
+the array the oracle's capacity screen reads too): installed capacity, a
+pure-binary sum, covers the forced tons.  The other rows imply it, so the
+optimum and the LP bound stay; the solver gets a knapsack row to cut on
+(12 rows at the 10% default shape, where HiGHS then closes at the root).
+The canonical model has no such row.
 """
 
 from __future__ import annotations
@@ -411,8 +411,8 @@ class RowBlock:
     `data[...]` in the same slice.  Families occupy contiguous row ranges
     in ROW_FAMILIES order: family k is rows
     `family_offsets[k]:family_offsets[k + 1]`.  Rows past the last offset
-    belong to no family (`Row.family` is ""); only `capacity_cover`'s
-    rows do that.
+    belong to no family (`Row.family` is ""); only the cover rows of
+    `solver_rows` do that.
     """
 
     indptr: np.ndarray  # int64, n_rows + 1
@@ -729,8 +729,8 @@ def project_sizes(model: Model) -> SizeProjection:
     parallel-column reduction of Achterberg et al., INFORMS J. Computing
     32(2), 2020.  A solution of the projection becomes one of the model
     once each site's summed flows sit at its installed size
-    (`model_io._lift_sizes`).  A model where every echelon has one size
-    projects onto itself.
+    (`lift_sizes`).  A model where every echelon has one size projects
+    onto itself.
 
     Built from the model alone, the leg blocks' axes and the rows' keys.
     ModelError if two merged columns differ in cost or in any row of the
@@ -802,9 +802,46 @@ def project_sizes(model: Model) -> SizeProjection:
     )
 
 
-def capacity_cover(model: Model, projection: SizeProjection) -> RowBlock:
-    """The oracle's capacity screen as rows over the columns of
-    `projection`, a projection of `model`: one `G` row per (echelon,
+def lift_sizes(x: np.ndarray, model: Model) -> tuple[np.ndarray, int]:
+    """The column vector `x` with each site's inflow summed over sizes and
+    put at the site's chosen size, the size whose install binary is
+    largest (the first of equals), and the number of sites whose flows
+    moved.
+
+    This takes a solution of `project_sizes(model)`, whose flows carry
+    their first size's names, back to the model.  A vector whose flows all
+    sit at their site's chosen size comes back as the same object, and a
+    value the lift leaves equal keeps its bits (a -0.0 stays -0.0).  The
+    objective is unchanged: merged columns cost the same.  Nothing is
+    checked here; a site with two sizes installed, flow at a closed site
+    or a fractional binary is left for `model_io.verify_solution` to fail.
+    """
+    index = model.index
+    lifted = x.copy()
+    sites = 0
+    for leg in index.legs:
+        if not leg.sizes:
+            continue
+        grid = leg.grid()  # (t, p, origin, site, size)
+        chosen = np.argmax(x[index.install(leg.dest_role).grid()], axis=1)
+        off_size = np.arange(len(leg.sizes)) != chosen[:, None]
+        stray = np.flatnonzero(((x[grid] != 0.0) & off_size).any(axis=(0, 1, 2, 4)))
+        if not len(stray):
+            continue
+        moved = grid[:, :, :, stray]
+        at = np.take_along_axis(moved, chosen[stray][None, None, None, :, None], axis=4)
+        lifted[moved] = 0.0
+        lifted[at[..., 0]] = x[moved].sum(axis=4)
+        sites += len(stray)
+    if not sites:
+        return x, 0
+    return np.where(lifted != x, lifted, x), sites
+
+
+def solver_rows(model: Model, projection: SizeProjection) -> RowBlock:
+    """Every row the external solver reads for `model`, as one block over
+    the columns of `projection`, a projection of `model`: the projection's
+    rows, then the oracle's capacity screen as one cover row per (echelon,
     period) whose forced tons (`Model.forced_tons`) are above 0,
 
         sum over sites j and sizes c of cap_c * b[j, c] >= forced
@@ -819,8 +856,8 @@ def capacity_cover(model: Model, projection: SizeProjection) -> RowBlock:
     is the total-capacity inequality of capacitated facility location
     (Aardal, Pochet & Wolsey, Math. Oper. Res. 20(3), 1995): a pure-binary
     knapsack row that a MILP solver separates cover cuts from (Crowder,
-    Johnson & Padberg, Oper. Res. 31(5), 1983).  The rows belong to no
-    family: every family slice of the block is empty.
+    Johnson & Padberg, Oper. Res. 31(5), 1983).  The cover rows belong to
+    no family: the block's family offsets are the projection's.
     """
     block, forced = projection.constraints, model.forced_tons
     periods = model.index.legs[0].periods
@@ -840,15 +877,16 @@ def capacity_cover(model: Model, projection: SizeProjection) -> RowBlock:
     rows = np.repeat(target, np.diff(block.indptr[cap.start:cap.stop + 1]))
     cols, data = block.indices[lo:hi], block.data[lo:hi]
     keep = (rows >= 0) & (cols >= projection.n_continuous)
-    rows, cols, data = rows[keep], cols[keep], -data[keep]
     tons = forced[positive]
     return RowBlock(
-        indptr=np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(covered))))),
-        indices=cols,
-        data=data,
-        sense=np.full(len(covered), "G", dtype="<U1"),
-        rhs=tons - FORCED_TONS_TOL * np.maximum(1.0, tons),
-        names=tuple(_row_name(f"cov{ECHELON_TAGS[e]}", periods[k]) for e, k in covered),
-        keys=tuple((ECHELON_TAGS[e], periods[k]) for e, k in covered),
-        family_offsets=(0,) * (len(ROW_FAMILIES) + 1),
+        indptr=np.concatenate((block.indptr, block.indptr[-1]
+                               + np.cumsum(np.bincount(rows[keep], minlength=len(covered))))),
+        indices=np.concatenate((block.indices, cols[keep])),
+        data=np.concatenate((block.data, -data[keep])),
+        sense=np.concatenate((block.sense, np.full(len(covered), "G", dtype="<U1"))),
+        rhs=np.concatenate((block.rhs, tons - FORCED_TONS_TOL * np.maximum(1.0, tons))),
+        names=block.names + tuple(_row_name(f"cov{ECHELON_TAGS[e]}", periods[k])
+                                  for e, k in covered),
+        keys=block.keys + tuple((ECHELON_TAGS[e], periods[k]) for e, k in covered),
+        family_offsets=block.family_offsets,
     )

@@ -45,10 +45,10 @@ from .model import (
     ROW_FAMILIES,
     Model,
     RowBlock,
-    SizeProjection,
-    capacity_cover,
     first_duplicate,
+    lift_sizes,
     project_sizes,
+    solver_rows,
 )
 
 SOLUTION_STATUSES = ("optimal", "feasible", "infeasible", "unbounded", "unknown")
@@ -137,7 +137,8 @@ def _mps_batches(names: np.ndarray, block: RowBlock, objective: np.ndarray,
     sections after COLUMNS.  `names` is the NUL-padded column name table,
     and the columns from `n_continuous` on are the binaries.  Row names
     are checked before the first batch is made.  `write_mps` passes the
-    model's parts, `run_external_solver` those of its projection.
+    model's parts, `run_external_solver` its projection's columns and
+    `solver_rows`.
 
     A COLUMNS line is a space, its column's name and its tail, one token
     per (row, coefficient) pair with the coefficient told apart by its
@@ -268,26 +269,6 @@ def _model_batches(model: Model) -> Iterator[bytes | np.ndarray]:
     are checked here, row names before the first batch."""
     return _mps_batches(model.index.name_table(), model.constraints, model.objective,
                         model.index.n_continuous)
-
-
-def _projection_batches(model: Model, projection: SizeProjection,
-                        cover: RowBlock) -> Iterator[bytes | np.ndarray]:
-    """The MPS of `projection`, a projection of `model`, with the `cover`
-    rows (`capacity_cover`) after its own, in `_mps_batches`' batches; each
-    column is named after the model column it stands for."""
-    rows = projection.constraints
-    stacked = RowBlock(
-        indptr=np.concatenate((rows.indptr, rows.indptr[-1] + cover.indptr[1:])),
-        indices=np.concatenate((rows.indices, cover.indices)),
-        data=np.concatenate((rows.data, cover.data)),
-        sense=np.concatenate((rows.sense, cover.sense)),
-        rhs=np.concatenate((rows.rhs, cover.rhs)),
-        names=rows.names + cover.names,
-        keys=rows.keys + cover.keys,
-        family_offsets=rows.family_offsets,
-    )
-    return _mps_batches(model.index.name_table()[projection.columns], stacked,
-                        projection.objective, projection.n_continuous)
 
 
 def dump_model(model: Model) -> str:
@@ -680,42 +661,6 @@ def _refine_onto_active_set(x: np.ndarray, model: Model) -> tuple[np.ndarray, st
     return (refined if improved else x), line
 
 
-def _lift_sizes(x: np.ndarray, model: Model) -> tuple[np.ndarray, int]:
-    """The column vector `x` with each site's inflow summed over sizes and
-    put at the site's chosen size, the size whose install binary is
-    largest (the first of equals), and the number of sites whose flows
-    moved.
-
-    This takes a solution of `project_sizes(model)`, whose flows carry
-    their first size's names, back to the model.  A vector whose flows all
-    sit at their site's chosen size comes back as the same object, and a
-    value the lift leaves equal keeps its bits (a -0.0 stays -0.0).  The
-    objective is unchanged: merged columns cost the same.  Nothing is
-    checked here; a site with two sizes installed, flow at a closed site
-    or a fractional binary is left for `verify_solution` to fail.
-    """
-    index = model.index
-    lifted = x.copy()
-    sites = 0
-    for leg in index.legs:
-        if not leg.sizes:
-            continue
-        grid = leg.grid()  # (t, p, origin, site, size)
-        chosen = np.argmax(x[index.install(leg.dest_role).grid()], axis=1)
-        off_size = np.arange(len(leg.sizes)) != chosen[:, None]
-        stray = np.flatnonzero(((x[grid] != 0.0) & off_size).any(axis=(0, 1, 2, 4)))
-        if not len(stray):
-            continue
-        moved = grid[:, :, :, stray]
-        at = np.take_along_axis(moved, chosen[stray][None, None, None, :, None], axis=4)
-        lifted[moved] = 0.0
-        lifted[at[..., 0]] = x[moved].sum(axis=4)
-        sites += len(stray)
-    if not sites:
-        return x, 0
-    return np.where(lifted != x, lifted, x), sites
-
-
 def run_external_solver(model: Model, solver_cmd: str,
                         time_limit: float | None = None) -> Solution:
     """Write the model's size projection and its capacity-cover rows as
@@ -724,24 +669,24 @@ def run_external_solver(model: Model, solver_cmd: str,
 
     `solver_cmd` is a shell-less command template; every occurrence of
     `{mps}` and `{sol}` in its tokens is replaced by the MPS path and the
-    expected solution path.  The MPS is `project_sizes(model)`, written by
-    the same writer as `write_mps`: flows merged over their destination's
-    size axis under their first size's name, capacity rows summed over
-    sizes.  After the projection's rows come the `capacity_cover` rows,
-    one per (echelon, period) with forced tons: implied by the others, they
-    give the solver a pure-binary knapsack row to cut on.  A model where
-    every echelon has one size projects onto itself, so its file is
-    `write_mps(model)` plus the cover rows.  The child runs in a fresh temp
-    directory with the caller's environment, and its output is decoded as
-    UTF-8 with undecodable bytes replaced.  A declared `=status=` in the
-    solution file wins; otherwise a nonzero exit means status unknown
-    (diagnostics captured), and a timeout with an incumbent file present
-    means feasible.  A solution file that is not UTF-8 or does not parse
-    means status unknown and a `parse error` diagnostics line.
+    expected solution path.  `model` decides what the solver reads: the
+    columns of `project_sizes(model)` (flows merged over their
+    destination's size axis under their first size's name) and the rows
+    of `solver_rows` (the projection's, then one capacity-cover row per
+    (echelon, period) with forced tons), written by the same writer as
+    `write_mps`.  A model where every echelon has one size projects onto
+    itself, so its file is `write_mps(model)` plus the cover rows.  The
+    child runs in a fresh temp directory with the caller's environment,
+    and its output is decoded as UTF-8 with undecodable bytes replaced.
+    A declared `=status=` in the solution file wins; otherwise a nonzero
+    exit means status unknown (diagnostics captured), and a timeout with
+    an incumbent file present means feasible.  A solution file that is not
+    UTF-8 or does not parse means status unknown and a `parse error`
+    diagnostics line.
 
     From the parse on, the solution is one column vector and each name is
-    parsed once.  `_lift_sizes` moves each site's flows onto its chosen
-    size; one diagnostics line gives both column and row counts, the
+    parsed once.  `model.lift_sizes` moves each site's flows onto its
+    chosen size; one diagnostics line gives both column and row counts, the
     number of sites lifted and the number of cover rows.  An optimal or
     feasible solution that passes `verify_solution` is then refined onto
     its active set (`_refine_onto_active_set`), whose line on the worst
@@ -759,11 +704,12 @@ def run_external_solver(model: Model, solver_cmd: str,
         raise SolverRunError(f"time_limit must be finite and above 0 seconds, got {time_limit}")
     tokens = shlex.split(solver_cmd)
     projection = project_sizes(model)
-    cover = capacity_cover(model, projection)
+    rows = solver_rows(model, projection)
     with tempfile.TemporaryDirectory(prefix="upcyclenet-") as tmp:
         mps_path = Path(tmp) / "model.mps"
         sol_path = Path(tmp) / "model.sol"
-        _write_batches(_projection_batches(model, projection, cover), mps_path)
+        _write_batches(_mps_batches(model.index.name_table()[projection.columns], rows,
+                                    projection.objective, projection.n_continuous), mps_path)
         cmd = [t.replace("{mps}", str(mps_path)).replace("{sol}", str(sol_path)) for t in tokens]
         t0 = time.monotonic()
         try:
@@ -783,7 +729,7 @@ def run_external_solver(model: Model, solver_cmd: str,
         )
 
         def diagnostics(lifted: int) -> str:
-            return f"{diag}{lifted} sites lifted; {cover.n_rows} cover rows"
+            return f"{diag}{lifted} sites lifted; {rows.n_rows - projection.n_rows} cover rows"
 
         unknown = Solution(values={}, objective_reported=0.0, diagnostics=diagnostics(0))
         if not sol_path.exists():
@@ -799,7 +745,7 @@ def run_external_solver(model: Model, solver_cmd: str,
             sol.status = "feasible"
         elif exit_code != 0:
             sol.status = "unknown"
-    x, lifted = _lift_sizes(parsed, model)
+    x, lifted = lift_sizes(parsed, model)
     changed = x != parsed  # the parsed names the lift left, then the columns it filled
     named = [(name, col) for name, col in zip(sol.values, columns) if not changed[col]]
     named += [(model.index.column_name(col), col)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,6 +120,8 @@ class GenSpec:
         if not (0.0 <= lo <= hi <= 100.0):
             raise InstanceError("supply variation range must lie within [0, 100]")
         for tag in ECHELON_TAGS:
+            if tag not in self.ladders:
+                raise InstanceError(f"missing size ladder for {tag}")
             ladder = self.ladders[tag]
             if ladder.count < 1 or ladder.base_capacity <= 0.0 or ladder.base_cost < 0.0:
                 raise InstanceError(f"invalid size ladder for {tag}")
@@ -493,45 +496,42 @@ def _tiny_random(seed: int, index: int) -> Instance:
     return parse_instance(json.dumps(doc))
 
 
-def _eta_zero_instance() -> Instance:
-    inst = _tiny_random(7, 1)
+def _derived(inst: Instance, name: str, edit: Callable[[dict], object]) -> Instance:
+    """`inst` through its document: renamed `name`, changed by `edit`, parsed."""
     doc = json.loads(serialize_instance(inst))
-    doc["name"] = "eta-zero"
-    doc["quota"] = {}
+    doc["name"] = name
+    edit(doc)
     return parse_instance(json.dumps(doc))
+
+
+def _eta_zero_instance() -> Instance:
+    return _derived(_tiny_random(7, 1), "eta-zero", lambda doc: doc.update(quota={}))
 
 
 def _infeasible_quota_instance() -> Instance:
     """Full quota against a collection echelon that cannot hold it."""
-    inst = single_chain_instance()
-    doc = json.loads(serialize_instance(inst))
-    doc["name"] = "quota-over-capacity"
-    doc["echelons"]["cf"]["size_options"] = [
-        {"id": "s1", "max_capacity_tons": 5.0, "install_cost_annual": 100.0}
-    ]
-    return parse_instance(json.dumps(doc))
+    small = [{"id": "s1", "max_capacity_tons": 5.0, "install_cost_annual": 100.0}]
+    return _derived(single_chain_instance(), "quota-over-capacity",
+                    lambda doc: doc["echelons"]["cf"].update(size_options=small))
 
 
 def _colocated_instance() -> Instance:
     """Two CF candidates on one spot, CPF and DPF candidates on another."""
-    inst = single_chain_instance()
-    doc = json.loads(serialize_instance(inst))
-    doc["name"] = "colocated"
-    cf = doc["echelons"]["cf"]["sites"][0]
-    doc["echelons"]["cf"]["sites"] = [cf, dict(cf, id="cf2")]
-    doc["echelons"]["dpf"]["sites"][0]["lat"] = doc["echelons"]["cpf"]["sites"][0]["lat"]
-    doc["echelons"]["dpf"]["sites"][0]["lon"] = doc["echelons"]["cpf"]["sites"][0]["lon"]
-    return parse_instance(json.dumps(doc))
+    def edit(doc: dict) -> None:
+        cf, cpf = doc["echelons"]["cf"]["sites"][0], doc["echelons"]["cpf"]["sites"][0]
+        doc["echelons"]["cf"]["sites"] = [cf, dict(cf, id="cf2")]
+        doc["echelons"]["dpf"]["sites"][0].update(lat=cpf["lat"], lon=cpf["lon"])
+
+    return _derived(single_chain_instance(), "colocated", edit)
 
 
 def _zero_distance_instance() -> Instance:
     """Source and collection site share coordinates: a zero-length leg."""
-    inst = single_chain_instance()
-    doc = json.loads(serialize_instance(inst))
-    doc["name"] = "zero-distance"
-    doc["echelons"]["cf"]["sites"][0]["lat"] = doc["sources"][0]["lat"]
-    doc["echelons"]["cf"]["sites"][0]["lon"] = doc["sources"][0]["lon"]
-    return parse_instance(json.dumps(doc))
+    def edit(doc: dict) -> None:
+        source = doc["sources"][0]
+        doc["echelons"]["cf"]["sites"][0].update(lat=source["lat"], lon=source["lon"])
+
+    return _derived(single_chain_instance(), "zero-distance", edit)
 
 
 def make_tiny_suite(seed: int, size: int = 55) -> list[Instance]:

@@ -1,7 +1,7 @@
 """The capacity-cover rows that `run_external_solver` hands the solver after
-the size projection (`model.capacity_cover`): the oracle's capacity screen
-(`oracle._SlotTable.blocks`) stated as one row per echelon and period.
-`validate_instance` reads the screen's rule too."""
+the size projection's rows, in one block (`model.solver_rows`): the
+oracle's capacity screen (`oracle._SlotTable.blocks`) stated as one row
+per echelon and period.  `validate_instance` reads the screen's rule too."""
 
 import hashlib
 import json
@@ -22,9 +22,9 @@ from upcyclenet.instance import (
 from upcyclenet.model import (
     ROW_FAMILIES,
     build_milp,
-    capacity_cover,
     install_column_name,
     project_sizes,
+    solver_rows,
 )
 from upcyclenet.model_io import verify_solution
 from upcyclenet.oracle import MAX_CONFIGS, _SlotTable, solve_exact
@@ -43,16 +43,19 @@ def screened(table, max_configs=MAX_CONFIGS):
 
 
 def cover_of(inst, prune):
+    """(model, its projection, their `solver_rows`); the cover rows are
+    the solver's rows from `projection.n_rows` on."""
     model = build_milp(inst, prune=prune)
     projection = project_sizes(model)
-    return model, projection, capacity_cover(model, projection)
+    return model, projection, solver_rows(model, projection)
 
 
 def screen_agreement(inst, prune):
     """(configurations the screen keeps, configurations it drops), after
     checking on every configuration that the cover rows hold exactly when
     the oracle's capacity screen keeps it."""
-    model, projection, cover = cover_of(inst, prune)
+    model, projection, rows = cover_of(inst, prune)
+    cover = slice(projection.n_rows, None)
     table = _SlotTable(inst)
     # per slot and choice, the projected install column it opens (-1: closed)
     opens = []
@@ -64,7 +67,7 @@ def screen_agreement(inst, prune):
     for config, fits, _ in screened(table, SCREENED_CONFIGS):
         x = np.zeros(projection.n_columns)
         x[[opens[k][c] for k, c in enumerate(config) if c]] = 1.0
-        meets = bool((cover.activities(x) >= cover.rhs).all())
+        meets = bool((rows.activities(x) >= rows.rhs)[cover].all())
         assert meets == fits, (inst.name, prune, config)
         kept += fits
         dropped += not fits
@@ -114,40 +117,41 @@ def test_validation_errs_exactly_when_the_screen_drops_the_widest_configuration(
 
 def test_cover_rows_on_the_hand_instance():
     inst = single_chain_instance()
-    model, projection, cover = cover_of(inst, prune=True)
+    model, projection, rows = cover_of(inst, prune=True)
+    n = projection.n_rows
     forced = forced_inflow_tons(inst)[:, 0].tolist()
-    assert cover.names == ("covcf_t1", "covrtf_t1", "covcpf_t1", "covdpf_t1")
-    assert cover.keys == tuple((tag, "t1") for tag in ECHELON_TAGS)
-    assert cover.sense.tolist() == ["G"] * 4
-    assert cover.rhs.tolist() == [tons - FORCED_TONS_TOL * max(1.0, tons) for tons in forced]
+    assert rows.names[n:] == ("covcf_t1", "covrtf_t1", "covcpf_t1", "covdpf_t1")
+    assert rows.keys[n:] == tuple((tag, "t1") for tag in ECHELON_TAGS)
+    assert rows.sense[n:].tolist() == ["G"] * 4
+    assert rows.rhs[n:].tolist() == [tons - FORCED_TONS_TOL * max(1.0, tons) for tons in forced]
     # one install binary per echelon, at its capacity
-    for r, tag in enumerate(ECHELON_TAGS):
-        cols = cover.indices[cover.indptr[r]:cover.indptr[r + 1]]
+    for r, tag in enumerate(ECHELON_TAGS, start=n):
+        cols = rows.indices[rows.indptr[r]:rows.indptr[r + 1]]
         assert [model.index.column_key(int(c)) for c in projection.columns[cols]] == [
             ("install", tag, inst.echelon(tag).sites[0].id, "s1")]
-        assert cover.data[cover.indptr[r]:cover.indptr[r + 1]].tolist() == [
+        assert rows.data[rows.indptr[r]:rows.indptr[r + 1]].tolist() == [
             inst.echelon(tag).size_options[0].max_capacity_tons]
-    assert all(cover.family_slice(family) == slice(0, 0) for family in ROW_FAMILIES)
+    assert all(rows.family_slice(family).stop <= n for family in ROW_FAMILIES)
 
 
 def test_no_quota_no_cover_rows():
-    model, _, cover = cover_of(_eta_zero_instance(), prune=True)
+    model, projection, rows = cover_of(_eta_zero_instance(), prune=True)
     assert not model.forced_tons.any()
-    assert cover.n_rows == 0
-    assert len(cover.indices) == 0
+    assert rows.n_rows == projection.n_rows
+    assert len(rows.indices) == rows.indptr[projection.n_rows]
 
 
 def test_cover_rows_read_the_forced_tons_of_every_period():
     inst = generate(GenSpec(seed=3, n_sources=4, n_cf=2, n_rtf=2, n_cpf=1, n_dpf=1, n_sinks=1))
-    model, _, cover = cover_of(inst, prune=True)
+    model, projection, rows = cover_of(inst, prune=True)
     forced = forced_inflow_tons(inst)
     periods = [t.id for t in inst.periods]
     assert model.forced_tons.shape == (len(ECHELON_TAGS), len(periods))
     assert not model.forced_tons.flags.writeable
     expected = [(tag, t) for e, tag in enumerate(ECHELON_TAGS) for k, t in enumerate(periods)
                 if forced[e, k] > 0.0]
-    assert cover.keys == tuple(expected)
-    assert cover.names == tuple(f"cov{tag}_{t}" for tag, t in expected)
+    assert rows.keys[projection.n_rows:] == tuple(expected)
+    assert rows.names[projection.n_rows:] == tuple(f"cov{tag}_{t}" for tag, t in expected)
 
 
 
@@ -189,9 +193,9 @@ def test_forced_tons_and_findings_are_pinned(tiny_suite):
 
 def test_every_row_block_is_read_only():
     inst = generate(GenSpec(seed=3, n_sources=4, n_cf=2, n_rtf=2, n_cpf=1, n_dpf=1, n_sinks=1))
-    model, projection, cover = cover_of(inst, prune=True)
-    assert projection.n_rows < model.n_rows and cover.n_rows > 0
-    for block in (model.constraints, projection.constraints, cover):
+    model, projection, rows = cover_of(inst, prune=True)
+    assert projection.n_rows < model.n_rows and rows.n_rows > projection.n_rows
+    for block in (model.constraints, projection.constraints, rows):
         for field in ("indptr", "indices", "data", "sense", "rhs"):
             array = getattr(block, field)
             assert not array.flags.writeable, field
@@ -200,19 +204,19 @@ def test_every_row_block_is_read_only():
 
 
 def test_cover_rows_read_as_rows_of_no_family():
-    """`RowBlock.row` on every row of the 10% default shape's cover block:
-    each belongs to no family, and its views hold its CSR slice."""
-    _, _, cover = cover_of(scaled_default_shape(0.10), prune=True)
-    assert cover.n_rows == 12
-    for r in range(cover.n_rows):
-        row = cover.row(r)
-        lo, hi = cover.indptr[r], cover.indptr[r + 1]
-        assert (row.name, row.family, row.key) == (cover.names[r], "", cover.keys[r])
-        assert (row.sense, row.rhs) == ("G", cover.rhs[r])
-        assert row.cols.tolist() == cover.indices[lo:hi].tolist()
-        assert row.coefs.tolist() == cover.data[lo:hi].tolist()
-        assert np.shares_memory(np.asarray(row.cols), cover.indices)
-        assert np.shares_memory(np.asarray(row.coefs), cover.data)
+    """`RowBlock.row` on every cover row of the 10% default shape's solver
+    rows: each belongs to no family, and its views hold its CSR slice."""
+    _, projection, rows = cover_of(scaled_default_shape(0.10), prune=True)
+    assert rows.n_rows - projection.n_rows == 12
+    for r in range(projection.n_rows, rows.n_rows):
+        row = rows.row(r)
+        lo, hi = rows.indptr[r], rows.indptr[r + 1]
+        assert (row.name, row.family, row.key) == (rows.names[r], "", rows.keys[r])
+        assert (row.sense, row.rhs) == ("G", rows.rhs[r])
+        assert row.cols.tolist() == rows.indices[lo:hi].tolist()
+        assert row.coefs.tolist() == rows.data[lo:hi].tolist()
+        assert np.shares_memory(np.asarray(row.cols), rows.indices)
+        assert np.shares_memory(np.asarray(row.coefs), rows.data)
 
 
 # ---------------------------------------------------------------------------

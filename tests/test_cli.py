@@ -4,7 +4,8 @@ import shlex
 import pytest
 
 from conftest import adapter_template, copying_solver, have_scipy_milp
-from test_scenario import BAD_SPECS
+from test_instance import GARBAGE_LITERALS, garbage_document
+from test_scenario import BAD_SPECS, garbage_spec
 from upcyclenet import cli, model_io
 from upcyclenet.errors import ModelError
 from upcyclenet.instance import Finding, parse_instance, serialize_instance, validate_instance
@@ -96,6 +97,22 @@ def test_a_file_that_is_not_utf8_is_an_error_not_a_traceback(tmp_path, hand_file
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ") and "is not UTF-8 text" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", GARBAGE_LITERALS)
+@pytest.mark.parametrize("argv, text", [
+    (["validate", "--instance", "{bad}"], garbage_document),
+    (["gen", "--out", "{out}", "--spec", "{bad}"], garbage_spec),
+], ids=["instance", "spec"])
+def test_garbage_json_is_an_error_not_a_traceback(tmp_path, capsys, argv, text, case):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text(case))
+    rc = cli.main([arg.format(bad=bad, out=tmp_path / "out") for arg in argv])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and GARBAGE_LITERALS[case][1] in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

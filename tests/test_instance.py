@@ -207,6 +207,29 @@ def test_parse_rejects_a_repeated_key(edit, key):
         parse_instance(text)
 
 
+# JSON values that Python's decoder or `float` cannot take, each with the
+# InstanceError it must give: an integer too large for a float, one past
+# int()'s 4,300-digit limit, and an array nested 100,000 deep
+GARBAGE_LITERALS = {
+    "huge": ("1" + "0" * 400, "value must be finite"),
+    "long": ("1" + "0" * 5000, "holds an integer too long to read"),
+    "deep": ("[" * 100_000 + "]" * 100_000, "is nested too deeply to read"),
+}
+
+
+def garbage_document(case):
+    """`minimal_doc` as text with a GARBAGE_LITERALS literal for its duration."""
+    literal = GARBAGE_LITERALS[case][0]
+    return json.dumps(minimal_doc()).replace('"duration_years": 1.0',
+                                             f'"duration_years": {literal}')
+
+
+@pytest.mark.parametrize("case", GARBAGE_LITERALS)
+def test_parse_turns_garbage_json_into_instance_errors(case):
+    with pytest.raises(InstanceError, match=GARBAGE_LITERALS[case][1]):
+        parse_instance(garbage_document(case))
+
+
 def test_validator_clean_on_consistent_instance():
     assert validate_instance(parse_doc(minimal_doc())) == []
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import platform
+import shlex
 import sys
 import textwrap
 import tracemalloc
@@ -9,13 +10,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import conftest
 from scipy_milp_adapter import read_free_mps, write_solution_file
 from test_instance import minimal_doc, parse_doc
 from test_milp_core import GOLDEN_HAND_DUMP, random_shape_doc, table_names
 from upcyclenet import model_io
 from upcyclenet.errors import NamingError, SolutionError, SolverRunError
 from upcyclenet.instance import parse_instance, serialize_instance
-from upcyclenet.model import ROW_FAMILIES, Model, build_milp, capacity_cover, project_sizes
+from upcyclenet.model import ROW_FAMILIES, Model, build_milp, project_sizes, solver_rows
 from upcyclenet.model_io import (
     Solution,
     _least_squares,
@@ -1051,6 +1053,11 @@ def copying_solver(tmp_path):
 # sha256 of the projection's MPS, cover rows included, for
 # random_shape_doc(default_rng(3)), prune on
 PROJECTION_MPS_SHA256 = "edcf7a75e9c18316fa6bf4061b28ffed938ff1af5d21328f79b07b08487792d5"
+# sha256 of the solver's file for the 10% default shape, prune on
+TEN_PERCENT_SOLVER_MPS_SHA256 = "6103c05baab117680321ed17fef966876c6eef8221e8501c65260b6d3b509751"
+# sha256 of the tiny suite's solver files, one after another in suite
+# order, each member's with pruning on and then off
+TINY_SUITE_SOLVER_MPS_SHA256 = "80f8b517434ec20c45f80a8a3127e62067ede8e1e46847a12fc3fa9ebd858e3f"
 
 
 def test_solver_reads_the_bytes_of_write_mps(monkeypatch, tmp_path):
@@ -1059,18 +1066,39 @@ def test_solver_reads_the_bytes_of_write_mps(monkeypatch, tmp_path):
     inst = parse_instance(json.dumps(random_shape_doc(np.random.default_rng(3))))
     model = build_milp(inst)
     projection = project_sizes(model)
-    cover = capacity_cover(model, projection)
+    rows = solver_rows(model, projection)
     assert projection.n_columns < model.n_columns
     cmd, copy = copying_solver(tmp_path)
     assert run_external_solver(model, cmd).status == "unknown"
     text = bytearray()
-    for batch in model_io._projection_batches(model, projection, cover):
+    for batch in model_io._mps_batches(model.index.name_table()[projection.columns], rows,
+                                       projection.objective, projection.n_continuous):
         text += memoryview(batch)
     assert copy.read_bytes() == text
     assert hashlib.sha256(text).hexdigest() == PROJECTION_MPS_SHA256
     data = read_free_mps(text.decode())
     assert data.column_order == [model.index.column_name(c) for c in projection.columns]
-    assert data.row_order[1:] == list(projection.constraints.names) + list(cover.names)
+    assert rows.names[:projection.n_rows] == projection.constraints.names
+    assert data.row_order[1:] == list(rows.names)
+
+
+def solver_file(model, path):
+    """The bytes `run_external_solver` hands the solver for `model`, copied to `path`."""
+    run_external_solver(model, conftest.copying_solver('"$0"', shlex.quote(str(path))))
+    return path.read_bytes()
+
+
+def test_solver_file_of_the_ten_percent_shape_is_pinned(tmp_path):
+    text = solver_file(build_milp(conftest.scaled_default_shape(0.10)), tmp_path / "copy.mps")
+    assert hashlib.sha256(text).hexdigest() == TEN_PERCENT_SOLVER_MPS_SHA256
+
+
+def test_solver_files_of_the_tiny_suite_are_pinned(tiny_suite, tmp_path):
+    digest = hashlib.sha256()
+    for inst in tiny_suite:
+        for prune in (True, False):
+            digest.update(solver_file(build_milp(inst, prune=prune), tmp_path / "copy.mps"))
+    assert digest.hexdigest() == TINY_SUITE_SOLVER_MPS_SHA256
 
 
 def test_solver_reads_write_mps_of_a_single_size_model(monkeypatch, tmp_path):

@@ -1,6 +1,6 @@
 """The size-aggregated projection that `run_external_solver` hands the
 solver (`model.project_sizes`) and the lift of its solutions back onto the
-model (`model_io._lift_sizes`)."""
+model (`model.lift_sizes`)."""
 
 import dataclasses
 import json
@@ -13,10 +13,15 @@ from test_milp_core import random_shape_doc
 from test_model_io import fake_solver_writing
 from upcyclenet.errors import ModelError
 from upcyclenet.instance import parse_instance, serialize_instance
-from upcyclenet.model import VariableIndex, build_milp, flow_column_name, project_sizes
+from upcyclenet.model import (
+    VariableIndex,
+    build_milp,
+    flow_column_name,
+    lift_sizes,
+    project_sizes,
+)
 from upcyclenet.model_io import (
     Solution,
-    _lift_sizes,
     _verify_vector,
     recompute_objective,
     run_external_solver,
@@ -224,7 +229,7 @@ def test_canonical_solutions_come_back_as_parsed(multi_size_members):
             continue
         model = build_milp(inst)
         x = solution_vector(sol, model)
-        lifted, sites = _lift_sizes(x, model)
+        lifted, sites = lift_sizes(x, model)
         assert lifted is x and sites == 0, inst.name
 
 
@@ -238,7 +243,7 @@ def test_first_size_flows_land_on_the_chosen_size(multi_size_members):
         values = projected_form(sol.values, model, first_sizes(inst))
         reported = Solution(values=values, objective_reported=sol.objective_reported,
                             status="optimal")
-        lifted, sites = _lift_sizes(solution_vector(reported, model), model)
+        lifted, sites = lift_sizes(solution_vector(reported, model), model)
         assert np.allclose(lifted, solution_vector(sol, model), rtol=1e-12, atol=0.0), inst.name
         assert _verify_vector(lifted, model).passed, inst.name
         assert (sites == 0) == (values == sol.values), inst.name

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from test_instance import GARBAGE_LITERALS
 from upcyclenet.errors import InstanceError
 from upcyclenet.instance import (
     errors_only,
@@ -88,6 +89,25 @@ def test_genspec_from_json_rejects_bad_field_types(doc, message):
 def test_genspec_from_json_rejects_a_repeated_key():
     with pytest.raises(InstanceError, match="^generator spec: duplicate key 'n_sources'$"):
         GenSpec.from_json('{"n_sources": 3, "n_sources": 500}')
+
+
+def garbage_spec(case):
+    """A generator spec whose quota level is a GARBAGE_LITERALS literal."""
+    return f'{{"quota_level": {GARBAGE_LITERALS[case][0]}}}'
+
+
+@pytest.mark.parametrize("case", GARBAGE_LITERALS)
+def test_genspec_from_json_turns_garbage_json_into_instance_errors(case):
+    with pytest.raises(InstanceError, match=GARBAGE_LITERALS[case][1]):
+        GenSpec.from_json(garbage_spec(case))
+
+
+def test_genspec_names_a_missing_size_ladder():
+    ladders = {"cf": DEFAULT_LADDERS["cf"]}
+    with pytest.raises(InstanceError, match="^missing size ladder for rtf$"):
+        GenSpec(ladders=ladders).validate()
+    with pytest.raises(InstanceError, match="^missing size ladder for rtf$"):
+        generate(GenSpec(ladders=ladders))
 
 
 def test_genspec_from_json_counts_are_integers_not_bools():
