@@ -107,6 +107,182 @@ def test_parse_rejects_bad_documents(mutate, fragment):
     assert fragment in str(err.value)
 
 
+def put(*path_and_value):
+    """A mutation of `minimal_doc()` setting the field at the path (keys
+    and indices) to the last argument."""
+    *path, value = path_and_value
+
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return mutate
+
+
+def drop(*path):
+    """A mutation of `minimal_doc()` deleting the field at the path."""
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
+    return mutate
+
+
+def text(replacement):
+    """A mutation that replaces the whole document text."""
+    return lambda doc: replacement
+
+
+def appended(*path):
+    """A mutation appending a copy of the path's first element."""
+    def mutate(doc):
+        for key in path:
+            doc = doc[key]
+        doc.append(dict(doc[0]))
+    return mutate
+
+
+CF = ("echelons", "cf")
+CF_OPTION = CF + ("size_options", 0)
+
+# one fault of `minimal_doc()` per case, with the exact InstanceError text:
+# every raise site of the document reader
+SINGLE_FAULTS = [
+    (text("{not json"), "document is not valid JSON: Expecting property name enclosed "
+                        "in double quotes: line 1 column 2 (char 1)"),
+    (text('{"name": "a", "name": "b"}'), "document: duplicate key 'name'"),
+    (text('{"name": ' + "1" * 5000 + "}"), "document holds an integer too long to read"),
+    (text("[" * 100_000 + "]" * 100_000), "document is nested too deeply to read"),
+    (text("[1, 2]"), "document root must be an object"),
+    (put("bogus", 1), "document: unknown field 'bogus'"),
+    (drop("materials"), "document: missing required field 'materials'"),
+    (drop("periods"), "document: missing required field 'periods'"),
+    (drop("sources"), "document: missing required field 'sources'"),
+    (drop("sinks"), "document: missing required field 'sinks'"),
+    (drop("echelons"), "document: missing required field 'echelons'"),
+    (put("name", 5), "name: expected a string"),
+    (put("materials", []), "materials: expected a non-empty array"),
+    (put("materials", "w"), "materials: expected a non-empty array"),
+    (put("materials", ["w", ""]), "materials: expected a non-empty string, got ''"),
+    (put("materials", ["w", "g", "w"]), "duplicate material id 'w'"),
+    (put("materials", ["w", "g", "a b", "a.b"]),
+     "material ids 'a b' and 'a.b' collide after sanitization ('a-b')"),
+    (put("periods", []), "periods: expected a non-empty array"),
+    (put("periods", {"id": "t1"}), "periods: expected a non-empty array"),
+    (put("periods", 0, 7), "periods[0]: expected an object"),
+    (put("periods", 0, "x", 1), "periods[0]: unknown field 'x'"),
+    (drop("periods", 0, "id"), "periods[0]: missing required field 'id'"),
+    (drop("periods", 0, "duration_years"), "periods[0]: missing required field 'duration_years'"),
+    (put("periods", 0, "id", 3), "periods[0].id: expected a non-empty string, got 3"),
+    (put("periods", 0, "duration_years", "1"),
+     "periods[0].duration_years: expected a number, got '1'"),
+    (put("periods", 0, "duration_years", True),
+     "periods[0].duration_years: expected a number, got True"),
+    (put("periods", 0, "duration_years", 1e400), "periods[0].duration_years: value must be finite"),
+    (put("periods", 0, "duration_years", float("nan")),
+     "periods[0].duration_years: value must be finite"),
+    (put("periods", 0, "duration_years", 10 ** 400),
+     "periods[0].duration_years: value must be finite"),
+    (put("periods", 0, "duration_years", 0.0), "periods[0]: duration_years must be > 0"),
+    (appended("periods"), "duplicate period id 't1'"),
+    (put("sources", {}), "sources: expected an array"),
+    (put("sinks", 5), "sinks: expected an array"),
+    (put("sources", 0, 3), "sources[0]: expected an object"),
+    (put("sources", 0, "demand", {}), "sources[0]: unknown field 'demand'"),
+    (drop("sources", 0, "id"), "sources[0]: missing required field 'id'"),
+    (drop("sources", 0, "lat"), "sources[0]: missing required field 'lat'"),
+    (drop("sinks", 0, "lon"), "sinks[0]: missing required field 'lon'"),
+    (put("sources", 0, "id", ""), "sources[0].id: expected a non-empty string, got ''"),
+    (put("sources", 0, "lat", "0"), "sources[0].lat: expected a number, got '0'"),
+    (put("sinks", 0, "lon", None), "sinks[0].lon: expected a number, got None"),
+    (put("sources", 0, "lat", 90.5), "sources[0]: node 'src1' latitude 90.5 outside [-90, 90]"),
+    (put("sinks", 0, "lon", -181),
+     "sinks[0]: node 'snk1' longitude -181.0 outside [-180, 180]"),
+    (put("sources", 0, "supply", []), "sources[0].supply: expected an object keyed by period id"),
+    (put("sources", 0, "supply", {"t9": {}}), "sources[0].supply: unknown period id 't9'"),
+    (put("sources", 0, "supply", "t1", 5),
+     "sources[0].supply.t1: expected an object keyed by material id"),
+    (put("sinks", 0, "demand", "t1", "x", 1.0), "sinks[0].demand.t1: unknown material id 'x'"),
+    (put("sources", 0, "supply", "t1", "w", -1), "sources[0].supply.t1.w: negative tonnage -1.0"),
+    (put("sinks", 0, "demand", "t1", "g", "5"), "sinks[0].demand.t1.g: expected a number, got '5'"),
+    (appended("sources"), "duplicate source id 'src1'"),
+    (appended("sinks"), "duplicate sink id 'snk1'"),
+    (lambda d: d["sources"].extend([dict(d["sources"][0], id="a b"), dict(d["sources"][0], id="a.b")]),
+     "source ids 'a b' and 'a.b' collide after sanitization ('a-b')"),
+    (put("echelons", []), "echelons: expected an object"),
+    (put("echelons", "xf", {}), "echelons: unknown field 'xf'"),
+    (drop("echelons", "cf"), "echelons: missing required field 'cf'"),
+    (drop("echelons", "dpf"), "echelons: missing required field 'dpf'"),
+    (put(*CF, 1), "echelons.cf: expected an object"),
+    (put(*CF, "x", 1), "echelons.cf: unknown field 'x'"),
+    (drop(*CF, "sites"), "echelons.cf: missing required field 'sites'"),
+    (drop(*CF, "size_options"), "echelons.cf: missing required field 'size_options'"),
+    (drop(*CF, "op_cost_per_ton"), "echelons.cf: missing required field 'op_cost_per_ton'"),
+    (drop(*CF, "inputs"), "echelons.cf: missing required field 'inputs'"),
+    (drop(*CF, "outputs"), "echelons.cf: missing required field 'outputs'"),
+    (drop(*CF, "yields"), "echelons.cf: missing required field 'yields'"),
+    (put(*CF, "sites", {}), "echelons.cf.sites: expected an array"),
+    (put(*CF, "sites", 0, 1), "echelons.cf.sites[0]: expected an object"),
+    (put(*CF, "sites", 0, "lat", -91), "echelons.cf.sites[0]: node 'cf1' latitude -91.0 outside [-90, 90]"),
+    (appended(*CF, "sites"), "duplicate cf site id 'cf1'"),
+    (put(*CF, "size_options", []), "echelons.cf.size_options: expected a non-empty array"),
+    (put(*CF, "size_options", {}), "echelons.cf.size_options: expected a non-empty array"),
+    (put(*CF_OPTION, 1), "echelons.cf.size_options[0]: expected an object"),
+    (put(*CF_OPTION, "x", 1), "echelons.cf.size_options[0]: unknown field 'x'"),
+    (drop(*CF_OPTION, "id"), "echelons.cf.size_options[0]: missing required field 'id'"),
+    (drop(*CF_OPTION, "max_capacity_tons"),
+     "echelons.cf.size_options[0]: missing required field 'max_capacity_tons'"),
+    (drop(*CF_OPTION, "install_cost_annual"),
+     "echelons.cf.size_options[0]: missing required field 'install_cost_annual'"),
+    (put(*CF_OPTION, "id", 1), "echelons.cf.size_options[0].id: expected a non-empty string, got 1"),
+    (put(*CF_OPTION, "max_capacity_tons", "x"),
+     "echelons.cf.size_options[0].max_capacity_tons: expected a number, got 'x'"),
+    (put(*CF_OPTION, "install_cost_annual", [1]),
+     "echelons.cf.size_options[0].install_cost_annual: expected a number, got [1]"),
+    (put(*CF_OPTION, "max_capacity_tons", -1.0),
+     "echelons.cf.size_options[0]: max_capacity_tons must be >= 0"),
+    (put(*CF_OPTION, "install_cost_annual", -1.0),
+     "echelons.cf.size_options[0]: install_cost_annual must be >= 0"),
+    (appended(*CF, "size_options"), "duplicate cf size option id 's1'"),
+    (put(*CF, "op_cost_per_ton", "x"), "echelons.cf.op_cost_per_ton: expected a number, got 'x'"),
+    (put(*CF, "op_cost_per_ton", -0.5), "echelons.cf.op_cost_per_ton: must be >= 0"),
+    (put(*CF, "inputs", []), "echelons.cf.inputs: expected a non-empty array of material ids"),
+    (put(*CF, "outputs", "w"), "echelons.cf.outputs: expected a non-empty array of material ids"),
+    (put(*CF, "inputs", [3]), "echelons.cf.inputs: expected a non-empty string, got 3"),
+    (put(*CF, "outputs", ["x"]), "echelons.cf.outputs: unknown material id 'x'"),
+    (put(*CF, "inputs", ["w", "w"]), "echelons.cf.inputs: duplicate material id 'w'"),
+    (put(*CF, "yields", []), "echelons.cf.yields: expected an object keyed by output material"),
+    (put(*CF, "yields", {"w": 1.0, "g": 1.0}),
+     "echelons.cf.yields: keys must exactly match outputs ['w'], got ['g', 'w']"),
+    (put(*CF, "yields", "w", "x"), "echelons.cf.yields.w: expected a number, got 'x'"),
+    (put(*CF, "yields", "w", -1), "echelons.cf.yields.w: negative yield factor -1.0"),
+    (put("quota", []), "quota: expected an object keyed by period id"),
+    (put("quota", "t2", {}), "quota: unknown period id 't2'"),
+    (put("quota", "t1", "x", 0.5), "quota.t1: unknown material id 'x'"),
+    (put("quota", "t1", "w", 1.5), "quota.t1.w: value 1.5 outside [0, 1]"),
+    (put("quota", "t1", "w", -0.5), "quota.t1.w: negative tonnage -0.5"),
+    (put("transport_cost", []), "transport_cost: expected an object keyed by material id"),
+    (put("transport_cost", "nope", 1.0), "transport_cost: unknown material id 'nope'"),
+    (put("transport_cost", "w", False), "transport_cost.w: expected a number, got False"),
+    (put("transport_cost", "w", -1), "transport_cost.w: must be >= 0"),
+    (put("options", []), "options: expected an object"),
+    (put("options", "x", 1), "options: unknown field 'x'"),
+    (put("options", "circuity_factor", "x"), "options.circuity_factor: expected a number, got 'x'"),
+    (put("options", "circuity_factor", 0.8), "options.circuity_factor: must be >= 1"),
+    (put("options", "currency_unit", 5), "options.currency_unit: expected a string"),
+]
+
+
+@pytest.mark.parametrize("mutate, message", SINGLE_FAULTS,
+                         ids=[message[:60] for _, message in SINGLE_FAULTS])
+def test_each_single_fault_gives_its_exact_message(mutate, message):
+    doc = minimal_doc()
+    replaced = mutate(doc)
+    with pytest.raises(InstanceError) as err:
+        parse_instance(json.dumps(doc) if replaced is None else replaced)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize(
     "role, field, where",
     [

@@ -86,6 +86,56 @@ def test_genspec_from_json_rejects_bad_field_types(doc, message):
     assert message in str(err.value)
 
 
+def ladder(**changes):
+    """The default CF ladder as a spec object, with `changes`."""
+    return {"count": 8, "base_capacity": 250.0, "growth_ratio": 1.6, "base_cost": 150_000.0,
+            "exponent": 0.6, **changes}
+
+
+# one fault per spec text, with the exact InstanceError text: every raise
+# site of `GenSpec.from_json` and `GenSpec.validate` a spec text can reach
+SPEC_FAULTS = [
+    ("{", "generator spec is not valid JSON: Expecting property name enclosed in double "
+          "quotes: line 1 column 2 (char 1)"),
+    ("[]", "generator spec root must be an object"),
+    ({"mystery": 1}, "generator spec: unknown field 'mystery'"),
+    ({"n_sources": "abc"}, "generator spec: n_sources: expected an integer, got 'abc'"),
+    ({"seed": 1.0}, "generator spec: seed: expected an integer, got 1.0"),
+    ({"quota_level": "x"}, "generator spec: quota_level: expected a number, got 'x'"),
+    ({"period_years": float("inf")}, "generator spec: period_years: value must be finite"),
+    ({"bbox": [1, 2]}, "generator spec: bbox: expected an array of 4 numbers, got [1, 2]"),
+    ({"bbox": [1, 2, 3, "x"]}, "generator spec: bbox[3]: expected a number, got 'x'"),
+    ({"ladders": []}, "generator spec: ladders: expected an object keyed by echelon"),
+    ({"ladders": {"xf": ladder()}}, "generator spec: unknown echelon 'xf'"),
+    ({"ladders": {"cf": 3}}, "generator spec: ladders.cf: expected an object"),
+    ({"ladders": {"cf": ladder(x=1)}}, "generator spec: ladders.cf: unknown field 'x'"),
+    ({"ladders": {"rtf": {"count": 2}}},
+     "generator spec: ladders.rtf: missing required field 'base_capacity'"),
+    ({"ladders": {"cf": ladder(count=2.0)}},
+     "generator spec: ladders.cf.count: expected an integer, got 2.0"),
+    ({"ladders": {"cf": ladder(base_cost="x")}},
+     "generator spec: ladders.cf.base_cost: expected a number, got 'x'"),
+    ({"n_cf": 0}, "generator counts must all be >= 1"),
+    ({"supply_variation_pct": [30, 10]}, "supply variation range must lie within [0, 100]"),
+    ({"ladders": {"cf": ladder(count=0)}}, "invalid size ladder for cf"),
+    ({"ladders": {"cpf": ladder(base_capacity=0)}}, "invalid size ladder for cpf"),
+    ({"ladders": {"dpf": ladder(base_cost=-1)}}, "invalid size ladder for dpf"),
+    ({"ladders": {"rtf": ladder(growth_ratio=1.0)}}, "size ladder growth ratio must be > 1 for rtf"),
+    ({"quota_level": 1.5}, "quota level must lie within [0, 1]"),
+    ({"period_years": 0}, "period duration must be positive"),
+    ({"supply_range_tons": [0, 5]}, "supply range must be positive and ordered"),
+    ({"supply_range_tons": [6, 5]}, "supply range must be positive and ordered"),
+    ({"demand_margin": 0.5}, "demand margin must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("spec, message", SPEC_FAULTS, ids=[m[:60] for _, m in SPEC_FAULTS])
+def test_each_spec_fault_gives_its_exact_message(spec, message):
+    with pytest.raises(InstanceError) as err:
+        GenSpec.from_json(spec if isinstance(spec, str) else json.dumps(spec))
+    assert str(err.value) == message
+
+
 def test_genspec_from_json_rejects_a_repeated_key():
     with pytest.raises(InstanceError, match="^generator spec: duplicate key 'n_sources'$"):
         GenSpec.from_json('{"n_sources": 3, "n_sources": 500}')
