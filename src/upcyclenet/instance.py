@@ -26,7 +26,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -231,20 +231,82 @@ def _as_string(value: Any, where: str) -> str:
     return value
 
 
+def _object(value: Any, where: str, keyed_by: str = "") -> dict:
+    """`value`, which must be a JSON object; `keyed_by` names its keys in the error."""
+    if not isinstance(value, dict):
+        keys = f" keyed by {keyed_by}" if keyed_by else ""
+        raise InstanceError(f"{where}: expected an object{keys}")
+    return value
+
+
+def _array(value: Any, where: str, nonempty: bool = False, of: str = "") -> list:
+    """`value`, which must be a JSON array, and a non-empty one if `nonempty`;
+    `of` names its elements in the error."""
+    if not isinstance(value, list) or (nonempty and not value):
+        kind = "a non-empty array" if nonempty else "an array"
+        elements = f" of {of}" if of else ""
+        raise InstanceError(f"{where}: expected {kind}{elements}")
+    return value
+
+
+def _record(value: Any, where: str, required: tuple[str, ...],
+            optional: tuple[str, ...] = ()) -> dict:
+    """`value`, which must be an object with every `required` field and no
+    field outside `required` and `optional`."""
+    obj = _object(value, where)
+    _reject_unknown(obj, {*required, *optional}, where)
+    for key in required:
+        _require(obj, key, where)
+    return obj
+
+
+def _records(raw: Any, where: str, parse: Callable[[Any, str], Any], what: str,
+             nonempty: bool = False) -> tuple:
+    """`parse(element, f"{where}[i]")` of each element of the array `raw`, whose
+    ids (a source's or sink's is its node's) stay unique after sanitization."""
+    out = tuple(parse(item, f"{where}[{i}]") for i, item in enumerate(_array(raw, where, nonempty)))
+    _check_unique_ids([getattr(r, "node", r).id for r in out], what)
+    return out
+
+
+def _known(key: str, ids, where: str, kind: str) -> str:
+    """`key`, which must be one of `ids`; `kind` names it in the error."""
+    if key not in ids:
+        raise InstanceError(f"{where}: unknown {kind} '{key}'")
+    return key
+
+
 def _parse_node(obj: Any, where: str, role_fields: tuple[str, ...] = ()) -> Node:
     """A node's id and coordinates.  Any other field is an error unless
     `role_fields` names it: 'supply' on a source, 'demand' on a sink."""
-    if not isinstance(obj, dict):
-        raise InstanceError(f"{where}: expected an object")
-    _reject_unknown(obj, {"id", "lat", "lon", *role_fields}, where)
-    node_id = _as_string(_require(obj, "id", where), f"{where}.id")
-    lat = _as_number(_require(obj, "lat", where), f"{where}.lat")
-    lon = _as_number(_require(obj, "lon", where), f"{where}.lon")
+    obj = _record(obj, where, ("id", "lat", "lon"), role_fields)
+    node_id = _as_string(obj["id"], f"{where}.id")
+    lat, lon = (_as_number(obj[key], f"{where}.{key}") for key in ("lat", "lon"))
     if not -90.0 <= lat <= 90.0:
         raise InstanceError(f"{where}: node '{node_id}' latitude {lat} outside [-90, 90]")
     if not -180.0 <= lon <= 180.0:
         raise InstanceError(f"{where}: node '{node_id}' longitude {lon} outside [-180, 180]")
     return Node(node_id, lat, lon)
+
+
+def _parse_period(obj: Any, where: str) -> TimePeriod:
+    obj = _record(obj, where, ("id", "duration_years"))
+    period = TimePeriod(_as_string(obj["id"], f"{where}.id"),
+                        _as_number(obj["duration_years"], f"{where}.duration_years"))
+    if period.duration_years <= 0.0:
+        raise InstanceError(f"{where}: duration_years must be > 0")
+    return period
+
+
+def _parse_option(obj: Any, where: str) -> SizeOption:
+    fields = ("id", "max_capacity_tons", "install_cost_annual")
+    obj = _record(obj, where, fields)
+    option_id = _as_string(obj["id"], f"{where}.id")
+    numbers = [_as_number(obj[key], f"{where}.{key}") for key in fields[1:]]
+    for key, value in zip(fields[1:], numbers):
+        if value < 0.0:
+            raise InstanceError(f"{where}: {key} must be >= 0")
+    return SizeOption(option_id, *numbers)
 
 
 def _parse_tp_map(
@@ -253,18 +315,11 @@ def _parse_tp_map(
     """Parse {period: {material: tons}} into a flat (period, material) map."""
     if obj is None:
         return {}
-    if not isinstance(obj, dict):
-        raise InstanceError(f"{where}: expected an object keyed by period id")
-    period_ids = {p.id for p in periods}
     out: dict[tuple[str, str], float] = {}
-    for t, inner in obj.items():
-        if t not in period_ids:
-            raise InstanceError(f"{where}: unknown period id '{t}'")
-        if not isinstance(inner, dict):
-            raise InstanceError(f"{where}.{t}: expected an object keyed by material id")
-        for p, v in inner.items():
-            if p not in materials:
-                raise InstanceError(f"{where}.{t}: unknown material id '{p}'")
+    for t, inner in _object(obj, where, "period id").items():
+        _known(t, [p.id for p in periods], where, "period id")
+        for p, v in _object(inner, f"{where}.{t}", "material id").items():
+            _known(p, materials, f"{where}.{t}", "material id")
             val = _as_number(v, f"{where}.{t}.{p}")
             if val < 0.0:
                 raise InstanceError(f"{where}.{t}.{p}: negative tonnage {val}")
@@ -272,59 +327,30 @@ def _parse_tp_map(
     return out
 
 
-def _parse_echelon(obj: Any, materials: tuple[str, ...], where: str) -> EchelonSpec:
-    if not isinstance(obj, dict):
-        raise InstanceError(f"{where}: expected an object")
-    _reject_unknown(
-        obj, {"sites", "size_options", "op_cost_per_ton", "inputs", "outputs", "yields"}, where
-    )
-    sites_raw = _require(obj, "sites", where)
-    if not isinstance(sites_raw, list):
-        raise InstanceError(f"{where}.sites: expected an array")
-    sites = tuple(_parse_node(s, f"{where}.sites[{i}]") for i, s in enumerate(sites_raw))
-
-    opts_raw = _require(obj, "size_options", where)
-    if not isinstance(opts_raw, list) or not opts_raw:
-        raise InstanceError(f"{where}.size_options: expected a non-empty array")
-    options = []
-    for i, o in enumerate(opts_raw):
-        w = f"{where}.size_options[{i}]"
-        if not isinstance(o, dict):
-            raise InstanceError(f"{w}: expected an object")
-        _reject_unknown(o, {"id", "max_capacity_tons", "install_cost_annual"}, w)
-        oid = _as_string(_require(o, "id", w), f"{w}.id")
-        cap = _as_number(_require(o, "max_capacity_tons", w), f"{w}.max_capacity_tons")
-        cost = _as_number(_require(o, "install_cost_annual", w), f"{w}.install_cost_annual")
-        if cap < 0.0:
-            raise InstanceError(f"{w}: max_capacity_tons must be >= 0")
-        if cost < 0.0:
-            raise InstanceError(f"{w}: install_cost_annual must be >= 0")
-        options.append(SizeOption(oid, cap, cost))
-
-    op_cost = _as_number(_require(obj, "op_cost_per_ton", where), f"{where}.op_cost_per_ton")
+def _parse_echelon(obj: Any, tag: str, materials: tuple[str, ...]) -> EchelonSpec:
+    where = f"echelons.{tag}"
+    obj = _record(obj, where,
+                  ("sites", "size_options", "op_cost_per_ton", "inputs", "outputs", "yields"))
+    sites = _records(obj["sites"], f"{where}.sites", _parse_node, f"{tag} site")
+    options = _records(obj["size_options"], f"{where}.size_options", _parse_option,
+                       f"{tag} size option", nonempty=True)
+    op_cost = _as_number(obj["op_cost_per_ton"], f"{where}.op_cost_per_ton")
     if op_cost < 0.0:
         raise InstanceError(f"{where}.op_cost_per_ton: must be >= 0")
 
     def material_list(key: str) -> tuple[str, ...]:
-        raw = _require(obj, key, where)
-        if not isinstance(raw, list) or not raw:
-            raise InstanceError(f"{where}.{key}: expected a non-empty array of material ids")
+        at = f"{where}.{key}"
         seen: list[str] = []
-        for m in raw:
-            mid = _as_string(m, f"{where}.{key}")
-            if mid not in materials:
-                raise InstanceError(f"{where}.{key}: unknown material id '{mid}'")
+        for m in _array(obj[key], at, nonempty=True, of="material ids"):
+            mid = _known(_as_string(m, at), materials, at, "material id")
             if mid in seen:
-                raise InstanceError(f"{where}.{key}: duplicate material id '{mid}'")
+                raise InstanceError(f"{at}: duplicate material id '{mid}'")
             seen.append(mid)
         return tuple(seen)
 
     inputs = material_list("inputs")
     outputs = material_list("outputs")
-
-    yields_raw = _require(obj, "yields", where)
-    if not isinstance(yields_raw, dict):
-        raise InstanceError(f"{where}.yields: expected an object keyed by output material")
+    yields_raw = _object(obj["yields"], f"{where}.yields", "output material")
     if set(yields_raw) != set(outputs):
         raise InstanceError(
             f"{where}.yields: keys must exactly match outputs {sorted(outputs)}, "
@@ -336,8 +362,7 @@ def _parse_echelon(obj: Any, materials: tuple[str, ...], where: str) -> EchelonS
         if val < 0.0:
             raise InstanceError(f"{where}.yields.{p}: negative yield factor {val}")
         yields[p] = val
-
-    return EchelonSpec(sites, tuple(options), op_cost, inputs, outputs, yields)
+    return EchelonSpec(sites, options, op_cost, inputs, outputs, yields)
 
 
 def _check_unique_ids(ids: list[str], what: str) -> None:
@@ -355,97 +380,44 @@ def _check_unique_ids(ids: list[str], what: str) -> None:
 
 def parse_instance(text: str) -> Instance:
     """Parse a JSON instance document; raises InstanceError naming the bad field."""
-    doc = _load_object(text, "document")
-    _reject_unknown(
-        doc,
-        {
-            "name",
-            "options",
-            "materials",
-            "periods",
-            "sources",
-            "sinks",
-            "echelons",
-            "quota",
-            "transport_cost",
-        },
-        "document",
-    )
-
+    doc = _record(_load_object(text, "document"), "document",
+                  ("materials", "periods", "sources", "sinks", "echelons"),
+                  ("name", "options", "quota", "transport_cost"))
     name = doc.get("name", "")
     if not isinstance(name, str):
         raise InstanceError("name: expected a string")
-
-    materials_raw = _require(doc, "materials", "document")
-    if not isinstance(materials_raw, list) or not materials_raw:
-        raise InstanceError("materials: expected a non-empty array")
-    materials = tuple(_as_string(m, "materials") for m in materials_raw)
+    materials = tuple(_as_string(m, "materials")
+                      for m in _array(doc["materials"], "materials", nonempty=True))
     _check_unique_ids(list(materials), "material")
+    periods = _records(doc["periods"], "periods", _parse_period, "period", nonempty=True)
 
-    periods_raw = _require(doc, "periods", "document")
-    if not isinstance(periods_raw, list) or not periods_raw:
-        raise InstanceError("periods: expected a non-empty array")
-    periods = []
-    for i, o in enumerate(periods_raw):
-        w = f"periods[{i}]"
-        if not isinstance(o, dict):
-            raise InstanceError(f"{w}: expected an object")
-        _reject_unknown(o, {"id", "duration_years"}, w)
-        pid = _as_string(_require(o, "id", w), f"{w}.id")
-        dur = _as_number(_require(o, "duration_years", w), f"{w}.duration_years")
-        if dur <= 0.0:
-            raise InstanceError(f"{w}: duration_years must be > 0")
-        periods.append(TimePeriod(pid, dur))
-    periods = tuple(periods)
-    _check_unique_ids([p.id for p in periods], "period")
+    def terminal(cls, tp_key: str):
+        """The parser of a source (`Source`, 'supply') or a sink (`Sink`, 'demand')."""
+        def parse(obj: Any, where: str):
+            node = _parse_node(obj, where, (tp_key,))
+            tons = _parse_tp_map(obj.get(tp_key), periods, materials, f"{where}.{tp_key}")
+            return cls(node, tons)
+        return parse
 
-    def parse_terminals(key: str, tp_key: str) -> list[tuple[Node, dict]]:
-        raw = _require(doc, key, "document")
-        if not isinstance(raw, list):
-            raise InstanceError(f"{key}: expected an array")
-        out = []
-        for i, o in enumerate(raw):
-            w = f"{key}[{i}]"
-            node = _parse_node(o, w, (tp_key,))
-            tp = _parse_tp_map(o.get(tp_key), periods, materials, f"{w}.{tp_key}")
-            out.append((node, tp))
-        _check_unique_ids([n.id for n, _ in out], key[:-1])
-        return out
-
-    sources = tuple(Source(n, tp) for n, tp in parse_terminals("sources", "supply"))
-    sinks = tuple(Sink(n, tp) for n, tp in parse_terminals("sinks", "demand"))
-
-    ech_raw = _require(doc, "echelons", "document")
-    if not isinstance(ech_raw, dict):
-        raise InstanceError("echelons: expected an object")
-    _reject_unknown(ech_raw, set(ECHELON_TAGS), "echelons")
-    specs = {}
-    for tag in ECHELON_TAGS:
-        specs[tag] = _parse_echelon(_require(ech_raw, tag, "echelons"), materials, f"echelons.{tag}")
-        _check_unique_ids([s.id for s in specs[tag].sites], f"{tag} site")
-        _check_unique_ids([o.id for o in specs[tag].size_options], f"{tag} size option")
+    sources = _records(doc["sources"], "sources", terminal(Source, "supply"), "source")
+    sinks = _records(doc["sinks"], "sinks", terminal(Sink, "demand"), "sink")
+    echelons = _record(doc["echelons"], "echelons", ECHELON_TAGS)
+    specs = {tag: _parse_echelon(echelons[tag], tag, materials) for tag in ECHELON_TAGS}
 
     quota = _parse_tp_map(doc.get("quota"), periods, materials, "quota")
     for (t, p), v in quota.items():
         if not 0.0 <= v <= 1.0:
             raise InstanceError(f"quota.{t}.{p}: value {v} outside [0, 1]")
 
-    tc_raw = doc.get("transport_cost", {})
-    if not isinstance(tc_raw, dict):
-        raise InstanceError("transport_cost: expected an object keyed by material id")
     transport_cost: dict[str, float] = {}
-    for p, v in tc_raw.items():
-        if p not in materials:
-            raise InstanceError(f"transport_cost: unknown material id '{p}'")
+    for p, v in _object(doc.get("transport_cost", {}), "transport_cost", "material id").items():
+        _known(p, materials, "transport_cost", "material id")
         val = _as_number(v, f"transport_cost.{p}")
         if val < 0.0:
             raise InstanceError(f"transport_cost.{p}: must be >= 0")
         transport_cost[p] = val
 
-    options = doc.get("options", {})
-    if not isinstance(options, dict):
-        raise InstanceError("options: expected an object")
-    _reject_unknown(options, {"circuity_factor", "currency_unit"}, "options")
+    options = _record(doc.get("options", {}), "options", (), ("circuity_factor", "currency_unit"))
     circuity = _as_number(options.get("circuity_factor", 1.0), "options.circuity_factor")
     if circuity < 1.0:
         raise InstanceError("options.circuity_factor: must be >= 1")
@@ -453,21 +425,9 @@ def parse_instance(text: str) -> Instance:
     if not isinstance(currency, str):
         raise InstanceError("options.currency_unit: expected a string")
 
-    return Instance(
-        name=name,
-        materials=materials,
-        periods=periods,
-        sources=sources,
-        sinks=sinks,
-        cf=specs["cf"],
-        rtf=specs["rtf"],
-        cpf=specs["cpf"],
-        dpf=specs["dpf"],
-        quota=quota,
-        transport_cost=transport_cost,
-        circuity_factor=circuity,
-        currency_unit=currency,
-    )
+    return Instance(name=name, materials=materials, periods=periods, sources=sources,
+                    sinks=sinks, quota=quota, transport_cost=transport_cost,
+                    circuity_factor=circuity, currency_unit=currency, **specs)
 
 
 def _tp_map_to_doc(

@@ -38,9 +38,10 @@ from .instance import (
     ECHELON_TAGS,
     Instance,
     _as_number,
+    _known,
     _load_object,
-    _reject_unknown,
-    _require,
+    _object,
+    _record,
     parse_instance,
     serialize_instance,
 )
@@ -183,20 +184,14 @@ def _spec_numbers(value: object, length: int, where: str) -> tuple[float, ...]:
 def _spec_ladders(value: object, where: str) -> dict[str, SizeLadder]:
     """The default ladders with the given echelons' ladders replaced; a
     given ladder sets all five fields."""
-    if not isinstance(value, dict):
-        raise InstanceError(f"{where}: expected an object keyed by echelon")
     ladders = dict(DEFAULT_LADDERS)
-    for tag, lad in value.items():
-        if tag not in ECHELON_TAGS:
-            raise InstanceError(f"generator spec: unknown echelon '{tag}'")
+    for tag, lad in _object(value, where, keyed_by="echelon").items():
+        _known(tag, ECHELON_TAGS, "generator spec", "echelon")
         at = f"{where}.{tag}"
-        if not isinstance(lad, dict):
-            raise InstanceError(f"{at}: expected an object")
-        _reject_unknown(lad, set(_LADDER_FIELDS), at)
-        fields = {f: _require(lad, f, at) for f in _LADDER_FIELDS}
+        fields = _record(lad, at, _LADDER_FIELDS)
         ladders[tag] = SizeLadder(
-            count=_spec_integer(fields.pop("count"), f"{at}.count"),
-            **{f: _as_number(v, f"{at}.{f}") for f, v in fields.items()},
+            count=_spec_integer(fields["count"], f"{at}.count"),
+            **{f: _as_number(fields[f], f"{at}.{f}") for f in _LADDER_FIELDS[1:]},
         )
     return ladders
 
