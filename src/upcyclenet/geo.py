@@ -16,9 +16,7 @@ import math
 
 import numpy as np
 
-from .instance import LEGS, Instance, Node
-
-EARTH_RADIUS_KM = 6371.0088
+from .instance import EARTH_RADIUS_KM, LEGS, Instance, Node
 
 
 def _node_trig(lat: float, lon: float) -> tuple[float, float, float]:

@@ -47,6 +47,7 @@ LEG_INTO = {dest: leg for leg, _, dest in LEGS}  # role -> the leg ending there
 LEG_OUT_OF = {origin: leg for leg, origin, _ in LEGS}  # role -> the leg leaving it
 CHAIN_ROLES = tuple(LEG_OUT_OF) + (LEGS[-1][2],)  # sources, the echelons, sinks
 _SANITIZE_RE = re.compile(r"[^A-Za-z0-9-]")
+EARTH_RADIUS_KM = 6371.0088  # the sphere of `geo`'s great-circle distances
 
 
 def sanitize_id(raw: str) -> str:
@@ -160,15 +161,48 @@ class Instance:
 
 
 def empty_chain_positions(inst: Instance) -> tuple[str, ...]:
-    """The chain positions without a node, in chain order; see `require_chain`."""
+    """The chain positions without a node, in chain order; see `require_buildable`."""
     return tuple(role for role in CHAIN_ROLES if not inst.role_nodes(role))
 
 
-def require_chain(inst: Instance) -> None:
-    """ModelError naming the first chain position without a node: both routes refuse it."""
+def objective_bound(inst: Instance) -> float:
+    """An upper bound on the objective of any optimum: every site installed
+    at its dearest size for the horizon, plus, per period and leg, the most
+    tons that supply and yields let ride it at the leg's dearest per-ton
+    cost, a leg being at most half a great circle times the circuity
+    factor long.  Computed in Python floats, so where the cost model
+    overflows this is inf or NaN (an infinite tonnage at no cost), never a
+    numpy warning; see `require_buildable`."""
+    horizon = inst.horizon_years()
+    bound = sum(max((o.install_cost_annual for o in spec.size_options), default=0.0)
+                * horizon * len(spec.sites) for _, spec in inst.echelons())
+    longest_km = math.pi * EARTH_RADIUS_KM * inst.circuity_factor
+    dearest_rate = max(inst.transport_cost.values(), default=0.0)
+    for t in inst.periods:
+        tons = sum(inst.supply_total(t.id, p) for p in inst.materials)
+        for _, _, dest in LEGS:
+            op = inst.echelon(dest).op_cost_per_ton if dest in ECHELON_TAGS else 0.0
+            bound += tons * t.duration_years * (op + 2.0 * longest_km * dearest_rate)
+            if dest in ECHELON_TAGS:
+                tons *= sum(inst.echelon(dest).yields.values())
+    return bound
+
+
+def require_buildable(inst: Instance) -> None:
+    """ModelError naming the first chain position without a node, or a cost
+    model that can overflow (`objective_bound` is not finite): both routes
+    refuse such an instance before any work, and `validate_instance`
+    reports it as an ERROR."""
     empty = empty_chain_positions(inst)
     if empty:
         raise ModelError(f"echelon chain position '{empty[0]}' has no nodes")
+    bound = objective_bound(inst)
+    if not math.isfinite(bound):
+        raise ModelError(_overflow_message(bound))
+
+
+def _overflow_message(bound: float) -> str:
+    return f"the cost model can overflow: an upper bound on the objective is {bound}"
 
 
 # ---------------------------------------------------------------------------
@@ -580,16 +614,21 @@ def install_costs(inst: Instance, tag: str) -> np.ndarray:
     return np.array([o.install_cost_annual for o in options], dtype=np.float64) * inst.horizon_years()
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is the `cost-overflow` ERROR
 def validate_instance(inst: Instance) -> list[Finding]:
     """Aggregate feasibility screen; pure, returns ERROR/WARNING findings.
 
     ERROR findings mean no assignment can satisfy the model (necessary
     conditions on aggregate capacity and demand are violated) or, for
-    `empty-chain-position`, that neither route builds the model.  WARNING
-    findings flag suspicious data that is still solvable.
+    `empty-chain-position` and `cost-overflow`, that neither route builds
+    the model (`require_buildable`).  WARNING findings flag suspicious data
+    that is still solvable.
     """
     findings = [Finding("ERROR", "empty-chain-position", f"echelon chain position '{role}' has no nodes")
                 for role in empty_chain_positions(inst)]
+    bound = objective_bound(inst)
+    if not math.isfinite(bound):
+        findings.append(Finding("ERROR", "cost-overflow", _overflow_message(bound)))
     forced = forced_inflow_tons(inst)
     # per echelon, the capacity of every site open at its largest size
     widest = [sum(max(o.max_capacity_tons for o in spec.size_options) for _ in spec.sites)

@@ -111,7 +111,7 @@ from .instance import (
     flow_costs,
     forced_inflow_tons,
     install_costs,
-    require_chain,
+    require_buildable,
     sanitize_id,
     serialize_instance,
 )
@@ -229,7 +229,7 @@ class VariableIndex:
     map exists."""
 
     def __init__(self, inst: Instance, prune: bool) -> None:
-        require_chain(inst)
+        require_buildable(inst)
         periods = tuple(t.id for t in inst.periods)
         blocks: list[_Block] = []
         at = 0

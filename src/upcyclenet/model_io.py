@@ -333,6 +333,7 @@ def parse_solution(text: str, model: Model) -> Solution:
     return _parse_solution(text, model)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an objective past the float range never verifies
 def _parse_solution(text: str, model: Model) -> tuple[Solution, bool, np.ndarray, list[int]]:
     """`parse_solution`'s result, whether the file declared `=status=`,
     the dense column vector of its values and the column of each value, in
@@ -504,6 +505,7 @@ def verify_solution(sol: Solution, model: Model, tol: float = VERIFY_TOL) -> Ver
     return report
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite activity or objective fails below
 def _verify_vector(x: np.ndarray, model: Model, tol: float = VERIFY_TOL) -> VerificationReport:
     """`verify_solution` of the dense column vector `x`, without the
     reported objective's message."""

@@ -10,7 +10,7 @@ This module deliberately assembles its LPs straight from the instance
 rather than reusing the canonical model builder, so the two routes check
 each other: a bug would have to appear in both, in matching form, to slip
 through the equivalence tests.  The LP rows are its own; it shares with
-the model the chain's shape and `require_chain`, the distances and rates,
+the model the chain's shape and `require_buildable`, the distances and rates,
 the cost model (`flow_costs`, `install_costs`), the forced tonnage and the
 screen rule (`capacity_covers`), and the column-name format.  Only
 `reporting.breakdown_costs` recomputes the costs from the raw parameters.
@@ -73,7 +73,7 @@ from .errors import OracleError
 from .geo import build_leg_matrices
 from .instance import (CHAIN_ROLES, ECHELON_TAGS, LEG_INTO, LEG_OUT_OF, LEGS, Instance,
                        capacity_covers, flow_costs, forced_inflow_tons, install_costs,
-                       require_chain)
+                       require_buildable)
 from .model import flow_column_name, install_column_name
 from .model_io import Solution
 from .simplex import LpResult, solve_lp
@@ -200,6 +200,7 @@ class _SlotTable:
 
         return walk()
 
+    @np.errstate(over="ignore")  # capacity past the float range is inf, which covers any tonnage
     def _sums(self, head: Configuration, tail: int) -> np.ndarray:
         """Open capacity per echelon and install cost (rows) of each
         configuration that starts with `head` and then runs through every
@@ -365,7 +366,10 @@ class _LpFactory:
         rhs = self.rhs.copy()
         rhs[self.cap_rows] = self.slots.cap[np.arange(choice.size), choice][:, None]
         c = self.obj[cols]
-        result = solve_lp(c, sub[rows], self.senses[rows], rhs[rows])
+        try:
+            result = solve_lp(c, sub[rows], self.senses[rows], rhs[rows])
+        except FloatingPointError as exc:
+            raise OracleError(f"flow subproblem left the float range: {exc}") from None
         if result.status == "infeasible":
             return LpResult("infeasible", 0.0, None, result.iterations)
         if result.status == "unbounded":
@@ -407,13 +411,13 @@ def solve_exact(inst: Instance, max_configs: int = MAX_CONFIGS, prune: bool = Tr
     infeasibility claim.
 
     An instance with an empty chain position is refused with `ModelError`
-    (`require_chain`), and one with more than `max_configs` configurations
+    (`require_buildable`), and one with more than `max_configs` configurations
     with `OracleError`, before any LP is assembled or solved.  `progress`,
     if given, is called every 512 configurations with (configurations
     examined, total count).
     """
     t0 = time.monotonic()
-    require_chain(inst)
+    require_buildable(inst)
     slots = _SlotTable(inst)
     # refuse before the all-open LP is assembled
     blocks = slots.blocks(max_configs)

@@ -128,6 +128,12 @@ class GenSpec:
                 raise InstanceError(f"invalid size ladder for {tag}")
             if ladder.growth_ratio <= 1.0:
                 raise InstanceError(f"size ladder growth ratio must be > 1 for {tag}")
+            try:
+                finite = all(map(math.isfinite, ladder.capacities() + ladder.costs()))
+            except OverflowError:  # a float power past the float range
+                finite = False
+            if not finite:
+                raise InstanceError(f"size ladder capacities and costs must be finite for {tag}")
         if not 0.0 <= self.quota_level <= 1.0:
             raise InstanceError("quota level must lie within [0, 1]")
         if self.period_years <= 0.0:

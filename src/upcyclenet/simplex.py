@@ -62,6 +62,7 @@ class LpResult:
     iterations: int
 
 
+@np.errstate(over="raise", divide="raise", invalid="raise")
 def solve_lp(
     c: np.ndarray,
     a: np.ndarray,
@@ -73,7 +74,8 @@ def solve_lp(
     `senses` holds 'L', 'G' or 'E' per row.  Returns an optimal basic
     solution, or status infeasible/unbounded.  Raises `ValueError` on
     inconsistent dimensions, any other sense, or a NaN or infinite entry
-    in `c`, `a` or `b`.
+    in `c`, `a` or `b`, and `FloatingPointError` when a pivot, a ratio or
+    the objective leaves the float range.
     """
     c = np.asarray(c, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)

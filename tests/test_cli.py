@@ -3,12 +3,18 @@ import shlex
 
 import pytest
 
-from conftest import adapter_template, copying_solver, have_scipy_milp
+from conftest import SUITE_SEED, adapter_template, copying_solver, have_scipy_milp
 from test_instance import GARBAGE_LITERALS, garbage_document
 from test_scenario import BAD_SPECS, garbage_spec
-from upcyclenet import cli, model_io
+from upcyclenet import cli, model_io, oracle
 from upcyclenet.errors import ModelError
-from upcyclenet.instance import Finding, parse_instance, serialize_instance, validate_instance
+from upcyclenet.instance import (
+    Finding,
+    errors_only,
+    parse_instance,
+    serialize_instance,
+    validate_instance,
+)
 from upcyclenet.model import build_milp
 from upcyclenet.oracle import solve_exact
 from upcyclenet.scenario import make_tiny_suite, single_chain_instance
@@ -181,6 +187,22 @@ def test_solve_oracle_writes_solution(tmp_path, hand_file, capsys):
     assert "bound_pruned=0" in captured.err
 
 
+def test_solve_oracle_reports_progress_on_stderr_only(tmp_path, capsys):
+    # 576 configurations: one progress line, at 512
+    inst = next(i for i in make_tiny_suite(SUITE_SEED) if i.name == "tiny-2026-11")
+    path = tmp_path / "tiny.json"
+    path.write_text(serialize_instance(inst))
+    out = tmp_path / "run"
+    assert cli.main(["solve", "--instance", str(path), "--out", str(out), "--oracle"]) == 0
+    captured = capsys.readouterr()
+    assert [line for line in captured.err.splitlines() if line.startswith("oracle:")] == [
+        "oracle: 512/576 configurations"]
+    sol, _ = solve_exact(inst)
+    assert captured.out == (f"wrote {out / 'solution.sol'}\n"
+                            f"status: optimal, objective: {sol.objective_reported!r}\n"
+                            "relative gap: 0.0\n")
+
+
 def test_solve_respects_config_budget(tmp_path, hand_file, capsys):
     rc = cli.main(
         ["solve", "--instance", str(hand_file), "--out", str(tmp_path),
@@ -243,11 +265,53 @@ def test_both_routes_refuse_an_empty_chain_position(tmp_path, capsys, role, quot
         assert not (out / "solution.sol").exists()
 
 
+def overflowing(edit):
+    """The hand instance changed by `edit` on its document."""
+    doc = json.loads(serialize_instance(single_chain_instance()))
+    edit(doc)
+    return parse_instance(json.dumps(doc))
+
+
+def dear_operation(doc):
+    # every per-ton cost is finite, but ten tons of them are not
+    doc["echelons"]["cf"]["op_cost_per_ton"] = 1e308
+
+
+def dear_install_over_two_years(doc):
+    doc["echelons"]["cf"]["size_options"][0]["install_cost_annual"] = 1e308
+    doc["periods"][0]["duration_years"] = 2.0
+
+
+@pytest.mark.parametrize("edit", [dear_operation, dear_install_over_two_years])
+def test_both_routes_refuse_a_cost_model_that_can_overflow(tmp_path, capsys, monkeypatch, edit):
+    # the objective of such a model leaves the float range; validation says
+    # so, and both routes refuse it with one message before any LP, even
+    # past the gate
+    inst = overflowing(edit)
+    message = "the cost model can overflow: an upper bound on the objective is inf"
+    assert errors_only(validate_instance(inst)) == [Finding("ERROR", "cost-overflow", message)]
+    monkeypatch.setattr(oracle, "solve_lp", None)  # any LP would fail here with a TypeError
+    for route in (build_milp, solve_exact):
+        with pytest.raises(ModelError) as exc:
+            route(inst)
+        assert str(exc.value) == message
+    path = tmp_path / "dear.json"
+    path.write_text(serialize_instance(inst))
+    assert cli.main(["validate", "--instance", str(path)]) == 1
+    assert f"ERROR [cost-overflow] {message}\n" in capsys.readouterr().out
+    for engine in (["--oracle"], ["--solver-cmd", "false {mps} {sol}"]):
+        out = tmp_path / engine[0].strip("-")
+        assert cli.main(["solve", "--instance", str(path), "--out", str(out),
+                         "--override-validation", *engine]) == 1
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+        assert not (out / "solution.sol").exists()
+
+
 @pytest.mark.skipif(not have_scipy_milp(), reason="scipy.optimize.milp unavailable")
 def test_solve_external_adapter(tmp_path, hand_file, capsys):
     rc = cli.main(
         ["solve", "--instance", str(hand_file), "--out", str(tmp_path),
-         "--solver-cmd", adapter_template()]
+         "--solver-cmd", adapter_template(), "--time-limit", "60"]
     )
     assert rc == 0
     captured = capsys.readouterr()
@@ -298,10 +362,10 @@ def test_solve_oracle_writes_no_solution_that_fails_verification(
 def test_verify_accepts_oracle_solution(solved_dir, hand_file, capsys):
     rc = cli.main(
         ["verify", "--instance", str(hand_file),
-         "--solution", str(solved_dir / "solution.sol")]
+         "--solution", str(solved_dir / "solution.sol"), "--tol", "1e-5"]
     )
     assert rc == 0
-    assert "verification PASS" in capsys.readouterr().out
+    assert "verification PASS (tol 1e-05)" in capsys.readouterr().out
 
 
 def test_verify_flags_tampered_solution(solved_dir, hand_file, capsys):
@@ -351,7 +415,7 @@ def test_report_writes_all_tables(tmp_path, solved_dir, hand_file, capsys):
     out = tmp_path / "tables"
     rc = cli.main(
         ["report", "--instance", str(hand_file),
-         "--solution", str(solved_dir / "solution.sol"), "--out", str(out)]
+         "--solution", str(solved_dir / "solution.sol"), "--out", str(out), "--tol", "1e-5"]
     )
     assert rc == 0
     for name in ("breakdown.csv", "flows.csv", "facilities.csv",

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -7,6 +8,7 @@ from upcyclenet.instance import (
     ECHELON_TAGS,
     errors_only,
     forced_inflow_tons,
+    objective_bound,
     parse_instance,
     sanitize_id,
     serialize_instance,
@@ -404,6 +406,14 @@ def garbage_document(case):
 def test_parse_turns_garbage_json_into_instance_errors(case):
     with pytest.raises(InstanceError, match=GARBAGE_LITERALS[case][1]):
         parse_instance(garbage_document(case))
+
+
+def test_objective_bound_is_above_every_tiny_suite_optimum(suite_run):
+    optima = [(rec.inst, sol.objective_reported) for rec in suite_run.records
+              for sol in (rec.sol_on, rec.sol_off) if sol.status == "optimal"]
+    assert len(optima) == 108
+    for inst, optimum in optima:
+        assert optimum <= objective_bound(inst) < math.inf
 
 
 def test_validator_clean_on_consistent_instance():

@@ -610,6 +610,19 @@ def test_verify_fails_on_non_finite_values(hand_model):
         assert "FAIL" in report.summary()
 
 
+def test_verify_fails_finite_values_whose_sums_overflow(hand_model):
+    # every value is finite, but the objective and the rows they feed are
+    # not: a verdict, not a numpy warning
+    text = "".join(f"{name} 1e308\n" for name in hand_solution(hand_model).values)
+    sol = parse_solution(text, hand_model)
+    assert sol.objective_reported == float("inf")
+    report = verify_solution(sol, hand_model)
+    assert not report.passed
+    assert report.objective_recomputed == float("inf")
+    assert report.worst_violation == float("inf")
+    assert report.messages == ["reported objective inf differs from recomputed inf"]
+
+
 def test_verify_rejects_a_tolerance_that_passes_anything(hand_model):
     sol = hand_solution(hand_model)
     sol.values["xsrccf_t1_w_src1_cf1_s1"] = -5.0

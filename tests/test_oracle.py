@@ -764,6 +764,15 @@ def test_infeasible_widest_lp_proves_infeasibility_with_one_solve(monkeypatch):
     assert len(calls) == 1
 
 
+def test_simplex_overflow_is_an_oracle_error():
+    # a demand ceiling near the float range; its ratio at a yield below 1
+    # leaves it in the first LP
+    doc = json.loads(serialize_instance(make_tiny_suite(2026)[7]))
+    doc["sinks"][0]["demand"]["t1"]["g"] = 1e308
+    with pytest.raises(OracleError, match="^flow subproblem left the float range: overflow"):
+        solve_exact(parse_instance(json.dumps(doc)))
+
+
 def test_tiny_suite_lp_sequence_is_golden(monkeypatch):
     """The tiny suite's LP count, pivot total and certificate totals are
     pinned, so a change to how the configuration LPs are assembled cannot
@@ -813,3 +822,36 @@ def test_tiny_suite_lp_bits_are_pinned(monkeypatch):
         best = solve_exact(inst)[1].best_objective
         digest.update(f"{inst.name} {None if best is None else best.hex()}\n".encode())
     assert digest.hexdigest() == TINY_SUITE_LP_DIGEST
+
+
+# sha256 over the 5% default shape's LPs and its optimum, recorded before
+# the instance reader was last reworked; see the test below
+FIVE_PERCENT_LP_DIGEST = "4426d3f12b30bfca989eec48800baf577233ace9fa6b429334c7f9dcb9a31505"
+
+
+def test_five_percent_shape_lp_bits_are_pinned(monkeypatch):
+    """The 5% default shape's LPs, larger than any tiny-suite member's,
+    pinned as `test_tiny_suite_lp_bits_are_pinned` and the LP-sequence
+    test pin the tiny suite's: the LP count (the bound LP and 138
+    configurations), the pivot total, the certificate totals, and every
+    LP's status, pivots, objective and `x` with the optimum, to the bit on
+    this numpy and BLAS build."""
+    digest = hashlib.sha256()
+    pivots = []
+    real_solve_lp = oracle.solve_lp
+
+    def hashing_solve_lp(*args):
+        result = real_solve_lp(*args)
+        pivots.append(result.iterations)
+        digest.update(f"{result.status} {result.iterations} {result.objective.hex()}\n".encode())
+        if result.x is not None:
+            digest.update(result.x.tobytes())
+        return result
+
+    monkeypatch.setattr(oracle, "solve_lp", hashing_solve_lp)
+    cert = solve_exact(scaled_default_shape(0.05))[1]
+    digest.update(f"optimum {cert.best_objective.hex()}\n".encode())
+    assert (len(pivots), sum(pivots)) == (139, 10_859)
+    assert (cert.enumerated, cert.pruned, cert.bound_pruned, cert.infeasible, cert.solved) == (
+        944_784, 944_646, 474_612, 0, 138)
+    assert digest.hexdigest() == FIVE_PERCENT_LP_DIGEST

@@ -136,6 +136,15 @@ def test_each_spec_fault_gives_its_exact_message(spec, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("changes", [{"exponent": 1e300}, {"growth_ratio": 1e300, "count": 3}])
+def test_genspec_refuses_a_ladder_past_the_float_range(changes):
+    # a cost or a capacity too large for a float once raised OverflowError
+    spec = json.dumps({"ladders": {"cpf": ladder(**changes)}})
+    message = "^size ladder capacities and costs must be finite for cpf$"
+    with pytest.raises(InstanceError, match=message):
+        GenSpec.from_json(spec)
+
+
 def test_genspec_from_json_rejects_a_repeated_key():
     with pytest.raises(InstanceError, match="^generator spec: duplicate key 'n_sources'$"):
         GenSpec.from_json('{"n_sources": 3, "n_sources": 500}')
