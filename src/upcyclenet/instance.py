@@ -26,7 +26,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Collection, Iterator
 
 import numpy as np
 
@@ -303,7 +303,7 @@ def _records(raw: Any, where: str, parse: Callable[[Any, str], Any], what: str,
     return out
 
 
-def _known(key: str, ids, where: str, kind: str) -> str:
+def _known(key: str, ids: Collection[str], where: str, kind: str) -> str:
     """`key`, which must be one of `ids`; `kind` names it in the error."""
     if key not in ids:
         raise InstanceError(f"{where}: unknown {kind} '{key}'")

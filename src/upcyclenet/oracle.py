@@ -10,9 +10,10 @@ This module deliberately assembles its LPs straight from the instance
 rather than reusing the canonical model builder, so the two routes check
 each other: a bug would have to appear in both, in matching form, to slip
 through the equivalence tests.  The LP rows are its own; it shares with
-the model the chain's shape and `require_buildable`, the distances and rates,
-the cost model (`flow_costs`, `install_costs`), the forced tonnage and the
-screen rule (`capacity_covers`), and the column-name format.  Only
+the model the chain's shape and its refusals (`require_buildable`), the
+distances and rates, the cost model (`flow_costs`, `install_costs`), the
+forced tonnage and the screen rule (`capacity_covers`), and the
+column-name format.  Only
 `reporting.breakdown_costs` recomputes the costs from the raw parameters.
 
 It assembles one LP per instance, the all-open LP: every site open, its
@@ -410,11 +411,12 @@ def solve_exact(inst: Instance, max_configs: int = MAX_CONFIGS, prune: bool = Tr
     run, the bound LP's included; it is never converted into an
     infeasibility claim.
 
-    An instance with an empty chain position is refused with `ModelError`
-    (`require_buildable`), and one with more than `max_configs` configurations
-    with `OracleError`, before any LP is assembled or solved.  `progress`,
-    if given, is called every 512 configurations with (configurations
-    examined, total count).
+    An instance with an empty chain position or a cost model that can
+    overflow is refused with `ModelError` (`require_buildable`), and one
+    with more than `max_configs` configurations with `OracleError`, before
+    any LP is assembled or solved.  An LP whose arithmetic leaves the float
+    range is an `OracleError` too.  `progress`, if given, is called every
+    512 configurations with (configurations examined, total count).
     """
     t0 = time.monotonic()
     require_buildable(inst)
