@@ -184,8 +184,8 @@ def _cmd_gen(args) -> int:
     else:
         spec = GenSpec(seed=args.seed if args.seed is not None else 0)
     inst = generate(spec)
+    n_cont, n_bin = count_columns(inst, prune=False)  # refuses what neither route builds
     Path(args.out).write_text(serialize_instance(inst))
-    n_cont, n_bin = count_columns(inst, prune=False)
     print(f"wrote {args.out}")
     print(f"instance '{inst.name}': {n_cont} continuous + {n_bin} binary variables unpruned")
     return 0

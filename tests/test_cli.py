@@ -471,6 +471,17 @@ def test_gen_reports_bad_spec_fields_without_a_traceback(tmp_path, capsys, doc, 
     assert not (tmp_path / "x.json").exists()
 
 
+def test_gen_writes_no_instance_whose_cost_model_can_overflow(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n_sources": 3, "n_cf": 2, "n_rtf": 1, "n_cpf": 1, "n_dpf": 1,
+                                "n_sinks": 1, "period_years": 1e308}))
+    rc = cli.main(["gen", "--out", str(tmp_path / "x.json"), "--spec", str(spec)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: the cost model can overflow: an upper bound on the objective is inf\n")
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_gen_rejects_bad_spec(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"mystery": 1}))
