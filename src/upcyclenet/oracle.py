@@ -17,12 +17,16 @@ column-name format.  Only
 `reporting.breakdown_costs` recomputes the costs from the raw parameters.
 
 It assembles one LP per instance, the all-open LP: every site open, its
-capacity rows at the widest size.  Each configuration's LP is a
-restriction of it: the columns whose origin and destination are both open,
-the rows that still have an entry (quota rows always stay), and the
-capacity rows at the chosen sizes.  The rows it drops hold at zero flow,
-and its capacity rows are only tighter, so its feasible flows, padded with
-zeros, are feasible in the all-open LP at the same per-ton costs.
+capacity rows at the widest size, and only the rows with an entry (quota
+rows always stay, since one without an entry makes every configuration
+infeasible).  It is solved cold, and each configuration's LP is
+re-optimised from its optimal basis (`simplex.solve_lp(start=...)`): the
+same rows and columns, the capacity rows at the chosen sizes (0 at a
+closed site), and every column with a closed origin or destination held
+at 0.  Its feasible flows are exactly those of the all-open LP's
+restriction to the columns between open sites, and they are feasible in
+the all-open LP at the same per-ton costs, whose capacity rows are only
+looser.
 
 Enumeration order is lexicographic over the flat site tuple (echelons in
 chain order, sites in declaration order; 0 means closed, k means the k-th
@@ -254,10 +258,11 @@ def describe_configuration(inst: Instance, config: Configuration) -> dict[str, d
 
 
 class _LpFactory:
-    """The instance's all-open flow LP, and its restriction to each
-    configuration as the module docstring describes.  One matrix `a` and
-    each column's origin and destination slot are kept, so a restriction is
-    one gather from `a` and a few array operations."""
+    """The instance's all-open flow LP, solved cold once, and each
+    configuration's LP re-optimised from it as the module docstring
+    describes.  Every LP has the same `obj`, `a` and `senses`; a
+    configuration sets the capacity rows' rhs and holds the columns whose
+    origin or destination slot is closed."""
 
     def __init__(self, inst: Instance, prune: bool, slots: _SlotTable) -> None:
         self.inst = inst
@@ -280,9 +285,14 @@ class _LpFactory:
         rhs: list[float] = []
 
         def add_row(sense: str, value: float, *entries: tuple[np.ndarray, float]) -> int:
+            """Append a row and return its index; a row without an entry
+            holds at zero flow in every configuration and is left out (-1),
+            unless it is a quota row."""
             row = np.zeros(n, dtype=np.float64)
             for cols, coef in entries:
                 row[cols] = coef
+            if sense != "G" and not row.any():
+                return -1
             rows.append(row)
             senses.append(sense)
             rhs.append(value)
@@ -332,18 +342,23 @@ class _LpFactory:
                         add_row("E", 0.0, *entries)
 
         # facility_cap: total inflow within the chosen size's capacity, which
-        # `solve` writes into the rhs; cap_rows[s, t] is slot s's row in period t
-        self.cap_rows = np.empty((len(slots.slots), len(inst.periods)), dtype=np.intp)
+        # `rhs` writes in; cap_slots[k] is the slot of capacity row cap_rows[k]
+        cap_rows, cap_slots = [], []
         for tag in ECHELON_TAGS:
             for t_pos in range(len(inst.periods)):
                 for j, s in enumerate(slots.of[tag]):
                     inflow = ids[LEG_INTO[tag]][t_pos, :, :, j]
-                    self.cap_rows[s, t_pos] = add_row("L", 0.0, (inflow, 1.0))
+                    row = add_row("L", 0.0, (inflow, 1.0))
+                    if row >= 0:
+                        cap_rows.append(row)
+                        cap_slots.append(s)
+        self.cap_rows = np.array(cap_rows, dtype=np.intp)
+        self.cap_slots = np.array(cap_slots, dtype=np.intp)
 
         self.a = np.array(rows, dtype=np.float64).reshape(len(rows), n)
-        self.rhs = np.array(rhs, dtype=np.float64)
+        self.closed_rhs = np.array(rhs, dtype=np.float64)  # capacity rows at 0
         self.senses = np.array(senses, dtype="<U1")
-        self.quota = self.senses == "G"
+        self._bound: LpResult | None = None
         # per column, the slots of its origin and destination; -1 for a
         # source or a sink, which indexes the always-open last entry of
         # `solve`'s open mask
@@ -353,34 +368,48 @@ class _LpFactory:
             self.origin[ids[leg]] = slots.of[origin_role][:, None]
             self.dest[ids[leg]] = slots.of[dest_role]
 
+    def rhs(self, choice: np.ndarray) -> np.ndarray:
+        """The LP's rhs with each capacity row at the chosen size's
+        capacity, 0 at a closed site."""
+        rhs = self.closed_rhs.copy()
+        rhs[self.cap_rows] = self.slots.cap[self.cap_slots, choice[self.cap_slots]]
+        return rhs
+
+    def bound_lp(self) -> LpResult:
+        """The all-open LP at `slots.widest`, solved cold once; its optimal
+        basis is where every configuration's LP starts."""
+        if self._bound is None:
+            widest = np.asarray(self.slots.widest, dtype=np.intp)
+            self._bound = self._solve_lp(self.rhs(widest))
+        return self._bound
+
     def solve(self, config: Configuration) -> LpResult:
-        """Solve the configuration's restriction of the all-open LP.  `x` is
-        padded with zeros to the all-open columns, and the objective is the
-        flow cost only; callers add the installation cost.  `config` is not
-        checked: the walk and `widest` only yield valid configurations."""
+        """Solve the configuration's LP, re-optimised from the bound LP's
+        basis.  `x` lies over the all-open columns, 0 on every column with
+        a closed end, and the objective is the flow cost only; callers add
+        the installation cost.  `config` is not checked: the walk and
+        `widest` only yield valid configurations."""
+        bound = self.bound_lp()
+        if bound.status == "infeasible":  # the configuration's flows are the bound LP's too
+            return LpResult("infeasible", 0.0, None, 0)
         choice = np.asarray(config, dtype=np.intp)
         is_open = np.append(choice > 0, True)
-        # ascending, so in the all-open LP's column order
-        cols = (is_open[self.origin] & is_open[self.dest]).nonzero()[0]
-        sub = self.a[:, cols]
-        rows = (self.quota | sub.any(axis=1)).nonzero()[0]
-        rhs = self.rhs.copy()
-        rhs[self.cap_rows] = self.slots.cap[np.arange(choice.size), choice][:, None]
-        c = self.obj[cols]
+        held = ~(is_open[self.origin] & is_open[self.dest])
+        return self._solve_lp(self.rhs(choice), start=bound, held=held)
+
+    def _solve_lp(self, b: np.ndarray, **warm) -> LpResult:
         try:
-            result = solve_lp(c, sub[rows], self.senses[rows], rhs[rows])
+            result = solve_lp(self.obj, self.a, self.senses, b, **warm)
         except FloatingPointError as exc:
             raise OracleError(f"flow subproblem left the float range: {exc}") from None
         if result.status == "infeasible":
             return LpResult("infeasible", 0.0, None, result.iterations)
         if result.status == "unbounded":
             raise OracleError("flow subproblem unbounded; objective data must be nonnegative")
-        x = np.zeros(self.obj.size, dtype=np.float64)
-        x[cols] = result.x
-        return LpResult("optimal", result.objective, x, result.iterations)
+        return result
 
     def flows(self, config: Configuration, x: np.ndarray) -> dict[str, float]:
-        """Column name -> tons for the nonzero entries of a padded `x`."""
+        """Column name -> tons for the nonzero entries of `x`."""
         inst = self.inst
         size_ids = {(slot.tag, slot.site): slot.sizes[c]
                     for slot, c in self.slots.open_sites(config)}
@@ -400,7 +429,7 @@ class _LpFactory:
         """Flow cost (objective minus install cost) of `slots.widest`, every
         site open at its largest size: a lower bound on every
         configuration's flow cost.  None when even that LP is infeasible."""
-        result = self.solve(self.slots.widest)
+        result = self.bound_lp()
         return None if result.status == "infeasible" else result.objective
 
 

@@ -25,6 +25,7 @@ import pytest
 
 from upcyclenet import (
     Instance,
+    LpResult,
     Model,
     OracleCertificate,
     Solution,
@@ -33,6 +34,7 @@ from upcyclenet import (
     parse_instance,
     run_external_solver,
     serialize_instance,
+    simplex,
     solve_exact,
 )
 from upcyclenet.scenario import GenSpec, generate, make_tiny_suite, single_chain_instance
@@ -112,13 +114,16 @@ def warned_instance(code):
 @contextmanager
 def permuted_columns(seed: int):
     """Inside the block the oracle's simplex sees every LP with its columns
-    permuted by `np.random.default_rng(seed).permutation(len(c))`; each
-    solution comes back in the LP's own column order."""
+    permuted by `np.random.default_rng(seed).permutation(len(c))`, and a
+    warm start's held columns with them (its start basis was solved
+    permuted the same way, as every LP of one instance has the same
+    columns); each solution comes back in the LP's own column order."""
     real_solve_lp = oracle.solve_lp
 
-    def permuted_solve_lp(c, a, senses, b):
+    def permuted_solve_lp(c, a, senses, b, start=None, held=None):
         order = np.random.default_rng(seed).permutation(len(c))
-        result = real_solve_lp(c[order], a[:, order], senses, b)
+        result = real_solve_lp(c[order], a[:, order], senses, b, start=start,
+                               held=None if held is None else held[order])
         if result.x is None:
             return result
         x = np.empty_like(result.x)
@@ -128,6 +133,28 @@ def permuted_columns(seed: int):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "solve_lp", permuted_solve_lp)
         yield
+
+
+def restricted_lp(factory, config) -> LpResult:
+    """A configuration's flow LP solved cold, the reference for the
+    oracle's warm start: the factory's all-open LP cut to the columns
+    whose origin and destination are both open, then to the rows that
+    still have an entry plus the quota rows, with each capacity row at
+    the chosen size (0 when closed).  `x` is padded with zeros to the
+    all-open columns."""
+    choice = np.asarray(config, dtype=np.intp)
+    is_open = np.append(choice > 0, True)
+    cols = (is_open[factory.origin] & is_open[factory.dest]).nonzero()[0]
+    sub = factory.a[:, cols]
+    rows = ((factory.senses == "G") | sub.any(axis=1)).nonzero()[0]
+    rhs = factory.closed_rhs.copy()
+    rhs[factory.cap_rows] = factory.slots.cap[factory.cap_slots, choice[factory.cap_slots]]
+    result = simplex.solve_lp(factory.obj[cols], sub[rows], factory.senses[rows], rhs[rows])
+    if result.x is None:
+        return result
+    x = np.zeros(factory.obj.size, dtype=np.float64)
+    x[cols] = result.x
+    return dataclasses.replace(result, x=x, warm=None)
 
 
 @dataclass

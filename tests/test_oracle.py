@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import have_scipy_milp, permuted_columns, scaled_default_shape, warned_instance
+from conftest import (have_scipy_milp, permuted_columns, restricted_lp, scaled_default_shape,
+                      warned_instance)
 from scipy_milp_adapter import read_free_mps, solve_mps
 from test_acceptance import TOL_EQUIVALENCE, _decentralization_instance
 from test_capacity_cover import screened
@@ -331,6 +332,165 @@ def test_simplex_agrees_with_scipy_with_zero_and_negative_rhs(seed):
 
 
 # ---------------------------------------------------------------------------
+# warm start: a cold solve's optimal basis re-optimised by the dual simplex
+
+# min -x0 - 2 x1 + 0.5 x2  s.t.  x0 + x1 + x2 <= 4,  x1 <= 3,  x0 + x2 >= 1;
+# optimal at x = (1, 3, 0) with both <= rows tight
+WARM_LP = (np.array([-1.0, -2.0, 0.5]),
+           np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]),
+           ["L", "L", "G"])
+
+
+def warm_base():
+    c, a, senses = WARM_LP
+    base = solve_lp(c, a, senses, np.array([4.0, 3.0, 1.0]))
+    assert base.status == "optimal" and base.objective == pytest.approx(-7.0)
+    return base
+
+
+def test_warm_start_reoptimises_at_a_new_rhs():
+    c, a, senses = WARM_LP
+    b = np.array([6.0, 2.0, 1.0])
+    res = solve_lp(c, a, senses, b, start=warm_base())
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(-8.0)
+    np.testing.assert_allclose(res.x, [4.0, 2.0, 0.0], atol=1e-12)
+    assert res.objective == pytest.approx(solve_lp(c, a, senses, b).objective)
+    assert res.warm is None  # only a cold solve is a start
+
+
+def test_warm_start_keeps_held_columns_at_zero():
+    # x1 is basic at 3 in the start; held, it must leave
+    c, a, senses = WARM_LP
+    res = solve_lp(c, a, senses, np.array([4.0, 3.0, 1.0]), start=warm_base(),
+                   held=np.array([False, True, False]))
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(-4.0)
+    assert res.x[1] == 0.0
+    np.testing.assert_allclose(res.x, [4.0, 0.0, 0.0], atol=1e-12)
+
+
+def test_warm_start_finds_an_infeasible_rhs():
+    c, a, senses = WARM_LP
+    res = solve_lp(c, a, senses, np.array([4.0, 3.0, 5.0]), start=warm_base())
+    assert res.status == "infeasible"
+    assert res.x is None
+    assert res.objective > 0.0  # the violation of the row that could not be repaired
+
+
+@pytest.mark.parametrize("start, held, match", [
+    ("infeasible", None, "optimal result of a cold solve_lp"),
+    (None, np.array([False, True, False]), "held columns need a start basis"),
+    ("base", np.array([0, 1, 0]), "boolean mask"),
+    ("base", np.array([False, True]), "boolean mask"),
+    ("other", None, "does not fit"),
+])
+def test_warm_start_rejects_what_does_not_fit(start, held, match):
+    c, a, senses = WARM_LP
+    start = {"base": warm_base(), None: None,
+             "infeasible": solve_lp(c, a, senses, np.array([4.0, 3.0, 5.0])),
+             "other": solve_lp(c[:2], a[:, :2], senses, np.array([4.0, 3.0, 1.0]))}[start]
+    with pytest.raises(ValueError, match=match):
+        solve_lp(c, a, senses, np.array([4.0, 3.0, 1.0]), start=start, held=held)
+
+
+def test_warm_start_iteration_cap_raises(monkeypatch):
+    c, a, senses = WARM_LP
+    base = warm_base()
+    monkeypatch.setattr(simplex, "_MAX_ITERATIONS", 0)
+    with pytest.raises(SimplexIterationError):
+        solve_lp(c, a, senses, np.array([6.0, 2.0, 1.0]), start=base)
+
+
+def test_phase_two_does_not_move_a_held_basic_column():
+    # basis: the slack of x0 + x1 + s0 = 4, and held x2 at 0 in x2 - x0 = 0;
+    # x0 prices out, and entering it would raise x2 with it
+    full = np.array([[1.0, 1.0, 0.0, 1.0, 4.0],
+                     [-1.0, 0.0, 1.0, 0.0, 0.0]])
+    state = simplex._State(full, np.array([3, 2]))
+    blocked = np.array([False, False, True, False])
+    assert simplex._run(state, np.array([-1.0, 0.0, 0.0, 0.0]), 4, blocked) == "optimal"
+    values = dict(zip(state.basis.tolist(), state.rhs.tolist()))
+    assert values.get(2, 0.0) == 0.0 and values.get(0, 0.0) == 0.0
+
+
+def test_warm_start_agrees_with_a_cold_solve_on_random_lps():
+    """Random LPs solved cold, then re-optimised at moved rhs values (some
+    changing sign) and random held columns: the same status and optimum as
+    a cold solve without the held columns, and a feasible `x` that is
+    exactly 0 where held."""
+    statuses = []
+    for seed in range(40):
+        rng = np.random.default_rng(1200 + seed)
+        m = int(rng.integers(2, 7))
+        n = int(rng.integers(3, 9))
+        a = rng.uniform(-2, 2, size=(m, n)).round(2)
+        c = rng.uniform(0, 2, size=n).round(2)
+        senses = [str(rng.choice(["L", "G", "E"])) for _ in range(m)]
+        b = rng.uniform(-2, 4, size=m).round(2)
+        base = solve_lp(c, a, senses, b)
+        if base.status != "optimal":
+            continue
+        for _ in range(8):
+            moved = b + rng.choice([0.0, 0.0, 1.0], size=m) * rng.uniform(-3, 3, size=m).round(2)
+            held = rng.random(n) < 0.3
+            warm = solve_lp(c, a, senses, moved, start=base, held=held)
+            cold = solve_lp(c[~held], a[:, ~held], senses, moved)
+            assert warm.status == cold.status, (seed, moved, held)
+            statuses.append(warm.status)
+            if warm.status == "optimal":
+                assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+                assert (warm.x[held] == 0.0).all() and (warm.x >= -1e-9).all()
+                lhs = a @ warm.x
+                for sense, v, rhs in zip(senses, lhs, moved):
+                    assert {"L": v <= rhs + 1e-9, "G": v >= rhs - 1e-9,
+                            "E": abs(v - rhs) <= 1e-9}[sense]
+    assert statuses.count("optimal") >= 100 and statuses.count("infeasible") >= 50
+
+
+def test_dual_loop_switches_to_blands_rule_on_degenerate_pivots(monkeypatch):
+    """Zero costs make every dual pivot degenerate, so with the limit at 1
+    the dual loop picks its leaving rows by Bland's rule from its second
+    pivot on; it still agrees with a cold solve on every status and ends
+    on a feasible `x`."""
+    monkeypatch.setattr(simplex, "_DEGENERATE_LIMIT", 1)
+    modes = []
+    real_pivot = simplex._pivot
+
+    def recording_pivot(state, row, col):
+        modes.append(state.bland)
+        real_pivot(state, row, col)
+
+    statuses = []
+    for seed in range(40):
+        rng = np.random.default_rng(1300 + seed)
+        m, n = int(rng.integers(3, 7)), int(rng.integers(4, 9))
+        a = rng.uniform(-2, 2, size=(m, n)).round(2)
+        senses = [str(rng.choice(["L", "G", "E"])) for _ in range(m)]
+        b = rng.uniform(-2, 4, size=m).round(2)
+        c = np.zeros(n)
+        base = solve_lp(c, a, senses, b)
+        if base.status != "optimal":
+            continue
+        for _ in range(6):
+            moved = b + rng.uniform(-3, 3, size=m).round(2)
+            held = rng.random(n) < 0.2
+            with monkeypatch.context() as mp:
+                mp.setattr(simplex, "_pivot", recording_pivot)
+                warm = solve_lp(c, a, senses, moved, start=base, held=held)
+            statuses.append(warm.status)
+            assert warm.status == solve_lp(c[~held], a[:, ~held], senses, moved).status
+            if warm.status == "optimal":
+                assert (warm.x[held] == 0.0).all() and (warm.x >= -1e-9).all()
+                lhs = a @ warm.x
+                for sense, v, rhs in zip(senses, lhs, moved):
+                    assert {"L": v <= rhs + 1e-9, "G": v >= rhs - 1e-9,
+                            "E": abs(v - rhs) <= 1e-9}[sense]
+    assert modes.count(True) >= 20
+    assert statuses.count("optimal") >= 20 and statuses.count("infeasible") >= 20
+
+
+# ---------------------------------------------------------------------------
 # configuration enumeration
 
 
@@ -616,12 +776,13 @@ def every_configuration(table):
 
 
 def brute_force(inst, prune, tie_tol=oracle.TIE_TOL):
-    """Every configuration's flow LP plus its install cost, keeping the
-    lexicographically first minimum under the oracle's tie rule."""
+    """Every configuration's flow LP, solved cold (`restricted_lp`), plus
+    its install cost, keeping the lexicographically first minimum under
+    the oracle's tie rule."""
     factory = all_open_factory(inst, prune)
     best = None
     for config in every_configuration(factory.slots):
-        res = factory.solve(config)
+        res = restricted_lp(factory, config)
         if res.status != "optimal":
             continue
         objective = res.objective + scan_loop(factory.slots, config)[1]
@@ -631,7 +792,8 @@ def brute_force(inst, prune, tie_tol=oracle.TIE_TOL):
 
 
 def all_open_factory(inst, prune=True):
-    """The instance's all-open LP, which restricts to each configuration's."""
+    """The instance's all-open LP, from whose optimum each configuration's
+    is re-optimised."""
     return oracle._LpFactory(inst, prune, oracle._SlotTable(inst))
 
 
@@ -788,7 +950,7 @@ def test_tiny_suite_lp_sequence_is_golden(monkeypatch):
     monkeypatch.setattr(oracle, "solve_lp", counting_solve_lp)
     certs = [solve_exact(inst)[1] for inst in make_tiny_suite(2026)]
     assert len(pivots) == 287
-    assert sum(pivots) == 3_324
+    assert sum(pivots) == 1_423
     assert sum(c.enumerated for c in certs) == 19_497
     assert sum(c.pruned for c in certs) == 19_265
     assert sum(c.bound_pruned for c in certs) == 8_856
@@ -796,22 +958,22 @@ def test_tiny_suite_lp_sequence_is_golden(monkeypatch):
     assert sum(c.solved for c in certs) == 232
 
 
-# sha256 over the tiny suite's LPs and optima, recorded before the simplex
-# kernel was last reworked; see the test below
-TINY_SUITE_LP_DIGEST = "9fc46d56500062d4b758af369ce2655d9132c07d608a901d3fa20e28dbd488d4"
+# sha256 over the tiny suite's LPs and optima, recorded when the
+# configuration LPs were first warm-started; see the test below
+TINY_SUITE_LP_DIGEST = "458e472be186b8fd0b69471304b9c3415695ea755d03170179fc6b208e0c563a"
 
 
 def test_tiny_suite_lp_bits_are_pinned(monkeypatch):
     """Every tiny-suite LP's status, pivot count, objective and `x`, and
     each member's optimum, to the bit: a change to the simplex or to how
-    the configuration LPs are cut must leave them all alone.  The digest
+    the configuration LPs are assembled must leave them all alone.  The digest
     is tied to this numpy and BLAS build, whose dot products set the last
     bits; on another build it may differ where the program does not."""
     digest = hashlib.sha256()
     real_solve_lp = oracle.solve_lp
 
-    def hashing_solve_lp(*args):
-        result = real_solve_lp(*args)
+    def hashing_solve_lp(*args, **kwargs):
+        result = real_solve_lp(*args, **kwargs)
         digest.update(f"{result.status} {result.iterations} {result.objective.hex()}\n".encode())
         if result.x is not None:
             digest.update(result.x.tobytes())
@@ -824,9 +986,9 @@ def test_tiny_suite_lp_bits_are_pinned(monkeypatch):
     assert digest.hexdigest() == TINY_SUITE_LP_DIGEST
 
 
-# sha256 over the 5% default shape's LPs and its optimum, recorded before
-# the instance reader was last reworked; see the test below
-FIVE_PERCENT_LP_DIGEST = "4426d3f12b30bfca989eec48800baf577233ace9fa6b429334c7f9dcb9a31505"
+# sha256 over the 5% default shape's LPs and its optimum, recorded when the
+# configuration LPs were first warm-started; see the test below
+FIVE_PERCENT_LP_DIGEST = "583e753abc4b589254e5c16ef33f9d5236af19dd827a246a8bda7c8b34669ff5"
 
 
 def test_five_percent_shape_lp_bits_are_pinned(monkeypatch):
@@ -840,8 +1002,8 @@ def test_five_percent_shape_lp_bits_are_pinned(monkeypatch):
     pivots = []
     real_solve_lp = oracle.solve_lp
 
-    def hashing_solve_lp(*args):
-        result = real_solve_lp(*args)
+    def hashing_solve_lp(*args, **kwargs):
+        result = real_solve_lp(*args, **kwargs)
         pivots.append(result.iterations)
         digest.update(f"{result.status} {result.iterations} {result.objective.hex()}\n".encode())
         if result.x is not None:
@@ -851,7 +1013,141 @@ def test_five_percent_shape_lp_bits_are_pinned(monkeypatch):
     monkeypatch.setattr(oracle, "solve_lp", hashing_solve_lp)
     cert = solve_exact(scaled_default_shape(0.05))[1]
     digest.update(f"optimum {cert.best_objective.hex()}\n".encode())
-    assert (len(pivots), sum(pivots)) == (139, 10_859)
+    assert (len(pivots), sum(pivots)) == (139, 4_319)
     assert (cert.enumerated, cert.pruned, cert.bound_pruned, cert.infeasible, cert.solved) == (
         944_784, 944_646, 474_612, 0, 138)
     assert digest.hexdigest() == FIVE_PERCENT_LP_DIGEST
+
+
+# sha256 over the bound LP of every tiny-suite member and of the 5% default
+# shape, recorded before the configuration LPs were warm-started; see the
+# test below
+COLD_LP_DIGEST = "ef5a3dc8816b354ea2c9deebe29b833fc3ca124f665d9cf45273f63e97c047a1"
+
+
+def test_cold_lp_bits_are_pinned(monkeypatch):
+    """The first LP of each `solve_exact` run is the bound LP, solved cold
+    from the slack basis: its status, pivots, objective and `x` stay the
+    same to the bit whatever happens to the configuration LPs after it, on
+    this numpy and BLAS build."""
+    digest = hashlib.sha256()
+    calls = []
+    real_solve_lp = oracle.solve_lp
+
+    def hashing_solve_lp(*args, **kwargs):
+        result = real_solve_lp(*args, **kwargs)
+        if not calls:
+            assert kwargs.get("start") is None
+            digest.update(f"{result.status} {result.iterations} {result.objective.hex()}\n".encode())
+            if result.x is not None:
+                digest.update(result.x.tobytes())
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(oracle, "solve_lp", hashing_solve_lp)
+    for inst in make_tiny_suite(2026) + [scaled_default_shape(0.05)]:
+        calls.clear()
+        solve_exact(inst)
+        assert calls
+    assert digest.hexdigest() == COLD_LP_DIGEST
+
+
+def walk_lps(monkeypatch, cases):
+    """(factory, configuration, result) of every configuration LP the walk
+    solves over `cases`, (instance, prune) pairs."""
+    solved = []
+    real_solve = oracle._LpFactory.solve
+
+    def recording_solve(factory, config):
+        result = real_solve(factory, config)
+        solved.append((factory, config, result))
+        return result
+
+    monkeypatch.setattr(oracle._LpFactory, "solve", recording_solve)
+    for inst, prune in cases:
+        solve_exact(inst, prune=prune)
+    return solved
+
+
+def test_warm_configuration_lps_match_the_cold_restriction(monkeypatch):
+    """Every configuration LP the walk solves, re-optimised from the bound
+    LP's basis, against the same LP solved cold as the restriction of the
+    all-open LP (`restricted_lp`): the same status, the optimum within
+    `TIE_TOL`, `x` within 1e-9 and exactly 0 on every column with a closed
+    end."""
+    cases = [(inst, prune) for seed in (2026, 2030) for prune in (True, False)
+             for inst in make_tiny_suite(seed)]
+    solved = walk_lps(monkeypatch, cases + [(scaled_default_shape(0.05), True)])
+    assert len(solved) > 1000
+    for factory, config, warm in solved:
+        cold = restricted_lp(factory, config)
+        assert warm.status == cold.status
+        if warm.status != "optimal":
+            continue
+        assert abs(warm.objective - cold.objective) <= oracle.TIE_TOL * max(1.0, abs(cold.objective))
+        np.testing.assert_allclose(warm.x, cold.x, rtol=1e-9, atol=1e-9)
+        is_open = np.append(np.asarray(config) > 0, True)
+        closed_end = ~(is_open[factory.origin] & is_open[factory.dest])
+        assert (warm.x[closed_end] == 0.0).all()
+
+
+def test_closed_sites_carry_no_flow_at_any_costs():
+    """Unpruned, a site's outflow of a material it does not make is in no
+    row of its own, so a closed site's such columns are zero only because
+    they are held.  With random costs of either sign (every column is
+    bounded by a capacity or demand row) some of them pay, and every
+    configuration LP still matches the cold restriction."""
+    rng = np.random.default_rng(33)
+    held_paid = 0
+    for inst in make_tiny_suite(2026)[:20]:
+        factory = all_open_factory(inst, prune=False)
+        factory.obj = rng.uniform(-1.0, 1.0, size=factory.obj.size).round(3)
+        configs = list(every_configuration(factory.slots))
+        for k in rng.permutation(len(configs))[:25]:
+            config = configs[k]
+            warm, cold = factory.solve(config), restricted_lp(factory, config)
+            assert warm.status == cold.status
+            if warm.status != "optimal":
+                continue
+            assert abs(warm.objective - cold.objective) <= oracle.TIE_TOL * max(1.0, abs(cold.objective))
+            is_open = np.append(np.asarray(config) > 0, True)
+            closed_end = ~(is_open[factory.origin] & is_open[factory.dest])
+            assert (warm.x[closed_end] == 0.0).all()
+            held_paid += bool((factory.bound_lp().x[closed_end] > 0.0).any())
+    assert held_paid
+
+
+def tiny_suite_outcomes():
+    return [(cert.enumerated, cert.pruned, cert.bound_pruned, cert.infeasible, cert.solved,
+             cert.best_configuration, cert.best_objective)
+            for cert in (solve_exact(inst)[1] for inst in make_tiny_suite(2026))]
+
+
+def test_blands_rule_from_the_first_degenerate_pivot_keeps_the_tiny_suite(monkeypatch):
+    """With the switch to Bland's rule after every degenerate pivot, in the
+    cold and the warm loops alike, the tiny suite keeps its certificates
+    and configurations, and its optima within `TIE_TOL`."""
+    default = tiny_suite_outcomes()
+    monkeypatch.setattr(simplex, "_DEGENERATE_LIMIT", 1)
+    for got, want in zip(tiny_suite_outcomes(), default):
+        assert got[:6] == want[:6]
+        if want[6] is not None:
+            assert abs(got[6] - want[6]) <= oracle.TIE_TOL * max(1.0, abs(want[6]))
+
+
+def test_walk_lp_iteration_poisoning_propagates(monkeypatch):
+    """A configuration LP past `_MAX_ITERATIONS` aborts the run: the
+    error leaves `solve_exact`, and nothing is counted infeasible."""
+    warm_calls = []
+    real_solve_lp = oracle.solve_lp
+
+    def capping_solve_lp(*args, **kwargs):
+        if kwargs.get("start") is not None:
+            warm_calls.append(1)
+            monkeypatch.setattr(simplex, "_MAX_ITERATIONS", 1)
+        return real_solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "solve_lp", capping_solve_lp)
+    with pytest.raises(SimplexIterationError):
+        solve_exact(scaled_default_shape(0.05))
+    assert warm_calls
