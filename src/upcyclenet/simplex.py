@@ -124,7 +124,7 @@ def solve_lp(
     With `start`, the optimal result of a cold solve of the same `c`, `a`
     and `senses`, the LP is re-optimised from that basis by the dual
     simplex, with x held at 0 where the boolean mask `held` is set; `a`
-    is then read only for its shape.  Raises `ValueError` on a `start`
+    is then checked but not read, as the start's array holds B^-1 a.  Raises `ValueError` on a `start`
     that carries no basis or does not fit, and on `held` without `start`.
     """
     c = np.asarray(c, dtype=np.float64)
@@ -210,8 +210,7 @@ def _solve_warm(c: np.ndarray, b: np.ndarray, start: LpResult,
     if warm is None:
         raise ValueError("start must be the optimal result of a cold solve_lp")
     n = c.size
-    full = warm.full.copy()
-    m, width = full.shape[0], full.shape[1] - 1
+    m, width = warm.full.shape[0], warm.full.shape[1] - 1
     if b.shape != (m,) or n != warm.n:
         raise ValueError("start does not fit the LP")
     blocked = np.zeros(width, dtype=bool)
@@ -224,6 +223,7 @@ def _solve_warm(c: np.ndarray, b: np.ndarray, start: LpResult,
     # rhs = B^-1 b, row i's starting column being column i of B^-1 times
     # its sign; recomputed rather than moved by B^-1 (b - b_start), which
     # would cancel a huge start rhs against a huge change
+    full = warm.full.copy()
     full[:, -1] = full[:, warm.starts] @ (warm.signs * b)
     rhs = full[:, -1]
     rhs[np.abs(rhs) < _ZERO_RHS] = 0.0
