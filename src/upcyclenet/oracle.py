@@ -2,9 +2,9 @@
 
 A configuration fixes every install binary: per candidate site, either
 closed or one chosen size option.  For each configuration the remaining
-problem is a pure LP over flows, solved with the built-in two-phase
-simplex; the minimum over all configurations is the exact MILP optimum,
-certified by exhaustion.
+problem is a pure LP over flows, solved with the built-in simplex; the
+minimum over all configurations is the exact MILP optimum, certified by
+exhaustion.
 
 This module deliberately assembles its LPs straight from the instance
 rather than reusing the canonical model builder, so the two routes check

@@ -1,51 +1,50 @@
-"""Dense two-phase primal simplex for the oracle's flow subproblems.
+"""Dense dual-then-primal simplex for the oracle's flow subproblems.
 
 The oracle fixes the install binaries, leaving a pure LP over nonnegative
 flows with mixed-sense rows.  Subproblems are small (hundreds of columns),
-so this favors a plain dense tableau and robustness over sparse cleverness:
+so this favors a plain dense tableau and robustness over sparse cleverness.
 
-* the starting basis is the slack basis where it is feasible (Bixby,
-  ORSA J. Computing 1992): a <= row with rhs >= 0 and a >= row with
-  rhs <= 0, flipped so its surplus reads +1, start on their slack; only
-  the other rows (== rows, >= rows with rhs > 0, <= rows with rhs < 0)
-  get an artificial variable,
-* phase 1 minimizes those artificials and is skipped when there are none;
-  a residual above ``_PHASE1_TOL`` means infeasible,
-* phase 2 runs Dantzig's most-negative-reduced-cost rule and switches to
-  Bland's anti-cycling rule after ``_DEGENERATE_LIMIT`` consecutive
-  degenerate pivots, and back after the next non-degenerate one,
+Every cold LP starts from the slack basis, whatever its rhs: a <= row on
+its slack, a >= row, flipped so that its surplus reads +1, on its surplus,
+and an == row on an artificial column held at 0.  Every starting column
+costs 0, so this basis is dual feasible for the costs max(c, 0); the dual
+simplex (Lemke, Naval Res. Logist. Q. 1954) at those costs makes it
+primal feasible, and phase 2 then finishes at the true costs c.  This is
+the cost-modification dual phase 1 (Koberstein, PhD thesis, Paderborn
+2005): there is no phase-1 objective.
+
+An optimal cold solve keeps its final working array in `LpResult.warm`,
+and `solve_lp(..., start=that_result, held=mask)` re-optimises the same
+`c`, `a` and `senses` at another rhs with some columns held at 0.  The
+rhs column is recomputed as B^-1 b, with B^-1 read off the starting-basis
+columns as below; the basis keeps its reduced costs, so it stays dual
+feasible at c, and holding columns only removes candidates.
+
+Cold and warm LPs then take one path, the dual loop followed by phase 2:
+
+* a held column and every artificial may not enter, and a held column
+  that is basic must come back to 0 (a variable bounded by 0 above),
+* each dual pivot leaves the row with the largest violation, a basic
+  value below ``-_FEASIBILITY_TOL`` or a held one further than that from
+  0, and enters the column with the least ratio of reduced cost to pivot
+  entry among the entries above ``_PIVOT_TOL`` in the direction that
+  repairs the row, the least index on ties,
+* a leaving row with no such entry proves the LP infeasible,
+* once the basic values are feasible, held basic values are set to 0 and
+  phase 2 runs Dantzig's most-negative-reduced-cost rule over the columns
+  that may enter, with a held basic column blocking any step that would
+  move it; it returns at once when no reduced cost is below
+  ``-_REDCOST_TOL``, the usual case when c >= 0,
+* after ``_DEGENERATE_LIMIT`` consecutive degenerate pivots (a primal step
+  or a dual ratio of at most ``_DEGENERATE_STEP``), either loop switches
+  to Bland's anti-cycling rule, the least basis index leaving the dual and
+  the least column index entering the primal, until the next
+  non-degenerate pivot,
 * reduced costs are recomputed from the cost vector each iteration instead
   of carrying an objective row, trading a constant factor for immunity to
   accumulated drift,
 * exceeding ``_MAX_ITERATIONS`` pivots in one solve raises; a stuck LP
   must poison the oracle run, never masquerade as infeasible.
-
-An optimal cold solve keeps its final working array in `LpResult.warm`,
-and `solve_lp(..., start=that_result, held=mask)` re-optimises the same
-`c`, `a` and `senses` at another rhs with some columns held at 0, by the
-dual simplex (Lemke, Naval Res. Logist. Q. 1954) from that basis:
-
-* the rhs column is recomputed as B^-1 b, with B^-1 read off the
-  starting-basis columns as below; the basis keeps its reduced costs, so
-  it stays dual feasible, and holding columns only removes candidates,
-* a held column and every artificial may not enter, and a held column
-  that is basic must come back to 0 (a variable bounded by 0 above),
-* each pivot leaves the row with the largest violation, a basic value
-  below ``-_FEASIBILITY_TOL`` or a held one further than that from 0, and
-  enters the column with the least ratio of reduced cost to pivot entry
-  among the entries above ``_PIVOT_TOL`` in the direction that repairs
-  the row, the least index on ties,
-* a leaving row with no such entry proves the LP infeasible,
-* after ``_DEGENERATE_LIMIT`` consecutive pivots whose ratio is at most
-  ``_DEGENERATE_STEP``, the least basis index among the violated rows
-  leaves instead (Bland's rule for the dual), until the next
-  non-degenerate pivot,
-* once the basic values are feasible, held basic values are set to 0 and
-  the cold path's phase 2 runs over the columns that may enter, with a
-  held basic column blocking any step that would move it; it returns at
-  once when no reduced cost is below ``-_REDCOST_TOL``, which is the usual
-  case,
-* ``_MAX_ITERATIONS`` counts the warm pivots and raises as above.
 
 Each row's starting-basis column (its slack or its artificial) starts as
 a unit column, so after any pivot these columns hold the current B^-1:
@@ -77,7 +76,6 @@ _PIVOT_TOL = 1e-10
 _REDCOST_TOL = 1e-9
 _DEGENERATE_STEP = 1e-12
 _DEGENERATE_LIMIT = 50
-_PHASE1_TOL = 1e-7
 _FEASIBILITY_TOL = 1e-9
 _ZERO_RHS = 1e-11
 _MAX_ITERATIONS = 50_000
@@ -98,7 +96,7 @@ class _WarmStart:
 @dataclass
 class LpResult:
     status: str  # 'optimal' | 'infeasible' | 'unbounded'
-    objective: float  # infeasible: the phase-1 residual, or warm the largest violation left
+    objective: float  # infeasible: the largest violation left
     x: np.ndarray | None
     iterations: int
     warm: _WarmStart | None = field(default=None, repr=False, compare=False)
@@ -122,10 +120,11 @@ def solve_lp(
     the objective leaves the float range.
 
     With `start`, the optimal result of a cold solve of the same `c`, `a`
-    and `senses`, the LP is re-optimised from that basis by the dual
-    simplex, with x held at 0 where the boolean mask `held` is set; `a`
-    is then checked but not read, as the start's array holds B^-1 a.  Raises `ValueError` on a `start`
-    that carries no basis or does not fit, and on `held` without `start`.
+    and `senses`, the LP is re-optimised from that basis, with x held at
+    0 where the boolean mask `held` is set; `a` is then checked but not
+    read, as the start's array holds B^-1 a.  Raises `ValueError` on a
+    `start` that carries no basis or does not fit, and on `held` without
+    `start`.
     """
     c = np.asarray(c, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
@@ -136,7 +135,8 @@ def solve_lp(
         raise ValueError("inconsistent LP dimensions")
     is_l = senses == "L"
     is_g = senses == "G"
-    unknown = (~(is_l | is_g | (senses == "E"))).nonzero()[0]
+    is_e = senses == "E"
+    unknown = (~(is_l | is_g | is_e)).nonzero()[0]
     if unknown.size:
         raise ValueError(f"row {unknown[0]} has sense {str(senses[unknown[0]])!r}; "
                          "expected 'L', 'G' or 'E'")
@@ -147,60 +147,28 @@ def solve_lp(
     if held is not None:
         raise ValueError("held columns need a start basis")
 
-    slack_rows = (is_l | is_g).nonzero()[0]
-    # starting basis: a <= row with rhs >= 0 and a >= row with rhs <= 0 start
-    # on their slack; every other row starts on an artificial
-    needs = (~((is_l & (b >= 0.0)) | (is_g & (b <= 0.0)))).nonzero()[0]
-    n_ext = n + slack_rows.size
-    width = n_ext + needs.size
+    n_eq = int(is_e.sum())
+    width = n + m
+    n_ext = width - n_eq
     # structurals, slacks, artificials, then the rhs as the last column
     full = np.zeros((m, width + 1), dtype=np.float64)
     full[:, :n] = a
-    # slack (+1) for <=, surplus (-1) for >=
-    slack_cols = n + np.arange(slack_rows.size)
-    full[slack_rows, slack_cols] = np.where(is_l[slack_rows], 1.0, -1.0)
     full[:, -1] = b
-
-    # make rhs nonnegative; a >= row with rhs 0 flips too, so that every
-    # starting slack reads +1
-    full[(b < 0.0) | (is_g & (b == 0.0))] *= -1.0
-
+    full[is_g] *= -1.0  # a >= row's surplus then reads +1, like every starting column
+    # the slack basis: a slack per <= or >= row, an artificial per == row
     basis = np.empty(m, dtype=np.intp)
-    basis[slack_rows] = slack_cols
-    basis[needs] = n_ext + np.arange(needs.size)
-    full[needs, basis[needs]] = 1.0
-    starts = basis.copy()
+    basis[~is_e] = n + np.arange(m - n_eq)
+    basis[is_e] = n_ext + np.arange(n_eq)
+    full[np.arange(m), basis] = 1.0
+    blocked = np.zeros(width, dtype=bool)
+    blocked[n_ext:] = True  # artificials
     state = _State(full, basis)
-
-    if needs.size:
-        # phase 1: drive the artificials to zero
-        cost1 = np.zeros(width, dtype=np.float64)
-        cost1[n_ext:] = 1.0
-        status = _run(state, cost1, allowed=width)
-        if status == "unbounded":
-            raise AssertionError("phase-1 objective is bounded below by 0")
-        # a contiguous copy: BLAS may sum a strided vector in another order
-        phase1_value = float(cost1[state.basis] @ state.rhs.copy())
-        if phase1_value > _PHASE1_TOL:
-            return LpResult("infeasible", phase1_value, None, state.iterations)
-        _evict_artificials(state, n_ext)
-
-    # phase 2: original costs; artificials may not re-enter
-    cost2 = np.zeros(width, dtype=np.float64)
-    cost2[:n] = c
-    status = _run(state, cost2, allowed=n_ext)
-    if status == "unbounded":
-        return LpResult("unbounded", float("-inf"), None, state.iterations)
-    flipped = (b < 0.0) | (is_g & (b == 0.0))
-    warm = _WarmStart(state.full, state.basis, starts, np.where(flipped, -1.0, 1.0), n, n_ext)
-    return _optimal(state, c, warm)
-
-
-def _optimal(state: _State, c: np.ndarray, warm: _WarmStart | None = None) -> LpResult:
-    x = np.zeros(c.size, dtype=np.float64)
-    structural = state.basis < c.size
-    x[state.basis[structural]] = state.rhs[structural]
-    return LpResult("optimal", float(c @ x), x, state.iterations, warm)
+    warm = _WarmStart(state.full, state.basis, basis.copy(), np.where(is_g, -1.0, 1.0),
+                      n, n_ext)
+    cost = np.zeros(width, dtype=np.float64)
+    cost[:n] = c
+    # every starting column costs 0, so the basis is dual feasible for c clipped at 0
+    return _solve(state, c, np.maximum(cost, 0.0), cost, blocked, warm)
 
 
 def _solve_warm(c: np.ndarray, b: np.ndarray, start: LpResult,
@@ -230,13 +198,24 @@ def _solve_warm(c: np.ndarray, b: np.ndarray, start: LpResult,
     state = _State(full, warm.basis.copy())
     cost = np.zeros(width, dtype=np.float64)
     cost[:n] = c
-    if _run_dual(state, cost, blocked) == "infeasible":
+    return _solve(state, c, cost, cost, blocked)
+
+
+def _solve(state: _State, c: np.ndarray, dual_cost: np.ndarray, cost: np.ndarray,
+           blocked: np.ndarray, warm: _WarmStart | None = None) -> LpResult:
+    """Every LP's one path: the dual loop at `dual_cost`, for which the
+    basis must be dual feasible, then phase 2 at `cost`, `c` padded with
+    zeros.  An optimal result carries `warm`."""
+    if _run_dual(state, dual_cost, blocked) == "infeasible":
         return LpResult("infeasible", float(_violation(state, blocked).max()), None,
                         state.iterations)
     state.rhs[blocked[state.basis]] = 0.0
-    if _run(state, cost, width, blocked) == "unbounded":
+    if _run(state, cost, blocked) == "unbounded":
         return LpResult("unbounded", float("-inf"), None, state.iterations)
-    return _optimal(state, c)
+    x = np.zeros(c.size, dtype=np.float64)
+    structural = state.basis < c.size
+    x[state.basis[structural]] = state.rhs[structural]
+    return LpResult("optimal", float(c @ x), x, state.iterations, warm)
 
 
 class _State:
@@ -253,20 +232,18 @@ class _State:
         self.bland = False
 
 
-def _run(state: _State, cost: np.ndarray, allowed: int,
-         blocked: np.ndarray | None = None) -> str:
-    """Pivot until optimal or unbounded; columns >= `allowed` may not enter,
-    nor those `blocked` marks, and a blocked basic column stays where it is."""
+def _run(state: _State, cost: np.ndarray, blocked: np.ndarray) -> str:
+    """Phase 2: pivot until optimal or unbounded; `blocked` columns may
+    not enter, and a blocked basic column stays where it is."""
     tableau, rhs, basis = state.tableau, state.rhs, state.basis
-    if allowed == 0:  # no column may enter, and argmin needs one
+    if blocked.all():  # no column may enter, and argmin needs one
         return "optimal"
     ratios = np.empty(len(basis), dtype=np.float64)
     while True:
         if state.iterations >= _MAX_ITERATIONS:
             raise SimplexIterationError(f"simplex exceeded {_MAX_ITERATIONS} iterations")
-        reduced = (cost - cost[basis] @ tableau)[:allowed]
-        if blocked is not None:
-            reduced[blocked] = np.inf
+        reduced = cost - cost[basis] @ tableau
+        reduced[blocked] = np.inf
         if state.bland:
             below = (reduced < -_REDCOST_TOL).nonzero()[0]
             if below.size == 0:
@@ -281,8 +258,8 @@ def _run(state: _State, cost: np.ndarray, allowed: int,
         # rows with no positive entry keep an infinite ratio
         ratios.fill(np.inf)
         np.divide(rhs, col, out=ratios, where=col > _PIVOT_TOL)
-        if blocked is not None:  # a blocked basic column, at 0, may not move either way
-            ratios[blocked[basis] & (col < -_PIVOT_TOL)] = 0.0
+        # a blocked basic column, at 0, may not move either way
+        ratios[blocked[basis] & (col < -_PIVOT_TOL)] = 0.0
         best = ratios.min(initial=np.inf)  # an LP without rows has no ratio
         if best == np.inf:
             return "unbounded"
@@ -355,13 +332,3 @@ def _pivot(state: _State, row: int, col: int) -> None:
     full -= factors[:, None] * pivot_row
     rhs[np.abs(rhs) < _ZERO_RHS] = 0.0
     state.basis[row] = col
-
-
-def _evict_artificials(state: _State, n_ext: int) -> None:
-    """Pivot leftover zero-valued artificials out; rows that cannot release
-    one are redundant and stay inert (their structural entries are all 0)."""
-    for i in (state.basis >= n_ext).nonzero()[0]:
-        row = state.tableau[i, :n_ext]
-        nz = np.flatnonzero(np.abs(row) > _PIVOT_TOL)
-        if nz.size:
-            _pivot(state, i, int(nz[0]))

@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import itertools
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,7 +156,7 @@ def test_ratio_tie_leaves_the_row_with_the_smaller_basis_index():
     full = np.array([[1.0, 0.0, 1.0, 1.0],
                      [1.0, 1.0, 0.0, 1.0]])
     state = simplex._State(full, np.array([2, 1]))
-    assert simplex._run(state, np.array([-1.0, 0.0, 0.0]), allowed=3) == "optimal"
+    assert simplex._run(state, np.array([-1.0, 0.0, 0.0]), np.zeros(3, dtype=bool)) == "optimal"
     assert state.basis.tolist() == [2, 0]
     assert state.iterations == 1
     assert state.full.tolist() == [[0.0, -1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 1.0]]
@@ -254,8 +256,8 @@ def test_simplex_agrees_with_scipy_on_sparse_lps():
 
 
 def record_phases(monkeypatch):
-    """Start basis of each solve_lp call and the `allowed` bound of each
-    pivoting run (phase 1 admits the artificial columns, phase 2 does not)."""
+    """Start basis of each solve_lp call, and each pivoting run in order:
+    ('dual' or 'primal', the pivots made before it, the blocked columns)."""
     starts, runs = [], []
 
     class RecordingState(simplex._State):
@@ -263,18 +265,19 @@ def record_phases(monkeypatch):
             starts.append((full[:, :-1].copy(), basis.copy()))
             super().__init__(full, basis)
 
-    real_run = simplex._run
-
-    def recording_run(state, cost, allowed):
-        runs.append(allowed)
-        return real_run(state, cost, allowed)
+    def recording(name, real):
+        def run(state, cost, blocked):
+            runs.append((name, state.iterations, blocked.nonzero()[0].tolist()))
+            return real(state, cost, blocked)
+        return run
 
     monkeypatch.setattr(simplex, "_State", RecordingState)
-    monkeypatch.setattr(simplex, "_run", recording_run)
+    monkeypatch.setattr(simplex, "_run_dual", recording("dual", simplex._run_dual))
+    monkeypatch.setattr(simplex, "_run", recording("primal", simplex._run))
     return starts, runs
 
 
-def test_all_le_lp_with_nonnegative_rhs_skips_phase_one(monkeypatch):
+def test_all_le_lp_with_nonnegative_rhs_needs_no_dual_pivot(monkeypatch):
     starts, runs = record_phases(monkeypatch)
     c = np.array([-1.0, -2.0, 0.5])
     a = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [0.0, 1.0, 2.0]])
@@ -282,29 +285,79 @@ def test_all_le_lp_with_nonnegative_rhs_skips_phase_one(monkeypatch):
     res = solve_lp(c, a, ["L", "L", "L"], b)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-7.0, abs=1e-9)  # at x = (1, 3, 0)
-    # one run, phase 2, over structurals and slacks only: no artificial exists
+    # the slack basis is feasible, so the dual loop ends without a pivot
+    # and phase 2 makes them all; no artificial exists
     tableau, basis = starts[0]
     assert tableau.shape == (3, 6)
     assert list(basis) == [3, 4, 5]
-    assert runs == [6]
+    assert runs == [("dual", 0, []), ("primal", 0, [])]
+    assert res.iterations > 0
 
 
-def test_ge_row_with_nonpositive_rhs_starts_on_its_flipped_surplus(monkeypatch):
+def test_ge_rows_start_on_their_flipped_surplus_and_eq_rows_on_held_artificials(monkeypatch):
     starts, runs = record_phases(monkeypatch)
-    # x0 + x1 >= -3, x0 - x1 >= 0, x0 + 2 x1 == 2
+    # x0 + x1 >= -3, x0 - x1 >= 0, x0 + 2 x1 == 2, x0 >= 1
     c = np.array([1.0, 1.0])
-    a = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 2.0]])
-    b = np.array([-3.0, 0.0, 2.0])
-    res = solve_lp(c, a, ["G", "G", "E"], b)
+    a = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 2.0], [1.0, 0.0]])
+    b = np.array([-3.0, 0.0, 2.0, 1.0])
+    res = solve_lp(c, a, ["G", "G", "E", "G"], b)
     assert res.status == "optimal"
-    assert res.objective == pytest.approx(4.0 / 3.0)
+    assert res.objective == pytest.approx(1.5)  # at x = (1, 0.5)
     tableau, basis = starts[0]
-    # surplus columns 2 and 3 start basic at +1; only the == row gets an artificial
-    assert list(basis) == [2, 3, 4]
-    assert list(tableau[0]) == [-1.0, -1.0, 1.0, 0.0, 0.0]
-    assert list(tableau[1]) == [-1.0, 1.0, 0.0, 1.0, 0.0]
-    assert list(tableau[2]) == [1.0, 2.0, 0.0, 0.0, 1.0]
-    assert runs == [5, 4]
+    # every >= row is flipped onto its surplus (columns 2, 3 and 4), whatever
+    # its rhs; the == row starts on artificial 5, which is held
+    assert list(basis) == [2, 3, 5, 4]
+    assert list(tableau[0]) == [-1.0, -1.0, 1.0, 0.0, 0.0, 0.0]
+    assert list(tableau[1]) == [-1.0, 1.0, 0.0, 1.0, 0.0, 0.0]
+    assert list(tableau[2]) == [1.0, 2.0, 0.0, 0.0, 0.0, 1.0]
+    assert list(tableau[3]) == [-1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
+    # one dual run repairs the held artificial and the last surplus, then
+    # phase 2 finds nothing to price at the nonnegative costs
+    assert runs == [("dual", 0, [5]), ("primal", res.iterations, [5])]
+    assert res.iterations > 0
+
+
+@needs_scipy
+def test_simplex_agrees_with_scipy_with_negative_costs_and_positive_ge_rows(monkeypatch):
+    """Random LPs with costs of both signs and >= rows with rhs > 0, so the
+    slack basis is neither primal feasible nor dual feasible at the true
+    costs: across the family the dual loop at the costs clipped at 0 and
+    phase 2 at the true costs both pivot, and every status, optimum and
+    row agrees with scipy."""
+    pivots = {"dual": 0, "primal": 0}
+
+    def counting(name, real):
+        def run(state, cost, blocked):
+            before = state.iterations
+            status = real(state, cost, blocked)
+            pivots[name] += state.iterations - before
+            return status
+        return run
+
+    monkeypatch.setattr(simplex, "_run_dual", counting("dual", simplex._run_dual))
+    monkeypatch.setattr(simplex, "_run", counting("primal", simplex._run))
+    statuses = set()
+    for seed in range(30):
+        rng = np.random.default_rng(1500 + seed)
+        m, n = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+        a = rng.uniform(-0.5, 2, size=(m, n)).round(2)
+        senses = rng.choice(["L", "G", "E"], size=m, p=[0.3, 0.5, 0.2])
+        b = rng.uniform(-1, 4, size=m).round(2)
+        senses[0], b[0] = "G", abs(b[0]) + 0.5
+        # a last row caps the columns' sum, so the negative costs stay bounded
+        a, senses, b = np.vstack([a, np.ones(n)]), np.append(senses, "L"), np.append(b, 10.0)
+        c = rng.uniform(-2, 1, size=n).round(2)
+        res = solve_lp(c, a, senses, b)
+        ref = linprog_reference(c, a, senses, b)
+        assert res.status == {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+        statuses.add(res.status)
+        if res.status == "optimal":
+            assert res.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-7)
+            assert (res.x >= 0.0).all()
+            for sense, v, rhs in zip(senses, a @ res.x, b):
+                assert {"L": v <= rhs + 1e-9, "G": v >= rhs - 1e-9, "E": abs(v - rhs) <= 1e-9}[sense]
+    assert statuses == {"optimal", "infeasible"}
+    assert pivots["dual"] > 0 and pivots["primal"] > 0
 
 
 @needs_scipy
@@ -329,6 +382,27 @@ def test_simplex_agrees_with_scipy_with_zero_and_negative_rhs(seed):
         lhs = a @ res.x
         for sense, v, rhs in zip(senses, lhs, b):
             assert {"L": v <= rhs + 1e-7, "G": v >= rhs - 1e-7, "E": abs(v - rhs) <= 1e-7}[sense]
+
+
+def test_readme_tolerance_table_matches_the_simplex_constants():
+    """README's Tolerances table names every numeric module constant of
+    `simplex`, and every `simplex` name it gives exists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Tolerances and limits", 1)[1].split("\n## ", 1)[0]
+    named, referenced = set(), set()
+    for line in table.splitlines():
+        cells = line.split("|")
+        if len(cells) < 5 or "simplex" not in cells[3]:
+            continue
+        named.update(re.findall(r"`(\w+)`", cells[1]))
+        referenced.update(re.findall(r"`simplex\.(\w+)", cells[3]))
+    constants = {name for name, value in vars(simplex).items()
+                 if re.fullmatch(r"_?[A-Z][A-Z0-9_]*", name)
+                 and isinstance(value, (int, float)) and not isinstance(value, bool)}
+    assert constants and referenced
+    assert constants <= named, "missing from the table: " + ", ".join(sorted(constants - named))
+    stale = {name for name in named | referenced if not hasattr(simplex, name)}
+    assert not stale, "not in simplex: " + ", ".join(sorted(stale))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +483,7 @@ def test_phase_two_does_not_move_a_held_basic_column():
                      [-1.0, 0.0, 1.0, 0.0, 0.0]])
     state = simplex._State(full, np.array([3, 2]))
     blocked = np.array([False, False, True, False])
-    assert simplex._run(state, np.array([-1.0, 0.0, 0.0, 0.0]), 4, blocked) == "optimal"
+    assert simplex._run(state, np.array([-1.0, 0.0, 0.0, 0.0]), blocked) == "optimal"
     values = dict(zip(state.basis.tolist(), state.rhs.tolist()))
     assert values.get(2, 0.0) == 0.0 and values.get(0, 0.0) == 0.0
 
@@ -926,13 +1000,34 @@ def test_infeasible_widest_lp_proves_infeasibility_with_one_solve(monkeypatch):
     assert len(calls) == 1
 
 
-def test_simplex_overflow_is_an_oracle_error():
-    # a demand ceiling near the float range; its ratio at a yield below 1
-    # leaves it in the first LP
-    doc = json.loads(serialize_instance(make_tiny_suite(2026)[7]))
+def test_demand_at_the_float_range_solves_like_the_base_instance():
+    # a demand ceiling near the float range: its row's slack starts basic at
+    # 1e308, and no ratio divides it, since no pivot needs that row to leave
+    base = make_tiny_suite(2026)[7]
+    doc = json.loads(serialize_instance(base))
     doc["sinks"][0]["demand"]["t1"]["g"] = 1e308
+    inst = parse_instance(json.dumps(doc))
+    sol, cert = solve_exact(inst)
+    assert cert.best_objective == solve_exact(base)[1].best_objective
+    assert cert.best_objective == pytest.approx(1775.7138369713027, rel=1e-12)
+    assert cert.best_configuration == (0, 1, 0, 1, 2, 1, 0, 0)
+    assert verify_solution(sol, build_milp(inst)).passed
+
+
+def test_simplex_overflow_raises_floating_point_error():
+    # the >= row's surplus starts at -1e305, and the dual pivot on x's
+    # entry 1e-5 sets x to 1e310
+    with pytest.raises(FloatingPointError, match="overflow"):
+        solve_lp([1.0], [[1e-5]], ["G"], [1e305])
+
+
+def test_simplex_overflow_is_an_oracle_error(monkeypatch):
+    def overflowing_solve_lp(*args, **kwargs):
+        raise FloatingPointError("overflow encountered in divide")
+
+    monkeypatch.setattr(oracle, "solve_lp", overflowing_solve_lp)
     with pytest.raises(OracleError, match="^flow subproblem left the float range: overflow"):
-        solve_exact(parse_instance(json.dumps(doc)))
+        solve_exact(make_tiny_suite(2026)[7])
 
 
 def test_tiny_suite_lp_sequence_is_golden(monkeypatch):
@@ -950,7 +1045,7 @@ def test_tiny_suite_lp_sequence_is_golden(monkeypatch):
     monkeypatch.setattr(oracle, "solve_lp", counting_solve_lp)
     certs = [solve_exact(inst)[1] for inst in make_tiny_suite(2026)]
     assert len(pivots) == 287
-    assert sum(pivots) == 1_423
+    assert sum(pivots) == 1_103
     assert sum(c.enumerated for c in certs) == 19_497
     assert sum(c.pruned for c in certs) == 19_265
     assert sum(c.bound_pruned for c in certs) == 8_856
@@ -958,9 +1053,10 @@ def test_tiny_suite_lp_sequence_is_golden(monkeypatch):
     assert sum(c.solved for c in certs) == 232
 
 
-# sha256 over the tiny suite's LPs and optima, recorded when the
-# configuration LPs were first warm-started; see the test below
-TINY_SUITE_LP_DIGEST = "458e472be186b8fd0b69471304b9c3415695ea755d03170179fc6b208e0c563a"
+# sha256 over the tiny suite's LPs and optima, re-recorded when every LP
+# came to start from the slack basis with the dual simplex; see the test
+# below
+TINY_SUITE_LP_DIGEST = "8b3815af4ffb3ff3b8467c2e2412306a0f8ceb1b7bf462097aa6eff0f527469b"
 
 
 def test_tiny_suite_lp_bits_are_pinned(monkeypatch):
@@ -986,9 +1082,10 @@ def test_tiny_suite_lp_bits_are_pinned(monkeypatch):
     assert digest.hexdigest() == TINY_SUITE_LP_DIGEST
 
 
-# sha256 over the 5% default shape's LPs and its optimum, recorded when the
-# configuration LPs were first warm-started; see the test below
-FIVE_PERCENT_LP_DIGEST = "583e753abc4b589254e5c16ef33f9d5236af19dd827a246a8bda7c8b34669ff5"
+# sha256 over the 5% default shape's LPs and its optimum, re-recorded when
+# every LP came to start from the slack basis with the dual simplex; see
+# the test below
+FIVE_PERCENT_LP_DIGEST = "bac280aaf08cb6d0852553fc7478821507fe0dd51b7f70419e9fbb18df0d7aa6"
 
 
 def test_five_percent_shape_lp_bits_are_pinned(monkeypatch):
@@ -1013,16 +1110,16 @@ def test_five_percent_shape_lp_bits_are_pinned(monkeypatch):
     monkeypatch.setattr(oracle, "solve_lp", hashing_solve_lp)
     cert = solve_exact(scaled_default_shape(0.05))[1]
     digest.update(f"optimum {cert.best_objective.hex()}\n".encode())
-    assert (len(pivots), sum(pivots)) == (139, 4_319)
+    assert (len(pivots), sum(pivots)) == (139, 4_132)
     assert (cert.enumerated, cert.pruned, cert.bound_pruned, cert.infeasible, cert.solved) == (
         944_784, 944_646, 474_612, 0, 138)
     assert digest.hexdigest() == FIVE_PERCENT_LP_DIGEST
 
 
 # sha256 over the bound LP of every tiny-suite member and of the 5% default
-# shape, recorded before the configuration LPs were warm-started; see the
-# test below
-COLD_LP_DIGEST = "ef5a3dc8816b354ea2c9deebe29b833fc3ca124f665d9cf45273f63e97c047a1"
+# shape, re-recorded when every LP came to start from the slack basis with
+# the dual simplex; see the test below
+COLD_LP_DIGEST = "d29325ba370736cfab2654c1a3af2dcdfe8feeb9f67c2116f90839e600cbcae0"
 
 
 def test_cold_lp_bits_are_pinned(monkeypatch):
