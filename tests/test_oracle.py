@@ -257,7 +257,8 @@ def test_simplex_agrees_with_scipy_on_sparse_lps():
 
 def record_phases(monkeypatch):
     """Start basis of each solve_lp call, and each pivoting run in order:
-    ('dual' or 'primal', the pivots made before it, the blocked columns)."""
+    ('dual' or 'primal', the pivots made before it, the blocked columns,
+    the costs it prices with)."""
     starts, runs = [], []
 
     class RecordingState(simplex._State):
@@ -267,7 +268,7 @@ def record_phases(monkeypatch):
 
     def recording(name, real):
         def run(state, cost, blocked):
-            runs.append((name, state.iterations, blocked.nonzero()[0].tolist()))
+            runs.append((name, state.iterations, blocked.nonzero()[0].tolist(), cost.tolist()))
             return real(state, cost, blocked)
         return run
 
@@ -285,12 +286,14 @@ def test_all_le_lp_with_nonnegative_rhs_needs_no_dual_pivot(monkeypatch):
     res = solve_lp(c, a, ["L", "L", "L"], b)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-7.0, abs=1e-9)  # at x = (1, 3, 0)
-    # the slack basis is feasible, so the dual loop ends without a pivot
-    # and phase 2 makes them all; no artificial exists
+    # the slack basis is feasible, so the dual loop, at the costs clipped
+    # at 0, ends without a pivot and phase 2 makes them all; no artificial
+    # exists
     tableau, basis = starts[0]
     assert tableau.shape == (3, 6)
     assert list(basis) == [3, 4, 5]
-    assert runs == [("dual", 0, []), ("primal", 0, [])]
+    assert runs == [("dual", 0, [], [0.0, 0.0, 0.5, 0.0, 0.0, 0.0]),
+                    ("primal", 0, [], [-1.0, -2.0, 0.5, 0.0, 0.0, 0.0])]
     assert res.iterations > 0
 
 
@@ -313,7 +316,8 @@ def test_ge_rows_start_on_their_flipped_surplus_and_eq_rows_on_held_artificials(
     assert list(tableau[3]) == [-1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
     # one dual run repairs the held artificial and the last surplus, then
     # phase 2 finds nothing to price at the nonnegative costs
-    assert runs == [("dual", 0, [5]), ("primal", res.iterations, [5])]
+    costs = [1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+    assert runs == [("dual", 0, [5], costs), ("primal", res.iterations, [5], costs)]
     assert res.iterations > 0
 
 
@@ -324,18 +328,8 @@ def test_simplex_agrees_with_scipy_with_negative_costs_and_positive_ge_rows(monk
     costs: across the family the dual loop at the costs clipped at 0 and
     phase 2 at the true costs both pivot, and every status, optimum and
     row agrees with scipy."""
-    pivots = {"dual": 0, "primal": 0}
-
-    def counting(name, real):
-        def run(state, cost, blocked):
-            before = state.iterations
-            status = real(state, cost, blocked)
-            pivots[name] += state.iterations - before
-            return status
-        return run
-
-    monkeypatch.setattr(simplex, "_run_dual", counting("dual", simplex._run_dual))
-    monkeypatch.setattr(simplex, "_run", counting("primal", simplex._run))
+    _, runs = record_phases(monkeypatch)
+    dual_pivots = primal_pivots = 0
     statuses = set()
     for seed in range(30):
         rng = np.random.default_rng(1500 + seed)
@@ -347,7 +341,11 @@ def test_simplex_agrees_with_scipy_with_negative_costs_and_positive_ge_rows(monk
         # a last row caps the columns' sum, so the negative costs stay bounded
         a, senses, b = np.vstack([a, np.ones(n)]), np.append(senses, "L"), np.append(b, 10.0)
         c = rng.uniform(-2, 1, size=n).round(2)
+        runs.clear()
         res = solve_lp(c, a, senses, b)
+        phase_two_from = runs[1][1] if len(runs) > 1 else res.iterations
+        dual_pivots += phase_two_from
+        primal_pivots += res.iterations - phase_two_from
         ref = linprog_reference(c, a, senses, b)
         assert res.status == {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
         statuses.add(res.status)
@@ -357,7 +355,7 @@ def test_simplex_agrees_with_scipy_with_negative_costs_and_positive_ge_rows(monk
             for sense, v, rhs in zip(senses, a @ res.x, b):
                 assert {"L": v <= rhs + 1e-9, "G": v >= rhs - 1e-9, "E": abs(v - rhs) <= 1e-9}[sense]
     assert statuses == {"optimal", "infeasible"}
-    assert pivots["dual"] > 0 and pivots["primal"] > 0
+    assert dual_pivots > 0 and primal_pivots > 0
 
 
 @needs_scipy
