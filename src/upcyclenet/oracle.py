@@ -391,7 +391,7 @@ class _LpFactory:
         `widest` only yield valid configurations."""
         bound = self.bound_lp()
         if bound.status == "infeasible":  # the configuration's flows are the bound LP's too
-            return LpResult("infeasible", 0.0, None, 0)
+            return bound
         choice = np.asarray(config, dtype=np.intp)
         is_open = np.append(choice > 0, True)
         held = ~(is_open[self.origin] & is_open[self.dest])
@@ -402,8 +402,6 @@ class _LpFactory:
             result = solve_lp(self.obj, self.a, self.senses, b, **warm)
         except FloatingPointError as exc:
             raise OracleError(f"flow subproblem left the float range: {exc}") from None
-        if result.status == "infeasible":
-            return LpResult("infeasible", 0.0, None, result.iterations)
         if result.status == "unbounded":
             raise OracleError("flow subproblem unbounded; objective data must be nonnegative")
         return result

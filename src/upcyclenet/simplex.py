@@ -14,13 +14,18 @@ the cost-modification dual phase 1 (Koberstein, PhD thesis, Paderborn
 2005): there is no phase-1 objective.
 
 An optimal cold solve keeps its final working array in `LpResult.warm`,
-and `solve_lp(..., start=that_result, held=mask)` re-optimises the same
-`c`, `a` and `senses` at another rhs with some columns held at 0.  The
-rhs column is recomputed as B^-1 b, with B^-1 read off the starting-basis
-columns as below; the basis keeps its reduced costs, so it stays dual
-feasible at c, and holding columns only removes candidates.
+read-only, and `solve_lp(..., start=that_result, held=mask)` re-optimises
+the same `c`, `a` and `senses` at another rhs with some columns held at
+0.  The basis keeps its reduced costs, so it stays dual feasible at c,
+and holding columns only removes candidates.
 
-Cold and warm LPs then take one path, the dual loop followed by phase 2:
+`solve_lp` is the one entry path.  It checks the input, lays out the
+columns that may not enter (the artificials, and the held ones) and the
+costs padded with zeros once, then sets up the working array: cold, from
+`a` and `b` at the slack basis; warm, as a copy of the start's array
+whose rhs column is recomputed as B^-1 b, with B^-1 read off the
+starting-basis columns as below.  Every LP then takes one path, the dual
+loop (at max(c, 0) cold, at c warm) followed by phase 2:
 
 * a held column and every artificial may not enter, and a held column
   that is basic must come back to 0 (a variable bounded by 0 above),
@@ -35,16 +40,17 @@ Cold and warm LPs then take one path, the dual loop followed by phase 2:
   that may enter, with a held basic column blocking any step that would
   move it; it returns at once when no reduced cost is below
   ``-_REDCOST_TOL``, the usual case when c >= 0,
-* after ``_DEGENERATE_LIMIT`` consecutive degenerate pivots (a primal step
-  or a dual ratio of at most ``_DEGENERATE_STEP``), either loop switches
-  to Bland's anti-cycling rule, the least basis index leaving the dual and
-  the least column index entering the primal, until the next
-  non-degenerate pivot,
+* both loops pivot through `_step`, which holds the rest: it raises
+  before a pivot past ``_MAX_ITERATIONS`` in one solve, so only an LP
+  that needs more raises (a stuck LP must poison the oracle run, never
+  masquerade as infeasible); and after ``_DEGENERATE_LIMIT`` consecutive
+  degenerate pivots (a primal step or a dual ratio of at most
+  ``_DEGENERATE_STEP``) it switches either loop to Bland's anti-cycling
+  rule, the least basis index leaving the dual and the least column index
+  entering the primal, until the next non-degenerate pivot,
 * reduced costs are recomputed from the cost vector each iteration instead
   of carrying an objective row, trading a constant factor for immunity to
-  accumulated drift,
-* exceeding ``_MAX_ITERATIONS`` pivots in one solve raises; a stuck LP
-  must poison the oracle run, never masquerade as infeasible.
+  accumulated drift.
 
 Each row's starting-basis column (its slack or its artificial) starts as
 a unit column, so after any pivot these columns hold the current B^-1:
@@ -83,14 +89,17 @@ _MAX_ITERATIONS = 50_000
 
 @dataclass(frozen=True)
 class _WarmStart:
-    """An optimal cold solve's final working array, for `solve_lp(start=...)`."""
+    """An optimal cold solve's final working array, for `solve_lp(start=...)`.
+    Its arrays are read-only, so no warm LP can change the start of the next."""
 
     full: np.ndarray
     basis: np.ndarray
     starts: np.ndarray  # each row's starting-basis column
     signs: np.ndarray  # -1.0 where the row was flipped, else 1.0
-    n: int  # structurals
-    n_ext: int  # structurals and slacks; the artificials follow
+
+    def __post_init__(self) -> None:
+        for arr in (self.full, self.basis, self.starts, self.signs):
+            arr.flags.writeable = False
 
 
 @dataclass
@@ -142,79 +151,61 @@ def solve_lp(
                          "expected 'L', 'G' or 'E'")
     if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("LP data must be finite: c, a or b holds a NaN or an infinity")
-    if start is not None:
-        return _solve_warm(c, b, start, held)
-    if held is not None:
-        raise ValueError("held columns need a start basis")
+    if start is None:
+        if held is not None:
+            raise ValueError("held columns need a start basis")
+    elif start.warm is None:
+        raise ValueError("start must be the optimal result of a cold solve_lp")
+    elif start.warm.full.shape != (m, n + m + 1):
+        raise ValueError("start does not fit the LP")
 
-    n_eq = int(is_e.sum())
     width = n + m
-    n_ext = width - n_eq
-    # structurals, slacks, artificials, then the rhs as the last column
-    full = np.zeros((m, width + 1), dtype=np.float64)
-    full[:, :n] = a
-    full[:, -1] = b
-    full[is_g] *= -1.0  # a >= row's surplus then reads +1, like every starting column
-    # the slack basis: a slack per <= or >= row, an artificial per == row
-    basis = np.empty(m, dtype=np.intp)
-    basis[~is_e] = n + np.arange(m - n_eq)
-    basis[is_e] = n_ext + np.arange(n_eq)
-    full[np.arange(m), basis] = 1.0
+    n_ext = width - int(is_e.sum())  # structurals and slacks; the artificials follow
     blocked = np.zeros(width, dtype=bool)
     blocked[n_ext:] = True  # artificials
-    state = _State(full, basis)
-    warm = _WarmStart(state.full, state.basis, basis.copy(), np.where(is_g, -1.0, 1.0),
-                      n, n_ext)
-    cost = np.zeros(width, dtype=np.float64)
-    cost[:n] = c
-    # every starting column costs 0, so the basis is dual feasible for c clipped at 0
-    return _solve(state, c, np.maximum(cost, 0.0), cost, blocked, warm)
-
-
-def _solve_warm(c: np.ndarray, b: np.ndarray, start: LpResult,
-                held: np.ndarray | None) -> LpResult:
-    """`solve_lp` from `start`'s optimal basis, as the module docstring says."""
-    warm = start.warm
-    if warm is None:
-        raise ValueError("start must be the optimal result of a cold solve_lp")
-    n = c.size
-    m, width = warm.full.shape[0], warm.full.shape[1] - 1
-    if b.shape != (m,) or n != warm.n:
-        raise ValueError("start does not fit the LP")
-    blocked = np.zeros(width, dtype=bool)
-    blocked[warm.n_ext:] = True  # artificials
     if held is not None:
         held = np.asarray(held)
         if held.shape != (n,) or held.dtype != bool:
             raise ValueError("held must be a boolean mask over the LP's columns")
         blocked[:n] = held
-    # rhs = B^-1 b, row i's starting column being column i of B^-1 times
-    # its sign; recomputed rather than moved by B^-1 (b - b_start), which
-    # would cancel a huge start rhs against a huge change
-    full = warm.full.copy()
-    full[:, -1] = full[:, warm.starts] @ (warm.signs * b)
-    rhs = full[:, -1]
-    rhs[np.abs(rhs) < _ZERO_RHS] = 0.0
-    state = _State(full, warm.basis.copy())
     cost = np.zeros(width, dtype=np.float64)
     cost[:n] = c
-    return _solve(state, c, cost, cost, blocked)
+    if start is None:
+        # structurals, slacks, artificials, then the rhs as the last column
+        full = np.zeros((m, width + 1), dtype=np.float64)
+        full[:, :n] = a
+        full[:, -1] = b
+        full[is_g] *= -1.0  # a >= row's surplus then reads +1, like every starting column
+        # the slack basis: a slack per <= or >= row, an artificial per == row
+        basis = np.empty(m, dtype=np.intp)
+        basis[~is_e] = np.arange(n, n_ext)
+        basis[is_e] = np.arange(n_ext, width)
+        full[np.arange(m), basis] = 1.0
+        starts, signs = basis.copy(), np.where(is_g, -1.0, 1.0)
+        # every starting column costs 0, so the basis is dual feasible for c clipped at 0
+        dual_cost = np.maximum(cost, 0.0)
+    else:
+        starts, signs = start.warm.starts, start.warm.signs
+        # rhs = B^-1 b, row i's starting column being column i of B^-1 times
+        # its sign; recomputed rather than moved by B^-1 (b - b_start), which
+        # would cancel a huge start rhs against a huge change
+        full = start.warm.full.copy()
+        full[:, -1] = full[:, starts] @ (signs * b)
+        full[np.abs(full[:, -1]) < _ZERO_RHS, -1] = 0.0
+        basis = start.warm.basis.copy()
+        dual_cost = cost  # the start's basis is optimal, so dual feasible, at c
 
-
-def _solve(state: _State, c: np.ndarray, dual_cost: np.ndarray, cost: np.ndarray,
-           blocked: np.ndarray, warm: _WarmStart | None = None) -> LpResult:
-    """Every LP's one path: the dual loop at `dual_cost`, for which the
-    basis must be dual feasible, then phase 2 at `cost`, `c` padded with
-    zeros.  An optimal result carries `warm`."""
+    state = _State(full, basis)
     if _run_dual(state, dual_cost, blocked) == "infeasible":
         return LpResult("infeasible", float(_violation(state, blocked).max()), None,
                         state.iterations)
-    state.rhs[blocked[state.basis]] = 0.0
+    state.rhs[blocked[basis]] = 0.0
     if _run(state, cost, blocked) == "unbounded":
         return LpResult("unbounded", float("-inf"), None, state.iterations)
-    x = np.zeros(c.size, dtype=np.float64)
-    structural = state.basis < c.size
-    x[state.basis[structural]] = state.rhs[structural]
+    x = np.zeros(n, dtype=np.float64)
+    structural = basis < n
+    x[basis[structural]] = state.rhs[structural]
+    warm = _WarmStart(full, basis, starts, signs) if start is None else None
     return LpResult("optimal", float(c @ x), x, state.iterations, warm)
 
 
@@ -240,8 +231,6 @@ def _run(state: _State, cost: np.ndarray, blocked: np.ndarray) -> str:
         return "optimal"
     ratios = np.empty(len(basis), dtype=np.float64)
     while True:
-        if state.iterations >= _MAX_ITERATIONS:
-            raise SimplexIterationError(f"simplex exceeded {_MAX_ITERATIONS} iterations")
         reduced = cost - cost[basis] @ tableau
         reduced[blocked] = np.inf
         if state.bland:
@@ -266,15 +255,7 @@ def _run(state: _State, cost: np.ndarray, blocked: np.ndarray) -> str:
         # leaving tie-break by least basis index; alone it does not stop Beale's LP cycling
         ties = (ratios <= best).nonzero()[0]
         leave_row = ties[0] if ties.size == 1 else ties[basis[ties].argmin()]
-        _pivot(state, leave_row, enter)
-        if best <= _DEGENERATE_STEP:
-            state.degenerate_run += 1
-            if state.degenerate_run >= _DEGENERATE_LIMIT:
-                state.bland = True
-        else:
-            state.degenerate_run = 0
-            state.bland = False
-        state.iterations += 1
+        _step(state, leave_row, enter, best)
 
 
 def _violation(state: _State, blocked: np.ndarray) -> np.ndarray:
@@ -291,8 +272,6 @@ def _run_dual(state: _State, cost: np.ndarray, blocked: np.ndarray) -> str:
     free = ~blocked
     ratios = np.empty(tableau.shape[1], dtype=np.float64)
     while True:
-        if state.iterations >= _MAX_ITERATIONS:
-            raise SimplexIterationError(f"simplex exceeded {_MAX_ITERATIONS} iterations")
         off = _violation(state, blocked)
         rows = (off > _FEASIBILITY_TOL).nonzero()[0]
         if rows.size == 0:
@@ -309,18 +288,27 @@ def _run_dual(state: _State, cost: np.ndarray, blocked: np.ndarray) -> str:
         ratios.fill(np.inf)
         np.divide(reduced, toward, out=ratios, where=free & (toward > _PIVOT_TOL))
         enter = ratios.argmin()  # the least index wins ties
-        step = ratios[enter]
-        if step == np.inf:
+        if ratios[enter] == np.inf:
             return "infeasible"
-        _pivot(state, leave_row, enter)
-        if step <= _DEGENERATE_STEP:
-            state.degenerate_run += 1
-            if state.degenerate_run >= _DEGENERATE_LIMIT:
-                state.bland = True
-        else:
-            state.degenerate_run = 0
-            state.bland = False
-        state.iterations += 1
+        _step(state, leave_row, enter, ratios[enter])
+
+
+def _step(state: _State, row: int, col: int, step: float) -> None:
+    """Either loop's pivot, `step` being its primal step or dual ratio:
+    refuse a pivot past `_MAX_ITERATIONS`, pivot under the rule chosen so
+    far, then count a degenerate step toward the switch to Bland's rule,
+    or end the degenerate run and, with it, Bland's rule."""
+    if state.iterations >= _MAX_ITERATIONS:
+        raise SimplexIterationError(f"simplex exceeded {_MAX_ITERATIONS} iterations")
+    _pivot(state, row, col)
+    if step <= _DEGENERATE_STEP:
+        state.degenerate_run += 1
+        if state.degenerate_run >= _DEGENERATE_LIMIT:
+            state.bland = True
+    else:
+        state.degenerate_run = 0
+        state.bland = False
+    state.iterations += 1
 
 
 def _pivot(state: _State, row: int, col: int) -> None:

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib
 import itertools
 import json
 import re
@@ -171,6 +172,25 @@ def test_simplex_iteration_cap_raises(monkeypatch):
             ["L"],
             np.array([4.0]),
         )
+
+
+@pytest.mark.parametrize("lp", [
+    (np.array([-1.0, -1.0]), np.array([[1.0, 1.0]]), ["L"], np.array([4.0])),
+    (np.array([1.0, 1.0]), np.array([[1.0, 1.0]]), ["L"], np.array([4.0])),
+    (np.array([1.0, 2.0]), np.array([[1.0, 1.0], [1.0, -1.0]]), ["G", "E"], np.array([2.0, 0.0])),
+    BEALE_LP,
+], ids=["one-pivot", "no-pivot", "dual-pivots", "beale"])
+def test_simplex_iteration_cap_is_the_pivot_count_an_lp_may_make(monkeypatch, lp):
+    """An LP solves with the cap at exactly the pivots it needs, and raises
+    only with the cap one below them."""
+    pivots = solve_lp(*lp).iterations
+    monkeypatch.setattr(simplex, "_MAX_ITERATIONS", pivots)
+    res = solve_lp(*lp)
+    assert res.status == "optimal" and res.iterations == pivots
+    if pivots:
+        monkeypatch.setattr(simplex, "_MAX_ITERATIONS", pivots - 1)
+        with pytest.raises(SimplexIterationError, match=f"exceeded {pivots - 1} iterations"):
+            solve_lp(*lp)
 
 
 @needs_scipy
@@ -384,23 +404,38 @@ def test_simplex_agrees_with_scipy_with_zero_and_negative_rhs(seed):
 
 def test_readme_tolerance_table_matches_the_simplex_constants():
     """README's Tolerances table names every numeric module constant of
-    `simplex`, and every `simplex` name it gives exists."""
+    the package, `simplex`'s among them; every `module.name` in its Where
+    column exists, and so does every constant a row names, in one of the
+    modules of its Where column.  `instance.EARTH_RADIUS_KM` is exempt: it
+    is a model parameter (the sphere of the great-circle distances), not a
+    tolerance or a limit."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("## Tolerances and limits", 1)[1].split("\n## ", 1)[0]
-    named, referenced = set(), set()
+    modules = {path.stem: importlib.import_module(f"upcyclenet.{path.stem}")
+               for path in sorted(Path(simplex.__file__).parent.glob("*.py"))}
+    named, referenced, misplaced = set(), set(), set()
     for line in table.splitlines():
         cells = line.split("|")
-        if len(cells) < 5 or "simplex" not in cells[3]:
+        if len(cells) < 5:
             continue
-        named.update(re.findall(r"`(\w+)`", cells[1]))
-        referenced.update(re.findall(r"`simplex\.(\w+)", cells[3]))
-    constants = {name for name, value in vars(simplex).items()
+        names = set(re.findall(r"`(\w+)`", cells[1]))
+        where = re.findall(r"`(\w+)(?:\.(\w+))?", cells[3])
+        homes = [modules[module] for module, _ in where if module in modules]
+        named |= names
+        referenced.update((module, name) for module, name in where if name)
+        if homes:
+            misplaced.update(name for name in names
+                             if not any(hasattr(home, name) for home in homes))
+    constants = {name for module in modules.values() for name, value in vars(module).items()
                  if re.fullmatch(r"_?[A-Z][A-Z0-9_]*", name)
                  and isinstance(value, (int, float)) and not isinstance(value, bool)}
-    assert constants and referenced
+    constants.discard("EARTH_RADIUS_KM")
+    assert {"_MAX_ITERATIONS", "MAX_NAME_LEN"} <= constants and referenced
     assert constants <= named, "missing from the table: " + ", ".join(sorted(constants - named))
-    stale = {name for name in named | referenced if not hasattr(simplex, name)}
-    assert not stale, "not in simplex: " + ", ".join(sorted(stale))
+    stale = sorted(f"{module}.{name}" for module, name in referenced
+                   if module not in modules or not hasattr(modules[module], name))
+    assert not stale, "not in the package: " + ", ".join(stale)
+    assert not misplaced, "not in their Where modules: " + ", ".join(sorted(misplaced))
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +507,34 @@ def test_warm_start_iteration_cap_raises(monkeypatch):
     monkeypatch.setattr(simplex, "_MAX_ITERATIONS", 0)
     with pytest.raises(SimplexIterationError):
         solve_lp(c, a, senses, np.array([6.0, 2.0, 1.0]), start=base)
+
+
+def test_warm_start_is_read_only():
+    """A cold solve's warm start refuses every write, so a warm LP that
+    forgot to copy it raises instead of changing the next one's start."""
+    warm = warm_base().warm
+    for arr in (warm.full, warm.basis, warm.starts, warm.signs):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+
+
+def test_warm_solves_leave_their_start_unchanged():
+    c, a, senses = WARM_LP
+    base = warm_base()
+    before = [(arr.tobytes(), arr.dtype, arr.shape)
+              for arr in (base.warm.full, base.warm.basis, base.warm.starts, base.warm.signs)]
+    basis = base.warm.basis.tolist()
+    results = []
+    for b, held in [((6.0, 2.0, 1.0), None), ((4.0, 3.0, 1.0), [False, True, False]),
+                    ((4.0, 3.0, 5.0), None), ((1.0, 0.5, 2.0), [True, False, False])]:
+        held = None if held is None else np.array(held)
+        results.append(solve_lp(c, a, senses, np.array(b), start=base, held=held))
+    assert {res.status for res in results} == {"optimal", "infeasible"}
+    assert all(res.iterations > 0 for res in results if res.status == "optimal")
+    assert [(arr.tobytes(), arr.dtype, arr.shape)
+            for arr in (base.warm.full, base.warm.basis, base.warm.starts, base.warm.signs)] == before
+    assert base.warm.basis.tolist() == basis
 
 
 def test_phase_two_does_not_move_a_held_basic_column():
