@@ -142,25 +142,23 @@ def solve_lp(
     m, n = a.shape
     if senses.shape != (m,) or b.shape != (m,) or c.shape != (n,):
         raise ValueError("inconsistent LP dimensions")
-    is_l = senses == "L"
     is_g = senses == "G"
     is_e = senses == "E"
-    unknown = (~(is_l | is_g | is_e)).nonzero()[0]
+    unknown = ((senses != "L") & ~is_g & ~is_e).nonzero()[0]
     if unknown.size:
         raise ValueError(f"row {unknown[0]} has sense {str(senses[unknown[0]])!r}; "
                          "expected 'L', 'G' or 'E'")
     if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("LP data must be finite: c, a or b holds a NaN or an infinity")
-    if start is None:
-        if held is not None:
-            raise ValueError("held columns need a start basis")
-    elif start.warm is None:
+    if start is None and held is not None:
+        raise ValueError("held columns need a start basis")
+    if start is not None and start.warm is None:
         raise ValueError("start must be the optimal result of a cold solve_lp")
-    elif start.warm.full.shape != (m, n + m + 1):
+    if start is not None and start.warm.full.shape != (m, n + m + 1):
         raise ValueError("start does not fit the LP")
 
     width = n + m
-    n_ext = width - int(is_e.sum())  # structurals and slacks; the artificials follow
+    n_ext = width - np.count_nonzero(is_e)  # structurals and slacks; the artificials follow
     blocked = np.zeros(width, dtype=bool)
     blocked[n_ext:] = True  # artificials
     if held is not None:
@@ -191,7 +189,8 @@ def solve_lp(
         # would cancel a huge start rhs against a huge change
         full = start.warm.full.copy()
         full[:, -1] = full[:, starts] @ (signs * b)
-        full[np.abs(full[:, -1]) < _ZERO_RHS, -1] = 0.0
+        rhs = full[:, -1]
+        rhs[np.abs(rhs) < _ZERO_RHS] = 0.0
         basis = start.warm.basis.copy()
         dual_cost = cost  # the start's basis is optimal, so dual feasible, at c
 
@@ -288,9 +287,10 @@ def _run_dual(state: _State, cost: np.ndarray, blocked: np.ndarray) -> str:
         ratios.fill(np.inf)
         np.divide(reduced, toward, out=ratios, where=free & (toward > _PIVOT_TOL))
         enter = ratios.argmin()  # the least index wins ties
-        if ratios[enter] == np.inf:
+        step = ratios[enter]
+        if step == np.inf:
             return "infeasible"
-        _step(state, leave_row, enter, ratios[enter])
+        _step(state, leave_row, enter, step)
 
 
 def _step(state: _State, row: int, col: int, step: float) -> None:
