@@ -520,11 +520,12 @@ def test_warm_start_is_read_only():
 
 
 def test_warm_solves_leave_their_start_unchanged():
+    """Warm solves from one start, optimal and infeasible, held columns or
+    none, leave every byte of its arrays, the basis among them, as it was."""
     c, a, senses = WARM_LP
     base = warm_base()
     before = [(arr.tobytes(), arr.dtype, arr.shape)
               for arr in (base.warm.full, base.warm.basis, base.warm.starts, base.warm.signs)]
-    basis = base.warm.basis.tolist()
     results = []
     for b, held in [((6.0, 2.0, 1.0), None), ((4.0, 3.0, 1.0), [False, True, False]),
                     ((4.0, 3.0, 5.0), None), ((1.0, 0.5, 2.0), [True, False, False])]:
@@ -534,7 +535,6 @@ def test_warm_solves_leave_their_start_unchanged():
     assert all(res.iterations > 0 for res in results if res.status == "optimal")
     assert [(arr.tobytes(), arr.dtype, arr.shape)
             for arr in (base.warm.full, base.warm.basis, base.warm.starts, base.warm.signs)] == before
-    assert base.warm.basis.tolist() == basis
 
 
 def test_phase_two_does_not_move_a_held_basic_column():
