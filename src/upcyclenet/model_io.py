@@ -30,7 +30,9 @@ solvers live in ``docs/solver_adapters.md``.
 from __future__ import annotations
 
 import math
+import os
 import shlex
+import signal
 import subprocess
 import tempfile
 import time
@@ -697,8 +699,13 @@ def run_external_solver(model: Model, solver_cmd: str,
     the parsed names the lift left in place, then the columns it filled,
     in column order.
 
-    A `time_limit` that is not finite or not above 0 raises
-    `SolverRunError` before anything is written or run.
+    The command runs in a session of its own.  When `time_limit` passes,
+    or anything interrupts the wait, its whole process group is killed
+    (SIGKILL) before the solution file is read, so no process it started
+    writes that file while it is read; a process that calls `setsid`
+    leaves the group and escapes the kill.  A `time_limit` that is not
+    finite or not above 0 raises `SolverRunError` before anything is
+    written or run.
     """
     if "{mps}" not in solver_cmd or "{sol}" not in solver_cmd:
         raise SolverRunError("solver command template must use both {mps} and {sol}")
@@ -714,15 +721,24 @@ def run_external_solver(model: Model, solver_cmd: str,
                                     projection.objective, projection.n_continuous), mps_path)
         cmd = [t.replace("{mps}", str(mps_path)).replace("{sol}", str(sol_path)) for t in tokens]
         t0 = time.monotonic()
-        try:
-            run = subprocess.run(cmd, capture_output=True, timeout=time_limit)
-        except subprocess.TimeoutExpired as exc:  # holds the output so far
-            run = exc
+        try:  # its own session, so its process group is the command's alone
+            child = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                     start_new_session=True)
         except FileNotFoundError as exc:
             raise SolverRunError(f"cannot spawn solver: {exc}") from exc
+        with child:  # closes the pipes and reaps the child on the way out
+            try:
+                out = child.communicate(timeout=time_limit)
+                exit_code = child.returncode
+            except BaseException as exc:
+                # kill what the command started too, so that nothing writes
+                # the solution file while it is read
+                os.killpg(child.pid, signal.SIGKILL)
+                if not isinstance(exc, subprocess.TimeoutExpired):
+                    raise
+                out, exit_code = (exc.stdout, exc.stderr), None  # the output so far
         elapsed = time.monotonic() - t0
-        exit_code = run.returncode if isinstance(run, subprocess.CompletedProcess) else None
-        stdout, stderr = (b.decode(errors="replace") if b else "" for b in (run.stdout, run.stderr))
+        stdout, stderr = (b.decode(errors="replace") if b else "" for b in out)
         diag = (
             f"cmd={' '.join(cmd)}\nexit={'timeout' if exit_code is None else exit_code} "
             f"elapsed={elapsed:.2f}s\nstdout: {stdout[-2000:]}\nstderr: {stderr[-2000:]}"

@@ -17,13 +17,13 @@ column-name format.  Only
 `reporting.breakdown_costs` recomputes the costs from the raw parameters.
 
 It assembles one LP per instance, the all-open LP: every site open, its
-capacity rows at the widest size, and only the rows with an entry (quota
-rows always stay, since one without an entry makes every configuration
-infeasible).  It is solved cold, and each configuration's LP is
-re-optimised from its optimal basis (`simplex.solve_lp(start=...)`): the
-same rows and columns, the capacity rows at the chosen sizes (0 at a
-closed site), and every column with a closed origin or destination held
-at 0.  Its feasible flows are exactly those of the all-open LP's
+capacity rows at the widest size, and every row of each row family, one
+without an entry too (it holds at zero flow, or makes every configuration
+infeasible if it is a quota row).  It is solved cold, and each
+configuration's LP is re-optimised from its optimal basis
+(`simplex.solve_lp(start=...)`): the same rows and columns, the capacity
+rows at the chosen sizes (0 at a closed site), and every column with a
+closed origin or destination held at 0.  Its feasible flows are exactly those of the all-open LP's
 restriction to the columns between open sites, and they are feasible in
 the all-open LP at the same per-ton costs, whose capacity rows are only
 looser.
@@ -223,7 +223,7 @@ class _SlotTable:
         if len(config) != len(self.slots):
             raise OracleError(f"configuration length {len(config)} != {len(self.slots)} sites")
         for c, slot in zip(config, self.slots):
-            if not isinstance(c, (int, np.integer)):
+            if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
                 raise OracleError(f"size choice {c!r} is not an integer at {slot.tag} site {slot.site}")
         choice = np.array(config, dtype=np.intp)
         bad = ((choice < 0) | (choice > self._options)).nonzero()[0]
@@ -262,7 +262,10 @@ class _LpFactory:
     configuration's LP re-optimised from it as the module docstring
     describes.  Every LP has the same `obj`, `a` and `senses`; a
     configuration sets the capacity rows' rhs and holds the columns whose
-    origin or destination slot is closed."""
+    origin or destination slot is closed.  The rows are the families
+    demand, quota, source_cap, flow_balance and facility_cap, in that
+    order, each with all its rows; the capacity rows are the last block,
+    in (echelon, period, site) order."""
 
     def __init__(self, inst: Instance, prune: bool, slots: _SlotTable) -> None:
         self.inst = inst
@@ -280,84 +283,75 @@ class _LpFactory:
             costs.append(cost.ravel())
         self.obj = np.concatenate(costs)
 
-        rows: list[np.ndarray] = []
+        family_rows: list[np.ndarray] = []
         senses: list[str] = []
-        rhs: list[float] = []
+        rhs: list[np.ndarray] = []
 
-        def add_row(sense: str, value: float, *entries: tuple[np.ndarray, float]) -> int:
-            """Append a row and return its index; a row without an entry
-            holds at zero flow in every configuration and is left out (-1),
-            unless it is a quota row."""
-            row = np.zeros(n, dtype=np.float64)
-            for cols, coef in entries:
-                row[cols] = coef
-            if sense != "G" and not row.any():
-                return -1
-            rows.append(row)
-            senses.append(sense)
-            rhs.append(value)
-            return len(rows) - 1
+        def family(sense: str, values, *terms: tuple[np.ndarray, float]) -> None:
+            """Append one row per entry of `values` (its rhs), in C order;
+            in each (grid, coef) term the grid's leading axes run over the
+            rows like `values`' and its trailing axes over the row's
+            columns, each set to `coef`."""
+            values = np.asarray(values, dtype=np.float64)
+            block = np.zeros((values.size, n))
+            for grid, coef in terms:
+                cols = grid.reshape(values.size, math.prod(grid.shape[values.ndim:]))
+                block[np.arange(values.size)[:, None], cols] = coef
+            family_rows.append(block)
+            senses.append(sense * values.size)
+            rhs.append(values.ravel())
 
         ids, mats = self.ids, self.leg_mats
         shipped, delivered = LEG_OUT_OF["sources"], LEG_INTO["sinks"]
+        periods = [t.id for t in inst.periods]
 
         # demand: inflow at a sink capped by its declared demand (0 if absent)
-        for t_pos, t in enumerate(inst.periods):
-            for p_pos, p in enumerate(mats[delivered]):
-                for n_pos, sink in enumerate(inst.sinks):
-                    add_row("L", sink.demand.get((t.id, p), 0.0),
-                            (ids[delivered][t_pos, p_pos, :, n_pos], 1.0))
+        family("L", [[[sink.demand.get((t, p), 0.0) for sink in inst.sinks]
+                      for p in mats[delivered]] for t in periods],
+               (ids[delivered].transpose(0, 1, 3, 2), 1.0))
 
         # quota: collected tons reach the mandated share even if no CF is
-        # open; the only "G" rows
-        for t_pos, t in enumerate(inst.periods):
+        # open; the only "G" rows, and one without an entry when the source
+        # leg does not ship the material
+        for t_pos, t in enumerate(periods):
             for p in inst.materials:
-                eta = inst.quota_at(t.id, p)
+                eta = inst.quota_at(t, p)
                 if eta > 0.0:
                     entries = ([(ids[shipped][t_pos, mats[shipped].index(p)], 1.0)]
                                if p in mats[shipped] else [])
-                    add_row("G", eta * inst.supply_total(t.id, p), *entries)
+                    family("G", eta * inst.supply_total(t, p), *entries)
 
         # source_cap: shipments out of a source limited by its supply
-        for t_pos, t in enumerate(inst.periods):
-            for p_pos, p in enumerate(mats[shipped]):
-                for i_pos, src in enumerate(inst.sources):
-                    add_row("L", src.supply.get((t.id, p), 0.0),
-                            (ids[shipped][t_pos, p_pos, i_pos, :], 1.0))
+        family("L", [[[src.supply.get((t, p), 0.0) for src in inst.sources]
+                      for p in mats[shipped]] for t in periods],
+               (ids[shipped], 1.0))
 
         # flow_balance at every site: yield * admissible inflow == outflow
         for tag in ECHELON_TAGS:
             spec = inst.echelon(tag)
             lin, lout = LEG_INTO[tag], LEG_OUT_OF[tag]
             admissible = [k for k, p in enumerate(mats[lin]) if p in spec.inputs]
-            for t_pos in range(len(inst.periods)):
+            for t_pos in range(len(periods)):
                 for p_out in spec.outputs:
                     gamma = spec.yields[p_out]
-                    for j in range(len(spec.sites)):
-                        entries = []
-                        if gamma != 0.0:
-                            entries.append((ids[lin][t_pos, admissible, :, j], gamma))
-                        if p_out in mats[lout]:
-                            entries.append((ids[lout][t_pos, mats[lout].index(p_out), j, :], -1.0))
-                        add_row("E", 0.0, *entries)
+                    entries = []
+                    if gamma != 0.0:
+                        entries.append((ids[lin][t_pos, admissible].transpose(2, 0, 1), gamma))
+                    if p_out in mats[lout]:
+                        entries.append((ids[lout][t_pos, mats[lout].index(p_out)], -1.0))
+                    family("E", np.zeros(len(spec.sites)), *entries)
 
-        # facility_cap: total inflow within the chosen size's capacity, which
-        # `rhs` writes in; cap_slots[k] is the slot of capacity row cap_rows[k]
-        cap_rows, cap_slots = [], []
+        # facility_cap, the last rows: total inflow within the chosen size's
+        # capacity, which `rhs` writes in; cap_slots[k] is the slot of
+        # capacity row cap_rows[k], in (echelon, period, site) order
         for tag in ECHELON_TAGS:
-            for t_pos in range(len(inst.periods)):
-                for j, s in enumerate(slots.of[tag]):
-                    inflow = ids[LEG_INTO[tag]][t_pos, :, :, j]
-                    row = add_row("L", 0.0, (inflow, 1.0))
-                    if row >= 0:
-                        cap_rows.append(row)
-                        cap_slots.append(s)
-        self.cap_rows = np.array(cap_rows, dtype=np.intp)
-        self.cap_slots = np.array(cap_slots, dtype=np.intp)
-
-        self.a = np.array(rows, dtype=np.float64).reshape(len(rows), n)
-        self.closed_rhs = np.array(rhs, dtype=np.float64)  # capacity rows at 0
-        self.senses = np.array(senses, dtype="<U1")
+            family("L", np.zeros((len(periods), len(slots.of[tag]))),
+                   (ids[LEG_INTO[tag]].transpose(0, 3, 1, 2), 1.0))
+        self.a = np.concatenate(family_rows)
+        self.cap_slots = np.concatenate([slots.of[tag] for tag in ECHELON_TAGS for _ in periods])
+        self.cap_rows = np.arange(len(self.a) - len(self.cap_slots), len(self.a))
+        self.closed_rhs = np.concatenate(rhs)  # capacity rows at 0
+        self.senses = np.array(list("".join(senses)), dtype="<U1")
         self._bound: LpResult | None = None
         # per column, the slots of its origin and destination; -1 for a
         # source or a sink, which indexes the always-open last entry of
@@ -423,13 +417,6 @@ class _LpFactory:
                 flows[name] = float(block[t_pos, p_pos, i, j])
         return flows
 
-    def flow_bound(self) -> float | None:
-        """Flow cost (objective minus install cost) of `slots.widest`, every
-        site open at its largest size: a lower bound on every
-        configuration's flow cost.  None when even that LP is infeasible."""
-        result = self.bound_lp()
-        return None if result.status == "infeasible" else result.objective
-
 
 def solve_exact(inst: Instance, max_configs: int = MAX_CONFIGS, prune: bool = True,
                 progress: Callable[[int, int], None] | None = None,
@@ -451,7 +438,10 @@ def solve_exact(inst: Instance, max_configs: int = MAX_CONFIGS, prune: bool = Tr
     # refuse before the all-open LP is assembled
     blocks = slots.blocks(max_configs)
     factory = _LpFactory(inst, prune, slots)
-    flow_bound = factory.flow_bound()
+    # the flow cost of every site open at its largest size bounds every
+    # configuration's flow cost from below; None when even that LP is infeasible
+    bound = factory.bound_lp()
+    flow_bound = None if bound.status == "infeasible" else bound.objective
     enumerated = pruned = bound_pruned = infeasible = solved = 0
     best_obj: float | None = None
     best_config: Configuration | None = None

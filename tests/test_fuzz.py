@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import signal
 import subprocess
 from pathlib import Path
 
@@ -116,21 +117,39 @@ def solver_reply(text: str, rng: random.Random) -> str | bytes | None:
 
 
 class SolverStandIn:
-    """`subprocess.run` as `run_external_solver` calls it, without a child:
-    writes `reply` to the command's last token, the {sol} path (nothing
-    when None), then returns `exit_code` or, when None, times out."""
+    """`subprocess.Popen` as `run_external_solver` calls it, and the child
+    it returns, without a child: writes `reply` to the command's last
+    token, the {sol} path (nothing when None), then exits with `exit_code`
+    or, when None, times out.  `killpg` stands in for `os.killpg` and
+    accepts only the stand-in's process group."""
 
     reply: str | bytes | None = None
     exit_code: int | None = 0
+    pid = -1  # no process group: `os.killpg` itself refuses it
 
-    def __call__(self, cmd, capture_output, timeout):
+    def __call__(self, cmd, stdout, stderr, start_new_session):
+        assert start_new_session
+        self.cmd = cmd
         if isinstance(self.reply, bytes):
             Path(cmd[-1]).write_bytes(self.reply)
         elif self.reply is not None:
             Path(cmd[-1]).write_text(self.reply)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return None
+
+    def communicate(self, timeout):
         if self.exit_code is None:
-            raise subprocess.TimeoutExpired(cmd, timeout, output=b"partial", stderr=b"")
-        return subprocess.CompletedProcess(cmd, self.exit_code, stdout=b"", stderr=b"")
+            raise subprocess.TimeoutExpired(self.cmd, timeout, output=b"partial", stderr=b"")
+        self.returncode = self.exit_code
+        return b"", b""
+
+    def killpg(self, pgid, sig):
+        assert (pgid, sig) == (self.pid, signal.SIGKILL)
 
 
 def run_external(model, inst, sol, rng: random.Random, solver: SolverStandIn):
@@ -194,7 +213,8 @@ def fuzz_inputs():
 @pytest.mark.parametrize("kind", CASES)
 def test_mutated_inputs_end_in_typed_errors(kind, fuzz_inputs, monkeypatch):
     solver = SolverStandIn()
-    monkeypatch.setattr(model_io.subprocess, "run", solver)
+    monkeypatch.setattr(model_io.subprocess, "Popen", solver)
+    monkeypatch.setattr(model_io.os, "killpg", solver.killpg)
     results = []
     for k in range(CASES[kind]):
         try:

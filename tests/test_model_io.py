@@ -1,11 +1,15 @@
+import contextlib
 import hashlib
 import json
+import os
 import platform
 import shlex
+import signal
 import sys
 import textwrap
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -841,6 +845,33 @@ def test_timeout_with_incumbent_is_feasible(hand_model, tmp_path):
     sol = run_external_solver(hand_model, cmd, time_limit=0.6)
     assert sol.status == "feasible"
     assert sol.values == {"bcf_cf1_s1": 1.0}
+
+
+@pytest.fixture
+def pid_file(tmp_path):
+    """A path a command writes a pid to; that process is killed at
+    teardown if it is still there."""
+    path = tmp_path / "pid"
+    yield path
+    if path.exists():
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(int(path.read_text()), signal.SIGKILL)
+
+
+def test_timeout_kills_what_the_solver_started(hand_model, pid_file):
+    """A timed-out command's whole process group is killed, so a process
+    it started in the background is gone, a zombie or dying (SIGKILL
+    pending) when `run_external_solver` returns."""
+    cmd = f"sh -c 'sleep 30 & echo $! > {pid_file}; wait' {{mps}} {{sol}}"
+    sol = run_external_solver(hand_model, cmd, time_limit=0.5)
+    assert "exit=timeout" in sol.diagnostics
+    try:
+        status = Path(f"/proc/{int(pid_file.read_text())}/status").read_text()
+    except FileNotFoundError:
+        return
+    fields = dict(line.split(":", 1) for line in status.splitlines())
+    pending = int(fields["SigPnd"], 16) | int(fields["ShdPnd"], 16)
+    assert fields["State"].strip()[0] in "ZX" or pending >> (signal.SIGKILL - 1) & 1
 
 
 def test_incumbent_without_bound_stays_feasible(hand_model, tmp_path):

@@ -18,7 +18,8 @@ from test_instance import minimal_doc, parse_doc
 from test_milp_core import random_shape_doc
 from upcyclenet import oracle, simplex
 from upcyclenet.errors import OracleError, SimplexIterationError
-from upcyclenet.instance import parse_instance, serialize_instance, validate_instance
+from upcyclenet.instance import (ECHELON_TAGS, LEG_INTO, LEG_OUT_OF, parse_instance,
+                                 serialize_instance, validate_instance)
 from upcyclenet.model import build_milp, install_column_name
 from upcyclenet.model_io import verify_solution, write_mps
 from upcyclenet.oracle import count_configurations, describe_configuration, solve_exact
@@ -678,6 +679,9 @@ def test_describe_configuration_names_sizes():
     ((1, -1, 1, 1), "size choice -1 out of range"),
     ((1, 1.5, 1, 1), "size choice 1.5 is not an integer at rtf site 0"),
     ((1, "1", 1, 1), "is not an integer"),
+    # a bool is an int to Python, but no size choice, as numpy's is not
+    ((True, True, False, True), "size choice True is not an integer at cf site 0"),
+    ((1, np.True_, 1, 1), "size choice np.True_ is not an integer at rtf site 0"),
 ])
 def test_describe_configuration_rejects_bad_choices(config, match):
     with pytest.raises(OracleError, match=match):
@@ -1024,7 +1028,8 @@ def test_flow_cost_bound_is_below_every_configuration():
             continue
         checked += 1
         factory = all_open_factory(inst)
-        bound = factory.flow_bound()
+        bound_lp = factory.bound_lp()
+        bound = None if bound_lp.status == "infeasible" else bound_lp.objective
         for config in every_configuration(factory.slots):
             res = factory.solve(config)
             if bound is None:
@@ -1273,6 +1278,51 @@ def test_closed_sites_carry_no_flow_at_any_costs():
             assert (warm.x[closed_end] == 0.0).all()
             held_paid += bool((factory.bound_lp().x[closed_end] > 0.0).any())
     assert held_paid
+
+
+def test_all_open_lp_keeps_every_row_with_the_capacity_rows_last():
+    """The all-open LP has the closed-form number of rows of each family,
+    in the order demand, quota, source_cap, flow_balance, facility_cap, an
+    empty row too (the pruned `orphan-output` instance has one).  The
+    capacity rows are its last rows in (echelon, period, site) order, and
+    `rhs(choice)` writes each chosen size's capacity there and nothing
+    else."""
+    cases = [(inst, prune) for seed in (2026, 2030) for prune in (True, False)
+             for inst in make_tiny_suite(seed)]
+    cases += [(warned_instance(code), prune) for code in ("quota-uncollectable", "orphan-output")
+              for prune in (True, False)]
+    rng = np.random.default_rng(36)
+    shipped, delivered = LEG_OUT_OF["sources"], LEG_INTO["sinks"]
+    for inst, prune in cases:
+        factory = all_open_factory(inst, prune)
+        mats, ids, periods = factory.leg_mats, factory.ids, range(len(inst.periods))
+        specs = [inst.echelon(tag) for tag in ECHELON_TAGS]
+        demand = len(periods) * len(mats[delivered]) * len(inst.sinks)
+        quota = sum(inst.quota_at(t.id, p) > 0.0 for t in inst.periods for p in inst.materials)
+        source_cap = len(periods) * len(mats[shipped]) * len(inst.sources)
+        balance = sum(len(periods) * len(spec.outputs) * len(spec.sites) for spec in specs)
+        cap = sum(len(periods) * len(spec.sites) for spec in specs)
+        m = demand + quota + source_cap + balance + cap
+        assert factory.a.shape == (m, factory.obj.size)
+        assert "".join(factory.senses) == (
+            "L" * demand + "G" * quota + "L" * source_cap + "E" * balance + "L" * cap)
+        # demand rows reach only the delivered leg, source_cap rows the shipped one
+        for rows, leg in ((range(demand), delivered),
+                          (range(demand + quota, demand + quota + source_cap), shipped)):
+            assert np.isin(factory.a[rows].nonzero()[1], ids[leg]).all()
+        assert factory.cap_rows.tolist() == list(range(m - cap, m))
+        cap_keys = [(tag, t, j) for tag, spec in zip(ECHELON_TAGS, specs)
+                    for t in periods for j in range(len(spec.sites))]
+        for row, (tag, t, j) in zip(factory.cap_rows, cap_keys):
+            inflow = ids[LEG_INTO[tag]][t, :, :, j]
+            assert np.flatnonzero(factory.a[row]).tolist() == sorted(inflow.ravel().tolist())
+        cap_slots = [factory.slots.of[tag][j] for tag, _, j in cap_keys]
+        assert factory.cap_slots.tolist() == cap_slots
+        random_choice = [rng.integers(len(s.sizes) + 1) for s in factory.slots.slots]
+        for choice in (np.asarray(factory.slots.widest), np.asarray(random_choice)):
+            rhs = factory.rhs(choice)
+            assert rhs[m - cap:].tolist() == factory.slots.cap[cap_slots, choice[cap_slots]].tolist()
+            assert rhs[:m - cap].tolist() == factory.closed_rhs[:m - cap].tolist()
 
 
 def tiny_suite_outcomes():
