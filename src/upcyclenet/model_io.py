@@ -29,6 +29,7 @@ solvers live in ``docs/solver_adapters.md``.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import shlex
@@ -699,13 +700,13 @@ def run_external_solver(model: Model, solver_cmd: str,
     the parsed names the lift left in place, then the columns it filled,
     in column order.
 
-    The command runs in a session of its own.  When `time_limit` passes,
-    or anything interrupts the wait, its whole process group is killed
-    (SIGKILL) before the solution file is read, so no process it started
-    writes that file while it is read; a process that calls `setsid`
-    leaves the group and escapes the kill.  A `time_limit` that is not
-    finite or not above 0 raises `SolverRunError` before anything is
-    written or run.
+    The command runs in a session of its own.  When it exits, when
+    `time_limit` passes, or when anything interrupts the wait, its whole
+    process group is killed (SIGKILL) before the solution file is read,
+    so no process it started, in the background too, writes that file
+    while it is read; a process that calls `setsid` leaves the group and
+    escapes the kill.  A `time_limit` that is not finite or not above 0
+    raises `SolverRunError` before anything is written or run.
     """
     if "{mps}" not in solver_cmd or "{sol}" not in solver_cmd:
         raise SolverRunError("solver command template must use both {mps} and {sol}")
@@ -730,13 +731,14 @@ def run_external_solver(model: Model, solver_cmd: str,
             try:
                 out = child.communicate(timeout=time_limit)
                 exit_code = child.returncode
-            except BaseException as exc:
-                # kill what the command started too, so that nothing writes
-                # the solution file while it is read
-                os.killpg(child.pid, signal.SIGKILL)
-                if not isinstance(exc, subprocess.TimeoutExpired):
-                    raise
+            except subprocess.TimeoutExpired as exc:
                 out, exit_code = (exc.stdout, exc.stderr), None  # the output so far
+            finally:
+                # however the wait ends, kill what the command started too,
+                # so that nothing writes the solution file while it is read;
+                # after an exit the group may be empty already
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(child.pid, signal.SIGKILL)
         elapsed = time.monotonic() - t0
         stdout, stderr = (b.decode(errors="replace") if b else "" for b in out)
         diag = (

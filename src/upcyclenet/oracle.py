@@ -20,13 +20,18 @@ It assembles one LP per instance, the all-open LP: every site open, its
 capacity rows at the widest size, and every row of each row family, one
 without an entry too (it holds at zero flow, or makes every configuration
 infeasible if it is a quota row).  It is solved cold, and each
-configuration's LP is re-optimised from its optimal basis
-(`simplex.solve_lp(start=...)`): the same rows and columns, the capacity
-rows at the chosen sizes (0 at a closed site), and every column with a
-closed origin or destination held at 0.  Its feasible flows are exactly those of the all-open LP's
-restriction to the columns between open sites, and they are feasible in
-the all-open LP at the same per-ton costs, whose capacity rows are only
-looser.
+configuration's LP is re-optimised (`simplex.solve_lp(start=...)`) from
+the optimal basis of the last configuration LP the walk solved to
+optimality, or of the all-open LP until there is one; consecutive
+configurations differ mostly in their trailing slots, so the neighbour's
+basis is the closer start.  Every LP has the same rows and columns, the
+capacity rows at the chosen sizes (0 at a closed site), and every column
+with a closed origin or destination held at 0.  Its feasible flows are
+exactly those of the all-open LP's restriction to the columns between
+open sites, and they are feasible in the all-open LP at the same per-ton
+costs, whose capacity rows are only looser.  The LP's costs, matrix and
+senses are read-only, so the simplex checks them once, in the all-open
+LP.
 
 Enumeration order is lexicographic over the flat site tuple (echelons in
 chain order, sites in declaration order; 0 means closed, k means the k-th
@@ -259,13 +264,14 @@ def describe_configuration(inst: Instance, config: Configuration) -> dict[str, d
 
 class _LpFactory:
     """The instance's all-open flow LP, solved cold once, and each
-    configuration's LP re-optimised from it as the module docstring
-    describes.  Every LP has the same `obj`, `a` and `senses`; a
-    configuration sets the capacity rows' rhs and holds the columns whose
-    origin or destination slot is closed.  The rows are the families
-    demand, quota, source_cap, flow_balance and facility_cap, in that
-    order, each with all its rows; the capacity rows are the last block,
-    in (echelon, period, site) order."""
+    configuration's LP re-optimised from it or from another configuration
+    LP, as the module docstring describes.  Every LP has the same `obj`,
+    `a` and `senses`, all read-only; a configuration sets the capacity
+    rows' rhs and holds the columns whose origin or destination slot is
+    closed.  The rows are the families demand, quota, source_cap,
+    flow_balance and facility_cap, in that order, each with all its rows;
+    the capacity rows are the last block, in (echelon, period, site)
+    order."""
 
     def __init__(self, inst: Instance, prune: bool, slots: _SlotTable) -> None:
         self.inst = inst
@@ -352,6 +358,9 @@ class _LpFactory:
         self.cap_rows = np.arange(len(self.a) - len(self.cap_slots), len(self.a))
         self.closed_rhs = np.concatenate(rhs)  # capacity rows at 0
         self.senses = np.array(list("".join(senses)), dtype="<U1")
+        # read-only, so `solve_lp` checks them once, in the bound LP
+        for arr in (self.obj, self.a, self.senses):
+            arr.flags.writeable = False
         self._bound: LpResult | None = None
         # per column, the slots of its origin and destination; -1 for a
         # source or a sink, which indexes the always-open last entry of
@@ -371,25 +380,27 @@ class _LpFactory:
 
     def bound_lp(self) -> LpResult:
         """The all-open LP at `slots.widest`, solved cold once; its optimal
-        basis is where every configuration's LP starts."""
+        basis is where a configuration's LP starts by default."""
         if self._bound is None:
             widest = np.asarray(self.slots.widest, dtype=np.intp)
             self._bound = self._solve_lp(self.rhs(widest))
         return self._bound
 
-    def solve(self, config: Configuration) -> LpResult:
-        """Solve the configuration's LP, re-optimised from the bound LP's
-        basis.  `x` lies over the all-open columns, 0 on every column with
-        a closed end, and the objective is the flow cost only; callers add
-        the installation cost.  `config` is not checked: the walk and
-        `widest` only yield valid configurations."""
+    def solve(self, config: Configuration, start: LpResult | None = None) -> LpResult:
+        """Solve the configuration's LP, re-optimised from the optimal basis
+        of `start`, the bound LP or another of this factory's LPs; the
+        bound LP when None.  `x` lies over the all-open columns, 0 on every
+        column with a closed end, and the objective is the flow cost only;
+        callers add the installation cost.  `config` is not checked: the
+        walk and `widest` only yield valid configurations."""
         bound = self.bound_lp()
         if bound.status == "infeasible":  # the configuration's flows are the bound LP's too
             return bound
         choice = np.asarray(config, dtype=np.intp)
         is_open = np.append(choice > 0, True)
         held = ~(is_open[self.origin] & is_open[self.dest])
-        return self._solve_lp(self.rhs(choice), start=bound, held=held)
+        return self._solve_lp(self.rhs(choice), start=bound if start is None else start,
+                              held=held)
 
     def _solve_lp(self, b: np.ndarray, **warm) -> LpResult:
         try:
@@ -446,6 +457,9 @@ def solve_exact(inst: Instance, max_configs: int = MAX_CONFIGS, prune: bool = Tr
     best_obj: float | None = None
     best_config: Configuration | None = None
     best_x: np.ndarray | None = None
+    # the last optimal configuration LP, where the next one starts; the
+    # bound LP's basis until one exists
+    last: LpResult | None = None
     for block in blocks:
         passing = np.flatnonzero(block.fits)
         pruned += block.fits.size - passing.size
@@ -469,11 +483,12 @@ def solve_exact(inst: Instance, max_configs: int = MAX_CONFIGS, prune: bool = Tr
             k = int(passing[at])
             at += 1
             config = block.configuration(k)
-            result = factory.solve(config)
+            result = factory.solve(config, last)
             if result.status == "infeasible":
                 infeasible += 1
                 continue
             solved += 1
+            last = result
             objective = result.objective + float(block.install[k])
             if best_obj is None or objective < best_obj - TIE_TOL * max(1.0, abs(best_obj)):
                 best_obj = objective

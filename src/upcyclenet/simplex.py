@@ -13,27 +13,36 @@ primal feasible, and phase 2 then finishes at the true costs c.  This is
 the cost-modification dual phase 1 (Koberstein, PhD thesis, Paderborn
 2005): there is no phase-1 objective.
 
-An optimal cold solve keeps its final working array in `LpResult.warm`,
-read-only, and `solve_lp(..., start=that_result, held=mask)` re-optimises
-the same `c`, `a` and `senses` at another rhs with some columns held at
-0.  The basis keeps its reduced costs, so it stays dual feasible at c,
-and holding columns only removes candidates.
+Every optimal solve, cold or warm, keeps its final working array in
+`LpResult.warm`, read-only, and `solve_lp(..., start=that_result,
+held=mask)` re-optimises the same `c`, `a` and `senses` at another rhs
+with some columns held at 0.  The start's basis is optimal at c over the
+columns it did not hold, so a column it held and this LP frees may price
+below 0.  The same cost modification makes it dual feasible: each cost
+is raised to its price at the start's basis, max(c, c_B B^-1 a), which
+clips every reduced cost at exactly 0 and leaves the basic costs as they
+are (the cold rule is the case c_B = 0).  Holding columns only removes
+candidates.
 
 `solve_lp` is the one entry path.  It checks the input, lays out the
 columns that may not enter (the artificials, and the held ones) and the
 costs padded with zeros once, then sets up the working array: cold, from
 `a` and `b` at the slack basis; warm, as a copy of the start's array
 whose rhs column is recomputed as B^-1 b, with B^-1 read off the
-starting-basis columns as below.  Every LP then takes one path, the dual
-loop (at max(c, 0) cold, at c warm) followed by phase 2:
+starting-basis columns as below.  `c`, `a` and `senses` are checked once:
+a start keeps the ones it was solved with when all three are read-only,
+and a warm LP given those very arrays, still read-only, checks only `b`
+and `held`; any other array is checked in full.  Every LP then takes one
+path, the dual loop (at the clipped costs) followed by phase 2:
 
 * a held column and every artificial may not enter, and a held column
   that is basic must come back to 0 (a variable bounded by 0 above),
-* each dual pivot leaves the row with the largest violation, a basic
-  value below ``-_FEASIBILITY_TOL`` or a held one further than that from
-  0, and enters the column with the least ratio of reduced cost to pivot
-  entry among the entries above ``_PIVOT_TOL`` in the direction that
-  repairs the row, the least index on ties,
+* each dual pivot leaves the row with the largest violation (one argmax,
+  the least row on ties), a basic value below ``-_FEASIBILITY_TOL`` or a
+  held one further than that from 0, and enters the column with the
+  least ratio of reduced cost to pivot entry among the entries above
+  ``_PIVOT_TOL`` in the direction that repairs the row, the least index
+  on ties,
 * a leaving row with no such entry proves the LP infeasible,
 * once the basic values are feasible, held basic values are set to 0 and
   phase 2 runs Dantzig's most-negative-reduced-cost rule over the columns
@@ -89,13 +98,17 @@ _MAX_ITERATIONS = 50_000
 
 @dataclass(frozen=True)
 class _WarmStart:
-    """An optimal cold solve's final working array, for `solve_lp(start=...)`.
-    Its arrays are read-only, so no warm LP can change the start of the next."""
+    """An optimal solve's final working array, for `solve_lp(start=...)`.
+    Its arrays are read-only, so no warm LP can change the start of the
+    next.  `lp` is the `c`, `a` and `senses` the solve checked, kept only
+    when all three were read-only, so an LP that passes the same arrays
+    again needs no second check."""
 
     full: np.ndarray
     basis: np.ndarray
     starts: np.ndarray  # each row's starting-basis column
     signs: np.ndarray  # -1.0 where the row was flipped, else 1.0
+    lp: tuple[np.ndarray, np.ndarray, np.ndarray] | None
 
     def __post_init__(self) -> None:
         for arr in (self.full, self.basis, self.starts, self.signs):
@@ -128,10 +141,12 @@ def solve_lp(
     in `c`, `a` or `b`, and `FloatingPointError` when a pivot, a ratio or
     the objective leaves the float range.
 
-    With `start`, the optimal result of a cold solve of the same `c`, `a`
+    With `start`, an optimal result of `solve_lp` for the same `c`, `a`
     and `senses`, the LP is re-optimised from that basis, with x held at
-    0 where the boolean mask `held` is set; `a` is then checked but not
-    read, as the start's array holds B^-1 a.  Raises `ValueError` on a
+    0 where the boolean mask `held` is set; `a` is not read, as the
+    start's array holds B^-1 a.  When `c`, `a` and `senses` are the very
+    read-only arrays the start was solved with, they were checked then
+    and only `b` and `held` are checked now.  Raises `ValueError` on a
     `start` that carries no basis or does not fit, and on `held` without
     `start`.
     """
@@ -139,24 +154,29 @@ def solve_lp(
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     senses = np.asarray(senses)
-    m, n = a.shape
-    if senses.shape != (m,) or b.shape != (m,) or c.shape != (n,):
-        raise ValueError("inconsistent LP dimensions")
-    is_g = senses == "G"
-    is_e = senses == "E"
-    unknown = ((senses != "L") & ~is_g & ~is_e).nonzero()[0]
-    if unknown.size:
-        raise ValueError(f"row {unknown[0]} has sense {str(senses[unknown[0]])!r}; "
-                         "expected 'L', 'G' or 'E'")
-    if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("LP data must be finite: c, a or b holds a NaN or an infinity")
     if start is None and held is not None:
         raise ValueError("held columns need a start basis")
     if start is not None and start.warm is None:
-        raise ValueError("start must be the optimal result of a cold solve_lp")
-    if start is not None and start.warm.full.shape != (m, n + m + 1):
-        raise ValueError("start does not fit the LP")
+        raise ValueError("start must be an optimal result of solve_lp")
+    lp = (c, a, senses)
+    m, n = a.shape
+    if b.shape != (m,):
+        raise ValueError("inconsistent LP dimensions")
+    if start is None or not _checked(start.warm.lp, lp):
+        if senses.shape != (m,) or c.shape != (n,):
+            raise ValueError("inconsistent LP dimensions")
+        unknown = ((senses != "L") & (senses != "G") & (senses != "E")).nonzero()[0]
+        if unknown.size:
+            raise ValueError(f"row {unknown[0]} has sense {str(senses[unknown[0]])!r}; "
+                             "expected 'L', 'G' or 'E'")
+        if not (np.isfinite(c).all() and np.isfinite(a).all()):
+            raise ValueError("LP data must be finite: c, a or b holds a NaN or an infinity")
+        if start is not None and start.warm.full.shape != (m, n + m + 1):
+            raise ValueError("start does not fit the LP")
+    if not np.isfinite(b).all():
+        raise ValueError("LP data must be finite: c, a or b holds a NaN or an infinity")
 
+    is_e = senses == "E"
     width = n + m
     n_ext = width - np.count_nonzero(is_e)  # structurals and slacks; the artificials follow
     blocked = np.zeros(width, dtype=bool)
@@ -169,6 +189,7 @@ def solve_lp(
     cost = np.zeros(width, dtype=np.float64)
     cost[:n] = c
     if start is None:
+        is_g = senses == "G"
         # structurals, slacks, artificials, then the rhs as the last column
         full = np.zeros((m, width + 1), dtype=np.float64)
         full[:, :n] = a
@@ -192,7 +213,11 @@ def solve_lp(
         rhs = full[:, -1]
         rhs[np.abs(rhs) < _ZERO_RHS] = 0.0
         basis = start.warm.basis.copy()
-        dual_cost = cost  # the start's basis is optimal, so dual feasible, at c
+        # the start's basis is optimal at c over its own held columns, so a
+        # column it held may price below 0 here; raising each cost to its
+        # price at the basis clips every reduced cost at exactly 0, which
+        # keeps the basic costs and makes the basis dual feasible
+        dual_cost = np.maximum(cost, cost[basis] @ full[:, :-1])
 
     state = _State(full, basis)
     if _run_dual(state, dual_cost, blocked) == "infeasible":
@@ -204,8 +229,19 @@ def solve_lp(
     x = np.zeros(n, dtype=np.float64)
     structural = basis < n
     x[basis[structural]] = state.rhs[structural]
-    warm = _WarmStart(full, basis, starts, signs) if start is None else None
+    warm = _WarmStart(full, basis, starts, signs, lp if _read_only(lp) else None)
     return LpResult("optimal", float(c @ x), x, state.iterations, warm)
+
+
+def _read_only(arrays: tuple[np.ndarray, ...]) -> bool:
+    return not any(arr.flags.writeable for arr in arrays)
+
+
+def _checked(done: tuple[np.ndarray, ...] | None, lp: tuple[np.ndarray, ...]) -> bool:
+    """Whether `lp` is `done`, arrays that a solve has checked, and still
+    read-only, so unchanged since."""
+    return (done is not None and all(x is y for x, y in zip(done, lp))
+            and _read_only(lp))
 
 
 class _State:
@@ -268,18 +304,19 @@ def _run_dual(state: _State, cost: np.ndarray, blocked: np.ndarray) -> str:
     leaving row has no entering column ('infeasible'); `blocked` columns
     may not enter.  The basis must be dual feasible over the others."""
     tableau, rhs, basis = state.tableau, state.rhs, state.basis
+    if not len(basis):  # an LP without rows is feasible, and argmax needs a row
+        return "optimal"
     free = ~blocked
     ratios = np.empty(tableau.shape[1], dtype=np.float64)
     while True:
         off = _violation(state, blocked)
-        rows = (off > _FEASIBILITY_TOL).nonzero()[0]
-        if rows.size == 0:
+        # argmax takes the first of equal maxima: the least row wins ties
+        leave_row = off.argmax()
+        if not off[leave_row] > _FEASIBILITY_TOL:
             return "optimal"
         if state.bland:
+            rows = (off > _FEASIBILITY_TOL).nonzero()[0]
             leave_row = rows[basis[rows].argmin()]
-        else:
-            # argmax takes the first of equal maxima: the least row wins ties
-            leave_row = rows[off[rows].argmax()]
         # the leaving value moves toward its bound as a column with a
         # positive `toward` entry rises from 0
         toward = tableau[leave_row] if rhs[leave_row] > 0.0 else -tableau[leave_row]

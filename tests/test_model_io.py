@@ -858,13 +858,9 @@ def pid_file(tmp_path):
             os.kill(int(path.read_text()), signal.SIGKILL)
 
 
-def test_timeout_kills_what_the_solver_started(hand_model, pid_file):
-    """A timed-out command's whole process group is killed, so a process
-    it started in the background is gone, a zombie or dying (SIGKILL
-    pending) when `run_external_solver` returns."""
-    cmd = f"sh -c 'sleep 30 & echo $! > {pid_file}; wait' {{mps}} {{sol}}"
-    sol = run_external_solver(hand_model, cmd, time_limit=0.5)
-    assert "exit=timeout" in sol.diagnostics
+def assert_killed(pid_file) -> None:
+    """The process whose pid `pid_file` holds is gone, a zombie or dying
+    (SIGKILL pending)."""
     try:
         status = Path(f"/proc/{int(pid_file.read_text())}/status").read_text()
     except FileNotFoundError:
@@ -872,6 +868,28 @@ def test_timeout_kills_what_the_solver_started(hand_model, pid_file):
     fields = dict(line.split(":", 1) for line in status.splitlines())
     pending = int(fields["SigPnd"], 16) | int(fields["ShdPnd"], 16)
     assert fields["State"].strip()[0] in "ZX" or pending >> (signal.SIGKILL - 1) & 1
+
+
+def test_timeout_kills_what_the_solver_started(hand_model, pid_file):
+    """A timed-out command's whole process group is killed, so a process
+    it started in the background is gone when `run_external_solver`
+    returns."""
+    cmd = f"sh -c 'sleep 30 & echo $! > {pid_file}; wait' {{mps}} {{sol}}"
+    sol = run_external_solver(hand_model, cmd, time_limit=0.5)
+    assert "exit=timeout" in sol.diagnostics
+    assert_killed(pid_file)
+
+
+def test_exit_kills_what_the_solver_left_running(hand_model, pid_file):
+    """A command that exits at once, leaving a background process with
+    its output redirected, does not wait for it; its process group is
+    killed after the exit too, so that process is gone when
+    `run_external_solver` returns."""
+    cmd = (f"sh -c 'sleep 30 > /dev/null 2>&1 & echo $! > {pid_file}; exit 0' "
+           "{mps} {sol}")
+    sol = run_external_solver(hand_model, cmd, time_limit=10)
+    assert "exit=0" in sol.diagnostics and sol.status == "unknown"
+    assert_killed(pid_file)
 
 
 def test_incumbent_without_bound_stays_feasible(hand_model, tmp_path):

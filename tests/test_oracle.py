@@ -464,7 +464,7 @@ def test_warm_start_reoptimises_at_a_new_rhs():
     assert res.objective == pytest.approx(-8.0)
     np.testing.assert_allclose(res.x, [4.0, 2.0, 0.0], atol=1e-12)
     assert res.objective == pytest.approx(solve_lp(c, a, senses, b).objective)
-    assert res.warm is None  # only a cold solve is a start
+    assert res.warm is not None  # any optimal result is a start
 
 
 def test_warm_start_keeps_held_columns_at_zero():
@@ -487,7 +487,7 @@ def test_warm_start_finds_an_infeasible_rhs():
 
 
 @pytest.mark.parametrize("start, held, match", [
-    ("infeasible", None, "optimal result of a cold solve_lp"),
+    ("infeasible", None, "optimal result of solve_lp"),
     (None, np.array([False, True, False]), "held columns need a start basis"),
     ("base", np.array([0, 1, 0]), "boolean mask"),
     ("base", np.array([False, True]), "boolean mask"),
@@ -582,6 +582,104 @@ def test_warm_start_agrees_with_a_cold_solve_on_random_lps():
                     assert {"L": v <= rhs + 1e-9, "G": v >= rhs - 1e-9,
                             "E": abs(v - rhs) <= 1e-9}[sense]
     assert statuses.count("optimal") >= 100 and statuses.count("infeasible") >= 50
+
+
+def test_a_warm_result_starts_the_next_lp_on_random_lps(monkeypatch):
+    """Chains of warm solves on random LPs, each started from the last
+    optimal result, warm ones too, at a moved rhs and a new held set that
+    frees some of the columns its start held: the same status and optimum
+    as a cold solve without the held columns, and a feasible `x` that is
+    exactly 0 where held.  Some freed columns price below 0 at their
+    start's basis, yet every dual loop starts dual feasible: at its costs
+    no column that may enter prices below 0."""
+    statuses = []
+    priced_below = 0
+    lowest = []
+    real_run_dual = simplex._run_dual
+
+    def checking_run_dual(state, cost, blocked):
+        reduced = cost - cost[state.basis] @ state.tableau
+        lowest.append(reduced[~blocked].min(initial=0.0))
+        return real_run_dual(state, cost, blocked)
+
+    monkeypatch.setattr(simplex, "_run_dual", checking_run_dual)
+    for seed in range(80):
+        rng = np.random.default_rng(1700 + seed)
+        m = int(rng.integers(2, 7))
+        n = int(rng.integers(3, 9))
+        a = rng.uniform(-2, 2, size=(m, n)).round(2)
+        c = rng.uniform(-1, 2, size=n).round(2)
+        senses = [str(rng.choice(["L", "G", "E"])) for _ in range(m)]
+        b = rng.uniform(-2, 4, size=m).round(2)
+        start, start_held = solve_lp(c, a, senses, b), np.zeros(n, dtype=bool)
+        if start.status != "optimal":
+            continue
+        for _ in range(8):
+            moved = b + rng.choice([0.0, 0.0, 1.0], size=m) * rng.uniform(-3, 3, size=m).round(2)
+            held = rng.random(n) < 0.3
+            held[start_held] = rng.random(np.count_nonzero(start_held)) < 0.3
+            warm = solve_lp(c, a, senses, moved, start=start, held=held)
+            cold = solve_lp(c[~held], a[:, ~held], senses, moved)
+            assert warm.status == cold.status, (seed, moved, held)
+            statuses.append(warm.status)
+            if warm.status != "optimal":
+                continue
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+            assert (warm.x[held] == 0.0).all() and (warm.x >= -1e-9).all()
+            lhs = a @ warm.x
+            for sense, v, rhs in zip(senses, lhs, moved):
+                assert {"L": v <= rhs + 1e-9, "G": v >= rhs - 1e-9,
+                        "E": abs(v - rhs) <= 1e-9}[sense]
+            tableau, basis = start.warm.full[:, :n], start.warm.basis
+            reduced = c - np.append(c, np.zeros(m))[basis] @ tableau
+            priced_below += bool((reduced[start_held & ~held] < -1e-9).any())
+            start, start_held = warm, held
+    assert statuses.count("optimal") >= 100 and statuses.count("infeasible") >= 50
+    assert priced_below >= 20 and min(lowest) >= 0.0
+
+
+def test_a_freed_column_that_prices_below_zero_enters():
+    """x1 held gives the optimum x = (4, 0, 0); freed from there, x1
+    prices at -1 (-2 against the first row's dual -1), so the start's
+    basis is not dual feasible at c.  The warm solve still reaches the
+    cold optimum x = (1, 3, 0)."""
+    c, a, senses = WARM_LP
+    b = np.array([4.0, 3.0, 1.0])
+    held = solve_lp(c, a, senses, b, start=warm_base(), held=np.array([False, True, False]))
+    assert held.status == "optimal" and held.warm is not None
+    basis = held.warm.basis
+    reduced = c - np.append(c, np.zeros(3))[basis] @ held.warm.full[:, :3]
+    assert reduced[1] == pytest.approx(-1.0)
+    res = solve_lp(c, a, senses, b, start=held)
+    assert res.status == "optimal" and res.objective == pytest.approx(-7.0)
+    np.testing.assert_allclose(res.x, [1.0, 3.0, 0.0], atol=1e-12)
+
+
+def test_a_warm_solve_checks_what_its_start_did_not():
+    """A start solved with read-only `c`, `a` and `senses` spares a warm
+    solve given the same arrays their check; any other array is checked
+    as before: a writeable copy of `a` holding a NaN, a read-only one,
+    and the start's own `a` made writeable again and changed."""
+    c, a, senses = (np.array(v) for v in WARM_LP)
+    for arr in (c, a, senses):
+        arr.flags.writeable = False
+    b = np.array([4.0, 3.0, 1.0])
+    base = solve_lp(c, a, senses, b)
+    assert base.warm.lp is not None
+    assert solve_lp(c, a, senses, b, start=base).objective == pytest.approx(-7.0)
+    with_nan = a.copy()
+    with_nan[1, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        solve_lp(c, with_nan, senses, b, start=base)
+    with_nan.flags.writeable = False
+    with pytest.raises(ValueError, match="finite"):
+        solve_lp(c, with_nan, senses, b, start=base)
+    a.flags.writeable = True
+    a[1, 1] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        solve_lp(c, a, senses, b, start=base)
+    with pytest.raises(ValueError, match="finite"):
+        solve_lp(c, a, senses, np.array([4.0, np.nan, 1.0]), start=base)
 
 
 def test_dual_loop_switches_to_blands_rule_on_degenerate_pivots(monkeypatch):
@@ -1111,7 +1209,7 @@ def test_tiny_suite_lp_sequence_is_golden(monkeypatch):
     monkeypatch.setattr(oracle, "solve_lp", counting_solve_lp)
     certs = [solve_exact(inst)[1] for inst in make_tiny_suite(2026)]
     assert len(pivots) == 287
-    assert sum(pivots) == 1_103
+    assert sum(pivots) == 858
     assert sum(c.enumerated for c in certs) == 19_497
     assert sum(c.pruned for c in certs) == 19_265
     assert sum(c.bound_pruned for c in certs) == 8_856
@@ -1119,10 +1217,10 @@ def test_tiny_suite_lp_sequence_is_golden(monkeypatch):
     assert sum(c.solved for c in certs) == 232
 
 
-# sha256 over the tiny suite's LPs and optima, re-recorded when every LP
-# came to start from the slack basis with the dual simplex; see the test
+# sha256 over the tiny suite's LPs and optima, re-recorded when each
+# configuration LP came to start from the last optimal one; see the test
 # below
-TINY_SUITE_LP_DIGEST = "8b3815af4ffb3ff3b8467c2e2412306a0f8ceb1b7bf462097aa6eff0f527469b"
+TINY_SUITE_LP_DIGEST = "0ae2084a6da9f8f6903b3f91fa5a8aa7a1a2c2025f25fd58b7141769799cbe52"
 
 
 def test_tiny_suite_lp_bits_are_pinned(monkeypatch):
@@ -1149,9 +1247,9 @@ def test_tiny_suite_lp_bits_are_pinned(monkeypatch):
 
 
 # sha256 over the 5% default shape's LPs and its optimum, re-recorded when
-# every LP came to start from the slack basis with the dual simplex; see
-# the test below
-FIVE_PERCENT_LP_DIGEST = "bac280aaf08cb6d0852553fc7478821507fe0dd51b7f70419e9fbb18df0d7aa6"
+# each configuration LP came to start from the last optimal one; see the
+# test below
+FIVE_PERCENT_LP_DIGEST = "c60df049673a9d662e7425b29e66321041b2d16608d882eeca4e5fab27ba6f3a"
 
 
 def test_five_percent_shape_lp_bits_are_pinned(monkeypatch):
@@ -1176,7 +1274,7 @@ def test_five_percent_shape_lp_bits_are_pinned(monkeypatch):
     monkeypatch.setattr(oracle, "solve_lp", hashing_solve_lp)
     cert = solve_exact(scaled_default_shape(0.05))[1]
     digest.update(f"optimum {cert.best_objective.hex()}\n".encode())
-    assert (len(pivots), sum(pivots)) == (139, 4_132)
+    assert (len(pivots), sum(pivots)) == (139, 982)
     assert (cert.enumerated, cert.pruned, cert.bound_pruned, cert.infeasible, cert.solved) == (
         944_784, 944_646, 474_612, 0, 138)
     assert digest.hexdigest() == FIVE_PERCENT_LP_DIGEST
@@ -1221,8 +1319,8 @@ def walk_lps(monkeypatch, cases):
     solved = []
     real_solve = oracle._LpFactory.solve
 
-    def recording_solve(factory, config):
-        result = real_solve(factory, config)
+    def recording_solve(factory, config, start=None):
+        result = real_solve(factory, config, start)
         solved.append((factory, config, result))
         return result
 
@@ -1278,6 +1376,18 @@ def test_closed_sites_carry_no_flow_at_any_costs():
             assert (warm.x[closed_end] == 0.0).all()
             held_paid += bool((factory.bound_lp().x[closed_end] > 0.0).any())
     assert held_paid
+
+
+def test_all_open_lp_data_is_read_only():
+    """The factory's `obj`, `a` and `senses` refuse writes, so `solve_lp`
+    checks them once, in the bound LP, and every LP started from it sees
+    them unchanged."""
+    factory = all_open_factory(make_tiny_suite(2026)[7])
+    for arr in (factory.obj, factory.a, factory.senses):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+    assert factory.bound_lp().warm.lp == (factory.obj, factory.a, factory.senses)
 
 
 def test_all_open_lp_keeps_every_row_with_the_capacity_rows_last():

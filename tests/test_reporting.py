@@ -66,10 +66,10 @@ def test_decode_rejects_foreign_names(hand_case):
 
 
 # sha256 over repr((flows, installs)) of every 2026 tiny-suite member's
-# oracle solution, pruning on then off, re-recorded when every oracle LP
-# came to start from the slack basis with the dual simplex (the same flows
-# as before, some values moved in their last bits)
-TINY_SUITE_DECODE_SHA256 = "b5c7b785710f61b56be823b907d711eab846ffd1a39f2686662ce42f37674996"
+# oracle solution, pruning on then off, re-recorded when each configuration
+# LP came to start from the last optimal one (the same flows as before, some
+# values moved in their last bits)
+TINY_SUITE_DECODE_SHA256 = "f56a3e49f11f78ddce147e7ee38a930b78683221ecc704013fb3b335e6ef1700"
 
 
 def test_decoding_the_tiny_suite_keeps_its_lists():
